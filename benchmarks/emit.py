@@ -246,7 +246,7 @@ def run_ingest_bench(
         return time.perf_counter() - started
 
     one_run(NOOP_TELEMETRY)  # warm-up: imports, allocator, caches
-    # Interleave so host noise lands on both legs (see parallel bench).
+    # Interleave so host noise lands on both legs.
     off_samples: list = []
     on_samples: list = []
     for _ in range(max(1, repeats)):
@@ -363,25 +363,14 @@ def run_service_ingest_bench(
     }
 
 
-def run_parallel_cache_bench(repeats: int = 7) -> Dict[str, Any]:
-    """Benchmark the sharded parallel pipeline and the model cache.
+def run_cache_bench() -> Dict[str, Any]:
+    """Benchmark the model cache: cold store vs warm load of one request.
 
     Uses a Figure-13-style capture (the 320-server tree with 9 random
-    three-tier apps) so the modeling cost is dominated by extraction and
-    signature building, the phases the sharded pipeline restructures.
-    Records, commit to commit:
-
-    * ``speedup``: best-of-``repeats`` ``jobs=1`` vs ``jobs=4`` modeling
-      time. On a single-CPU runner the parallel path still wins by
-      reusing shard work across the model and its stability intervals
-      (the serial path re-extracts the log per interval); ``cpus`` is
-      recorded so multi-core numbers are read in context.
-    * ``dict_identical``: the exactness contract —
-      ``model_to_dict(serial) == model_to_dict(parallel)``.
-    * ``cache``: cold store vs warm load of the same request, and
-      whether the warm path skipped remodeling entirely.
+    three-tier apps) so the cold leg pays real extraction and signature
+    building, and records whether the warm leg skipped remodeling
+    entirely and returned the same model.
     """
-    import gc
     import tempfile
 
     from repro import FlowDiff
@@ -394,26 +383,8 @@ def run_parallel_cache_bench(repeats: int = 7) -> Dict[str, Any]:
     network.sim.run(until=23.0)
     log = network.log
 
-    def timed_model(fd: "FlowDiff"):
-        gc.collect()  # allocation noise from earlier benches skews the ratio
-        started = time.perf_counter()
-        model = fd.model(log)
-        return time.perf_counter() - started, model
-
-    # Interleave the repeats so transient host noise (shared CI runners)
-    # lands on both legs instead of biasing whichever ran second.
-    serial_fd = FlowDiff(FlowDiffConfig(jobs=1))
-    parallel_fd = FlowDiff(FlowDiffConfig(jobs=4))
-    serial_s = parallel_s = float("inf")
-    serial_built = parallel_built = None
-    for _ in range(max(1, repeats)):
-        elapsed, serial_built = timed_model(serial_fd)
-        serial_s = min(serial_s, elapsed)
-        elapsed, parallel_built = timed_model(parallel_fd)
-        parallel_s = min(parallel_s, elapsed)
-
     with tempfile.TemporaryDirectory() as cache_dir:
-        fd = FlowDiff(FlowDiffConfig(jobs=4, cache_dir=cache_dir))
+        fd = FlowDiff(FlowDiffConfig(cache_dir=cache_dir))
         started = time.perf_counter()
         cold_model = fd.model(log)
         cold_s = time.perf_counter() - started
@@ -424,19 +395,11 @@ def run_parallel_cache_bench(repeats: int = 7) -> Dict[str, Any]:
     return {
         "scenario": "scalability_sim(9 apps, 20s)",
         "messages": len(log),
-        "cpus": os.cpu_count(),
-        "jobs1_s": round(serial_s, 6),
-        "jobs4_s": round(parallel_s, 6),
-        "speedup": round(serial_s / parallel_s, 3) if parallel_s else 0.0,
-        "dict_identical": model_to_dict(serial_built) == model_to_dict(parallel_built),
-        "cache": {
-            "cold_s": round(cold_s, 6),
-            "warm_s": round(warm_s, 6),
-            "warm_skips_remodeling": warm_s < cold_s / 10.0,
-            "warm_dict_identical": model_to_dict(warm_model)
-            == model_to_dict(cold_model),
-        },
-        "repeats": repeats,
+        "cold_s": round(cold_s, 6),
+        "warm_s": round(warm_s, 6),
+        "warm_skips_remodeling": warm_s < cold_s / 10.0,
+        "warm_dict_identical": model_to_dict(warm_model)
+        == model_to_dict(cold_model),
     }
 
 
@@ -590,7 +553,7 @@ def run_pipeline_bench(
         "profiler": run_profiler_overhead_bench(log=log),
         "qa_lint": run_qa_lint_bench(),
         "telemetry": telemetry,
-        "parallel": run_parallel_cache_bench(),
+        "cache": run_cache_bench(),
         "python": platform.python_version(),
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }

@@ -35,7 +35,7 @@ Usage (also via ``python -m repro``):
   nonzero on a regression beyond tolerance.
 * ``repro lint`` — flowlint, the domain-invariant static analysis pass
   (sim-clock discipline, determinism, schema drift, signature contract,
-  fork safety, metric hygiene); ``--update-schemas`` regenerates the
+  metric hygiene); ``--update-schemas`` regenerates the
   serialized-schema manifest after a ``FORMAT_VERSION`` bump.
 
 ``simulate``, ``model``, and ``diff`` accept ``--profile`` (print a
@@ -728,21 +728,12 @@ def _config(args: argparse.Namespace) -> FlowDiffConfig:
     special = tuple(args.special_nodes.split(",")) if args.special_nodes else ()
     return FlowDiffConfig(
         signature=SignatureConfig(special_nodes=special),
-        jobs=getattr(args, "jobs", 1),
         cache_dir=getattr(args, "cache_dir", None),
     )
 
 
 def _add_model_flags(sub_parser: argparse.ArgumentParser) -> None:
     """The shared modeling-performance surface of model/diff/monitor."""
-    sub_parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="modeling parallelism: 1 = serial (default), N = sharded "
-        "pipeline with up to N workers, 0 = one worker per CPU; the "
-        "result is identical to serial either way",
-    )
     sub_parser.add_argument(
         "--cache-dir",
         metavar="DIR",

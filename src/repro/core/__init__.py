@@ -24,7 +24,6 @@ from repro.core.groups import ApplicationGroup, extract_groups, match_groups
 from repro.core.model import BehaviorModel
 from repro.core.flowdiff import FlowDiff, FlowDiffConfig
 from repro.core.monitor import SlidingDiagnoser, WindowReport
-from repro.core.parallel import parallel_model
 from repro.core.persist import (
     ModelCache,
     ModelLoadError,
@@ -55,7 +54,6 @@ __all__ = [
     "FlowDiffConfig",
     "SlidingDiagnoser",
     "WindowReport",
-    "parallel_model",
     "ModelCache",
     "ModelLoadError",
     "log_fingerprint",

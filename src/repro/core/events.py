@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.occurrence import splits_occurrence
 from repro.openflow.log import ControllerLog
 from repro.openflow.match import FlowKey
-from repro.openflow.messages import FlowMod, FlowRemoved, PacketIn, PortStatus
+from repro.openflow.messages import FlowMod, FlowRemoved, PacketIn
 
 
 @dataclass(frozen=True)
@@ -102,9 +102,9 @@ def arrival_sort_key(arrival: FlowArrival) -> Tuple[float, FlowKey]:
     """Deterministic ordering for arrival lists: (time, flow key).
 
     The flow-key tiebreak makes the order independent of extraction
-    strategy, so the sharded parallel pipeline and the serial path emit
-    byte-identical arrival sequences even when two flows start at the
-    same timestamp.
+    strategy, so the batch path and the streaming incremental window
+    emit byte-identical arrival sequences even when two flows start at
+    the same timestamp.
     """
     return (arrival.time, arrival.flow)
 
@@ -194,11 +194,12 @@ def join_flow_records(
 ) -> List[FlowRecord]:
     """Join already-extracted arrivals with time-ordered expiry reports.
 
-    The single joining implementation shared by the serial path (via
-    :func:`extract_flow_records`) and the sharded parallel pipeline
-    (:mod:`repro.core.parallel`), which stitches arrivals across shard
-    boundaries first and joins once over the full window. ``removed``
-    must be in log (time) order — consumption cursors rely on it.
+    The single joining implementation shared by the batch path (via
+    :func:`extract_flow_records`) and the streaming incremental window
+    (:mod:`repro.service.incremental`), which stitches arrivals across
+    slice boundaries first and joins once over the full window.
+    ``removed`` must be in log (time) order — consumption cursors rely
+    on it.
     """
     # Index expiry reports for O(1) joining, keyed flow-first so the hot
     # loop hashes each arrival's flow once rather than once per hop. Keys
@@ -270,92 +271,42 @@ def join_flow_records(
     return records
 
 
-@dataclass
-class LogPartition:
-    """A controller log partitioned into time intervals in one pass.
-
-    The shared plan behind both the sharded parallel pipeline
-    (:mod:`repro.core.parallel`) and the serial stability fast path
-    (:mod:`repro.core.stability`): ``PacketIn``/``FlowRemoved`` messages
-    are bucketed by interval while ``FlowMod`` replies stay global,
-    keyed by ``in_reply_to`` (a pairing that is position-independent and
-    therefore safe to consult from any interval).
-
-    Attributes:
-        mods_by_reply: every ``FlowMod``, keyed by its reply buffer id.
-        pins_by_interval: ``PacketIn`` messages bucketed by interval.
-        removed_by_interval: ``FlowRemoved`` messages bucketed likewise.
-        removed_all: all ``FlowRemoved`` messages in log order.
-        port_down: ``(timestamp, dpid, port)`` for each port-down event.
-    """
-
-    mods_by_reply: Dict[int, FlowMod]
-    pins_by_interval: List[List[PacketIn]]
-    removed_by_interval: List[List[FlowRemoved]]
-    removed_all: List[FlowRemoved]
-    port_down: List[Tuple[float, str, int]]
-
-
 def partition_log(
     log: ControllerLog,
     bounds: Sequence[Tuple[float, float]],
-    collect_pins: bool = True,
-) -> Tuple[Optional[LogPartition], Optional[str]]:
-    """Bucket a log's messages into the given time intervals, or decline.
+) -> Tuple[Optional[List[List[FlowRemoved]]], Optional[str]]:
+    """Bucket a log's ``FlowRemoved`` messages by time interval, or decline.
 
-    Returns ``(partition, None)`` on success and ``(None, reason)`` when
-    the log cannot be partitioned without changing pairing semantics:
+    Returns ``(removed_by_interval, None)`` on success and
+    ``(None, reason)`` when interval views cannot be sliced out of the
+    log's full-window arrivals without changing pairing semantics:
     ``FlowMod`` replies lacking ``in_reply_to`` (the ordered fallback
     consumption is stateful across the whole window) or duplicate reply
     ids (the winning reply would depend on the slice). Messages before
     the first upper bound land in interval 0 and messages at or after
-    the last lower bound land in the final interval, so callers must
-    only partition over the log's full time span.
-
-    ``collect_pins=False`` skips the ``PacketIn`` bucketing (the
-    buckets stay empty) for callers that already hold extracted
-    arrivals and only need the reply-id validation plus the
-    ``FlowRemoved`` buckets.
+    the last lower bound land in the final interval, so ``bounds`` must
+    cover the log's full time span.
     """
     n = len(bounds)
-    mods_by_reply: Dict[int, FlowMod] = {}
-    pins_by_interval: List[List[PacketIn]] = [[] for _ in range(n)]
+    reply_ids: set = set()
     removed_by_interval: List[List[FlowRemoved]] = [[] for _ in range(n)]
-    removed_all: List[FlowRemoved] = []
-    port_down: List[Tuple[float, str, int]] = []
     uppers = [b for _, b in bounds]
     idx = 0
     for msg in log:
         kind = type(msg)
-        if kind is PacketIn or kind is FlowRemoved:
+        if kind is FlowRemoved:
             ts = msg.timestamp
             while idx < n - 1 and ts >= uppers[idx]:
                 idx += 1
-            if kind is PacketIn:
-                if collect_pins:
-                    pins_by_interval[idx].append(msg)
-            else:
-                removed_all.append(msg)
-                removed_by_interval[idx].append(msg)
+            removed_by_interval[idx].append(msg)
         elif kind is FlowMod:
             reply_id = msg.in_reply_to
             if reply_id is None:
                 return None, "flowmod_without_reply_id"
-            if reply_id in mods_by_reply:
+            if reply_id in reply_ids:
                 return None, "duplicate_flowmod_reply_id"
-            mods_by_reply[reply_id] = msg
-        elif kind is PortStatus and not msg.live:
-            port_down.append((msg.timestamp, msg.dpid, msg.port))
-    return (
-        LogPartition(
-            mods_by_reply=mods_by_reply,
-            pins_by_interval=pins_by_interval,
-            removed_by_interval=removed_by_interval,
-            removed_all=removed_all,
-            port_down=port_down,
-        ),
-        None,
-    )
+            reply_ids.add(reply_id)
+    return removed_by_interval, None
 
 
 def build_occurrence_runs(
@@ -365,12 +316,12 @@ def build_occurrence_runs(
 ) -> Dict[FlowKey, List[List[HopReport]]]:
     """Group time-ordered ``PacketIn`` messages into per-flow occurrence runs.
 
-    The core grouping step shared by the parallel shard workers and the
-    serial stability fast path: consecutive reports of one 5-tuple within
-    ``occurrence_gap`` seconds extend the current run; a larger gap starts
-    a new one. ``FlowMod`` pairing is by reply buffer id only — callers
-    must have verified (via :func:`partition_log`) that every ``FlowMod``
-    carries a unique ``in_reply_to``.
+    The grouping step of the streaming incremental window
+    (:mod:`repro.service.incremental`): consecutive reports of one
+    5-tuple within ``occurrence_gap`` seconds extend the current run; a
+    larger gap starts a new one. ``FlowMod`` pairing is by reply buffer
+    id only — callers must have verified that every ``FlowMod`` carries
+    a unique ``in_reply_to``.
     """
     runs: Dict[FlowKey, List[List[HopReport]]] = {}
     last_ts: Dict[FlowKey, float] = {}
@@ -393,47 +344,6 @@ def build_occurrence_runs(
     return runs
 
 
-def interval_flow_records(
-    runs: Dict[FlowKey, List[List[HopReport]]],
-    removed: Sequence[FlowRemoved],
-    a: float,
-    b: float,
-) -> List[FlowRecord]:
-    """An interval-semantics view of occurrence runs, joined with expiries.
-
-    Mirrors what a serial ``log.window(a, b)`` rebuild would extract:
-    only reports with ``a <= ts < b`` exist, so runs are truncated at the
-    interval end and ``FlowMod`` pairings outside ``[a, b)`` are dropped
-    (the hop keeps its ``PacketIn`` but loses the reply, exactly as if
-    the controller had never answered inside the slice). ``removed`` is
-    filtered to the slice the same way.
-    """
-    arrivals: List[FlowArrival] = []
-    for flow, flow_runs in runs.items():
-        for hops in flow_runs:
-            ihops = [h for h in hops if h.packet_in_at < b]
-            if not ihops:
-                continue
-            arrivals.append(
-                FlowArrival(
-                    flow=flow,
-                    time=ihops[0].packet_in_at,
-                    hops=tuple(
-                        h
-                        if h.flow_mod_at is None or a <= h.flow_mod_at < b
-                        else HopReport(
-                            dpid=h.dpid,
-                            in_port=h.in_port,
-                            packet_in_at=h.packet_in_at,
-                        )
-                        for h in ihops
-                    ),
-                )
-            )
-    arrivals.sort(key=arrival_sort_key)
-    return join_flow_records(arrivals, [r for r in removed if r.timestamp < b])
-
-
 def interval_flow_records_from_arrivals(
     arrivals: Sequence[FlowArrival],
     removed: Sequence[FlowRemoved],
@@ -442,12 +352,16 @@ def interval_flow_records_from_arrivals(
 ) -> List[FlowRecord]:
     """The ``[a, b)`` interval view sliced out of full-window arrivals.
 
-    Equivalent to :func:`interval_flow_records` over runs built from the
-    interval's own ``PacketIn`` bucket: a full-window run's hops are
-    time-ordered, so the hops falling inside ``[a, b)`` are a contiguous
-    slice, and the occurrence-gap splits between them are the same ones
-    per-interval grouping would make. Valid only when every ``FlowMod``
-    pairing came via a unique ``in_reply_to`` (the
+    Mirrors what a ``log.window(a, b)`` rebuild would extract: only
+    reports with ``a <= ts < b`` exist, so runs are truncated at the
+    interval bounds and ``FlowMod`` pairings outside ``[a, b)`` are
+    dropped (the hop keeps its ``PacketIn`` but loses the reply, exactly
+    as if the controller had never answered inside the slice);
+    ``removed`` is filtered to the slice the same way. A full-window
+    run's hops are time-ordered, so the hops falling inside ``[a, b)``
+    are a contiguous slice, and the occurrence-gap splits between them
+    are the same ones per-interval grouping would make. Valid only when
+    every ``FlowMod`` pairing came via a unique ``in_reply_to`` (the
     :func:`partition_log` precondition) — positional fallback pairing is
     window-dependent and would diverge.
 

@@ -36,6 +36,7 @@ from repro.core.tasks.library import TaskLibrary
 from repro.obs.metrics import NOOP_REGISTRY, MetricsRegistry
 from repro.obs.tracing import NOOP_TRACER, Tracer
 from repro.openflow.log import ControllerLog
+from repro.openflow.messages import PortStatus
 
 
 @dataclass(frozen=True)
@@ -51,12 +52,7 @@ class FlowDiffConfig:
             0 disables assessment (all signatures treated stable).
         explanations: task-type -> explainable-change-kind rules used
             during validation.
-        jobs: modeling parallelism. 1 (the default) runs the serial
-            pipeline; any other value routes :meth:`FlowDiff.model`
-            through the sharded pipeline in :mod:`repro.core.parallel`
-            (0 or negative means "one worker per CPU"). The parallel
-            path produces a model identical to the serial one and falls
-            back to serial when a log cannot be sharded exactly.
+        jobs: accepted and ignored — nothing reads it.
         cache_dir: when set, models are cached on disk keyed by log
             content, model-relevant config, and format version, so
             re-modeling an unchanged baseline is skipped.
@@ -67,6 +63,8 @@ class FlowDiffConfig:
     stability: StabilityThresholds = field(default_factory=StabilityThresholds)
     stability_parts: int = 3
     explanations: Tuple[TaskExplanation, ...] = DEFAULT_EXPLANATIONS
+    # Unread: bench/batch_tree.py still constructs FlowDiffConfig(jobs=2)
+    # and bench/ is frozen outside benchmark PRs; drop both together.
     jobs: int = 1
     cache_dir: Optional[str] = None
 
@@ -119,11 +117,8 @@ class FlowDiff:
     ) -> BehaviorModel:
         """Build the behavior model of one log window.
 
-        With ``config.jobs != 1`` the sharded parallel pipeline
-        (:mod:`repro.core.parallel`) is used; it yields a model identical
-        to the serial path and falls back to it when the log cannot be
-        sharded exactly. With ``config.cache_dir`` set, the model is
-        served from / stored into the content-addressed cache.
+        With ``config.cache_dir`` set, the model is served from / stored
+        into the content-addressed cache.
 
         Args:
             log: the controller capture.
@@ -146,13 +141,46 @@ class FlowDiff:
         with self.tracer.span(
             "model", messages=len(log), window=list(window)
         ):
-            model: Optional[BehaviorModel] = None
-            if self.config.jobs != 1 and records is None:
-                from repro.core.parallel import parallel_model
-
-                model = parallel_model(self, log, window, assess)
-            if model is None:
-                model = self._model_serial(log, window, assess, records)
+            if records is None:
+                with self.tracer.span("extract"):
+                    records = extract_flow_records(
+                        log, self.config.signature.occurrence_gap
+                    )
+            arrivals = [r.arrival for r in records]
+            with self.tracer.span("app-signature"):
+                app_sigs = build_application_signatures(
+                    log, self.config.signature, window=window, records=records
+                )
+            with self.tracer.span("infra-signature"):
+                port_down = [
+                    (msg.timestamp, msg.dpid, msg.port)
+                    for msg in log.of_type(PortStatus)
+                    if not msg.live
+                ]
+                infra = build_infrastructure_signature(
+                    arrivals, port_down_events=port_down
+                )
+            stability = {}
+            if assess and self.config.stability_parts >= 2:
+                with self.tracer.span("stability", parts=self.config.stability_parts):
+                    stability = assess_stability(
+                        log,
+                        self.config.signature,
+                        parts=self.config.stability_parts,
+                        thresholds=self.config.stability,
+                        window=window,
+                        # The full-window signatures and arrivals were just
+                        # built above — don't let the assessment re-derive
+                        # either from the log.
+                        full=app_sigs,
+                        arrivals=arrivals,
+                    )
+            model = BehaviorModel(
+                app_signatures=app_sigs,
+                infrastructure=infra,
+                window=window,
+                stability=stability,
+            )
         self._m_models.inc()
         if cache is not None:
             cache.store(model)
@@ -172,56 +200,6 @@ class FlowDiff:
         return ModelCache(
             self.config.cache_dir, metrics=self.metrics, tracer=self.tracer
         ).entry(log, self.config, window=window, assess=assess)
-
-    def _model_serial(
-        self,
-        log: ControllerLog,
-        window: Tuple[float, float],
-        assess: bool,
-        records: Optional[Sequence] = None,
-    ) -> BehaviorModel:
-        """The reference serial modeling pipeline."""
-        if records is None:
-            with self.tracer.span("extract"):
-                records = extract_flow_records(
-                    log, self.config.signature.occurrence_gap
-                )
-        with self.tracer.span("app-signature"):
-            app_sigs = build_application_signatures(
-                log, self.config.signature, window=window, records=records
-            )
-        with self.tracer.span("infra-signature"):
-            from repro.openflow.messages import PortStatus
-
-            port_down = [
-                (msg.timestamp, msg.dpid, msg.port)
-                for msg in log.of_type(PortStatus)
-                if not msg.live
-            ]
-            infra = build_infrastructure_signature(
-                [r.arrival for r in records], port_down_events=port_down
-            )
-        stability = {}
-        if assess and self.config.stability_parts >= 2:
-            with self.tracer.span("stability", parts=self.config.stability_parts):
-                stability = assess_stability(
-                    log,
-                    self.config.signature,
-                    parts=self.config.stability_parts,
-                    thresholds=self.config.stability,
-                    window=window,
-                    # The full-window signatures and arrivals were just
-                    # built above — don't let the assessment re-derive
-                    # either from the log.
-                    full=app_sigs,
-                    arrivals=[r.arrival for r in records],
-                )
-        return BehaviorModel(
-            app_signatures=app_sigs,
-            infrastructure=infra,
-            window=window,
-            stability=stability,
-        )
 
     # ------------------------------------------------------------------
     # Diagnosing phase

@@ -120,8 +120,8 @@ def build_application_signatures(
     Args:
         log: the controller capture (or a window of one). May be None
             when both ``records`` and ``window`` are supplied — the
-            sharded pipeline builds from pre-extracted records without
-            materializing a sub-log.
+            stability and streaming paths build from pre-extracted
+            records without materializing a sub-log.
         config: construction knobs; defaults are the paper's settings.
         window: explicit ``[t_start, t_end)`` bounds; defaults to the log's
             span (needed so rate/epoch series are comparable across logs of

@@ -19,11 +19,11 @@ class Signature:
 
     * ``merge(cls, parts, ...)`` — combine partials built over slices of
       one stream into the signature a single build over the full stream
-      would produce. **Must be associative** (the parallel shard pipeline
-      in :mod:`repro.core.parallel` merges in tree order) as long as the
-      retention flag (``keep_rows``/``keep_events``/... ) is threaded
-      through intermediate merges; the property-based harness in
-      ``tests/test_signature_contract.py`` checks this.
+      would produce. **Must be associative** (the streaming window in
+      :mod:`repro.service.incremental` merges per-slice partials) as
+      long as the retention flag (``keep_rows``/``keep_events``/... ) is
+      threaded through intermediate merges; the property-based harness
+      in ``tests/test_signature_contract.py`` checks this.
     * ``diff(self, other, ...)`` — change records of ``other`` (current)
       against ``self`` (baseline).
     * ``to_dict(self)`` — the persisted-JSON encoding of the *derived*

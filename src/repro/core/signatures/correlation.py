@@ -185,9 +185,8 @@ class PartialCorrelation(Signature):
     def value_map(self) -> Dict[EdgePair, float]:
         """All correlations as a dict (the linear batch form of ``value``).
 
-        ``distance`` and the vectorized stability path
-        (:mod:`repro.core.vectorized`) both consume this instead of
-        calling :meth:`value` per pair, which rescans ``correlations``.
+        ``distance`` consumes this instead of calling :meth:`value` per
+        pair, which rescans ``correlations``.
         """
         return dict(self.correlations)
 

@@ -271,9 +271,8 @@ class DelayDistribution(Signature):
 
         Per-pair :meth:`dominant_peak` calls rescan ``peaks`` each time,
         which makes pairwise distances quadratic in the pair count; this
-        is the linear batch form ``distance`` and the vectorized
-        stability path (:mod:`repro.core.vectorized`) share. Values are
-        the dominant delay, or ``-1.0`` for unknown/multi-modal pairs.
+        is the linear batch form ``distance`` uses. Values are the
+        dominant delay, or ``-1.0`` for unknown/multi-modal pairs.
         """
         peaks_by_pair = dict(self.peaks)
         out: Dict[EdgePair, float] = {}

@@ -260,9 +260,8 @@ class FlowStats(Signature):
     def scalar_summary(self) -> Tuple[float, float, float, float]:
         """The four scalars :meth:`distance` compares, in a fixed order.
 
-        The feature row the vectorized stability path batches into an
-        array (:mod:`repro.core.vectorized`); kept next to ``distance``
-        so the two can never drift apart silently.
+        Kept next to ``distance`` so the two can never drift apart
+        silently.
         """
         return (
             self.byte_mean,

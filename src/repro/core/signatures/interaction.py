@@ -62,8 +62,9 @@ class ComponentInteraction(Signature):
 
         Integer count addition — exact and associative in any part order.
         The slices must partition the arrivals (each flow occurrence
-        counted by exactly one part); the sharded pipeline guarantees this
-        by stitching boundary-straddling occurrences before attribution.
+        counted by exactly one part); the incremental window guarantees
+        this by stitching boundary-straddling occurrences before
+        attribution.
         """
         per_node: Dict[str, NodeCounts] = {}
         for part in parts:
@@ -138,11 +139,10 @@ class ComponentInteraction(Signature):
     def share_maps(self) -> Dict[str, Dict[Tuple[str, str], float]]:
         """:meth:`normalized` for every node, computed in one pass.
 
-        ``distance`` (and its vectorized counterpart in
-        :mod:`repro.core.vectorized`) needs every node's shares;
-        per-node :meth:`normalized` calls would rescan ``counts`` each
-        time. Shares use the same ``count / total`` division, so values
-        are bit-identical to ``normalized``'s.
+        ``distance`` needs every node's shares; per-node
+        :meth:`normalized` calls would rescan ``counts`` each time.
+        Shares use the same ``count / total`` division, so values are
+        bit-identical to ``normalized``'s.
         """
         out: Dict[str, Dict[Tuple[str, str], float]] = {}
         for node, items in self.counts:

@@ -9,19 +9,13 @@ Unstable signatures (e.g. component interaction under non-linear load
 balancing, Section V-B1) are excluded from diffing so they cannot raise
 false debugging flags.
 
-Two raw-speed paths keep this from dominating serial modeling time, both
-guarded by bit-identical equivalence tests against the original code:
-
-* **Interval building** reuses the parallel pipeline's single-pass log
-  partition (:func:`repro.core.events.partition_log`) instead of
-  re-decoding the log once per sub-interval; logs that cannot be
-  partitioned exactly (``FlowMod`` replies without ``in_reply_to``,
-  duplicate reply ids) fall back to the per-interval ``log.window``
-  rebuilds.
-* **Distance folding** batches each matched interval sequence through
-  the numpy kernels in :mod:`repro.core.vectorized` when numpy is
-  importable; the pure Python fold remains both the fallback and the
-  oracle the kernels are tested against.
+Interval building slices the sub-interval views out of one extraction
+of the log (:func:`repro.core.events.partition_log` validates that this
+is exact) instead of re-decoding the log once per sub-interval; logs
+that cannot be sliced exactly (``FlowMod`` replies without
+``in_reply_to``, duplicate reply ids) fall back to the per-interval
+``log.window`` rebuilds, which are also the reference the tests compare
+the sliced views against.
 """
 
 from __future__ import annotations
@@ -30,11 +24,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.timeseries import split_intervals
-from repro.core import vectorized
 from repro.core.events import (
     FlowArrival,
-    build_occurrence_runs,
-    interval_flow_records,
+    extract_flow_records,
     interval_flow_records_from_arrivals,
     partition_log,
 )
@@ -128,69 +120,28 @@ def _fast_interval_signatures(
     log: ControllerLog,
     config: SignatureConfig,
     intervals: List[Tuple[float, float]],
-    arrivals: Optional[List[FlowArrival]] = None,
+    arrivals: List[FlowArrival],
 ) -> Optional[List[Dict[str, ApplicationSignature]]]:
     """Per-interval signatures from one log pass, or None to fall back.
 
-    The serial twin of the parallel pipeline's aligned-shard path: the
-    log is partitioned once, each interval's ``PacketIn`` runs are built
-    from its own bucket against the global reply map, and the interval
-    view truncates runs and pairings at the bounds exactly like a
+    Each interval view is sliced out of the log's full ``arrivals`` and
+    truncates runs and pairings at the bounds exactly like a
     ``log.window(a, b)`` rebuild would (equivalence is test-asserted).
-
-    With full-window ``arrivals`` supplied (the caller has already run
-    extraction — ``FlowDiff._model_serial`` always has), the interval
-    views are sliced out of them instead of regrouping each interval's
-    ``PacketIn`` bucket, skipping the per-interval run rebuilds
-    entirely. Both forms require the :func:`partition_log` reply-id
-    precondition and return None when the log fails it.
+    Requires the :func:`partition_log` reply-id precondition and returns
+    None when the log fails it.
     """
-    partition, _reason = partition_log(
-        log, intervals, collect_pins=arrivals is None
-    )
-    if partition is None:
+    removed_by_interval, _reason = partition_log(log, intervals)
+    if removed_by_interval is None:
         return None
-    out: List[Dict[str, ApplicationSignature]] = []
-    for i, (a, b) in enumerate(intervals):
-        if arrivals is not None:
-            records = interval_flow_records_from_arrivals(
-                arrivals, partition.removed_by_interval[i], a, b
-            )
-        else:
-            runs = build_occurrence_runs(
-                partition.pins_by_interval[i],
-                partition.mods_by_reply,
-                config.occurrence_gap,
-            )
-            records = interval_flow_records(
-                runs, partition.removed_by_interval[i], a, b
-            )
-        out.append(
-            build_application_signatures(
-                None, config, window=(a, b), records=records
-            )
+    return [
+        build_application_signatures(
+            None,
+            config,
+            window=(a, b),
+            records=interval_flow_records_from_arrivals(arrivals, removed, a, b),
         )
-    return out
-
-
-def _worst_distances_pure(
-    matched: List[ApplicationSignature],
-) -> Dict[SignatureKind, float]:
-    """The original pairwise fold — fallback and oracle for the kernels."""
-    worst = {
-        SignatureKind.CG: 0.0,
-        SignatureKind.FS: 0.0,
-        SignatureKind.CI: 0.0,
-        SignatureKind.DD: 0.0,
-        SignatureKind.PC: 0.0,
-    }
-    for a, b in zip(matched, matched[1:]):
-        worst[SignatureKind.CG] = max(worst[SignatureKind.CG], a.cg.distance(b.cg))
-        worst[SignatureKind.FS] = max(worst[SignatureKind.FS], a.fs.distance(b.fs))
-        worst[SignatureKind.CI] = max(worst[SignatureKind.CI], a.ci.distance(b.ci))
-        worst[SignatureKind.DD] = max(worst[SignatureKind.DD], a.dd.distance(b.dd))
-        worst[SignatureKind.PC] = max(worst[SignatureKind.PC], a.pc.distance(b.pc))
-    return worst
+        for (a, b), removed in zip(intervals, removed_by_interval)
+    ]
 
 
 def assess_stability(
@@ -200,9 +151,7 @@ def assess_stability(
     thresholds: Optional[StabilityThresholds] = None,
     window: Optional[Tuple[float, float]] = None,
     full: Optional[Dict[str, ApplicationSignature]] = None,
-    per_interval: Optional[List[Dict[str, ApplicationSignature]]] = None,
     arrivals: Optional[List[FlowArrival]] = None,
-    vectorize: Optional[bool] = None,
 ) -> Dict[Tuple[str, SignatureKind], bool]:
     """Per (group, kind) stability verdicts over ``parts`` sub-intervals.
 
@@ -214,24 +163,11 @@ def assess_stability(
         full: precomputed full-window application signatures (what
             ``FlowDiff.model`` already built); when omitted they are
             rebuilt here from the log.
-        per_interval: precomputed per-sub-interval signatures, one dict
-            per interval of ``split_intervals(t_start, t_end, parts)`` —
-            the sharded parallel pipeline supplies these from its shard
-            work instead of re-windowing the log ``parts`` times.
-        arrivals: the full-window flow arrivals, when the caller already
-            extracted them; interval views are then sliced out of them
-            instead of regrouping the log's ``PacketIn`` buckets. Only
-            consulted when ``per_interval`` is absent and the window is
-            the log's full span.
-        vectorize: force the numpy distance kernels on (True) or off
-            (False); default (None) uses them whenever numpy imports.
-            Verdicts are identical either way — the pure fold is the
-            kernels' tested oracle.
+        arrivals: the log's flow arrivals, when the caller already
+            extracted them; when omitted they are extracted here, once.
 
     Raises:
-        ValueError: if ``parts`` < 2, or ``per_interval`` has the wrong
-            number of entries.
-        RuntimeError: if ``vectorize=True`` but numpy is unavailable.
+        ValueError: if ``parts`` < 2.
     """
     if parts < 2:
         raise ValueError(f"stability assessment needs >= 2 parts, got {parts}")
@@ -242,25 +178,29 @@ def assess_stability(
     t_start, t_end = window
     if t_end <= t_start:
         return {}
-    use_vectorized = vectorized.HAVE_NUMPY if vectorize is None else vectorize
 
-    if full is None:
-        full = build_application_signatures(log, config, window=window)
+    # Slicing buckets every message into some interval, so it is only
+    # exact when the window contains the whole log.
+    first, last = log.time_span
+    sliceable = t_start <= first and last <= t_end
+    if full is None or (sliceable and arrivals is None):
+        records = extract_flow_records(log, config.occurrence_gap)
+        arrivals = [r.arrival for r in records]
+        if full is None:
+            full = build_application_signatures(
+                log, config, window=window, records=records
+            )
     intervals = split_intervals(t_start, t_end, parts)
-    if per_interval is None and tuple(window) == tuple(log.time_span):
-        # Single-pass partition; None on the unpartitionable log shapes,
-        # for which the per-interval rebuild below stays authoritative.
+    per_interval = None
+    if sliceable:
+        # None on the unpartitionable log shapes, for which the
+        # per-interval rebuild below stays authoritative.
         per_interval = _fast_interval_signatures(log, config, intervals, arrivals)
     if per_interval is None:
         per_interval = [
             build_application_signatures(log.window(a, b), config, window=(a, b))
             for a, b in intervals
         ]
-    elif len(per_interval) != len(intervals):
-        raise ValueError(
-            f"per_interval has {len(per_interval)} entries for "
-            f"{len(intervals)} intervals"
-        )
 
     indexes = [_member_index(sigs) for sigs in per_interval]
     verdicts: Dict[Tuple[str, SignatureKind], bool] = {}
@@ -275,13 +215,16 @@ def assess_stability(
         ]
         if len(matched) < 2:
             continue
-        if use_vectorized:
-            worst = vectorized.worst_distances(matched)
-        else:
-            worst = _worst_distances_pure(matched)
-        verdicts[(key, SignatureKind.CG)] = worst[SignatureKind.CG] <= thresholds.cg
-        verdicts[(key, SignatureKind.FS)] = worst[SignatureKind.FS] <= thresholds.fs
-        verdicts[(key, SignatureKind.CI)] = worst[SignatureKind.CI] <= thresholds.ci
-        verdicts[(key, SignatureKind.DD)] = worst[SignatureKind.DD] <= thresholds.dd
-        verdicts[(key, SignatureKind.PC)] = worst[SignatureKind.PC] <= thresholds.pc
+        worst_cg = worst_fs = worst_ci = worst_dd = worst_pc = 0.0
+        for a, b in zip(matched, matched[1:]):
+            worst_cg = max(worst_cg, a.cg.distance(b.cg))
+            worst_fs = max(worst_fs, a.fs.distance(b.fs))
+            worst_ci = max(worst_ci, a.ci.distance(b.ci))
+            worst_dd = max(worst_dd, a.dd.distance(b.dd))
+            worst_pc = max(worst_pc, a.pc.distance(b.pc))
+        verdicts[(key, SignatureKind.CG)] = worst_cg <= thresholds.cg
+        verdicts[(key, SignatureKind.FS)] = worst_fs <= thresholds.fs
+        verdicts[(key, SignatureKind.CI)] = worst_ci <= thresholds.ci
+        verdicts[(key, SignatureKind.DD)] = worst_dd <= thresholds.dd
+        verdicts[(key, SignatureKind.PC)] = worst_pc <= thresholds.pc
     return verdicts

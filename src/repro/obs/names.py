@@ -79,10 +79,6 @@ KNOWN_METRICS: FrozenSet[str] = frozenset(
         "flowdiff_models_total",
         "flowdiff_diffs_total",
         "flowdiff_changes_total",
-        "flowdiff_shard_seconds",
-        "flowdiff_merge_seconds",
-        "flowdiff_parallel_shards_total",
-        "flowdiff_parallel_fallback_total",
         "flowdiff_cache_total",
         # sliding monitor + alerting
         "monitor_window_seconds",

@@ -3,7 +3,7 @@
 FlowDiff's correctness rests on invariants the interpreter never checks:
 simulation determinism (captures must replay identically or L1/L2 diffs
 reflect the run, not the network), associative signature merges (the
-parallel shard pipeline re-orders them), and stable serialization schemas
+streaming window merges per-slice partials), and stable serialization schemas
 (models and captures silently corrupt downstream diffs when fields drift
 without a ``FORMAT_VERSION`` bump). This package enforces those
 invariants statically, as an AST pass over the source tree, exposed as
@@ -15,8 +15,7 @@ Layout:
   base class, per-file dispatch, ``# flowlint: disable=RULE`` pragmas,
   text/JSON reporters.
 * :mod:`repro.qa.rules` — the domain rules (sim-clock discipline,
-  determinism, open() encoding, signature contract, fork safety, metric
-  hygiene).
+  determinism, open() encoding, signature contract, metric hygiene).
 * :mod:`repro.qa.schemas` — serialized-schema extraction and the
   ``schemas.json`` manifest keyed by ``FORMAT_VERSION``.
 * :mod:`repro.qa.callgraph` — the interprocedural call graph with

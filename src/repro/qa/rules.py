@@ -192,8 +192,8 @@ class OpenEncodingRule(Rule):
 class SignatureContractRule(Rule):
     """Every ``Signature`` subclass implements the full contract.
 
-    The parallel shard pipeline merges signatures in tree order and the
-    persistence layer round-trips them through JSON, so a direct subclass
+    The streaming window merges per-slice partials and the persistence
+    layer round-trips them through JSON, so a direct subclass
     of :class:`repro.core.signatures.base.Signature` must define all of
     ``merge``/``diff``/``to_dict``/``from_dict`` (the associativity of
     ``merge`` is checked dynamically by the property harness in
@@ -264,122 +264,6 @@ class SignatureContractRule(Rule):
             elif isinstance(base, ast.Attribute) and base.attr == "Signature":
                 return True
         return False
-
-
-class ForkSafetyRule(Rule):
-    """Work shipped to a ``ProcessPoolExecutor`` must be fork-safe.
-
-    The sharded modeling path shares its input via a module global that
-    fork-children inherit copy-on-write; anything submitted to the pool
-    must therefore be a *module-level* function (lambdas and closures
-    don't pickle under spawn and silently capture stale state under
-    fork), and the worker must not declare ``global`` — writes to module
-    globals in a fork-child never propagate back, so a ``global``
-    statement in a worker is a bug that reads as working code.
-    """
-
-    name = "fork-safety"
-    description = "ProcessPoolExecutor work must be module-level, global-free"
-
-    def check_module(self, module: ModuleFile) -> Iterator[Finding]:
-        if module.tree is None:
-            return
-        aliases = import_aliases(module.tree)
-        pool_names = self._pool_names(module.tree, aliases)
-        if not pool_names:
-            return
-        top_level: Dict[str, ast.FunctionDef] = {
-            node.name: node
-            for node in module.tree.body
-            if isinstance(node, ast.FunctionDef)
-        }
-        for call in iter_calls(module.tree):
-            func = call.func
-            if not (
-                isinstance(func, ast.Attribute)
-                and func.attr in ("map", "submit")
-                and isinstance(func.value, ast.Name)
-                and func.value.id in pool_names
-            ):
-                continue
-            if not call.args:
-                continue
-            work = call.args[0]
-            if isinstance(work, ast.Lambda):
-                yield Finding(
-                    rule=self.name,
-                    path=module.path,
-                    line=work.lineno,
-                    message=(
-                        "lambda submitted to a process pool; use a "
-                        "module-level function (fork inherits it, spawn can "
-                        "pickle it)"
-                    ),
-                )
-                continue
-            if not isinstance(work, ast.Name):
-                yield Finding(
-                    rule=self.name,
-                    path=module.path,
-                    line=call.lineno,
-                    message=(
-                        "process-pool work must be a module-level function "
-                        "named directly (closures and bound methods capture "
-                        "state fork-children cannot share back)"
-                    ),
-                )
-                continue
-            worker = top_level.get(work.id)
-            if worker is None:
-                yield Finding(
-                    rule=self.name,
-                    path=module.path,
-                    line=call.lineno,
-                    message=(
-                        f"process-pool work {work.id!r} is not a module-level "
-                        f"function in this module; closures capture state "
-                        f"fork-children cannot share back"
-                    ),
-                )
-                continue
-            for stmt in ast.walk(worker):
-                if isinstance(stmt, ast.Global):
-                    yield Finding(
-                        rule=self.name,
-                        path=module.path,
-                        line=stmt.lineno,
-                        message=(
-                            f"worker {worker.name!r} declares global "
-                            f"{', '.join(stmt.names)}; writes to module "
-                            f"globals in a fork-child never propagate back"
-                        ),
-                    )
-
-    def _pool_names(
-        self, tree: ast.Module, aliases: Dict[str, str]
-    ) -> Set[str]:
-        """Names bound to a ProcessPoolExecutor via with-as or assignment."""
-        out: Set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    if (
-                        self._is_pool_call(item.context_expr, aliases)
-                        and isinstance(item.optional_vars, ast.Name)
-                    ):
-                        out.add(item.optional_vars.id)
-            elif isinstance(node, ast.Assign):
-                if self._is_pool_call(node.value, aliases):
-                    for target in node.targets:
-                        if isinstance(target, ast.Name):
-                            out.add(target.id)
-        return out
-
-    def _is_pool_call(self, node: ast.expr, aliases: Dict[str, str]) -> bool:
-        if not isinstance(node, ast.Call):
-            return False
-        dotted = dotted_call_name(node, aliases)
-        return dotted is not None and dotted.endswith("ProcessPoolExecutor")
 
 
 class MetricNamesRule(Rule):
@@ -583,7 +467,6 @@ def default_rules(
         OpenEncodingRule(),
         SchemaDriftRule(manifest_path=manifest_path),
         SignatureContractRule(),
-        ForkSafetyRule(),
         MetricNamesRule(),
         HotLoopAllocRule(),
     ]

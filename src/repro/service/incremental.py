@@ -5,9 +5,7 @@ every window from scratch: slice the log, re-extract every flow record,
 rebuild every signature. This module maintains one *open* window whose
 signatures grow as control messages arrive, so that closing the window is
 a cheap associative ``merge()`` over already-built per-slice partials —
-the same merge contracts the sharded parallel pipeline
-(:mod:`repro.core.parallel`) relies on, exercised continuously instead of
-per batch run.
+the merge contracts ``tests/test_signature_contract.py`` pins.
 
 The lifecycle of one :class:`IncrementalWindow`:
 
@@ -20,7 +18,7 @@ The lifecycle of one :class:`IncrementalWindow`:
    ``occurrence_gap`` of grace, the slice's pins are grouped into
    occurrence runs (:func:`~repro.core.events.build_occurrence_runs`) and
    stitched onto runs left open by the previous slice with exactly the
-   boundary predicate of the parallel pipeline's ``_stitch``.
+   boundary predicate the batch extractor applies between reports.
 3. **Seal** — a stitched run becomes a :class:`~repro.core.events.FlowArrival`
    once no future report can extend it (the stream clock is more than an
    ``occurrence_gap`` past its tail); sealed arrivals are assigned to the
@@ -117,7 +115,7 @@ class IncrementalWindow:
 
     Messages must arrive in timestamp order; an out-of-order message (or
     ``FlowMod`` traffic :func:`~repro.core.events.partition_log` would
-    decline to shard) marks the window :attr:`dirty` and the owner takes
+    decline) marks the window :attr:`dirty` and the owner takes
     the batch fallback for it. The raw message list is kept either way —
     it is what the fallback, re-baselining, and task matching consume.
 
@@ -244,10 +242,10 @@ class IncrementalWindow:
     def _fold(self, k: int, final: bool) -> None:
         """Group slice ``k``'s pins into runs and stitch them on.
 
-        The stitch predicate is the parallel pipeline's: a slice's head
-        run continues the previous open tail when the boundary gap stays
-        within ``occurrence_gap``, so every gap decision is made exactly
-        once and exactly as the serial extractor would.
+        A slice's head run continues the previous open tail when the
+        boundary gap stays within ``occurrence_gap``, so every gap
+        decision is made exactly once and exactly as the batch extractor
+        would.
         """
         pins = self._pins[k]
         runs = build_occurrence_runs(pins, self._mods, self._gap)

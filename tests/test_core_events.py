@@ -7,6 +7,7 @@ from repro.core.events import (
     extract_flow_records,
     timed_flows,
 )
+from repro.core.occurrence import splits_occurrence
 from repro.openflow.log import ControllerLog
 from repro.openflow.match import FlowKey, Match
 from repro.openflow.messages import FlowMod, FlowRemoved, PacketIn
@@ -174,3 +175,49 @@ class TestTimedFlows:
         traversal(log, KEY, 1.0, ["sw1"])
         traversal(log, KEY, 5.0, ["sw1"])
         assert len(timed_flows(log, dedup_window=0.5)) == 2
+
+
+class TestOccurrenceBoundary:
+    """The shared gap predicate and both of its call sites pin the
+    boundary: a report at exactly ``previous + gap`` continues the same
+    occurrence; only strictly beyond starts a new one."""
+
+    GAP = 1.0
+    EPS = 1e-6
+
+    def test_predicate_at_boundary(self):
+        assert not splits_occurrence(10.0, 10.0 + self.GAP, self.GAP)
+        assert not splits_occurrence(10.0, 10.0 + self.GAP - self.EPS, self.GAP)
+        assert splits_occurrence(10.0, 10.0 + self.GAP + self.EPS, self.GAP)
+
+    @pytest.mark.parametrize(
+        "offset,expected_arrivals",
+        [(GAP, 1), (GAP - EPS, 1), (GAP + EPS, 2)],
+    )
+    def test_extraction_boundary(self, offset, expected_arrivals):
+        log = ControllerLog()
+        key = FlowKey("a", "b", 1000, 80)
+        for i, ts in enumerate((10.0, 10.0 + offset)):
+            log.append(
+                PacketIn(timestamp=ts, dpid="sw1", flow=key, in_port=1, buffer_id=i)
+            )
+        arrivals = extract_flow_arrivals(log, occurrence_gap=self.GAP)
+        assert len(arrivals) == expected_arrivals
+
+    @pytest.mark.parametrize(
+        "offset,expected_timelines",
+        [(GAP, 1), (GAP - EPS, 1), (GAP + EPS, 2)],
+    )
+    def test_flight_recorder_boundary(self, offset, expected_timelines):
+        from repro.obs.flightrec import FlightRecorder
+
+        log = ControllerLog()
+        key = FlowKey("a", "b", 1000, 80)
+        for ts in (10.0, 10.0 + offset):
+            # No corr_id: forces the recorder's heuristic occurrence
+            # grouping, the second user of the shared predicate.
+            log.append(
+                PacketIn(timestamp=ts, dpid="sw1", flow=key, in_port=1, buffer_id=0)
+            )
+        recorder = FlightRecorder.from_log(log, occurrence_gap=self.GAP)
+        assert len(recorder.timelines) == expected_timelines

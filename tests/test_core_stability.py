@@ -1,10 +1,41 @@
 """Tests for signature stability assessment (Section III-B / V-B1)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+from repro.analysis.timeseries import split_intervals
+from repro.core import stability
+from repro.core.events import extract_flow_arrivals, partition_log
+from repro.core.flowdiff import FlowDiff
+from repro.core.groups import ApplicationGroup
+from repro.core.persist import model_to_dict
 from repro.core.signatures import SignatureKind
-from repro.core.stability import StabilityThresholds, assess_stability
+from repro.core.signatures.application import (
+    ApplicationSignature,
+    SignatureConfig,
+    build_application_signatures,
+)
+from repro.core.signatures.connectivity import ConnectivityGraph
+from repro.core.signatures.correlation import PartialCorrelation
+from repro.core.signatures.delay import DelayDistribution
+from repro.core.signatures.flowstats import FlowStats, RateSummary
+from repro.core.signatures.interaction import ComponentInteraction
+from repro.core.stability import (
+    StabilityThresholds,
+    _match_interval_signature,
+    _match_with_index,
+    _member_index,
+    assess_stability,
+)
+from repro.openflow.log import ControllerLog
+from repro.openflow.match import FlowKey, Match
+from repro.openflow.messages import FlowMod, PacketIn
 from repro.scenarios import AppPlan, three_tier_lab
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 def lab_log(balancer="round_robin", seed=3, duration=40.0, rate=10.0):
@@ -21,14 +52,10 @@ def lab_log(balancer="round_robin", seed=3, duration=40.0, rate=10.0):
 
 class TestAssessStability:
     def test_parts_validation(self):
-        from repro.openflow.log import ControllerLog
-
         with pytest.raises(ValueError):
             assess_stability(ControllerLog(), parts=1)
 
     def test_empty_log_no_verdicts(self):
-        from repro.openflow.log import ControllerLog
-
         assert assess_stability(ControllerLog(), parts=3) == {}
 
     def test_steady_workload_all_stable(self):
@@ -52,9 +79,6 @@ class TestAssessStability:
         assert not all(sk_ci) or True  # drift is stochastic; see magnitude check
 
         # Stronger check: the skewed CI distance exceeds the round-robin one.
-        from repro.core.signatures.application import build_application_signatures
-        from repro.analysis.timeseries import split_intervals
-
         def max_ci_distance(log):
             t0, t1 = log.time_span
             parts = split_intervals(t0, t1, 3)
@@ -74,3 +98,206 @@ class TestAssessStability:
         verdicts = assess_stability(log, parts=6)
         # Very sparse: either unjudged (absent) or judged; never crash.
         assert isinstance(verdicts, dict)
+
+    def test_src_runs_without_numpy(self):
+        """``src/`` never imports numpy: with the module poisoned before
+        ``import repro``, the lab capture still models (with stability)
+        and diffs clean against itself."""
+        code = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "import repro\n"
+            "from repro.scenarios import three_tier_lab\n"
+            "log = three_tier_lab(seed=3).run(0.5, 20.0)\n"
+            "fd = repro.FlowDiff()\n"
+            "model = fd.model(log)\n"
+            "assert model.stability\n"
+            "assert not fd.diff(model, fd.model(log)).unknown_changes\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        subprocess.run(
+            [sys.executable, "-c", code], check=True, env=env, capture_output=True
+        )
+
+
+def reference_verdicts(monkeypatch, log, window=None):
+    """``assess_stability`` with the slicing path switched off, i.e.
+    through the per-interval ``log.window`` rebuilds."""
+    with monkeypatch.context() as patch:
+        patch.setattr(stability, "_fast_interval_signatures", lambda *args: None)
+        return assess_stability(log, window=window)
+
+
+class TestFastIntervals:
+    """Sliced interval views against per-interval ``log.window`` rebuilds."""
+
+    @pytest.fixture(scope="class")
+    def log(self):
+        return three_tier_lab(seed=3).run(0.5, 20.0)
+
+    def test_fast_intervals_match_window_rebuilds(self, log, monkeypatch):
+        arrivals = extract_flow_arrivals(log)
+        t0, t1 = log.time_span
+        # The span itself, then windows wider than the span on either
+        # side — what the daemon and monitor baselines pass.
+        for window in ((t0, t1), (t0, t0 + 30.0), (t0 - 1.5, t1 + 4.0)):
+            intervals = split_intervals(*window, 3)
+            fast = stability._fast_interval_signatures(
+                log, SignatureConfig(), intervals, arrivals
+            )
+            rebuilt = [
+                build_application_signatures(log.window(a, b), None, window=(a, b))
+                for a, b in intervals
+            ]
+            assert fast == rebuilt
+            verdicts = assess_stability(log, window=window)
+            assert verdicts  # the capture actually yields verdicts
+            assert verdicts == reference_verdicts(monkeypatch, log, window)
+
+    def test_window_inside_span_takes_reference_path(self, log, monkeypatch):
+        t0, t1 = log.time_span
+        monkeypatch.setattr(
+            stability,
+            "_fast_interval_signatures",
+            lambda *args: pytest.fail("sliced a log the window does not contain"),
+        )
+        assert assess_stability(log, window=(t0 + 2.0, t1 - 2.0))
+
+
+def periodic_log(reply_ids):
+    """A steady two-tier exchange over ~9 s: a -> b, then b -> c 10 ms on.
+
+    ``reply_ids`` picks how ``FlowMod`` replies name their ``PacketIn``:
+    ``"unique"`` (partitionable), ``None`` (positional pairing only) or
+    ``"duplicate"`` (every reply claims the same buffer id).
+    """
+    log = ControllerLog()
+    for i in range(18):
+        t = 0.5 * i
+        for key, at in (
+            (FlowKey("a", "b", 1000 + i, 80), t),
+            (FlowKey("b", "c", 2000 + i, 3306), t + 0.01),
+        ):
+            for hop, dpid in enumerate(("sw1", "sw2")):
+                pin = PacketIn(
+                    timestamp=at + 0.001 * hop,
+                    dpid=dpid,
+                    flow=key,
+                    in_port=1,
+                    buffer_id=7 if reply_ids == "duplicate" else len(log),
+                )
+                log.append(pin)
+                log.append(
+                    FlowMod(
+                        timestamp=pin.timestamp + 0.0005,
+                        dpid=dpid,
+                        match=Match.exact(key),
+                        out_port=2,
+                        in_reply_to=None if reply_ids is None else pin.buffer_id,
+                    )
+                )
+    return log
+
+
+class TestReferenceFallback:
+    """Logs ``partition_log`` declines still model, through the
+    per-interval ``log.window`` rebuilds."""
+
+    def assert_declined(self, log, reason):
+        intervals = split_intervals(*log.time_span, 3)
+        assert partition_log(log, intervals) == (None, reason)
+        assert (
+            stability._fast_interval_signatures(
+                log, SignatureConfig(), intervals, extract_flow_arrivals(log)
+            )
+            is None
+        )
+
+    def test_mod_without_reply_id_falls_back(self, monkeypatch):
+        log = periodic_log(reply_ids=None)
+        self.assert_declined(log, "flowmod_without_reply_id")
+        model = FlowDiff().model(log)
+        assert model.stability == reference_verdicts(monkeypatch, log)
+        # Positional pairing recovers the same replies here, so the
+        # rebuilt model equals the partitionable twin's sliced one.
+        twin = FlowDiff().model(periodic_log(reply_ids="unique"))
+        assert twin.stability
+        assert model_to_dict(model) == model_to_dict(twin)
+
+    def test_duplicate_reply_ids_fall_back(self, monkeypatch):
+        log = periodic_log(reply_ids="duplicate")
+        self.assert_declined(log, "duplicate_flowmod_reply_id")
+        model = FlowDiff().model(log)
+        assert model.stability
+        assert model.stability == reference_verdicts(monkeypatch, log)
+
+    def test_degenerate_single_timestamp_log(self):
+        log = ControllerLog()
+        log.append(
+            PacketIn(
+                timestamp=1.0,
+                dpid="sw1",
+                flow=FlowKey("a", "b", 1000, 80),
+                in_port=1,
+                buffer_id=1,
+            )
+        )
+        assert assess_stability(log) == {}
+        assert FlowDiff().model(log).stability == {}
+
+
+def _blank_signature(members):
+    group = ApplicationGroup(members=frozenset(members), services=frozenset())
+    return ApplicationSignature(
+        group=group,
+        cg=ConnectivityGraph(edges=frozenset()),
+        fs=FlowStats(
+            flow_count=0,
+            byte_mean=0.0,
+            byte_std=0.0,
+            duration_mean=0.0,
+            duration_std=0.0,
+            packet_mean=0.0,
+            flows_per_sec=RateSummary(0.0, 0.0, 0.0),
+            bytes_per_sec=RateSummary(0.0, 0.0, 0.0),
+            per_edge_bytes=(),
+        ),
+        ci=ComponentInteraction(counts=()),
+        dd=DelayDistribution(samples=(), first_samples=(), peaks=()),
+        pc=PartialCorrelation(correlations=()),
+    )
+
+
+class TestTieBreakDeterminism:
+    """Equal-overlap candidates resolve by key, not dict order."""
+
+    def test_equal_overlap_ties_break_to_smallest_key(self):
+        # Two candidate groups each share exactly one member with the
+        # query; only their dict insertion order differs between the two
+        # layouts. The historical scan kept whichever dict yielded
+        # first — the verdict depended on dict assembly order.
+        query = frozenset({"web1", "db1"})
+        sig_z = _blank_signature({"web1", "cache1"})
+        sig_a = _blank_signature({"db1", "spare1"})
+        adversarial = {"z-group": sig_z, "a-group": sig_a}
+        sorted_order = {"a-group": sig_a, "z-group": sig_z}
+        for layout in (adversarial, sorted_order):
+            match = _match_interval_signature(query, layout)
+            assert match is sig_a  # smallest key wins the tie
+            indexed = _match_with_index(query, layout, _member_index(layout))
+            assert indexed is match
+
+    def test_index_match_agrees_with_scan(self):
+        query = frozenset({"web1", "db1", "app1"})
+        layout = {
+            "g1": _blank_signature({"web1", "app1"}),  # overlap 2
+            "g2": _blank_signature({"db1"}),  # overlap 1
+            "g3": _blank_signature({"x"}),  # overlap 0
+        }
+        scan = _match_interval_signature(query, layout)
+        indexed = _match_with_index(query, layout, _member_index(layout))
+        assert scan is indexed is layout["g1"]
+        assert _match_with_index(
+            frozenset({"nope"}), layout, _member_index(layout)
+        ) is None

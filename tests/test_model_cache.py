@@ -111,13 +111,6 @@ class TestModelCache:
         second = fd.model(log)
         assert model_to_dict(first) == model_to_dict(second)
 
-    def test_store_then_hit_under_parallel_config(self, tmp_path):
-        log = small_log()
-        cold = FlowDiff(FlowDiffConfig(cache_dir=str(tmp_path), jobs=4)).model(log)
-        warm = FlowDiff(FlowDiffConfig(cache_dir=str(tmp_path), jobs=1)).model(log)
-        assert model_to_dict(warm) == model_to_dict(cold)
-        assert len(list(tmp_path.glob("*.model.json"))) == 1
-
     def test_config_change_misses(self, tmp_path):
         log = small_log()
         FlowDiff(FlowDiffConfig(cache_dir=str(tmp_path))).model(log)
@@ -242,26 +235,10 @@ class TestCliFlags:
         return baseline, current
 
     @pytest.mark.slow
-    def test_model_jobs_flag(self, tmp_path, captures, capsys):
-        baseline, _ = captures
-        out_serial = str(tmp_path / "serial.json")
-        out_parallel = str(tmp_path / "parallel.json")
-        assert main(["model", baseline, "--out", out_serial]) == 0
-        assert main(["model", baseline, "--jobs", "4", "--out", out_parallel]) == 0
-        capsys.readouterr()
-        with open(out_serial, encoding="utf-8") as fh:
-            serial = json.load(fh)
-        with open(out_parallel, encoding="utf-8") as fh:
-            parallel = json.load(fh)
-        assert serial == parallel
-
-    @pytest.mark.slow
     def test_warm_diff_skips_remodeling(self, tmp_path, captures, capsys, monkeypatch):
         baseline, current = captures
         cache_dir = str(tmp_path / "cache")
-        code = main(
-            ["diff", baseline, current, "--jobs", "2", "--cache-dir", cache_dir]
-        )
+        code = main(["diff", baseline, current, "--cache-dir", cache_dir])
         capsys.readouterr()
         assert code == 0
         assert list(os.listdir(cache_dir))
@@ -272,14 +249,12 @@ class TestCliFlags:
             raise AssertionError("remodeled despite warm cache")
 
         monkeypatch.setattr(
-            flowdiff_mod.FlowDiff, "_model_serial", boom, raising=True
-        )
-        monkeypatch.setattr(
             flowdiff_mod, "extract_flow_records", boom, raising=True
         )
-        code = main(
-            ["diff", baseline, current, "--jobs", "2", "--cache-dir", cache_dir]
+        monkeypatch.setattr(
+            flowdiff_mod, "build_application_signatures", boom, raising=True
         )
+        code = main(["diff", baseline, current, "--cache-dir", cache_dir])
         capsys.readouterr()
         assert code == 0
 

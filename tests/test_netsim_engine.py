@@ -114,3 +114,19 @@ class TestSimulator:
             sim.schedule_at(t, lambda: stamps.append(sim.now))
         sim.run()
         assert all(a <= b for a, b in zip(stamps, stamps[1:]))
+
+
+class TestQueueDepthGauge:
+    """The simulator gauge tracks pushes, not just the run loop."""
+
+    def test_gauge_current_after_schedule_burst(self):
+        from repro.obs.metrics import MetricsRegistry
+
+        metrics = MetricsRegistry()
+        sim = Simulator(metrics=metrics)
+        gauge = metrics.gauge("sim_queue_depth")
+        for i in range(5):
+            sim.schedule_at(float(i), lambda: None)
+            assert gauge.value == i + 1  # fresh on every push, pre-run
+        sim.run(until=2.0)
+        assert gauge.value == 2.0  # and kept current by the loop

@@ -13,7 +13,6 @@ from repro.qa import LintEngine, default_rules
 from repro.qa.framework import ModuleFile, Project
 from repro.qa.rules import (
     DeterminismRule,
-    ForkSafetyRule,
     HotLoopAllocRule,
     MetricNamesRule,
     OpenEncodingRule,
@@ -295,89 +294,6 @@ class TestSignatureContract:
             name="repro.analysis.intervals",
         )
         assert run(SignatureContractRule(), mod).ok
-
-
-class TestForkSafety:
-    def test_module_level_worker_is_clean(self):
-        mod = module(
-            """\
-            from concurrent.futures import ProcessPoolExecutor
-
-            def _work(i):
-                return i * 2
-
-            def run_all(n):
-                with ProcessPoolExecutor() as pool:
-                    return list(pool.map(_work, range(n)))
-            """,
-            name="repro.core.fakepar",
-        )
-        assert run(ForkSafetyRule(), mod).ok
-
-    def test_lambda_worker_is_flagged(self):
-        mod = module(
-            """\
-            from concurrent.futures import ProcessPoolExecutor
-
-            def run_all(n):
-                with ProcessPoolExecutor() as pool:
-                    return list(pool.map(lambda i: i * 2, range(n)))
-            """,
-            name="repro.core.fakepar",
-        )
-        result = run(ForkSafetyRule(), mod)
-        (finding,) = result.findings
-        assert "lambda" in finding.message
-
-    def test_closure_worker_is_flagged(self):
-        mod = module(
-            """\
-            from concurrent.futures import ProcessPoolExecutor
-
-            def run_all(n):
-                def work(i):
-                    return i * 2
-                with ProcessPoolExecutor() as pool:
-                    return list(pool.map(work, range(n)))
-            """,
-            name="repro.core.fakepar",
-        )
-        assert not run(ForkSafetyRule(), mod).ok
-
-    def test_worker_with_global_statement_is_flagged(self):
-        mod = module(
-            """\
-            from concurrent.futures import ProcessPoolExecutor
-
-            _STATE = None
-
-            def _work(i):
-                global _STATE
-                _STATE = i
-                return i
-
-            def run_all(n):
-                pool = ProcessPoolExecutor()
-                return list(pool.map(_work, range(n)))
-            """,
-            name="repro.core.fakepar",
-        )
-        result = run(ForkSafetyRule(), mod)
-        (finding,) = result.findings
-        assert "global" in finding.message
-
-    def test_thread_pool_is_not_in_scope(self):
-        mod = module(
-            """\
-            from concurrent.futures import ThreadPoolExecutor
-
-            def run_all(n):
-                with ThreadPoolExecutor() as pool:
-                    return list(pool.map(lambda i: i * 2, range(n)))
-            """,
-            name="repro.core.fakepar",
-        )
-        assert run(ForkSafetyRule(), mod).ok
 
 
 class TestMetricNames:

@@ -4,16 +4,23 @@ The ``signature-contract`` lint rule checks statically that every
 Signature subclass defines ``merge``/``diff``/``to_dict``/``from_dict``;
 this file checks dynamically what no AST pass can: that ``merge`` is
 associative over time-contiguous partial signatures (the invariant the
-parallel shard pipeline rests on — shards merge in tree order, so
+streaming window's per-slice merge rests on, so
 ``merge([merge([a, b]), c])``, ``merge([a, merge([b, c])])`` and
-``merge([a, b, c])`` must all agree), and that the ``to_dict`` encoding
-is a fixed point under re-encoding.
+``merge([a, b, c])`` must all agree), that merging partials built over
+slices of a real capture equals one build over the whole, and that the
+``to_dict`` encoding is a fixed point under re-encoding.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.events import FlowArrival, FlowRecord, HopReport
+from repro.core.events import (
+    FlowArrival,
+    FlowRecord,
+    HopReport,
+    extract_flow_records,
+)
 from repro.core.signatures import (
     ComponentInteraction,
     ConnectivityGraph,
@@ -24,6 +31,7 @@ from repro.core.signatures import (
     PartialCorrelation,
     PhysicalTopology,
 )
+from repro.core.signatures.infrastructure import build_infrastructure_signature
 from repro.openflow.match import FlowKey
 
 HOSTS = ("h0", "h1", "h2", "h3")
@@ -260,3 +268,110 @@ class TestEncodingFixedPoint:
         ):
             data = sig.to_dict()
             assert cls.from_dict(data).to_dict() == data
+
+
+class TestSignatureMergeLaws:
+    """merge(partials) == build(whole), per signature class."""
+
+    @pytest.fixture(scope="class")
+    def lab_log(self):
+        from repro.scenarios import three_tier_lab
+
+        return three_tier_lab(seed=3).run(stop=12.0)
+
+    @pytest.fixture(scope="class")
+    def records(self, lab_log):
+        records = extract_flow_records(lab_log, 1.0)
+        assert len(records) > 30
+        return records
+
+    @pytest.fixture(scope="class")
+    def arrivals(self, records):
+        return [r.arrival for r in records]
+
+    @pytest.fixture(scope="class")
+    def span(self, lab_log):
+        return lab_log.time_span
+
+    def test_connectivity_merge(self, arrivals):
+        full = ConnectivityGraph.build(arrivals)
+        parts = [ConnectivityGraph.build(p) for p in slices(arrivals)]
+        assert ConnectivityGraph.merge(parts) == full
+
+    def test_interaction_merge(self, arrivals):
+        full = ComponentInteraction.build(arrivals)
+        parts = [ComponentInteraction.build(p) for p in slices(arrivals)]
+        assert ComponentInteraction.merge(parts) == full
+
+    def test_flowstats_merge(self, records, span):
+        t0, t1 = span
+        full = FlowStats.build(records, t0, t1)
+        parts = [
+            FlowStats.build(p, t0, t1, keep_rows=True)
+            for p in slices(records)
+        ]
+        assert FlowStats.merge(parts, t0, t1) == full
+
+    def test_flowstats_merge_requires_rows(self, records, span):
+        t0, t1 = span
+        parts = [FlowStats.build(p, t0, t1) for p in slices(records)]
+        with pytest.raises(ValueError, match="keep_rows"):
+            FlowStats.merge(parts, t0, t1)
+
+    def test_delay_merge(self, arrivals):
+        full = DelayDistribution.build(arrivals)
+        parts = [
+            DelayDistribution.build(p, keep_events=True)
+            for p in slices(arrivals)
+        ]
+        assert DelayDistribution.merge(parts) == full
+
+    def test_delay_merge_requires_events(self, arrivals):
+        parts = [DelayDistribution.build(p) for p in slices(arrivals)]
+        if not any(p.samples for p in parts):
+            pytest.skip("scenario produced no delay samples")
+        with pytest.raises(ValueError, match="keep_events"):
+            DelayDistribution.merge(parts)
+
+    def test_correlation_merge(self, arrivals, span):
+        t0, t1 = span
+        full = PartialCorrelation.build(arrivals, t0, t1)
+        parts = [
+            PartialCorrelation.build(p, t0, t1, keep_times=True)
+            for p in slices(arrivals)
+        ]
+        assert PartialCorrelation.merge(parts, t0, t1) == full
+
+    def test_infrastructure_merge(self, arrivals):
+        full = build_infrastructure_signature(arrivals, port_down_events=((1.0, "sw1", 3),))
+        thirds = slices(arrivals)
+        parts = [
+            build_infrastructure_signature(
+                p, port_down_events=((1.0, "sw1", 3),) if i == 0 else (),
+                keep_partials=True,
+            )
+            for i, p in enumerate(thirds)
+        ]
+        merged = type(full).merge(parts)
+        assert merged == full
+
+    def test_merge_is_associative(self, arrivals, records, span):
+        t0, t1 = span
+        parts = [
+            DelayDistribution.build(p, keep_events=True)
+            for p in slices(arrivals)
+        ]
+        left = DelayDistribution.merge(
+            [DelayDistribution.merge(parts[:2], keep_events=True), parts[2]]
+        )
+        assert left == DelayDistribution.merge(parts)
+        fs_parts = [
+            FlowStats.build(p, t0, t1, keep_rows=True)
+            for p in slices(records)
+        ]
+        fs_left = FlowStats.merge(
+            [FlowStats.merge(fs_parts[:2], t0, t1, keep_rows=True), fs_parts[2]],
+            t0,
+            t1,
+        )
+        assert fs_left == FlowStats.merge(fs_parts, t0, t1)
