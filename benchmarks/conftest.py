@@ -17,29 +17,6 @@ import pytest
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 
-def pytest_sessionfinish(session, exitstatus):
-    """After a successful benchmark run, refresh ``BENCH_pipeline.json``.
-
-    The emitter profiles the fixed seeded pipeline with the repro.obs
-    tracer, keeping the machine-readable perf baseline in lockstep with
-    the benchmark suite. Skipped on failures (a broken run is not a
-    baseline) and overridable with ``BENCH_EMIT=0`` for quick local loops.
-    """
-    if exitstatus != 0 or os.environ.get("BENCH_EMIT", "1") == "0":
-        return
-    # Import by path: benchmarks/ is not a package and the working
-    # directory is not guaranteed to be the repository root.
-    import importlib.util
-
-    spec = importlib.util.spec_from_file_location(
-        "bench_emit", os.path.join(os.path.dirname(__file__), "emit.py")
-    )
-    emitter = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(emitter)
-    path = emitter.emit()
-    print(f"\nwrote pipeline perf baseline to {path}")
-
-
 @pytest.fixture(scope="session")
 def results_dir() -> str:
     os.makedirs(RESULTS_DIR, exist_ok=True)

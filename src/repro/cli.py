@@ -31,7 +31,7 @@ Usage (also via ``python -m repro``):
   flamegraph, and optionally a run-ledger record (``--ledger-dir``).
 * ``repro runs list|show|compare|gate`` — the run ledger: list stored
   perf records, show one, diff two phase by phase, or gate the newest
-  against a baseline (a record id or ``BENCH_pipeline.json``), exiting
+  against a baseline record (an id or a stored record JSON), exiting
   nonzero on a regression beyond tolerance.
 * ``repro lint`` — flowlint, the domain-invariant static analysis pass
   (sim-clock discipline, determinism, schema drift, signature contract,
@@ -458,34 +458,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _profile_log(args: argparse.Namespace):
-    """Build the capture the profiled pipeline runs over.
-
-    Returns ``(log, scenario, sim_wall_s)`` — the simulation wall time
-    rides along so the ledger record can carry the measured ingest rate
-    (``messages_per_s``), which is what the throughput floor of
-    ``repro runs gate`` checks against the committed benchmark baseline.
-    """
-    import time as _time
-
+    """The capture the profiled pipeline runs over: ``(log, scenario)``."""
     if args.scenario == "scalability":
         from repro.scenarios import scalability_sim
 
         network, workload = scalability_sim(args.apps, seed=args.seed)
         workload.start(0.0, args.duration)
-        started = _time.perf_counter()
         network.sim.run(until=args.duration + 3.0)
-        elapsed = _time.perf_counter() - started
         return (
             network.log,
             f"scalability_sim({args.apps} apps, {args.duration:g}s)",
-            elapsed,
         )
     from repro.scenarios import three_tier_lab
 
-    started = _time.perf_counter()
     log = three_tier_lab(seed=args.seed).run(0.5, args.duration)
-    elapsed = _time.perf_counter() - started
-    return log, f"three_tier_lab({args.duration:g}s)", elapsed
+    return log, f"three_tier_lab({args.duration:g}s)"
 
 
 def _profile_pass(config: FlowDiffConfig, log, tracer: Tracer):
@@ -506,11 +493,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     )
 
     config = _config(args)
-    log, scenario, sim_wall_s = _profile_log(args)
+    log, scenario = _profile_log(args)
 
     # Timing pass(es): instrumented with spans only, no profiler, so the
-    # recorded phase numbers are comparable with BENCH_pipeline.json and
-    # with unprofiled production runs. Min-of-repeats per phase.
+    # recorded phase numbers are comparable with unprofiled production
+    # runs. Min-of-repeats per phase.
     samples: dict = {}
     report = None
     for _ in range(max(1, args.repeats)):
@@ -580,12 +567,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                 metrics={
                     "unknown_changes": len(report.unknown_changes),
                     "known_changes": len(report.known_changes),
-                    # Measured ingest rate of the scenario simulation
-                    # that produced this capture — the current side of
-                    # the gate's throughput floor.
-                    "messages_per_s": (
-                        round(len(log) / sim_wall_s) if sim_wall_s else 0
-                    ),
                 },
                 folded=None if args.no_ledger_profile else folded,
                 repeats=max(1, args.repeats),
@@ -656,16 +637,16 @@ def _cmd_runs_compare(args: argparse.Namespace) -> int:
 
 
 def _runs_baseline(spec: str, ledger):
-    """Resolve a gate baseline: a ledger record id, a stored record
-    JSON, or a ``BENCH_pipeline.json``-shaped benchmark payload."""
+    """Resolve a gate baseline: a ledger record id or a stored record
+    JSON (the output of ``repro runs show --json``)."""
     from repro.obs.ledger import RunRecord
 
     if os.path.exists(spec):
         with open(spec, encoding="utf-8") as fh:
             payload = json.load(fh)
-        if "record_id" in payload:
-            return RunRecord.from_dict(payload)
-        return RunRecord.from_bench(payload, source=spec)
+        if not isinstance(payload, dict) or "record_id" not in payload:
+            raise ValueError(f"{spec} is not a ledger record (no record_id)")
+        return RunRecord.from_dict(payload)
     return ledger.get(spec)
 
 
@@ -1181,8 +1162,7 @@ def build_parser() -> argparse.ArgumentParser:
     runs_gate.add_argument(
         "--baseline",
         required=True,
-        help="baseline: a ledger record id, a stored record JSON, or "
-        "BENCH_pipeline.json",
+        help="baseline: a ledger record id or a stored record JSON",
     )
     runs_gate.add_argument(
         "--run",

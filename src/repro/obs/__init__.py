@@ -15,7 +15,7 @@ costs nothing measurable:
 * :mod:`repro.obs.stats` — one-pass controller-log summaries (message
   mix, rates, top talkers) behind ``repro stats``.
 * :mod:`repro.obs.profile` — span trees rendered as the ``--profile``
-  phase table and as benchmark-baseline timing dicts.
+  phase table and as run-ledger timing dicts.
 * :mod:`repro.obs.flightrec` — the per-flow causal flight recorder:
   reconstructs PacketIn -> FlowMod -> ... -> FlowRemoved timelines from a
   capture via correlation ids (heuristic 5-tuple grouping as fallback).

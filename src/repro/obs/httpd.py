@@ -16,7 +16,9 @@ browser at while an experiment runs. Five routes, all read-only:
 and headers (including the exact ``Content-Length``) with no body, so
 probes and load balancers can poll cheaply. Any mutating verb is
 answered ``405`` with an ``Allow: GET, HEAD`` header, and nothing in the
-handler mutates the observed state. Built on
+handler mutates the observed state. A page that raises is answered
+``500`` with the error as JSON (and logged) instead of a reset
+connection. Built on
 :class:`http.server.ThreadingHTTPServer` only — no new dependencies —
 and binds an ephemeral port by default so tests and parallel runs never
 collide.
@@ -25,13 +27,15 @@ collide.
 from __future__ import annotations
 
 import json
+import logging
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.obs.alerts import AlertEngine
 from repro.obs.export import render_prometheus
+from repro.obs.ledger import AmbiguousRecordError, RunLedger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import (
     NOOP_TELEMETRY,
@@ -40,8 +44,9 @@ from repro.obs.telemetry import (
     telemetry_registry,
 )
 
-if TYPE_CHECKING:
-    from repro.obs.ledger import RunLedger
+logger = logging.getLogger(__name__)
+
+Query = Dict[str, List[str]]
 
 
 class ObsState:
@@ -58,19 +63,23 @@ class ObsState:
         registry: Optional[MetricsRegistry] = None,
         telemetry: TelemetryPlane = NOOP_TELEMETRY,
         engine: Optional[AlertEngine] = None,
-        ledger: Optional["RunLedger"] = None,
+        ledger: Optional[RunLedger] = None,
     ) -> None:
         self.registry = registry
         self.telemetry = telemetry
         self.engine = engine
         self.ledger = ledger
-        #: Extra GET routes consulted before 404: path → callable taking
-        #: the parsed query (``Dict[str, List[str]]``) and returning
-        #: ``(status, json_payload)``. How subsystems (the streaming
-        #: service) add pages without subclassing the handler.
-        self.routes: Dict[
-            str, Callable[[Dict[str, List[str]]], Tuple[int, Any]]
-        ] = {}
+        #: Every JSON page: path → callable taking the parsed query and
+        #: returning ``(status, json_payload)``. Subsystems (the
+        #: streaming service) add pages here without subclassing the
+        #: handler; only ``/metrics`` (text) is routed outside the table.
+        #: Registered by subscript assignment — the form flowlint's call
+        #: graph reads as an HTTP-thread entrypoint.
+        self.routes: Dict[str, Callable[[Query], Tuple[int, Any]]] = {}
+        self.routes["/healthz"] = self._route_health
+        self.routes["/telemetry"] = self._route_telemetry
+        self.routes["/alerts"] = self._route_alerts
+        self.routes["/runs"] = self._route_runs
 
     def health(self) -> Dict[str, Any]:
         payload: Dict[str, Any] = {"status": "ok"}
@@ -113,10 +122,25 @@ class ObsState:
             }
         try:
             record = self.ledger.get(record_prefix)
+        except AmbiguousRecordError as exc:
+            return 400, {"error": exc.args[0]}
         except KeyError as exc:
-            code = 400 if "ambiguous" in str(exc) else 404
-            return code, {"error": str(exc)}
+            return 404, {"error": exc.args[0]}
         return 200, record.to_dict()
+
+    # -- route-table adapters (late-bound, so subclass overrides apply) --
+
+    def _route_health(self, query: Query) -> Tuple[int, Any]:
+        return 200, self.health()
+
+    def _route_telemetry(self, query: Query) -> Tuple[int, Any]:
+        return 200, self.telemetry_json()
+
+    def _route_alerts(self, query: Query) -> Tuple[int, Any]:
+        return 200, self.alerts_json()
+
+    def _route_runs(self, query: Query) -> Tuple[int, Any]:
+        return self.runs_json(query.get("id", [None])[0])
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -129,33 +153,26 @@ class _Handler(BaseHTTPRequestHandler):
     def _respond(self, include_body: bool) -> None:
         """Shared GET/HEAD routing; HEAD sends headers only."""
         parts = urlsplit(self.path)
-        path = parts.path.rstrip("/") or "/"
-        if path in ("/", "/healthz"):
-            self._json(200, self.state.health(), include_body)
-        elif path == "/metrics":
-            body = self.state.prometheus().encode("utf-8")
-            self._raw(
-                200,
-                body,
-                "text/plain; version=0.0.4; charset=utf-8",
-                include_body,
-            )
-        elif path == "/telemetry":
-            self._json(200, self.state.telemetry_json(), include_body)
-        elif path == "/alerts":
-            self._json(200, self.state.alerts_json(), include_body)
-        elif path == "/runs":
-            query = parse_qs(parts.query)
-            prefix = query.get("id", [None])[0]
-            code, payload = self.state.runs_json(prefix)
-            self._json(code, payload, include_body)
-        else:
-            route = self.state.routes.get(path)
-            if route is not None:
-                code, payload = route(parse_qs(parts.query))
-                self._json(code, payload, include_body)
+        path = parts.path.rstrip("/") or "/healthz"
+        content_type = "application/json"
+        try:
+            if path == "/metrics":
+                code, body = 200, self.state.prometheus().encode("utf-8")
+                content_type = "text/plain; version=0.0.4; charset=utf-8"
             else:
-                self._json(404, {"error": f"unknown path {path!r}"}, include_body)
+                route = self.state.routes.get(path)
+                if route is None:
+                    code, payload = 404, {"error": f"unknown path {path!r}"}
+                else:
+                    code, payload = route(parse_qs(parts.query))
+                body = json.dumps(payload, indent=2).encode("utf-8")
+        except Exception as exc:
+            # The endpoint must outlive a broken page: nothing has been
+            # sent yet, so the failure becomes a well-formed 500.
+            logger.exception("ops endpoint page %s failed", path)
+            code, content_type = 500, "application/json"
+            body = json.dumps({"error": repr(exc)}).encode("utf-8")
+        self._raw(code, body, content_type, include_body)
 
     def do_GET(self) -> None:  # noqa: N802 - http.server naming convention
         self._respond(include_body=True)
@@ -179,14 +196,6 @@ class _Handler(BaseHTTPRequestHandler):
     do_PUT = _refuse_write
     do_DELETE = _refuse_write
     do_PATCH = _refuse_write
-
-    def _json(self, code: int, payload: Any, include_body: bool = True) -> None:
-        self._raw(
-            code,
-            json.dumps(payload, indent=2).encode("utf-8"),
-            "application/json",
-            include_body,
-        )
 
     def _raw(
         self, code: int, body: bytes, content_type: str, include_body: bool = True

@@ -1,10 +1,9 @@
 """The run ledger: an append-only, content-addressed perf history.
 
-``BENCH_pipeline.json`` holds exactly one snapshot — regenerate it and
-the previous numbers are gone, so a 2× slowdown that lands between two
-regenerations merges silently. The ledger keeps *every* run: one JSONL
-line per record, append-only (nothing here ever rewrites or deletes a
-line), under a directory chosen with ``--ledger-dir``.
+The ledger keeps *every* ``repro profile`` run: one JSONL line per
+record, append-only (nothing here ever rewrites or deletes a line),
+under a directory chosen with ``--ledger-dir``, so any two executions
+of one workload can be compared phase by phase.
 
 Identity is two-layered, both content-addressed:
 
@@ -18,10 +17,10 @@ Identity is two-layered, both content-addressed:
 
 Records carry the per-phase wall timings (the
 :func:`~repro.obs.profile.phase_timings` dict, min-of-repeats), key
-metrics, optional benchmark payloads, and optionally the folded profile
-behind a flamegraph. :func:`gate_records` is the regression gate:
-per-phase comparison against a baseline record with explicit noise
-tolerances, built so ``repro runs gate`` can fail a CI build.
+metrics, and optionally the folded profile behind a flamegraph.
+:func:`gate_records` is the regression gate: per-phase comparison
+against a baseline record with explicit noise tolerances, built so
+``repro runs gate`` can exit nonzero on a slowdown.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import json
 import os
 import time
 import warnings
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.obs.metrics import NOOP_REGISTRY, MetricsRegistry
 
@@ -62,7 +61,6 @@ class RunRecord:
         phases: Dict[str, float],
         total_s: float,
         metrics: Optional[Dict[str, float]] = None,
-        bench: Optional[Dict[str, Any]] = None,
         folded: Optional[Dict[str, float]] = None,
         repeats: int = 1,
         noise_floor_pct: float = 0.0,
@@ -77,7 +75,6 @@ class RunRecord:
         self.phases = dict(phases)
         self.total_s = total_s
         self.metrics = dict(metrics or {})
-        self.bench = dict(bench or {})
         self.folded = dict(folded) if folded else None
         self.repeats = repeats
         self.noise_floor_pct = noise_floor_pct
@@ -100,7 +97,6 @@ class RunRecord:
             "phases": {k: round(v, 6) for k, v in sorted(self.phases.items())},
             "total_s": round(self.total_s, 6),
             "metrics": dict(sorted(self.metrics.items())),
-            "bench": self.bench,
             "repeats": self.repeats,
             "noise_floor_pct": round(self.noise_floor_pct, 3),
         }
@@ -136,7 +132,6 @@ class RunRecord:
             phases={k: float(v) for k, v in data.get("phases", {}).items()},
             total_s=float(data.get("total_s", 0.0)),
             metrics=data.get("metrics"),
-            bench=data.get("bench"),
             folded=data.get("folded"),
             repeats=int(data.get("repeats", 1)),
             noise_floor_pct=float(data.get("noise_floor_pct", 0.0)),
@@ -151,52 +146,9 @@ class RunRecord:
         canonical = json.dumps(payload, sort_keys=True).encode("utf-8")
         return hashlib.sha256(canonical).hexdigest()[:12]
 
-    @classmethod
-    def from_bench(cls, payload: Dict[str, Any], source: str = "") -> "RunRecord":
-        """Adapt a ``BENCH_pipeline.json`` payload into a gate baseline.
 
-        The benchmark emitter and ``repro profile`` produce the same
-        ``phases`` dict (slash-joined span paths from
-        :func:`~repro.obs.profile.phase_timings`), so the committed perf
-        baseline is directly usable as the ``--baseline`` of a gate. The
-        payload's ``throughput`` section rides along in ``bench``; the
-        floors it declares (``min_messages_per_s``) are what
-        :func:`gate_records` enforces against the current record's
-        measured rates.
-        """
-        noise = 0.0
-        obs_overhead = payload.get("obs_overhead")
-        if isinstance(obs_overhead, dict):
-            noise = float(obs_overhead.get("noise_floor_pct", 0.0))
-        bench: Dict[str, Any] = {}
-        metrics: Dict[str, float] = {}
-        throughput = payload.get("throughput")
-        if isinstance(throughput, dict):
-            bench["throughput"] = throughput
-            simulate = throughput.get("simulate")
-            if isinstance(simulate, dict) and "messages_per_s" in simulate:
-                metrics["messages_per_s"] = float(simulate["messages_per_s"])
-            service = throughput.get("service")
-            if isinstance(service, dict) and "messages_per_s" in service:
-                metrics["service_messages_per_s"] = float(
-                    service["messages_per_s"]
-                )
-        return cls(
-            run_id=f"bench:{payload.get('benchmark', 'pipeline')}",
-            command="bench",
-            scenario=source or str(payload.get("benchmark", "pipeline")),
-            seed=payload.get("seed"),
-            messages=int(payload.get("messages", 0)),
-            phases={
-                k: float(v) for k, v in payload.get("phases", {}).items()
-            },
-            total_s=float(payload.get("total_s", 0.0)),
-            metrics=metrics,
-            bench=bench,
-            repeats=3,
-            noise_floor_pct=noise,
-            created_at=payload.get("created_at"),
-        )
+class AmbiguousRecordError(KeyError):
+    """A record-id prefix that matches more than one ledger record."""
 
 
 class RunLedger:
@@ -256,7 +208,8 @@ class RunLedger:
         """The record whose id starts with ``prefix``.
 
         Raises:
-            KeyError: when no record matches, or the prefix is ambiguous.
+            KeyError: when no record matches.
+            AmbiguousRecordError: when several distinct records match.
         """
         matches = [
             r for r in self.records() if r.record_id.startswith(prefix)
@@ -265,7 +218,9 @@ class RunLedger:
             raise KeyError(f"no ledger record matches {prefix!r}")
         if len({r.record_id for r in matches}) > 1:
             ids = ", ".join(sorted({r.record_id for r in matches}))
-            raise KeyError(f"ambiguous record prefix {prefix!r}: {ids}")
+            raise AmbiguousRecordError(
+                f"ambiguous record prefix {prefix!r}: {ids}"
+            )
         return matches[-1]
 
     def latest(self, run_id: Optional[str] = None) -> Optional[RunRecord]:
@@ -318,13 +273,7 @@ def compare_records(
 
 
 class GateResult:
-    """The outcome of one regression gate: pass/fail plus the evidence.
-
-    ``floors`` holds the rate-floor rows (throughput checks) — unlike
-    phase rows, these compare a *measured rate* against a *declared
-    minimum* from the baseline's benchmark payload, so they are listed
-    and rendered separately from the duration deltas.
-    """
+    """The outcome of one regression gate: pass/fail plus the evidence."""
 
     def __init__(
         self,
@@ -333,14 +282,12 @@ class GateResult:
         checked: List[Dict[str, Any]],
         tolerance_pct: float,
         floor_s: float,
-        floors: Optional[List[Dict[str, Any]]] = None,
     ) -> None:
         self.ok = ok
         self.regressions = regressions
         self.checked = checked
         self.tolerance_pct = tolerance_pct
         self.floor_s = floor_s
-        self.floors = floors or []
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -349,7 +296,6 @@ class GateResult:
             "floor_s": self.floor_s,
             "regressions": self.regressions,
             "checked": self.checked,
-            "floors": self.floors,
         }
 
     def render(self) -> str:
@@ -366,57 +312,14 @@ class GateResult:
                 f"{row['current_s'] * 1000:>10.2f}ms "
                 f"({row['delta_pct']:+.1f}%)"
             )
-        for row in self.floors:
-            mark = "  ok" if row["ok"] else "FAIL"
-            lines.append(
-                f"  {mark} {row['name']:<28} "
-                f"{row['current']:>13,.0f}/s vs floor "
-                f"{row['floor']:,.0f}/s "
-                f"(effective {row['effective_floor']:,.0f}/s at "
-                f"+{row['tolerance_pct']:g}% tol)"
-            )
-        failed_floors = sum(1 for row in self.floors if not row["ok"])
         if self.ok:
             lines.append("gate PASSED")
         else:
-            detail = []
-            if self.regressions:
-                detail.append(
-                    f"{len(self.regressions)} phase(s) regressed "
-                    "beyond tolerance"
-                )
-            if failed_floors:
-                detail.append(
-                    f"{failed_floors} throughput floor(s) missed"
-                )
-            lines.append("gate FAILED: " + ", ".join(detail))
+            lines.append(
+                f"gate FAILED: {len(self.regressions)} phase(s) regressed "
+                "beyond tolerance"
+            )
         return "\n".join(lines)
-
-
-def _measured_rate(
-    record: RunRecord, name: str, section: str = "simulate"
-) -> Optional[float]:
-    """A record's measured rate metric: ``metrics`` first (profile
-    records), then its own benchmark throughput ``section``
-    (bench-adapted records gating against each other). None when the
-    record predates rate measurement."""
-    if name in record.metrics:
-        return float(record.metrics[name])
-    sub = (record.bench.get("throughput") or {}).get(section)
-    if isinstance(sub, dict) and "messages_per_s" in sub:
-        return float(sub["messages_per_s"])
-    return None
-
-
-#: The throughput floors :func:`gate_records` enforces, each a
-#: ``(section, metric, row name)`` triple: the ``throughput`` subsection
-#: of the baseline bench that declares ``min_messages_per_s``, the
-#: current record's metric holding the measured rate, and the label of
-#: the resulting gate row.
-_RATE_FLOORS: Tuple[Tuple[str, str, str], ...] = (
-    ("simulate", "messages_per_s", "throughput/messages_per_s"),
-    ("service", "service_messages_per_s", "throughput/service_messages_per_s"),
-)
 
 
 def gate_records(
@@ -435,17 +338,6 @@ def gate_records(
     so microsecond phases never gate the build. Phases that appear or
     disappear are reported in ``checked`` rows but never fail the gate
     (renames are a code review concern, not a perf regression).
-
-    When the baseline carries a ``throughput`` benchmark section (a
-    :meth:`RunRecord.from_bench` adaptation of ``BENCH_pipeline.json``)
-    declaring ``min_messages_per_s``, and the current record measured a
-    ``messages_per_s`` metric, the gate additionally fails if the
-    measured ingest rate lands below the floor — relaxed by the same
-    effective tolerance plus the throughput section's own noise floor,
-    so a noisy runner cannot flunk a genuinely-fast build. A current
-    record with no measured rate skips the check (older profile records
-    predate the metric); the floor row never silently passes on missing
-    *baseline* data because the floor itself comes from the baseline.
     """
     effective = max(
         tolerance_pct, baseline.noise_floor_pct, current.noise_floor_pct
@@ -470,34 +362,12 @@ def gate_records(
         checked.append(row)
         if delta_pct > effective and (cur - base) > floor_s:
             regressions.append(row)
-
-    floors: List[Dict[str, Any]] = []
-    for section, metric, row_name in _RATE_FLOORS:
-        sub = (baseline.bench.get("throughput") or {}).get(section)
-        if not isinstance(sub, dict):
-            continue
-        floor = float(sub.get("min_messages_per_s") or 0.0)
-        measured = _measured_rate(current, metric, section)
-        if floor > 0 and measured is not None:
-            tol = max(effective, float(sub.get("noise_floor_pct", 0.0)))
-            need = floor / (1.0 + tol / 100.0)
-            floors.append(
-                {
-                    "name": row_name,
-                    "floor": floor,
-                    "effective_floor": round(need, 1),
-                    "current": measured,
-                    "tolerance_pct": tol,
-                    "ok": measured >= need,
-                }
-            )
     return GateResult(
-        ok=not regressions and all(row["ok"] for row in floors),
+        ok=not regressions,
         regressions=regressions,
         checked=checked,
         tolerance_pct=effective,
         floor_s=floor_s,
-        floors=floors,
     )
 
 

@@ -2,9 +2,9 @@
 
 The ``--profile`` CLI flag runs the pipeline with a real
 :class:`~repro.obs.tracing.Tracer` and hands the result here; the same
-helpers feed the machine-readable benchmark baseline
-(``BENCH_pipeline.json``) so what an operator reads on the terminal and
-what the perf trajectory records are the same numbers.
+helpers feed the run-ledger records of ``repro profile``, so what an
+operator reads on the terminal and what the ledger stores are the same
+numbers.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def render_phase_table(tracer: Tracer, title: str = "phase timings") -> str:
 
 
 def phase_timings(tracer: Tracer) -> Dict[str, float]:
-    """``{span path: wall seconds}`` — the benchmark-baseline payload.
+    """``{span path: wall seconds}`` — a ledger record's ``phases``.
 
     Paths are slash-joined (``model/app-signature``) and repeated spans
     accumulate, so the dict is stable across runs of the same pipeline.

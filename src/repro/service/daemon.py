@@ -257,7 +257,8 @@ class FileTailSource:
 
     Reads the :mod:`repro.openflow.serialize` line format. With
     ``follow=True`` the source keeps polling for appended lines until
-    :meth:`stop` — a live capture tail; otherwise it stops at EOF.
+    :meth:`stop` — a live capture tail that waits for a half-written
+    line to be completed; otherwise it stops at EOF.
     Undecodable lines are counted (``service_dropped_total`` with
     ``reason="decode"``) and skipped rather than wedging the tail.
     """
@@ -297,32 +298,30 @@ class FileTailSource:
     def run(self) -> None:
         """Tail the file until EOF (or :meth:`stop` when following)."""
         batch: List[ControlMessage] = []
+        # A line the producer has only half written: when following, it
+        # is carried until its newline arrives, never decoded torn.
+        pending = ""
         with open(self.path, "r", encoding="utf-8") as fh:
             while not self._stop.is_set():
-                line = fh.readline()
-                if not line:
-                    if batch:
-                        self.service.feed(self.tenant, batch)
-                        batch = []
+                line = pending + fh.readline()
+                at_eof = not line.endswith("\n")
+                pending = line if at_eof and self.follow else ""
+                if not pending and line.strip():
+                    try:
+                        batch.append(message_from_json(json.loads(line)))
+                    except (ValueError, KeyError, TypeError):
+                        self.service.metrics.counter(
+                            "service_dropped_total",
+                            tenant=self.tenant,
+                            reason="decode",
+                        ).inc()
+                if batch and (at_eof or len(batch) >= self.batch_size):
+                    self.service.feed(self.tenant, batch)
+                    batch = []
+                if at_eof:
                     if not self.follow:
                         return
                     time.sleep(self.poll_interval)
-                    continue
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    batch.append(message_from_json(json.loads(line)))
-                except (ValueError, KeyError, TypeError):
-                    self.service.metrics.counter(
-                        "service_dropped_total",
-                        tenant=self.tenant,
-                        reason="decode",
-                    ).inc()
-                    continue
-                if len(batch) >= self.batch_size:
-                    self.service.feed(self.tenant, batch)
-                    batch = []
         if batch:
             self.service.feed(self.tenant, batch)
 

@@ -24,13 +24,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.httpd import ObsHTTPServer, ObsState
+from repro.obs.httpd import ObsHTTPServer, ObsState, Query
 from repro.obs.ledger import RunLedger
 from repro.obs.telemetry import NOOP_TELEMETRY, TelemetryPlane
 from repro.service.daemon import StreamService
 from repro.service.tenant import TenantPipeline
-
-Query = Dict[str, List[str]]
 
 
 class ServiceState(ObsState):

@@ -1,0 +1,71 @@
+"""README and TUTORIAL may only point at things that exist.
+
+Every backticked repo-relative path must be on disk, and every
+backticked benchmark metric (``workload/metric`` or a dotted per-layer
+row) must be a name ``BENCHMARK.json`` declares — so a doc rewrite that
+retires a file or a row cannot leave a dangling pointer behind.
+"""
+
+import fnmatch
+import glob
+import json
+import os
+import re
+
+import pytest
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+DOCS = ("README.md", "docs/TUTORIAL.md")
+PATH_ROOTS = ("src/", "tests/", "bench/", "benchmarks/", "docs/", "examples/")
+
+with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as _fh:
+    _BENCH = json.load(_fh)
+WORKLOADS = {w["name"] for w in _BENCH["workloads"]}
+END_TO_END = {m["name"] for m in _BENCH["end_to_end"]}
+PER_LAYER = {m["name"] for m in _BENCH["per_layer"]}
+#: ``core.events`` for ``core.events.extract_s``: a dotted name sitting
+#: in one of these is citing a benchmark row, not a Python module.
+LAYERS = {name.rpartition(".")[0] for name in PER_LAYER}
+LAYER_ROOTS = {name.split(".")[0] for name in PER_LAYER}
+
+
+def _spans(doc):
+    with open(os.path.join(ROOT, doc), encoding="utf-8") as fh:
+        return sorted(set(re.findall(r"`([^`\n]+)`", fh.read())))
+
+
+def _known(name, names):
+    return bool(fnmatch.filter(names, name)) if "*" in name else name in names
+
+
+def _cites_layer_row(span):
+    if not re.fullmatch(r"[a-z0-9_*]+(\.[a-z0-9_*]+)+", span):
+        return False
+    if "*" in span:
+        return span.split(".")[0] in LAYER_ROOTS
+    return span.rpartition(".")[0] in LAYERS
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_backticked_paths_exist(doc):
+    missing = []
+    for span in _spans(doc):
+        if not span.startswith(PATH_ROOTS):
+            continue
+        path = span.split()[0].split("::")[0].rstrip(".,;:")
+        if not glob.glob(os.path.join(ROOT, path)):
+            missing.append(span)
+    assert not missing, f"{doc} points at paths that do not exist: {missing}"
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_backticked_benchmark_metrics_are_declared(doc):
+    unknown = []
+    for span in _spans(doc):
+        workload, slash, metric = span.partition("/")
+        if slash and workload in WORKLOADS:
+            if not _known(metric, END_TO_END | PER_LAYER):
+                unknown.append(span)
+        elif _cites_layer_row(span) and not _known(span, PER_LAYER):
+            unknown.append(span)
+    assert not unknown, f"{doc} cites metrics BENCHMARK.json lacks: {unknown}"

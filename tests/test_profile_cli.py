@@ -231,30 +231,19 @@ class TestRunsCommands:
         )
         assert "gate FAILED" in capsys.readouterr().out
 
-    def test_gate_accepts_bench_baseline_shape(self, ledger, tmp_path, capsys):
-        """--baseline accepts a BENCH_pipeline.json-shaped payload."""
-        rid = _record_ids(ledger)[-1]
-        assert (
-            main(["runs", "show", rid, "--ledger-dir", ledger, "--json"]) == 0
-        )
-        record = json.loads(capsys.readouterr().out)
-        bench = {
-            "benchmark": "pipeline",
-            "seed": record["seed"],
-            "messages": record["messages"],
-            "phases": record["phases"],
-            "total_s": record["total_s"],
-            "obs_overhead": {"noise_floor_pct": 50.0},
-        }
-        path = str(tmp_path / "BENCH_pipeline.json")
+    def test_gate_rejects_baseline_file_that_is_no_record(
+        self, ledger, tmp_path, capsys
+    ):
+        path = str(tmp_path / "phases.json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(bench, fh)
+            json.dump({"phases": {"model": 0.1}, "total_s": 0.1}, fh)
+        capsys.readouterr()
         assert (
-            main(
-                ["runs", "gate", rid, "--baseline", path, "--ledger-dir", ledger]
-            )
-            == 0
+            main(["runs", "gate", "--baseline", path, "--ledger-dir", ledger])
+            == 2
         )
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and "not a ledger record" in out
 
     def test_gate_empty_ledger(self, tmp_path, capsys):
         empty = str(tmp_path / "empty")
@@ -298,6 +287,42 @@ class TestRunsEndpoint:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(srv.url("/runs?id=zzzz"))
         assert err.value.code == 404
+
+    def test_runs_ambiguous_prefix_400(self, tmp_path):
+        from repro.obs.httpd import ObsHTTPServer, ObsState
+        from repro.obs.ledger import RunLedger, RunRecord
+
+        ledger = RunLedger(str(tmp_path / "ledger"))
+        for rid in ("abc111", "abc222"):
+            ledger.append(
+                RunRecord(
+                    run_id="r", command="profile", scenario="lab", seed=3,
+                    messages=1, phases={}, total_s=0.0, record_id=rid,
+                )
+            )
+        with ObsHTTPServer(ObsState(ledger=ledger)) as srv:
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(srv.url("/runs?id=abc"))
+            assert err.value.code == 400
+            assert "abc111, abc222" in json.loads(err.value.read())["error"]
+
+    def test_raising_route_is_a_500_not_a_reset(self, caplog):
+        from repro.obs.httpd import ObsHTTPServer, ObsState
+
+        def boom(query):
+            raise RuntimeError("page broke")
+
+        state = ObsState()
+        state.routes["/boom"] = boom
+        with ObsHTTPServer(state) as srv:
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(srv.url("/boom"))
+            assert err.value.code == 500
+            assert "page broke" in json.loads(err.value.read())["error"]
+            # The endpoint outlives the broken page.
+            health = urllib.request.urlopen(srv.url("/healthz")).read()
+            assert json.loads(health)["status"] == "ok"
+        assert "page broke" in caplog.text  # traceback logged, not lost
 
     def test_head_matches_get(self, server):
         srv, _ = server

@@ -10,6 +10,7 @@ rides on top of that.
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -316,6 +317,63 @@ class TestDaemonSources:
             == 2
         )
         assert service.tenants["t1"].windows_total >= 1
+
+    def test_follow_carries_a_half_written_line(self, healthy_log, tmp_path):
+        """A record the producer is still writing reaches the tenant
+        whole once its newline lands — neither half is decoded alone."""
+        path = str(tmp_path / "capture.jsonl")
+        save_log(healthy_log, path)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()[:10]
+        torn = lines[5]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines[:5])
+            fh.write(torn[: len(torn) // 2])
+        service = StreamService(window=WINDOW, baseline_span=BASELINE)
+        service.add_tenant("t1")
+        ingested = service.metrics.counter(
+            "service_ingest_messages_total", tenant="t1"
+        )
+
+        def wait_for(count):
+            deadline = time.monotonic() + 30.0
+            while ingested.value < count and time.monotonic() < deadline:
+                time.sleep(0.01)
+            service.drain()
+            return ingested.value
+
+        with service:
+            source = FileTailSource(
+                service, "t1", path, follow=True, poll_interval=0.01
+            )
+            source.start()
+            assert wait_for(5) == 5  # the fragment is held back, not fed
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write(torn[len(torn) // 2 :])
+                fh.writelines(lines[6:])
+            assert wait_for(10) == 10
+            source.stop()
+            source.join(timeout=10.0)
+            assert not source._thread.is_alive()
+        assert service.metrics.total("service_dropped_total") == 0
+
+    def test_unterminated_last_line_is_read_at_eof(self, healthy_log, tmp_path):
+        path = str(tmp_path / "capture.jsonl")
+        save_log(healthy_log, path)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()[:3]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("".join(lines).rstrip("\n"))
+        service = StreamService(window=WINDOW, baseline_span=BASELINE)
+        service.add_tenant("t1")
+        with service:
+            FileTailSource(service, "t1", path).run()
+            service.drain()
+        assert (
+            service.metrics.value("service_ingest_messages_total", tenant="t1")
+            == 3
+        )
+        assert service.metrics.total("service_dropped_total") == 0
 
 
 def _get(url):
