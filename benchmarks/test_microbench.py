@@ -1,9 +1,10 @@
-"""Microbenchmarks: throughput of FlowDiff's hot primitives.
+"""Microbenchmarks: what ``bench/`` does not time.
 
-Unlike the figure/table harnesses (single-shot ``pedantic`` runs), these
-use pytest-benchmark's statistical timing to track the per-primitive costs
-that dominate Figure 13(b): log decoding, signature construction, model
-diffing, and task-automaton matching.
+Unlike the figure/table harnesses (single-shot ``pedantic`` runs), the
+two ``test_bench_task_*`` cases use pytest-benchmark's statistical timing
+for task-automaton learning and matching — the one hot primitive with no
+``BENCHMARK.json`` row (extract, signatures, modeling, diff and JSONL
+encode are per-layer rows there, on a larger input).
 
 The second half holds the instrumentation *budget* tests — observability,
 unattached profiler hooks and the telemetry plane must each stay cheap —
@@ -18,8 +19,6 @@ from statistics import median
 import pytest
 
 from repro import FlowDiff
-from repro.core.events import extract_flow_arrivals, extract_flow_records
-from repro.core.signatures import build_application_signatures
 from repro.core.tasks import TaskLibrary
 from repro.obs import MetricsRegistry, Tracer, attach_profiler
 from repro.obs.telemetry import NOOP_TELEMETRY, TelemetryPlane
@@ -30,41 +29,6 @@ from repro.workload.traces import VMTraceSynthesizer
 @pytest.fixture(scope="module")
 def lab_log():
     return three_tier_lab(seed=3).run(0.5, 30.0)
-
-
-@pytest.fixture(scope="module")
-def fd():
-    return FlowDiff()
-
-
-@pytest.fixture(scope="module")
-def lab_model(fd, lab_log):
-    return fd.model(lab_log)
-
-
-def test_bench_extract_flow_arrivals(benchmark, lab_log):
-    arrivals = benchmark(extract_flow_arrivals, lab_log)
-    assert arrivals
-
-
-def test_bench_extract_flow_records(benchmark, lab_log):
-    records = benchmark(extract_flow_records, lab_log)
-    assert records
-
-
-def test_bench_build_application_signatures(benchmark, lab_log):
-    sigs = benchmark(build_application_signatures, lab_log)
-    assert sigs
-
-
-def test_bench_model_with_stability(benchmark, fd, lab_log):
-    model = benchmark(fd.model, lab_log)
-    assert model.app_signatures
-
-
-def test_bench_diff(benchmark, fd, lab_model):
-    report = benchmark(fd.diff, lab_model, lab_model)
-    assert report.healthy
 
 
 def test_bench_task_learning(benchmark):
@@ -88,14 +52,6 @@ def test_bench_task_detection(benchmark):
     run = synth.startup_run("i-3486634d", 200)
     events = benchmark(library.detect, run)
     assert isinstance(events, list)
-
-
-def test_bench_log_serialization(benchmark, lab_log, tmp_path):
-    from repro.openflow.serialize import save_log
-
-    path = str(tmp_path / "bench.jsonl")
-    count = benchmark(save_log, lab_log, path)
-    assert count == len(lab_log)
 
 
 #: Interleaved repeats per leg of every overhead measurement.
@@ -190,8 +146,8 @@ def run_profiler_overhead_bench(log):
     profiler is attached: a plain-``Tracer`` pass (hooks exist, none
     attached) vs the no-op-tracer pass. The final profiled pass shows
     what attaching the profiler *does* cost (cProfile is a several-x
-    slowdown — that is why ledger phase numbers always come from
-    unprofiled passes).
+    slowdown — that is why the phase table ``repro profile`` prints
+    comes from an unprofiled pass).
     """
     out = _paired_overhead(FlowDiff, lambda: FlowDiff(tracer=Tracer()), log)
     profiled_tracer = Tracer()

@@ -183,6 +183,18 @@ def histogram_peaks(
     return peaks[:max_peaks]
 
 
+def percentile_index(count: int, q: float) -> int:
+    """0-based order-statistic index for quantile ``q`` of ``count`` values.
+
+    The inverted-CDF convention (``ceil(q*n) - 1``), matching
+    ``numpy.percentile(..., method="inverted_cdf")`` — the recomputation
+    the telemetry rollup tests check against.
+    """
+    if count <= 0:
+        return 0
+    return min(count - 1, max(0, math.ceil(q * count) - 1))
+
+
 @dataclass(frozen=True)
 class EmpiricalCDF:
     """An empirical cumulative distribution function over observed samples.
@@ -222,8 +234,7 @@ class EmpiricalCDF:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
         if not self.samples:
             raise ValueError("quantile of an empty CDF is undefined")
-        idx = min(len(self.samples) - 1, max(0, math.ceil(q * len(self.samples)) - 1))
-        return self.samples[idx]
+        return self.samples[percentile_index(len(self.samples), q)]
 
     def ks_distance(self, other: "EmpiricalCDF") -> float:
         """Two-sample Kolmogorov-Smirnov distance ``sup_x |F1(x) - F2(x)|``.

@@ -26,13 +26,8 @@ Usage (also via ``python -m repro``):
   window incrementally, diff every closed window against the learned
   baseline, and serve reports/alerts/traces/health over HTTP.
 * ``repro profile --flame flame.svg`` — run the pipeline under the
-  span-scoped function profiler: per-phase timings (min-of-repeats),
-  the hot-function table, a collapsed-stack file, a deterministic SVG
-  flamegraph, and optionally a run-ledger record (``--ledger-dir``).
-* ``repro runs list|show|compare|gate`` — the run ledger: list stored
-  perf records, show one, diff two phase by phase, or gate the newest
-  against a baseline record (an id or a stored record JSON), exiting
-  nonzero on a regression beyond tolerance.
+  span-scoped function profiler: per-phase timings, the hot-function
+  table, a collapsed-stack file and a deterministic SVG flamegraph.
 * ``repro lint`` — flowlint, the domain-invariant static analysis pass
   (sim-clock discipline, determinism, schema drift, signature contract,
   metric hygiene); ``--update-schemas`` regenerates the
@@ -475,17 +470,15 @@ def _profile_log(args: argparse.Namespace):
     return log, f"three_tier_lab({args.duration:g}s)"
 
 
-def _profile_pass(config: FlowDiffConfig, log, tracer: Tracer):
+def _profile_pass(config: FlowDiffConfig, log, tracer: Tracer) -> None:
     """One full model+diff pass — the same shape the benchmarks time."""
     fd = FlowDiff(config, tracer=tracer)
     baseline = fd.model(log)
     current = fd.model(log, assess=False)
-    return fd.diff(baseline, current)
+    fd.diff(baseline, current)
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.core.persist import run_fingerprint
-    from repro.obs.profile import phase_timings
     from repro.obs.profiler import (
         attach_profiler,
         deterministic_timer,
@@ -495,34 +488,18 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     config = _config(args)
     log, scenario = _profile_log(args)
 
-    # Timing pass(es): instrumented with spans only, no profiler, so the
-    # recorded phase numbers are comparable with unprofiled production
-    # runs. Min-of-repeats per phase.
-    samples: dict = {}
-    report = None
-    for _ in range(max(1, args.repeats)):
-        tracer = Tracer()
-        report = _profile_pass(config, log, tracer)
-        for phase, seconds in phase_timings(tracer).items():
-            samples.setdefault(phase, []).append(seconds)
-    phases = {phase: min(times) for phase, times in samples.items()}
-    total_s = phases.get("model", 0.0) + phases.get("diff", 0.0)
-    noise_floor_pct = max(
-        (
-            (max(times) - min(times)) / min(times) * 100.0
-            for times in samples.values()
-            if min(times) >= 0.005
-        ),
-        default=0.0,
-    )
+    # Timing pass: instrumented with spans only, no profiler, so the
+    # printed phase numbers are comparable with unprofiled production
+    # runs.
+    tracer = Tracer()
+    _profile_pass(config, log, tracer)
 
     # Profiled pass: the span profiler rides the tracer hooks; its
-    # cProfile overhead stays out of the ledger numbers above.
+    # cProfile overhead stays out of the phase numbers above.
     timer = deterministic_timer() if args.deterministic else None
     prof_tracer = Tracer()
     profiler = attach_profiler(prof_tracer, timer=timer)
     _profile_pass(config, log, prof_tracer)
-    folded = profiler.folded()
 
     if args.deterministic:
         scale, unit = 1.0, "events"
@@ -544,7 +521,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if args.flame:
         from repro.obs.flamegraph import save_flamegraph
 
-        scaled = {stack: value * scale for stack, value in folded.items()}
+        scaled = {
+            stack: value * scale for stack, value in profiler.folded().items()
+        }
         save_flamegraph(
             args.flame,
             scaled,
@@ -552,132 +531,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             unit=unit,
         )
         print(f"wrote flamegraph to {args.flame}")
-    if args.ledger_dir:
-        from repro.obs.ledger import RunLedger, RunRecord
-
-        record = RunLedger(args.ledger_dir).append(
-            RunRecord(
-                run_id=run_fingerprint(log, config, seed=args.seed),
-                command="profile",
-                scenario=scenario,
-                seed=args.seed,
-                messages=len(log),
-                phases=phases,
-                total_s=total_s,
-                metrics={
-                    "unknown_changes": len(report.unknown_changes),
-                    "known_changes": len(report.known_changes),
-                },
-                folded=None if args.no_ledger_profile else folded,
-                repeats=max(1, args.repeats),
-                noise_floor_pct=noise_floor_pct,
-            )
-        )
-        print(
-            f"appended ledger record {record.record_id} "
-            f"(run {record.run_id}) to {args.ledger_dir}"
-        )
     return 0
-
-
-def _runs_ledger(args: argparse.Namespace):
-    from repro.obs.ledger import RunLedger
-
-    return RunLedger(args.ledger_dir)
-
-
-def _cmd_runs_list(args: argparse.Namespace) -> int:
-    from repro.obs.ledger import render_records_table
-
-    records = _runs_ledger(args).records()
-    if args.json:
-        print(json.dumps([r.summary() for r in records], indent=2))
-    else:
-        print(render_records_table(records))
-    return 0
-
-
-def _cmd_runs_show(args: argparse.Namespace) -> int:
-    try:
-        record = _runs_ledger(args).get(args.record)
-    except KeyError as exc:
-        print(exc.args[0])
-        return 2
-    if args.json:
-        print(json.dumps(record.to_dict(), indent=2, sort_keys=True))
-        return 0
-    for key, value in record.summary().items():
-        print(f"{key}: {value}")
-    print(f"noise_floor_pct: {record.noise_floor_pct:g}")
-    print("phases:")
-    for phase, seconds in sorted(record.phases.items()):
-        print(f"  {phase:<28} {seconds * 1000:>10.2f}ms")
-    for key, value in sorted(record.metrics.items()):
-        print(f"metric {key}: {value:g}")
-    return 0
-
-
-def _cmd_runs_compare(args: argparse.Namespace) -> int:
-    from repro.obs.ledger import compare_records, render_compare_table
-
-    ledger = _runs_ledger(args)
-    try:
-        baseline = ledger.get(args.baseline)
-        current = ledger.get(args.current)
-    except KeyError as exc:
-        print(exc.args[0])
-        return 2
-    rows = compare_records(baseline, current)
-    if args.json:
-        print(json.dumps(rows, indent=2))
-    else:
-        print(f"baseline {baseline.record_id} -> current {current.record_id}")
-        print(render_compare_table(rows))
-    return 0
-
-
-def _runs_baseline(spec: str, ledger):
-    """Resolve a gate baseline: a ledger record id or a stored record
-    JSON (the output of ``repro runs show --json``)."""
-    from repro.obs.ledger import RunRecord
-
-    if os.path.exists(spec):
-        with open(spec, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if not isinstance(payload, dict) or "record_id" not in payload:
-            raise ValueError(f"{spec} is not a ledger record (no record_id)")
-        return RunRecord.from_dict(payload)
-    return ledger.get(spec)
-
-
-def _cmd_runs_gate(args: argparse.Namespace) -> int:
-    from repro.obs.ledger import gate_records
-
-    ledger = _runs_ledger(args)
-    try:
-        if args.record:
-            current = ledger.get(args.record)
-        else:
-            current = ledger.latest(run_id=args.run)
-        if current is None:
-            print(f"no records in ledger {args.ledger_dir}")
-            return 2
-        baseline = _runs_baseline(args.baseline, ledger)
-    except (KeyError, ValueError) as exc:
-        print(exc.args[0])
-        return 2
-    result = gate_records(
-        current,
-        baseline,
-        tolerance_pct=args.tol_pct,
-        floor_s=args.floor_ms / 1000.0,
-    )
-    if args.json:
-        print(json.dumps(result.to_dict(), indent=2))
-    else:
-        print(f"current {current.record_id} vs baseline {baseline.scenario}")
-        print(result.render())
-    return 0 if result.ok else 1
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -1057,8 +911,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     prof = sub.add_parser(
         "profile",
-        help="profile the pipeline function by function; emit flamegraphs "
-        "and ledger records",
+        help="profile the pipeline function by function; emit flamegraphs",
     )
     prof.add_argument(
         "--scenario",
@@ -1074,13 +927,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=3,
         help="random three-tier apps for --scenario scalability",
-    )
-    prof.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="unprofiled timing passes; the ledger keeps min-of-repeats "
-        "per phase and the spread as its noise floor",
     )
     prof.add_argument(
         "--phase",
@@ -1104,85 +950,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="profile in event counts instead of wall time: same seed and "
         "input then yield byte-identical folded output and SVG",
     )
-    prof.add_argument(
-        "--ledger-dir",
-        metavar="DIR",
-        help="append this run's record to the ledger in DIR",
-    )
-    prof.add_argument(
-        "--no-ledger-profile",
-        action="store_true",
-        help="keep the folded profile out of the ledger record",
-    )
     prof.add_argument("--special-nodes", default="", help="comma-separated service hosts")
     prof.set_defaults(fn=_cmd_profile)
-
-    runs = sub.add_parser(
-        "runs",
-        help="inspect, compare, and gate run-ledger perf records",
-    )
-    runs_sub = runs.add_subparsers(dest="runs_command", required=True)
-
-    def _runs_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--ledger-dir",
-            required=True,
-            metavar="DIR",
-            help="the run-ledger directory (as written by repro profile)",
-        )
-        p.add_argument("--json", action="store_true", help="emit JSON")
-
-    runs_list = runs_sub.add_parser("list", help="list every ledger record")
-    _runs_common(runs_list)
-    runs_list.set_defaults(fn=_cmd_runs_list)
-
-    runs_show = runs_sub.add_parser("show", help="show one record in full")
-    runs_show.add_argument("record", help="record id (unambiguous prefix ok)")
-    _runs_common(runs_show)
-    runs_show.set_defaults(fn=_cmd_runs_show)
-
-    runs_cmp = runs_sub.add_parser(
-        "compare", help="phase-by-phase delta between two records"
-    )
-    runs_cmp.add_argument("baseline", help="baseline record id")
-    runs_cmp.add_argument("current", help="current record id")
-    _runs_common(runs_cmp)
-    runs_cmp.set_defaults(fn=_cmd_runs_compare)
-
-    runs_gate = runs_sub.add_parser(
-        "gate",
-        help="fail (exit 1) when the current record regressed past "
-        "tolerance against a baseline",
-    )
-    runs_gate.add_argument(
-        "record",
-        nargs="?",
-        help="record to gate (default: the newest in the ledger)",
-    )
-    runs_gate.add_argument(
-        "--baseline",
-        required=True,
-        help="baseline: a ledger record id or a stored record JSON",
-    )
-    runs_gate.add_argument(
-        "--run",
-        help="with no RECORD: gate the newest record of this run id",
-    )
-    runs_gate.add_argument(
-        "--tol-pct",
-        type=float,
-        default=25.0,
-        help="per-phase regression tolerance in percent (raised to the "
-        "records' own noise floors when those are larger)",
-    )
-    runs_gate.add_argument(
-        "--floor-ms",
-        type=float,
-        default=5.0,
-        help="phases faster than this on both sides are never gated",
-    )
-    _runs_common(runs_gate)
-    runs_gate.set_defaults(fn=_cmd_runs_gate)
 
     lint = sub.add_parser(
         "lint",

@@ -81,10 +81,9 @@ class FlowDiff:
         config: modeling/diffing tunables.
         tracer: when given, every pipeline phase (extract, app-signature,
             infra-signature, stability, compare, validate, rank, ...) is
-            recorded as a nested span — this is what ``--profile`` prints,
-            what the run ledger records, and where a span-scoped
-            :class:`~repro.obs.profiler.SpanProfiler` hook attributes
-            function-level time.
+            recorded as a nested span — this is what ``--profile`` prints
+            and where a span-scoped :class:`~repro.obs.profiler.SpanProfiler`
+            hook attributes function-level time.
         metrics: when given, per-call counters and latency histograms are
             recorded. Both default to shared no-op objects so the
             uninstrumented pipeline pays only one method call per *phase*.

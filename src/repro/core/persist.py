@@ -271,27 +271,6 @@ def model_digest(model: BehaviorModel) -> str:
     ).hexdigest()
 
 
-def run_fingerprint(
-    log: "ControllerLog", config: "FlowDiffConfig", seed: Optional[int] = None
-) -> str:
-    """The run-ledger identity of one (capture, config, seed) workload.
-
-    Two pipeline runs over the same log bytes with the same
-    model-relevant config and seed share this id, which is what lets the
-    ledger (:mod:`repro.obs.ledger`) line their records up commit to
-    commit. Sixteen hex chars: short enough for CLI output, collision
-    room far beyond any ledger's record count.
-    """
-    payload = "\n".join(
-        (
-            f"log:{log_fingerprint(log)}",
-            f"config:{config_fingerprint(config)}",
-            f"seed:{seed!r}",
-        )
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
 class _CacheEntry:
     """One (log, config, window, assess) slot of a :class:`ModelCache`."""
 

@@ -15,7 +15,7 @@ costs nothing measurable:
 * :mod:`repro.obs.stats` — one-pass controller-log summaries (message
   mix, rates, top talkers) behind ``repro stats``.
 * :mod:`repro.obs.profile` — span trees rendered as the ``--profile``
-  phase table and as run-ledger timing dicts.
+  phase table and as ``{span path: seconds}`` timing dicts.
 * :mod:`repro.obs.flightrec` — the per-flow causal flight recorder:
   reconstructs PacketIn -> FlowMod -> ... -> FlowRemoved timelines from a
   capture via correlation ids (heuristic 5-tuple grouping as fallback).
@@ -30,14 +30,12 @@ costs nothing measurable:
   telemetry plane (links by utilization/drops, switches by table
   pressure).
 * :mod:`repro.obs.httpd` — the read-only ops HTTP endpoint
-  (``/healthz``, ``/metrics``, ``/telemetry``, ``/alerts``, ``/runs``).
+  (``/healthz``, ``/metrics``, ``/telemetry``, ``/alerts``).
 * :mod:`repro.obs.profiler` — the span-scoped function profiler: a
   tracer hook keeping one ``cProfile`` per open span, folding results
   into collapsed-stack format; off unless explicitly attached.
 * :mod:`repro.obs.flamegraph` — deterministic, self-contained SVG
   flamegraphs of folded stacks (same input → byte-identical output).
-* :mod:`repro.obs.ledger` — the append-only, content-addressed run
-  ledger behind ``repro runs list|show|compare|gate``.
 
 Typical instrumented run::
 
@@ -80,13 +78,6 @@ from repro.obs.flightrec import (
     FlowTimeline,
     TimelineEvent,
     reconstruct,
-)
-from repro.obs.ledger import (
-    GateResult,
-    RunLedger,
-    RunRecord,
-    compare_records,
-    gate_records,
 )
 from repro.obs.heatmap import heatmap_to_html, save_heatmap, topology_heatmap_svg
 from repro.obs.httpd import ObsHTTPServer, ObsState
@@ -140,7 +131,6 @@ __all__ = [
     "FlightRecorder",
     "FlowTimeline",
     "Gauge",
-    "GateResult",
     "Histogram",
     "LogSummary",
     "MetricsRegistry",
@@ -150,8 +140,6 @@ __all__ = [
     "ObsHTTPServer",
     "ObsState",
     "ProblemClassRule",
-    "RunLedger",
-    "RunRecord",
     "Severity",
     "Span",
     "SpanProfiler",
@@ -162,11 +150,9 @@ __all__ = [
     "UnhealthyWindowsRule",
     "WindowStat",
     "attach_profiler",
-    "compare_records",
     "default_rules",
     "deterministic_timer",
     "flamegraph_svg",
-    "gate_records",
     "heatmap_to_html",
     "iter_metric_events",
     "iter_span_events",

@@ -2,15 +2,13 @@
 
 The first concrete step toward the roadmap's always-on streaming service:
 a tiny operational endpoint an operator (or a scrape loop) can point a
-browser at while an experiment runs. Five routes, all read-only:
+browser at while an experiment runs. Four routes, all read-only:
 
 * ``/healthz``    — liveness plus a one-look summary (series, alerts);
 * ``/metrics``    — Prometheus text exposition of the metrics registry
   and the telemetry plane, through the normal export grammar;
 * ``/telemetry``  — the plane's series with their windows, as JSON;
-* ``/alerts``     — every fired alert, as JSON;
-* ``/runs``       — run-ledger record summaries (``/runs?id=PREFIX``
-  for one full record, folded profile included).
+* ``/alerts``     — every fired alert, as JSON.
 
 ``GET`` and ``HEAD`` are both served — ``HEAD`` returns the same status
 and headers (including the exact ``Content-Length``) with no body, so
@@ -35,7 +33,6 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.obs.alerts import AlertEngine
 from repro.obs.export import render_prometheus
-from repro.obs.ledger import AmbiguousRecordError, RunLedger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import (
     NOOP_TELEMETRY,
@@ -50,8 +47,8 @@ Query = Dict[str, List[str]]
 
 
 class ObsState:
-    """What the endpoint exposes: registry, telemetry plane, alert
-    engine, and optionally a run ledger.
+    """What the endpoint exposes: registry, telemetry plane and alert
+    engine.
 
     A thin aggregate so the server reads one object; every field is
     optional and read at request time, so a live simulation's plane keeps
@@ -63,12 +60,10 @@ class ObsState:
         registry: Optional[MetricsRegistry] = None,
         telemetry: TelemetryPlane = NOOP_TELEMETRY,
         engine: Optional[AlertEngine] = None,
-        ledger: Optional[RunLedger] = None,
     ) -> None:
         self.registry = registry
         self.telemetry = telemetry
         self.engine = engine
-        self.ledger = ledger
         #: Every JSON page: path → callable taking the parsed query and
         #: returning ``(status, json_payload)``. Subsystems (the
         #: streaming service) add pages here without subclassing the
@@ -79,7 +74,6 @@ class ObsState:
         self.routes["/healthz"] = self._route_health
         self.routes["/telemetry"] = self._route_telemetry
         self.routes["/alerts"] = self._route_alerts
-        self.routes["/runs"] = self._route_runs
 
     def health(self) -> Dict[str, Any]:
         payload: Dict[str, Any] = {"status": "ok"}
@@ -107,27 +101,6 @@ class ObsState:
             return []
         return [a.to_dict() for a in self.engine.alerts]
 
-    def runs_json(self, record_prefix: Optional[str] = None) -> Tuple[int, Any]:
-        """``(status, payload)`` for the ``/runs`` route.
-
-        Without a prefix: every record's summary row (cheap — folded
-        profiles are omitted). With one: the full matching record,
-        ``404`` when nothing matches, ``400`` when ambiguous.
-        """
-        if self.ledger is None:
-            return 200, {"records": []}
-        if record_prefix is None:
-            return 200, {
-                "records": [r.summary() for r in self.ledger.records()]
-            }
-        try:
-            record = self.ledger.get(record_prefix)
-        except AmbiguousRecordError as exc:
-            return 400, {"error": exc.args[0]}
-        except KeyError as exc:
-            return 404, {"error": exc.args[0]}
-        return 200, record.to_dict()
-
     # -- route-table adapters (late-bound, so subclass overrides apply) --
 
     def _route_health(self, query: Query) -> Tuple[int, Any]:
@@ -138,9 +111,6 @@ class ObsState:
 
     def _route_alerts(self, query: Query) -> Tuple[int, Any]:
         return 200, self.alerts_json()
-
-    def _route_runs(self, query: Query) -> Tuple[int, Any]:
-        return self.runs_json(query.get("id", [None])[0])
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -34,13 +34,11 @@ TELEMETRY_METRIC_RE = re.compile(
     r"^telemetry_(link|switch|controller|app|host)_[a-z][a-z0-9_]*$"
 )
 
-#: The performance-observatory family: ``profile_*`` (span-scoped
-#: profiler, :mod:`repro.obs.profiler`) and ``runs_*`` (run ledger,
-#: :mod:`repro.obs.ledger`). Like the telemetry family, membership is
-#: grammatical — the observatory mints per-surface names (spans
-#: profiled, records appended/skipped, gates evaluated) without a
-#: manifest edit per instrument.
-PROFILE_METRIC_RE = re.compile(r"^(profile|runs)_[a-z][a-z0-9_]*$")
+#: The span-scoped profiler family: ``profile_*``
+#: (:mod:`repro.obs.profiler`). Like the telemetry family, membership is
+#: grammatical — the profiler mints per-surface names (spans profiled,
+#: folded bytes) without a manifest edit per instrument.
+PROFILE_METRIC_RE = re.compile(r"^profile_[a-z][a-z0-9_]*$")
 
 #: The streaming-service family: ``service_*`` — ingest volume and rate,
 #: queue depth, drop accounting, tenant population, window/merge
@@ -121,7 +119,7 @@ def is_valid_metric_name(name: str) -> bool:
 
 def is_known_metric(name: str) -> bool:
     """Whether ``name`` is declared: listed in the manifest, or a member
-    of a grammatical family (``telemetry_*``, ``profile_*``/``runs_*``,
+    of a grammatical family (``telemetry_*``, ``profile_*``,
     ``service_*``)."""
     return (
         name in KNOWN_METRICS

@@ -2,8 +2,9 @@
 
 The ``--profile`` CLI flag runs the pipeline with a real
 :class:`~repro.obs.tracing.Tracer` and hands the result here; the same
-helpers feed the run-ledger records of ``repro profile``, so what an
-operator reads on the terminal and what the ledger stores are the same
+helpers feed ``repro profile`` and the span-vs-profiler reconciliation
+(:func:`repro.obs.profiler.reconcile_phases`), so what an operator reads
+on the terminal and what the profiler is checked against are the same
 numbers.
 """
 
@@ -64,7 +65,7 @@ def render_phase_table(tracer: Tracer, title: str = "phase timings") -> str:
 
 
 def phase_timings(tracer: Tracer) -> Dict[str, float]:
-    """``{span path: wall seconds}`` — a ledger record's ``phases``.
+    """``{span path: wall seconds}`` for every span the tracer recorded.
 
     Paths are slash-joined (``model/app-signature``) and repeated spans
     accumulate, so the dict is stable across runs of the same pipeline.

@@ -12,11 +12,11 @@ per boundary (benchmarked and gated <5% in the microbench suite).
 
 Results fold into the collapsed-stack format Brendan Gregg's flamegraph
 tooling popularized — ``span;subspan;file.py:func <value>`` lines — which
-:mod:`repro.obs.flamegraph` renders as a self-contained SVG and the run
-ledger (:mod:`repro.obs.ledger`) stores per run. Values are microseconds
-under the default wall timer; under a :func:`deterministic_timer` they
-are profile-event counts, which makes the folded output (and therefore
-the rendered SVG) byte-identical across runs of the same seeded input.
+:mod:`repro.obs.flamegraph` renders as a self-contained SVG. Values are
+microseconds under the default wall timer; under a
+:func:`deterministic_timer` they are profile-event counts, which makes
+the folded output (and therefore the rendered SVG) byte-identical across
+runs of the same seeded input.
 """
 
 from __future__ import annotations

@@ -32,6 +32,7 @@ import math
 from collections import deque
 from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
 
+from repro.analysis.stats import percentile_index
 from repro.obs.metrics import MetricsRegistry
 
 #: Series kinds the telemetry plane knows about; the ``telemetry_*``
@@ -130,18 +131,6 @@ class WindowStat:
             f"WindowStat([{self.t_start:g},{self.t_end:g}) n={self.count} "
             f"mean={self.mean:g} p95={self.p95:g})"
         )
-
-
-def percentile_index(count: int, q: float) -> int:
-    """0-based order-statistic index for quantile ``q`` of ``count`` values.
-
-    The inverted-CDF convention (``ceil(q*n) - 1``), matching
-    ``numpy.percentile(..., method="inverted_cdf")`` — the recomputation
-    the rollup tests check against.
-    """
-    if count <= 0:
-        return 0
-    return min(count - 1, max(0, math.ceil(q * count) - 1))
 
 
 class _WindowAccumulator:

@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.httpd import ObsHTTPServer, ObsState, Query
-from repro.obs.ledger import RunLedger
 from repro.obs.telemetry import NOOP_TELEMETRY, TelemetryPlane
 from repro.service.daemon import StreamService
 from repro.service.tenant import TenantPipeline
@@ -38,11 +37,8 @@ class ServiceState(ObsState):
         self,
         service: StreamService,
         telemetry: TelemetryPlane = NOOP_TELEMETRY,
-        ledger: Optional[RunLedger] = None,
     ) -> None:
-        super().__init__(
-            registry=service.metrics, telemetry=telemetry, ledger=ledger
-        )
+        super().__init__(registry=service.metrics, telemetry=telemetry)
         self.service = service
         self.routes["/tenants"] = self._route_tenants
         self.routes["/diff"] = self._route_diff
@@ -153,7 +149,6 @@ def create_server(
     host: str = "127.0.0.1",
     port: int = 0,
     telemetry: TelemetryPlane = NOOP_TELEMETRY,
-    ledger: Optional[RunLedger] = None,
 ) -> ObsHTTPServer:
     """An ops endpoint bound to ``service`` (start it with ``.start()``)."""
-    return ObsHTTPServer(ServiceState(service, telemetry, ledger), host, port)
+    return ObsHTTPServer(ServiceState(service, telemetry), host, port)

@@ -39,6 +39,7 @@ from repro.core.monitor import DiagnosisStream, WindowReport
 from repro.core.persist import (
     ModelCache,
     ModelLoadError,
+    config_fingerprint,
     load_checkpoint,
     save_checkpoint,
 )
@@ -370,6 +371,7 @@ class TenantPipeline:
             return
         state = {
             "tenant": self.name,
+            "config": config_fingerprint(self.flowdiff.config),
             "cursor": self._cursor,
             "window": self.window,
             "baseline_span": self.baseline_span,
@@ -391,9 +393,11 @@ class TenantPipeline:
     def _restore(self) -> None:
         """Resume from the tenant's checkpoint when one is loadable.
 
-        Any failure (no file, version skew, evicted baseline model) falls
-        back to a cold start — restore is an optimization, never a
-        correctness dependency.
+        Any failure (no file, version skew, a garbled field, a checkpoint
+        taken under another model-relevant config, evicted baseline model)
+        falls back to a cold start — restore is an optimization, never a
+        correctness dependency. No tenant attribute changes until the
+        whole state has parsed.
         """
         assert self.checkpoint_path is not None and self._cache is not None
         if not os.path.exists(self.checkpoint_path):
@@ -402,28 +406,41 @@ class TenantPipeline:
             state = load_checkpoint(self.checkpoint_path)
         except (ModelLoadError, OSError):
             return
-        digest = state.get("baseline_digest")
-        baseline = self._cache.load_object(digest) if digest else None
+        try:
+            if state["config"] != config_fingerprint(self.flowdiff.config):
+                # The stored baseline was modeled under other settings.
+                return
+            digest = state["baseline_digest"]
+            t_first = float(state["t_first"])
+            cursor = float(state["cursor"])
+            expected_groups = tuple(
+                ApplicationGroup(
+                    members=frozenset(members), services=frozenset(services)
+                )
+                for members, services in state["expected_groups"]
+            )
+            windows_total = int(state["windows_total"])
+            status_counts = {
+                str(status): int(count)
+                for status, count in dict(state["status_counts"]).items()
+            }
+            checkpointed_at = float(state["checkpointed_at"])
+        except (KeyError, TypeError, ValueError):
+            return
+        baseline = self._cache.load_object(digest)
         if baseline is None:
             return
         self.stream.set_baseline_model(baseline)
         self.phase = PHASE_STREAMING
-        self._t_first = state.get("t_first")
-        self._baseline_end = (
-            self._t_first + self.baseline_span
-            if self._t_first is not None
-            else None
-        )
+        self._t_first = t_first
+        self._baseline_end = t_first + self.baseline_span
         self._baseline_digest = digest
-        self._cursor = float(state["cursor"])
-        self._resume_cursor = self._cursor
-        self._expected_groups = tuple(
-            ApplicationGroup(members=frozenset(members), services=frozenset(services))
-            for members, services in state.get("expected_groups", [])
-        )
-        self.windows_total = int(state.get("windows_total", 0))
-        self.status_counts = dict(state.get("status_counts", {}))
-        self._last_checkpoint_ts = state.get("checkpointed_at")
+        self._cursor = cursor
+        self._resume_cursor = cursor
+        self._expected_groups = expected_groups
+        self.windows_total = windows_total
+        self.status_counts = status_counts
+        self._last_checkpoint_ts = checkpointed_at
         self.resumed = True
         self._open_window()
 

@@ -1,9 +1,12 @@
 """Tests for the shared metric-name validator (lint + runtime agree)."""
 
+import os
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro
 from repro.obs.export import render_prometheus
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.names import (
@@ -16,6 +19,7 @@ from repro.obs.names import (
     validate_label_name,
     validate_metric_name,
 )
+from repro.qa import Project
 
 
 class TestGrammar:
@@ -55,11 +59,24 @@ class TestManifest:
         for name in KNOWN_LABELS:
             assert is_valid_label_name(name), name
 
+    def test_every_known_metric_has_an_emitter(self):
+        """No dead rows: each manifest name is a string literal in some
+        other file under ``src/repro``."""
+        project = Project.load([os.path.dirname(repro.__file__)])
+        text = "\n".join(
+            m.source for m in project.modules if m.module != "repro.obs.names"
+        )
+        dead = sorted(
+            name
+            for name in KNOWN_METRICS
+            if f'"{name}"' not in text and f"'{name}'" not in text
+        )
+        assert not dead, dead
+
     @pytest.mark.parametrize(
         "name",
         [
             "profile_spans_total",
-            "runs_records_total",
             "profile_folded_bytes",
             "telemetry_link_utilization",
             "service_ingest_messages_total",
@@ -74,6 +91,7 @@ class TestManifest:
         [
             "profile_",
             "runs_BadCase",
+            "runs_records_total",
             "profiler_spans_total",
             "run_records",
             "service_",

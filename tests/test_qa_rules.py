@@ -344,14 +344,14 @@ class TestMetricNames:
         assert "KNOWN_LABELS" in finding.message
 
     def test_profile_family_is_declared(self):
-        # ``profile_*``/``runs_*`` membership is grammatical, like the
-        # telemetry family: the observatory mints instrument names
-        # without a manifest edit each.
+        # ``profile_*`` membership is grammatical, like the telemetry
+        # family: the profiler mints instrument names without a manifest
+        # edit each.
         mod = module(
             """\
             def instrument(metrics):
                 metrics.counter("profile_spans_total")
-                return metrics.counter("runs_records_total", status="append")
+                return metrics.counter("profile_folded_bytes")
             """,
             name="repro.core.fakemetrics",
         )
@@ -372,7 +372,7 @@ class TestMetricNames:
         assert "KNOWN_METRICS" in finding.message
 
     def test_service_family_is_declared(self):
-        # ``service_*`` membership is grammatical like profile/runs: the
+        # ``service_*`` membership is grammatical like ``profile_*``: the
         # streaming service mints tenant-labeled instruments freely.
         mod = module(
             """\

@@ -16,7 +16,9 @@ import urllib.request
 
 import pytest
 
+from repro.core.flowdiff import FlowDiffConfig
 from repro.core.monitor import SlidingDiagnoser
+from repro.core.signatures.application import SignatureConfig
 from repro.faults import LinkLoss
 from repro.obs.metrics import MetricsRegistry
 from repro.scenarios import three_tier_lab
@@ -187,6 +189,72 @@ class TestCheckpointRestore:
                 straight.t_end,
             )
             assert resumed.report.to_dict() == straight.report.to_dict()
+
+    @staticmethod
+    def _checkpointed(log, ckpt):
+        """Run a pipeline over ``log`` so ``ckpt`` holds its checkpoint;
+        returns the checkpoint path and its decoded state."""
+        first = TenantPipeline(
+            "t1", window=WINDOW, baseline_span=BASELINE, checkpoint_dir=ckpt
+        )
+        first.ingest(list(log))
+        assert first.windows_total >= 1
+        with open(first.checkpoint_path, encoding="utf-8") as fh:
+            return first.checkpoint_path, json.load(fh)
+
+    @staticmethod
+    def _assert_cold_start_matches_fresh(log, ckpt, config=None):
+        """A pipeline over ``ckpt`` must ignore it, relearn the baseline
+        and close the same windows a checkpoint-less pipeline does."""
+        cold = TenantPipeline(
+            "t1",
+            config,
+            window=WINDOW,
+            baseline_span=BASELINE,
+            checkpoint_dir=ckpt,
+        )
+        assert cold.resumed is False
+        assert cold.phase == "baseline"
+        cold.ingest(list(log))
+        fresh, _ = stream_through(log, config=config)
+        assert len(cold.history) == len(fresh.history)
+        assert_histories_identical(cold.history, fresh.history)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("cursor", None),
+            ("expected_groups", [["x"]]),
+            ("baseline_digest", "0" * 64),
+        ],
+        ids=["garbled-cursor", "garbled-groups", "missing-baseline-object"],
+    )
+    def test_unusable_checkpoint_field_cold_starts(
+        self, healthy_log, tmp_path, field, value
+    ):
+        ckpt = str(tmp_path / "ckpt")
+        path, state = self._checkpointed(healthy_log, ckpt)
+        state[field] = value
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(state, fh)
+        self._assert_cold_start_matches_fresh(healthy_log, ckpt)
+
+    def test_changed_special_nodes_cold_starts(self, healthy_log, tmp_path):
+        ckpt = str(tmp_path / "ckpt")
+        self._checkpointed(healthy_log, ckpt)
+        config = FlowDiffConfig(
+            signature=SignatureConfig(special_nodes=("S1",))
+        )
+        self._assert_cold_start_matches_fresh(healthy_log, ckpt, config)
+        # An unchanged config over the (now rewritten) checkpoint resumes.
+        again = TenantPipeline(
+            "t1",
+            config,
+            window=WINDOW,
+            baseline_span=BASELINE,
+            checkpoint_dir=ckpt,
+        )
+        assert again.resumed
 
     def test_cold_start_when_no_checkpoint_exists(self, tmp_path):
         tenant = TenantPipeline(
