@@ -34,6 +34,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro._compat import DATACLASS_KW
@@ -201,13 +202,9 @@ class Network:
         control plane the per-instance captures are merged on access,
         which is the offline synchronization Section VI calls for.
         """
-        if len(self.controllers) == 1:
-            return self.controllers[0].log
-        merged = ControllerLog()
-        for controller in self.controllers:
-            for message in controller.log:
-                merged.append(message)
-        return merged
+        return reduce(
+            ControllerLog.merged_with, (controller.log for controller in self.controllers)
+        )
 
     @property
     def now(self) -> float:

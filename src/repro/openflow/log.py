@@ -5,11 +5,19 @@ control messages (Section III-A). FlowDiff never inspects data-plane
 payloads; every signature is derived from a window of this log. The class
 therefore provides the windowing and type filtering the modeling phase
 needs, plus (de)serialization so logs can be stored and replayed.
+
+Ordering invariant: iteration yields messages by ``(timestamp, arrival)``
+— ascending timestamp, and among equal timestamps the order they were
+appended in. The log keeps two parallel lists, the timestamps and the
+messages, sorted together; a message therefore costs the log no object
+of its own (the timestamp list holds plain floats the garbage collector
+never visits), and a window is two binary searches and two slices.
 """
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Type, TypeVar
 
 from repro.openflow.messages import (
@@ -22,6 +30,8 @@ from repro.openflow.messages import (
 
 M = TypeVar("M", bound=ControlMessage)
 
+_timestamp = attrgetter("timestamp")
+
 
 class ControllerLog:
     """A time-ordered log of control messages captured at the controller.
@@ -33,12 +43,24 @@ class ControllerLog:
     """
 
     def __init__(self, messages: Optional[Iterable[ControlMessage]] = None) -> None:
-        self._messages: List[Tuple[float, int, ControlMessage]] = []
-        self._seq = 0
+        #: ``_ts[i]`` is ``_msgs[i].timestamp``; both sorted by it, stably.
+        self._ts: List[float] = []
+        self._msgs: List[ControlMessage] = []
         self._content_digest: Optional[str] = None
-        self._digest_seq = -1
+        self._digest_len = -1
         for msg in messages or ():
             self.append(msg)
+
+    @classmethod
+    def _from_sorted(
+        cls, msgs: List[ControlMessage], stamps: Optional[List[float]] = None
+    ) -> "ControllerLog":
+        """Adopt a message list already in log order (and its timestamps,
+        where the caller has them as a slice for free)."""
+        log = cls()
+        log._msgs = msgs
+        log._ts = [msg.timestamp for msg in msgs] if stamps is None else stamps
+        return log
 
     def set_content_digest(self, digest: str) -> None:
         """Cache this log's content fingerprint (hex digest).
@@ -47,26 +69,31 @@ class ControllerLog:
         capture file's bytes) or by
         :func:`~repro.core.persist.log_fingerprint` (hash of the canonical
         message stream). The cache is invalidated automatically when the
-        log grows — :meth:`cached_content_digest` compares the append
-        sequence it was recorded at.
+        log grows — :meth:`cached_content_digest` compares the length it
+        was recorded at (the log only ever grows).
         """
         self._content_digest = digest
-        self._digest_seq = self._seq
+        self._digest_len = len(self._msgs)
 
     def cached_content_digest(self) -> Optional[str]:
         """The cached content fingerprint, or None if unset/stale."""
-        if self._content_digest is not None and self._digest_seq == self._seq:
+        if self._content_digest is not None and self._digest_len == len(self._msgs):
             return self._content_digest
         return None
 
     def append(self, message: ControlMessage) -> None:
         """Record a control message (stable-ordered by timestamp)."""
-        item = (message.timestamp, self._seq, message)
-        self._seq += 1
-        if self._messages and item[:2] < self._messages[-1][:2]:
-            bisect.insort(self._messages, item)
+        ts = message.timestamp
+        stamps = self._ts
+        if stamps and ts < stamps[-1]:
+            # Out of order: after every message already holding this
+            # timestamp, which is where arrival order puts it.
+            at = bisect_right(stamps, ts)
+            stamps.insert(at, ts)
+            self._msgs.insert(at, message)
         else:
-            self._messages.append(item)
+            stamps.append(ts)
+            self._msgs.append(message)
 
     def extend(self, messages: Iterable[ControlMessage]) -> None:
         """Record several control messages."""
@@ -74,34 +101,33 @@ class ControllerLog:
             self.append(message)
 
     def __len__(self) -> int:
-        return len(self._messages)
+        return len(self._msgs)
 
     def __iter__(self) -> Iterator[ControlMessage]:
-        return (msg for _, _, msg in self._messages)
+        return iter(self._msgs)
 
     @property
     def time_span(self) -> Tuple[float, float]:
         """``(first, last)`` message timestamps; ``(0.0, 0.0)`` when empty."""
-        if not self._messages:
+        if not self._ts:
             return 0.0, 0.0
-        return self._messages[0][0], self._messages[-1][0]
+        return self._ts[0], self._ts[-1]
 
     def window(self, t_start: float, t_end: float) -> "ControllerLog":
         """Return a sub-log of messages with ``t_start <= ts < t_end``.
 
         This is the primitive behind the paper's L1/L2 comparison: L1 and L2
         are two windows of the same underlying capture (or two captures).
+        The sub-log is a copy (two slices) with no content digest of its
+        own.
         """
-        lo = bisect.bisect_left(self._messages, (t_start, -1, None))  # type: ignore[list-item]
-        hi = bisect.bisect_left(self._messages, (t_end, -1, None))  # type: ignore[list-item]
-        sub = ControllerLog()
-        for _ts, _, msg in self._messages[lo:hi]:
-            sub.append(msg)
-        return sub
+        lo = bisect_left(self._ts, t_start)
+        hi = bisect_left(self._ts, t_end)
+        return self._from_sorted(self._msgs[lo:hi], self._ts[lo:hi])
 
     def of_type(self, message_type: Type[M]) -> List[M]:
         """Return all messages of exactly the given type, in time order."""
-        return [msg for _, _, msg in self._messages if type(msg) is message_type]
+        return [msg for msg in self._msgs if type(msg) is message_type]
 
     def packet_ins(self) -> List[PacketIn]:
         """All ``PacketIn`` messages, the richest signal FlowDiff mines."""
@@ -127,7 +153,7 @@ class ControllerLog:
         """
         seen: List[int] = []
         known = set()
-        for _, _, msg in self._messages:
+        for msg in self._msgs:
             cid = msg.corr_id
             if cid is not None and cid not in known:
                 known.add(cid)
@@ -140,22 +166,18 @@ class ControllerLog:
 
     def filter(self, predicate: Callable[[ControlMessage], bool]) -> "ControllerLog":
         """Return a sub-log of messages satisfying ``predicate``."""
-        sub = ControllerLog()
-        for _, _, msg in self._messages:
-            if predicate(msg):
-                sub.append(msg)
-        return sub
+        return self._from_sorted([msg for msg in self._msgs if predicate(msg)])
 
     def merged_with(self, other: "ControllerLog") -> "ControllerLog":
         """Combine two captures (e.g. from a distributed controller pair).
 
         Section VI notes that distributing the controller requires
         synchronizing captured information across controllers; this is that
-        synchronization for offline logs.
+        synchronization for offline logs. One stable sort of the
+        concatenation: among equal timestamps ``self``'s messages come
+        before ``other``'s and each side keeps its own order — what
+        appending ``other`` message by message would give.
         """
-        merged = ControllerLog()
-        for msg in self:
-            merged.append(msg)
-        for msg in other:
-            merged.append(msg)
-        return merged
+        msgs = self._msgs + other._msgs
+        msgs.sort(key=_timestamp)
+        return self._from_sorted(msgs)

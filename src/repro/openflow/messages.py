@@ -7,7 +7,7 @@ Figure 3. All messages carry the *controller-side* timestamp, which is the
 only clock the paper assumes (it never requires synchronized switch clocks).
 
 Messages are immutable records; the :class:`~repro.openflow.log.ControllerLog`
-orders them by timestamp with a sequence number as tie-breaker.
+orders them by timestamp with arrival order as tie-breaker.
 """
 
 from __future__ import annotations

@@ -5,12 +5,36 @@ today is the baseline diffed against next week's capture — so logs must
 round-trip through storage. The format is one JSON object per line with a
 ``type`` tag, append-friendly and greppable, in the spirit of the text
 logs the paper's Figure 3 sketches.
+
+Decode contract (:class:`CaptureDecoder`, which :func:`message_from_json`,
+:func:`load_log`, :func:`read_log` and the daemon's file tail all run):
+
+* **Skipped:** lines that are empty or all whitespace, so hand-edited
+  captures stay loadable. Whitespace around a record (``\r\n`` line
+  ends, indentation) is ignored; keys the decoder does not know are too.
+* **Raises** :class:`ValueError`, and nothing else, for a line that is
+  not one control message: malformed JSON, text after the record, a JSON
+  value that is not an object, a ``flow``/``match`` that is neither an
+  object nor ``null``, a missing ``ts``/``dpid``/``flow``/``match`` (or
+  ``src``/``dst``/``sport``/``dport`` inside ``flow``), an unknown
+  ``type``, an unknown ``command``/``reason``. :func:`load_log` prefixes
+  the 1-based line number. Every other key is optional and defaults as
+  the message classes do, which is what keeps old captures readable.
+* **Shared:** messages that carry equal 5-tuples get the *same*
+  :class:`FlowKey` / :class:`Match` object (both are immutable), because a
+  capture is many messages over few endpoint pairs. The table that does
+  this lives as long as its decoder: one :func:`load_log` call, one
+  batch of the file tail, one :func:`message_from_json` call.
+* **Order:** messages enter the :class:`ControllerLog` in file order; the
+  log sorts by ``(timestamp, arrival)``, so a time-ordered file is read
+  back exactly as written.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
-from typing import IO, Any, Dict, Iterable, Optional, Type
+from typing import IO, Any, Dict, Optional, Tuple, Type
 
 from repro.openflow.log import ControllerLog
 from repro.openflow.match import FlowKey, Match
@@ -59,18 +83,6 @@ def _flow_to_json(flow: Optional[FlowKey]) -> Optional[Dict[str, Any]]:
     }
 
 
-def _flow_from_json(data: Optional[Dict[str, Any]]) -> Optional[FlowKey]:
-    if data is None:
-        return None
-    return FlowKey(
-        src=data["src"],
-        dst=data["dst"],
-        src_port=data["sport"],
-        dst_port=data["dport"],
-        proto=data.get("proto", "tcp"),
-    )
-
-
 def _match_to_json(match: Optional[Match]) -> Optional[Dict[str, Any]]:
     if match is None:
         return None
@@ -81,18 +93,6 @@ def _match_to_json(match: Optional[Match]) -> Optional[Dict[str, Any]]:
         "dport": match.dst_port,
         "proto": match.proto,
     }
-
-
-def _match_from_json(data: Optional[Dict[str, Any]]) -> Optional[Match]:
-    if data is None:
-        return None
-    return Match(
-        src=data.get("src"),
-        dst=data.get("dst"),
-        src_port=data.get("sport"),
-        dst_port=data.get("dport"),
-        proto=data.get("proto"),
-    )
 
 
 def message_to_json(message: ControlMessage) -> Dict[str, Any]:
@@ -155,81 +155,183 @@ def message_to_json(message: ControlMessage) -> Dict[str, Any]:
     return out
 
 
+#: One JSON value from the start of a string -> ``(value, end)``, without
+#: the two whitespace matches the module-level ``loads`` makes per call.
+_raw_decode = json.JSONDecoder().raw_decode
+
+_COMMANDS = {member.value: member for member in FlowModCommand}
+_REASONS = {member.value: member for member in FlowRemovedReason}
+
+_FiveTuple = Tuple[Any, Any, Any, Any, Any]
+
+
+class CaptureDecoder:
+    """Turn capture lines into messages, sharing equal 5-tuples.
+
+    See the module docstring for the contract. ``len()`` is the number of
+    5-tuples currently shared; :meth:`forget` drops them, which a reader
+    of an unbounded stream must do now and then (the file tail does at
+    every batch it hands off).
+    """
+
+    __slots__ = ("_flows", "_matches")
+
+    def __init__(self) -> None:
+        self._flows: Dict[_FiveTuple, FlowKey] = {}
+        self._matches: Dict[_FiveTuple, Match] = {}
+
+    def __len__(self) -> int:
+        return len(self._flows) + len(self._matches)
+
+    def forget(self) -> None:
+        """Drop the shared 5-tuples (messages already built keep theirs)."""
+        self._flows.clear()
+        self._matches.clear()
+
+    def line(self, line: str) -> Optional[ControlMessage]:
+        """Decode one capture line; ``None`` for a blank one.
+
+        Raises:
+            ValueError: the line is not one control message.
+        """
+        try:
+            data, end = _raw_decode(line)
+        except json.JSONDecodeError as exc:
+            # Blank and indented lines end up here too: no value at column 0.
+            stripped = line.strip()
+            if not stripped:
+                return None
+            if stripped != line:
+                return self.line(stripped)
+            raise ValueError(f"invalid JSON ({exc.msg}, column {exc.pos + 1})") from None
+        except RecursionError:
+            raise ValueError("invalid JSON (nested too deeply)") from None
+        rest = line[end:]
+        if rest and rest.strip():
+            raise ValueError(f"invalid JSON (extra data, column {end + 1})")
+        return self.message(data)
+
+    def message(self, data: Any) -> ControlMessage:
+        """Build the message one decoded JSON object describes.
+
+        Construction is positional, in dataclass field order.
+
+        Raises:
+            ValueError: ``data`` does not describe a control message.
+        """
+        if not isinstance(data, dict):
+            raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+        try:
+            name = data.get("type")
+            ts = data["ts"]
+            dpid = data["dpid"]
+            corr = data.get("corr")
+            if name == "packet_in":
+                return PacketIn(
+                    ts,
+                    dpid,
+                    corr,
+                    self._flow(data["flow"]),
+                    data.get("in_port", 0),
+                    data.get("buffer_id", 0),
+                )
+            if name == "packet_out":
+                return PacketOut(
+                    ts,
+                    dpid,
+                    corr,
+                    self._flow(data["flow"]),
+                    data.get("out_port", 0),
+                    data.get("buffer_id", 0),
+                )
+            if name == "flow_mod":
+                command = data.get("command", "add")
+                return FlowMod(
+                    ts,
+                    dpid,
+                    corr,
+                    self._match(data["match"]),
+                    data.get("out_port", 0),
+                    data.get("idle", 5.0),
+                    data.get("hard", 0.0),
+                    data.get("priority", 0),
+                    _COMMANDS.get(command) or FlowModCommand(command),
+                    data.get("in_reply_to"),
+                )
+            if name == "flow_removed":
+                reason = data.get("reason", "idle_timeout")
+                return FlowRemoved(
+                    ts,
+                    dpid,
+                    corr,
+                    self._match(data["match"]),
+                    data.get("duration", 0.0),
+                    data.get("bytes", 0),
+                    data.get("packets", 0),
+                    _REASONS.get(reason) or FlowRemovedReason(reason),
+                )
+            if name == "port_status":
+                return PortStatus(ts, dpid, corr, data.get("port", 0), data.get("live", True))
+            if name == "flow_stats":
+                return FlowStatsReply(
+                    ts,
+                    dpid,
+                    corr,
+                    self._match(data["match"]),
+                    data.get("bytes", 0),
+                    data.get("packets", 0),
+                    data.get("duration", 0.0),
+                )
+            if name == "echo":
+                return EchoRequest(ts, dpid, corr, data.get("replied", True))
+        except KeyError as exc:
+            raise ValueError(f"{name} message without {exc.args[0]!r}") from None
+        except TypeError as exc:
+            # An unhashable value where a 5-tuple field or enum name belongs.
+            raise ValueError(f"{name} message with a bad field ({exc})") from None
+        raise ValueError(f"unknown control message type {name!r}")
+
+    def _flow(self, data: Any) -> Optional[FlowKey]:
+        if data is None:
+            return None
+        if not isinstance(data, dict):
+            raise ValueError(f"flow is neither an object nor null: {data!r}")
+        key = (data["src"], data["dst"], data["sport"], data["dport"], data.get("proto", "tcp"))
+        flow = self._flows.get(key)
+        if flow is None:
+            flow = self._flows[key] = FlowKey(*key)
+        return flow
+
+    def _match(self, data: Any) -> Optional[Match]:
+        if data is None:
+            return None
+        if not isinstance(data, dict):
+            raise ValueError(f"match is neither an object nor null: {data!r}")
+        try:
+            key = (data["src"], data["dst"], data["sport"], data["dport"], data["proto"])
+        except KeyError:
+            # Not written by this encoder: an absent field is a wildcard.
+            key = (
+                data.get("src"),
+                data.get("dst"),
+                data.get("sport"),
+                data.get("dport"),
+                data.get("proto"),
+            )
+        match = self._matches.get(key)
+        if match is None:
+            match = self._matches[key] = Match(*key)
+        return match
+
+
 def message_from_json(data: Dict[str, Any]) -> ControlMessage:
-    """Decode one control message.
+    """Decode one control message from its JSON object.
 
     Raises:
-        ValueError: for an unknown ``type`` tag.
+        ValueError: ``data`` does not describe a control message (see the
+            module docstring).
     """
-    name = data.get("type")
-    ts = data["ts"]
-    dpid = data["dpid"]
-    corr = data.get("corr")
-    if name == "packet_in":
-        return PacketIn(
-            timestamp=ts,
-            dpid=dpid,
-            corr_id=corr,
-            flow=_flow_from_json(data["flow"]),
-            in_port=data.get("in_port", 0),
-            buffer_id=data.get("buffer_id", 0),
-        )
-    if name == "packet_out":
-        return PacketOut(
-            timestamp=ts,
-            dpid=dpid,
-            corr_id=corr,
-            flow=_flow_from_json(data["flow"]),
-            out_port=data.get("out_port", 0),
-            buffer_id=data.get("buffer_id", 0),
-        )
-    if name == "flow_mod":
-        return FlowMod(
-            timestamp=ts,
-            dpid=dpid,
-            corr_id=corr,
-            match=_match_from_json(data["match"]),
-            out_port=data.get("out_port", 0),
-            idle_timeout=data.get("idle", 5.0),
-            hard_timeout=data.get("hard", 0.0),
-            priority=data.get("priority", 0),
-            command=FlowModCommand(data.get("command", "add")),
-            in_reply_to=data.get("in_reply_to"),
-        )
-    if name == "flow_removed":
-        return FlowRemoved(
-            timestamp=ts,
-            dpid=dpid,
-            corr_id=corr,
-            match=_match_from_json(data["match"]),
-            duration=data.get("duration", 0.0),
-            byte_count=data.get("bytes", 0),
-            packet_count=data.get("packets", 0),
-            reason=FlowRemovedReason(data.get("reason", "idle_timeout")),
-        )
-    if name == "port_status":
-        return PortStatus(
-            timestamp=ts,
-            dpid=dpid,
-            corr_id=corr,
-            port=data.get("port", 0),
-            live=data.get("live", True),
-        )
-    if name == "flow_stats":
-        return FlowStatsReply(
-            timestamp=ts,
-            dpid=dpid,
-            corr_id=corr,
-            match=_match_from_json(data["match"]),
-            byte_count=data.get("bytes", 0),
-            packet_count=data.get("packets", 0),
-            duration=data.get("duration", 0.0),
-        )
-    if name == "echo":
-        return EchoRequest(
-            timestamp=ts, dpid=dpid, corr_id=corr, replied=data.get("replied", True)
-        )
-    raise ValueError(f"unknown control message type {name!r}")
+    return CaptureDecoder().message(data)
 
 
 def dump_log(log: ControllerLog, fh: IO[str]) -> int:
@@ -247,18 +349,22 @@ def load_log(fh: IO[str]) -> ControllerLog:
     Blank lines are skipped so hand-edited captures stay loadable.
 
     Raises:
-        ValueError: on malformed JSON or unknown message types.
+        ValueError: ``"line N: ..."`` for the first line that is not one
+            control message (see the module docstring).
     """
+    return _load_text(fh.read())
+
+
+def _load_text(text: str) -> ControllerLog:
     log = ControllerLog()
-    for line_no, line in enumerate(fh, 1):
-        line = line.strip()
-        if not line:
-            continue
+    decode = CaptureDecoder().line
+    for line_no, line in enumerate(text.split("\n"), 1):
         try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {line_no}: invalid JSON ({exc})") from exc
-        log.append(message_from_json(data))
+            message = decode(line)
+        except ValueError as exc:
+            raise ValueError(f"line {line_no}: {exc}") from exc
+        if message is not None:
+            log.append(message)
     return log
 
 
@@ -275,11 +381,8 @@ def read_log(path: str) -> ControllerLog:
     content digest, so model caching (:mod:`repro.core.persist`) can key
     on log content without re-hashing the message stream.
     """
-    import hashlib
-    import io
-
     with open(path, "rb") as fh:
         raw = fh.read()
-    log = load_log(io.StringIO(raw.decode("utf-8")))
+    log = _load_text(raw.decode("utf-8"))
     log.set_content_digest(hashlib.sha256(raw).hexdigest())
     return log

@@ -24,7 +24,6 @@ surface must use the snapshot accessors (:meth:`get_tenant`,
 
 from __future__ import annotations
 
-import json
 import queue
 import threading
 import time
@@ -34,7 +33,7 @@ from repro.core.flowdiff import FlowDiffConfig
 from repro.obs.alerts import AlertEngine, default_rules
 from repro.obs.metrics import MetricsRegistry
 from repro.openflow.messages import ControlMessage
-from repro.openflow.serialize import message_from_json
+from repro.openflow.serialize import CaptureDecoder
 from repro.service.tenant import TenantPipeline
 
 #: Sentinel telling the drain thread to exit.
@@ -261,6 +260,9 @@ class FileTailSource:
     line to be completed; otherwise it stops at EOF.
     Undecodable lines are counted (``service_dropped_total`` with
     ``reason="decode"``) and skipped rather than wedging the tail.
+    Messages of one batch share equal 5-tuples (see
+    :class:`~repro.openflow.serialize.CaptureDecoder`); the sharing table
+    is dropped at every hand-off, so a followed file cannot grow it.
     """
 
     def __init__(
@@ -281,6 +283,7 @@ class FileTailSource:
         self.poll_interval = poll_interval
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
+        self._decoder = CaptureDecoder()
 
     def start(self) -> None:
         self._thread = threading.Thread(
@@ -306,24 +309,31 @@ class FileTailSource:
                 line = pending + fh.readline()
                 at_eof = not line.endswith("\n")
                 pending = line if at_eof and self.follow else ""
-                if not pending and line.strip():
+                if not pending:
                     try:
-                        batch.append(message_from_json(json.loads(line)))
-                    except (ValueError, KeyError, TypeError):
+                        message = self._decoder.line(line)
+                    except ValueError:
                         self.service.metrics.counter(
                             "service_dropped_total",
                             tenant=self.tenant,
                             reason="decode",
                         ).inc()
+                    else:
+                        if message is not None:
+                            batch.append(message)
                 if batch and (at_eof or len(batch) >= self.batch_size):
-                    self.service.feed(self.tenant, batch)
+                    self._hand_off(batch)
                     batch = []
                 if at_eof:
                     if not self.follow:
                         return
                     time.sleep(self.poll_interval)
         if batch:
-            self.service.feed(self.tenant, batch)
+            self._hand_off(batch)
+
+    def _hand_off(self, batch: List[ControlMessage]) -> None:
+        self.service.feed(self.tenant, batch)
+        self._decoder.forget()
 
 
 def replay_messages(

@@ -6,6 +6,7 @@ from repro import FlowDiff
 from repro.core.signatures import build_application_signatures
 from repro.netsim.network import FlowRequest, Network, NetworkConfig
 from repro.netsim.topology import lab_testbed, linear_topology
+from repro.openflow.log import ControllerLog
 from repro.openflow.match import FlowKey
 
 
@@ -52,6 +53,13 @@ class TestDistributedControlPlane:
         assert len(central.log.flow_removed()) == len(
             distributed.log.flow_removed()
         )
+        # The merge is the per-controller captures appended one message at
+        # a time: time order, ties in controller order.
+        appended = ControllerLog(
+            m for controller in distributed.controllers for m in controller.log
+        )
+        assert len(appended) == len(central.log)
+        assert [id(m) for m in distributed.log] == [id(m) for m in appended]
 
     def test_flowdiff_on_merged_distributed_log(self):
         from repro.scenarios import three_tier_lab

@@ -9,6 +9,9 @@ from repro.openflow.messages import FlowMod, FlowRemoved, PacketIn, PacketOut
 
 KEY = FlowKey("a", "b", 1000, 80)
 
+#: Timestamps that collide often: ties are where the ordering contract bites.
+STAMPS = st.sampled_from([0.0, 1.0, 1.5, 2.0, 3.0]) | st.floats(0, 4)
+
 
 def pin(ts, dpid="sw1"):
     return PacketIn(timestamp=ts, dpid=dpid, flow=KEY, in_port=1)
@@ -70,22 +73,51 @@ class TestControllerLog:
         assert len(a) == 1  # originals untouched
         assert len(b) == 1
 
-    @given(st.lists(st.floats(0, 100), max_size=50))
-    def test_iteration_always_sorted(self, times):
-        log = ControllerLog()
-        for t in times:
-            log.append(pin(t))
-        stamps = [m.timestamp for m in log]
-        assert stamps == sorted(stamps)
+    def test_merged_with_ties_keep_self_first_then_arrival_order(self):
+        a = ControllerLog([pin(1.0, "a1"), pin(2.0, "a2"), pin(1.0, "a3")])
+        b = ControllerLog([pin(2.0, "b1"), pin(1.0, "b2"), pin(0.5, "b3")])
+        merged = a.merged_with(b)
+        assert [m.dpid for m in merged] == ["b3", "a1", "a3", "b2", "a2", "b1"]
+        # ... which is what appending ``b`` message by message gives.
+        appended = ControllerLog(list(a) + list(b))
+        assert [id(m) for m in merged] == [id(m) for m in appended]
+        assert merged.window(1.0, 2.0).time_span == (1.0, 1.0)
+        assert merged.cached_content_digest() is None
 
-    @given(
-        st.lists(st.floats(0, 100), max_size=50),
-        st.floats(0, 50),
-        st.floats(50, 100),
-    )
-    def test_window_subset_invariant(self, times, lo, hi):
+    @given(st.lists(STAMPS, max_size=50))
+    def test_iteration_always_sorted(self, times):
+        """Any append order reads back sorted by ``(timestamp, arrival)``."""
+        messages = [pin(t, str(arrival)) for arrival, t in enumerate(times)]
         log = ControllerLog()
-        for t in times:
-            log.append(pin(t))
+        for message in messages:
+            log.append(message)
+        reference = sorted(
+            enumerate(messages), key=lambda pair: (pair[1].timestamp, pair[0])
+        )
+        assert [id(m) for m in log] == [id(m) for _, m in reference]
+        assert len(log) == len(times)
+        assert log.time_span == ((min(times), max(times)) if times else (0.0, 0.0))
+
+    @given(st.lists(STAMPS, max_size=50), STAMPS, STAMPS)
+    def test_window_subset_invariant(self, times, lo, hi):
+        """``window(lo, hi)`` is exactly ``lo <= ts < hi``, order kept,
+        also when ``lo``/``hi`` fall on a run of equal timestamps."""
+        log = ControllerLog()
+        for arrival, t in enumerate(times):
+            log.append(pin(t, str(arrival)))
         sub = log.window(lo, hi)
-        assert len(sub) == sum(1 for t in times if lo <= t < hi)
+        assert [id(m) for m in sub] == [
+            id(m) for m in log if lo <= m.timestamp < hi
+        ]
+        assert sub.time_span == ControllerLog(list(sub)).time_span
+
+    def test_digest_dropped_by_append_not_inherited(self):
+        log = ControllerLog([pin(1.0), pin(2.0)])
+        assert log.cached_content_digest() is None
+        log.set_content_digest("abc")
+        assert log.cached_content_digest() == "abc"
+        assert log.window(0.0, 10.0).cached_content_digest() is None
+        assert log.filter(lambda m: True).cached_content_digest() is None
+        assert log.cached_content_digest() == "abc"  # reading invalidates nothing
+        log.append(pin(0.5))  # out of order: still a different log
+        assert log.cached_content_digest() is None

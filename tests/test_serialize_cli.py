@@ -1,7 +1,9 @@
 """Tests for log serialization and the command-line interface."""
 
 import io
+import json
 import os
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from repro.openflow.match import FlowKey, Match
 from repro.openflow.messages import (
     EchoRequest,
     FlowMod,
+    FlowModCommand,
     FlowRemoved,
     FlowRemovedReason,
     FlowStatsReply,
@@ -19,6 +22,7 @@ from repro.openflow.messages import (
     PacketOut,
     PortStatus,
 )
+from repro.scenarios import three_tier_lab
 from repro.openflow.serialize import (
     dump_log,
     load_log,
@@ -64,6 +68,187 @@ def sample_log():
     )
     log.append(EchoRequest(timestamp=10.0, dpid="sw1", replied=False))
     return log
+
+
+HOSTS = st.sampled_from(["a", "b", "10.0.0.7", "srv12"])
+PORTS = st.integers(0, 65535)
+PROTOS = st.sampled_from(["tcp", "udp"])
+COUNTS = st.integers(0, 10**9)
+SECONDS = st.floats(0, 1e6)
+FLOWS = st.none() | st.builds(FlowKey, HOSTS, HOSTS, PORTS, PORTS, PROTOS)
+MATCHES = st.none() | st.builds(
+    Match,
+    st.none() | HOSTS,
+    st.none() | HOSTS,
+    st.none() | PORTS,
+    st.none() | PORTS,
+    st.none() | PROTOS,
+)
+HEADER = dict(
+    # Few distinct stamps, so logs hold ties and out-of-order appends.
+    timestamp=st.sampled_from([0.0, 1.0, 2.5]) | SECONDS,
+    dpid=st.sampled_from(["sw1", "sw2"]),
+    corr_id=st.none() | COUNTS,
+)
+#: Every message type, every field drawn (``flow``/``match`` may be null,
+#: matches may wildcard any field, ``corr`` may be absent).
+MESSAGES = st.one_of(
+    st.builds(PacketIn, **HEADER, flow=FLOWS, in_port=PORTS, buffer_id=COUNTS),
+    st.builds(PacketOut, **HEADER, flow=FLOWS, out_port=PORTS, buffer_id=COUNTS),
+    st.builds(
+        FlowMod,
+        **HEADER,
+        match=MATCHES,
+        out_port=PORTS,
+        idle_timeout=SECONDS,
+        hard_timeout=SECONDS,
+        priority=PORTS,
+        command=st.sampled_from(FlowModCommand),
+        in_reply_to=st.none() | COUNTS,
+    ),
+    st.builds(
+        FlowRemoved,
+        **HEADER,
+        match=MATCHES,
+        duration=SECONDS,
+        byte_count=COUNTS,
+        packet_count=COUNTS,
+        reason=st.sampled_from(FlowRemovedReason),
+    ),
+    st.builds(PortStatus, **HEADER, port=PORTS, live=st.booleans()),
+    st.builds(
+        FlowStatsReply,
+        **HEADER,
+        match=MATCHES,
+        byte_count=COUNTS,
+        packet_count=COUNTS,
+        duration=SECONDS,
+    ),
+    st.builds(EchoRequest, **HEADER, replied=st.booleans()),
+)
+
+ECHO = '{"type": "echo", "ts": 1.0, "dpid": "sw1"}'
+HEAD = '{"type": "%s", "ts": 1.0, "dpid": "sw1"'
+
+
+class TestDecodeContract:
+    @given(st.lists(MESSAGES, max_size=20))
+    @settings(max_examples=60)
+    def test_dump_then_load_is_the_same_log(self, messages):
+        log = ControllerLog(messages)
+        buf = io.StringIO()
+        assert dump_log(log, buf) == len(messages)
+        restored = load_log(io.StringIO(buf.getvalue()))
+        assert list(restored) == list(log)
+        assert [type(m) for m in restored] == [type(m) for m in log]
+
+    @given(MESSAGES)
+    @settings(max_examples=60)
+    def test_old_capture_lines_get_the_class_defaults(self, message):
+        """A line with every optional key left out decodes to the message
+        class's own defaults (idle 5.0, proto "tcp", command "add", ...)."""
+        subject = {
+            name: getattr(message, name)
+            for name in ("flow", "match")
+            if hasattr(message, name)
+        }
+        bare = type(message)(timestamp=message.timestamp, dpid=message.dpid, **subject)
+        data = message_to_json(bare)
+        line = {k: data[k] for k in ("type", "ts", "dpid", "flow", "match") if k in data}
+        if line.get("flow") is not None and line["flow"]["proto"] == "tcp":
+            del line["flow"]["proto"]
+        if line.get("match") is not None:
+            line["match"] = {k: v for k, v in line["match"].items() if v is not None}
+        assert list(load_log(io.StringIO(json.dumps(line)))) == [bare]
+        assert message_from_json(line) == bare
+
+    @pytest.mark.parametrize(
+        "bad, why",
+        [
+            pytest.param("{nope", "invalid JSON", id="bad-json"),
+            pytest.param("nope", "invalid JSON", id="no-value"),
+            pytest.param(ECHO + " trailing", "extra data", id="trailing-text"),
+            pytest.param(ECHO + ECHO, "extra data", id="two-records"),
+            pytest.param("42", "expected a JSON object, got int", id="int"),
+            pytest.param("null", "expected a JSON object, got NoneType", id="null"),
+            pytest.param('"x"', "expected a JSON object, got str", id="string"),
+            pytest.param("[]", "expected a JSON object, got list", id="list"),
+            pytest.param("[" * 100_000, "nested too deeply", id="deep-nesting"),
+            pytest.param('{"type": "echo", "dpid": "sw1"}', "without 'ts'", id="no-ts"),
+            pytest.param('{"type": "echo", "ts": 1.0}', "without 'dpid'", id="no-dpid"),
+            pytest.param(HEAD % "packet_in" + "}", "without 'flow'", id="no-flow"),
+            pytest.param(HEAD % "flow_mod" + "}", "without 'match'", id="no-match"),
+            pytest.param(
+                HEAD % "packet_out" + ', "flow": {"src": "a"}}',
+                "without 'dst'",
+                id="flow-without-dst",
+            ),
+            pytest.param(
+                HEAD % "packet_in" + ', "flow": 42}', "flow is neither", id="flow-not-object"
+            ),
+            pytest.param(
+                HEAD % "flow_stats" + ', "match": [1]}', "match is neither", id="match-not-object"
+            ),
+            pytest.param(
+                HEAD % "packet_in"
+                + ', "flow": {"src": [], "dst": "b", "sport": 1, "dport": 2}}',
+                "bad field",
+                id="unhashable-flow-field",
+            ),
+            pytest.param(
+                HEAD % "mystery" + "}",
+                "unknown control message type 'mystery'",
+                id="unknown-type",
+            ),
+            pytest.param(
+                '{"ts": 1.0, "dpid": "sw1"}', "unknown control message type None", id="no-type"
+            ),
+            pytest.param(
+                HEAD % "flow_mod" + ', "match": null, "command": "explode"}',
+                "FlowModCommand",
+                id="bad-command",
+            ),
+            pytest.param(
+                HEAD % "flow_mod" + ', "match": null, "command": []}',
+                "bad field",
+                id="unhashable-command",
+            ),
+            pytest.param(
+                HEAD % "flow_removed" + ', "match": null, "reason": "bored"}',
+                "FlowRemovedReason",
+                id="bad-reason",
+            ),
+        ],
+    )
+    def test_bad_line_is_a_value_error(self, bad, why):
+        text = "\n  \n" + ECHO + "\n\n" + bad + "\n" + ECHO + "\n"
+        with pytest.raises(ValueError, match="^line 5: .*" + re.escape(why)):
+            load_log(io.StringIO(text))
+
+    @pytest.mark.parametrize("value", [42, None, "x", []], ids=["int", "null", "string", "list"])
+    def test_message_from_json_rejects_a_non_object(self, value):
+        with pytest.raises(ValueError, match="expected a JSON object"):
+            message_from_json(value)
+
+    def test_whitespace_around_a_record_is_ignored(self):
+        text = "  " + ECHO + "  \r\n\t" + ECHO + "\r\n \r\n" + ECHO
+        assert len(load_log(io.StringIO(text))) == 3
+
+    def test_equal_five_tuples_are_one_object_per_read(self, tmp_path):
+        """The sharing guard, by count: as many distinct ``flow``/``match``
+        objects as distinct values — and none carried between reads."""
+        path = str(tmp_path / "capture.jsonl")
+        save_log(three_tier_lab(seed=3).run(0.5, 6.0, drain=5.0), path)
+        log = read_log(path)
+        for name, kinds in (("flow", (PacketIn, PacketOut)), ("match", (FlowMod, FlowRemoved))):
+            keys = [getattr(m, name) for m in log if type(m) in kinds]
+            assert len(set(keys)) < len(keys) / 2  # the capture does repeat them
+            assert len({id(key) for key in keys}) == len(set(keys))
+        again = read_log(path)
+        assert list(again) == list(log)
+        assert not {id(m.flow) for m in log.packet_ins()} & {
+            id(m.flow) for m in again.packet_ins()
+        }
 
 
 class TestSerialization:

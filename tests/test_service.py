@@ -366,25 +366,75 @@ class TestDaemonSources:
         assert tenant.summary()["worst_severity"] == "critical"
 
     def test_undecodable_lines_are_counted_not_fatal(self, healthy_log, tmp_path):
+        """Bad lines in the *middle* of a capture are counted and skipped:
+        every message after them still arrives (valid JSON that is not an
+        object used to kill the tail thread)."""
         path = str(tmp_path / "capture.jsonl")
         save_log(healthy_log, path)
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write("this is not json\n")
-            fh.write('{"type": "unknown_kind"}\n')
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        bad = [
+            "this is not json\n",
+            '{"type": "unknown_kind"}\n',
+            "42\n",
+            "null\n",
+            '"x"\n',
+            "[]\n",
+            '{"type": "packet_in", "ts": 1.0, "dpid": "sw1", "flow": 7}\n',
+            '{"type": "flow_mod", "ts": 1.0, "dpid": "sw1", "match": [7]}\n',
+            lines[0].rstrip("\n") + " trailing\n",
+        ]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines[:10] + bad + ["\n"] + lines[10:])
         service = StreamService(window=WINDOW, baseline_span=BASELINE)
         service.add_tenant("t1")
         with service:
             source = FileTailSource(service, "t1", path)
             source.start()
             source.join(timeout=60.0)
+            assert not source._thread.is_alive()
             service.drain()
         assert (
             service.metrics.value(
                 "service_dropped_total", tenant="t1", reason="decode"
             )
-            == 2
+            == len(bad)
+        )
+        assert (
+            service.metrics.value("service_ingest_messages_total", tenant="t1")
+            == len(lines)
         )
         assert service.tenants["t1"].windows_total >= 1
+
+    def test_tail_shares_five_tuples_per_batch_and_keeps_none(self, healthy_log, tmp_path):
+        """The follow-mode leak guard, by count: the decoder's table never
+        outgrows one batch and is empty after the last hand-off."""
+        path = str(tmp_path / "capture.jsonl")
+        save_log(healthy_log, path)
+        batch_size = 64
+
+        class Recorder:  # the two things a tail asks of its service
+            def __init__(self):
+                self.metrics = MetricsRegistry()
+                self.batches = []
+                self.shared = []
+
+            def feed(self, tenant, batch):
+                self.batches.append(batch)
+                self.shared.append(len(source._decoder))
+
+        recorder = Recorder()
+        source = FileTailSource(recorder, "t1", path, batch_size=batch_size)
+        source.run()
+        assert sum(len(batch) for batch in recorder.batches) == len(healthy_log)
+        assert len(source._decoder) == 0
+        assert 0 < max(recorder.shared) <= batch_size
+        for batch in recorder.batches:
+            keys = [m.flow for m in batch if hasattr(m, "flow")]
+            keys += [m.match for m in batch if hasattr(m, "match")]
+            assert len({id(key) for key in keys}) == len(set(keys))
+        distinct = {m.flow for batch in recorder.batches for m in batch if hasattr(m, "flow")}
+        assert len(distinct) > batch_size  # a table that never forgot would show
 
     def test_follow_carries_a_half_written_line(self, healthy_log, tmp_path):
         """A record the producer is still writing reaches the tenant
