@@ -1,4 +1,4 @@
-"""Command-line interface: capture, model, diff, and profile controller logs.
+"""Command-line interface: capture, model, diff, and monitor controller logs.
 
 Usage (also via ``python -m repro``):
 
@@ -25,9 +25,6 @@ Usage (also via ``python -m repro``):
   diagnosis daemon: tail one capture per tenant, maintain each open
   window incrementally, diff every closed window against the learned
   baseline, and serve reports/alerts/traces/health over HTTP.
-* ``repro profile --flame flame.svg`` — run the pipeline under the
-  span-scoped function profiler: per-phase timings, the hot-function
-  table, a collapsed-stack file and a deterministic SVG flamegraph.
 * ``repro lint`` — flowlint, the domain-invariant static analysis pass
   (sim-clock discipline, determinism, schema drift, signature contract,
   metric hygiene); ``--update-schemas`` regenerates the
@@ -386,6 +383,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 f"--tenants entries must be name=capture.jsonl, got {part!r}"
             )
         tenants.append((name, path))
+    for name, path in tenants:
+        # A tail thread that cannot open its file dies with a traceback
+        # the exit code never sees; refuse before anything is started.
+        try:
+            with open(path, "rb"):
+                pass
+        except OSError as exc:
+            print(
+                f"repro serve: tenant {name!r}: cannot open {path}: {exc.strerror}",
+                file=sys.stderr,
+            )
+            return 2
     host, sep, port_text = args.listen.rpartition(":")
     try:
         port = int(port_text)
@@ -452,88 +461,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _profile_log(args: argparse.Namespace):
-    """The capture the profiled pipeline runs over: ``(log, scenario)``."""
-    if args.scenario == "scalability":
-        from repro.scenarios import scalability_sim
-
-        network, workload = scalability_sim(args.apps, seed=args.seed)
-        workload.start(0.0, args.duration)
-        network.sim.run(until=args.duration + 3.0)
-        return (
-            network.log,
-            f"scalability_sim({args.apps} apps, {args.duration:g}s)",
-        )
-    from repro.scenarios import three_tier_lab
-
-    log = three_tier_lab(seed=args.seed).run(0.5, args.duration)
-    return log, f"three_tier_lab({args.duration:g}s)"
-
-
-def _profile_pass(config: FlowDiffConfig, log, tracer: Tracer) -> None:
-    """One full model+diff pass — the same shape the benchmarks time."""
-    fd = FlowDiff(config, tracer=tracer)
-    baseline = fd.model(log)
-    current = fd.model(log, assess=False)
-    fd.diff(baseline, current)
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.obs.profiler import (
-        attach_profiler,
-        deterministic_timer,
-        render_function_table,
-    )
-
-    config = _config(args)
-    log, scenario = _profile_log(args)
-
-    # Timing pass: instrumented with spans only, no profiler, so the
-    # printed phase numbers are comparable with unprofiled production
-    # runs.
-    tracer = Tracer()
-    _profile_pass(config, log, tracer)
-
-    # Profiled pass: the span profiler rides the tracer hooks; its
-    # cProfile overhead stays out of the phase numbers above.
-    timer = deterministic_timer() if args.deterministic else None
-    prof_tracer = Tracer()
-    profiler = attach_profiler(prof_tracer, timer=timer)
-    _profile_pass(config, log, prof_tracer)
-
-    if args.deterministic:
-        scale, unit = 1.0, "events"
-    else:
-        scale, unit = 1e6, "µs"
-    print(render_phase_table(prof_tracer if args.deterministic else tracer))
-    print()
-    print(
-        render_function_table(
-            profiler,
-            phase=args.phase,
-            top=args.top,
-            unit="events" if args.deterministic else "ms",
-        )
-    )
-    if args.folded:
-        lines = profiler.write_folded(args.folded, scale=scale)
-        print(f"wrote {lines} folded stack(s) to {args.folded}")
-    if args.flame:
-        from repro.obs.flamegraph import save_flamegraph
-
-        scaled = {
-            stack: value * scale for stack, value in profiler.folded().items()
-        }
-        save_flamegraph(
-            args.flame,
-            scaled,
-            title=f"repro pipeline — {scenario} seed={args.seed}",
-            unit=unit,
-        )
-        print(f"wrote flamegraph to {args.flame}")
-    return 0
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     import repro
     import repro.qa as qa
@@ -561,20 +488,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def _config(args: argparse.Namespace) -> FlowDiffConfig:
     special = tuple(args.special_nodes.split(",")) if args.special_nodes else ()
-    return FlowDiffConfig(
-        signature=SignatureConfig(special_nodes=special),
-        cache_dir=getattr(args, "cache_dir", None),
-    )
-
-
-def _add_model_flags(sub_parser: argparse.ArgumentParser) -> None:
-    """The shared modeling-performance surface of model/diff/monitor."""
-    sub_parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="cache built models in DIR keyed by capture content and "
-        "config, so re-modeling an unchanged capture is skipped",
-    )
+    return FlowDiffConfig(signature=SignatureConfig(special_nodes=special))
 
 
 def _add_obs_flags(sub_parser: argparse.ArgumentParser) -> None:
@@ -664,7 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="native",
         help="capture format: native JSONL or a Ryu event dump",
     )
-    _add_model_flags(mdl)
     _add_obs_flags(mdl)
     mdl.set_defaults(fn=_cmd_model)
 
@@ -694,7 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="native",
         help="capture format: native JSONL or a Ryu event dump",
     )
-    _add_model_flags(diff)
     _add_obs_flags(diff)
     diff.set_defaults(fn=_cmd_diff)
 
@@ -769,7 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="native",
         help="capture format: native JSONL or a Ryu event dump",
     )
-    _add_model_flags(mon)
     _add_obs_flags(mon)
     mon.set_defaults(fn=_cmd_monitor)
 
@@ -908,50 +819,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--special-nodes", default="", help="comma-separated service hosts"
     )
     srv.set_defaults(fn=_cmd_serve)
-
-    prof = sub.add_parser(
-        "profile",
-        help="profile the pipeline function by function; emit flamegraphs",
-    )
-    prof.add_argument(
-        "--scenario",
-        choices=("lab", "scalability"),
-        default="lab",
-        help="capture source: the three-tier lab or the Section V-C "
-        "scalability fabric",
-    )
-    prof.add_argument("--seed", type=int, default=3)
-    prof.add_argument("--duration", type=float, default=30.0)
-    prof.add_argument(
-        "--apps",
-        type=int,
-        default=3,
-        help="random three-tier apps for --scenario scalability",
-    )
-    prof.add_argument(
-        "--phase",
-        help="restrict the hot-function table to one span path "
-        "(e.g. model/stability)",
-    )
-    prof.add_argument(
-        "--top", type=int, default=15, help="rows in the hot-function table"
-    )
-    prof.add_argument(
-        "--flame", metavar="FILE.svg", help="write the SVG flamegraph here"
-    )
-    prof.add_argument(
-        "--folded",
-        metavar="FILE",
-        help="write the collapsed-stack profile here",
-    )
-    prof.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="profile in event counts instead of wall time: same seed and "
-        "input then yield byte-identical folded output and SVG",
-    )
-    prof.add_argument("--special-nodes", default="", help="comma-separated service hosts")
-    prof.set_defaults(fn=_cmd_profile)
 
     lint = sub.add_parser(
         "lint",

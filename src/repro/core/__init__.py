@@ -25,11 +25,8 @@ from repro.core.model import BehaviorModel
 from repro.core.flowdiff import FlowDiff, FlowDiffConfig
 from repro.core.monitor import SlidingDiagnoser, WindowReport
 from repro.core.persist import (
-    ModelCache,
     ModelLoadError,
     load_model,
-    log_fingerprint,
-    model_cache_key,
     model_from_dict,
     model_to_dict,
     save_model,
@@ -54,10 +51,7 @@ __all__ = [
     "FlowDiffConfig",
     "SlidingDiagnoser",
     "WindowReport",
-    "ModelCache",
     "ModelLoadError",
-    "log_fingerprint",
-    "model_cache_key",
     "load_model",
     "model_from_dict",
     "model_to_dict",

@@ -53,9 +53,6 @@ class FlowDiffConfig:
         explanations: task-type -> explainable-change-kind rules used
             during validation.
         jobs: accepted and ignored — nothing reads it.
-        cache_dir: when set, models are cached on disk keyed by log
-            content, model-relevant config, and format version, so
-            re-modeling an unchanged baseline is skipped.
     """
 
     signature: SignatureConfig = field(default_factory=SignatureConfig)
@@ -66,7 +63,6 @@ class FlowDiffConfig:
     # Unread: bench/batch_tree.py still constructs FlowDiffConfig(jobs=2)
     # and bench/ is frozen outside benchmark PRs; drop both together.
     jobs: int = 1
-    cache_dir: Optional[str] = None
 
     @classmethod
     def with_special_nodes(cls, special_nodes: Sequence[str]) -> "FlowDiffConfig":
@@ -81,9 +77,7 @@ class FlowDiff:
         config: modeling/diffing tunables.
         tracer: when given, every pipeline phase (extract, app-signature,
             infra-signature, stability, compare, validate, rank, ...) is
-            recorded as a nested span — this is what ``--profile`` prints
-            and where a span-scoped :class:`~repro.obs.profiler.SpanProfiler`
-            hook attributes function-level time.
+            recorded as a nested span — this is what ``--profile`` prints.
         metrics: when given, per-call counters and latency histograms are
             recorded. Both default to shared no-op objects so the
             uninstrumented pipeline pays only one method call per *phase*.
@@ -116,9 +110,6 @@ class FlowDiff:
     ) -> BehaviorModel:
         """Build the behavior model of one log window.
 
-        With ``config.cache_dir`` set, the model is served from / stored
-        into the content-addressed cache.
-
         Args:
             log: the controller capture.
             window: explicit bounds; defaults to the log's span.
@@ -131,12 +122,6 @@ class FlowDiff:
         """
         if window is None:
             window = log.time_span
-        cache = self._model_cache(log, window, assess) if records is None else None
-        if cache is not None:
-            cached = cache.load()
-            if cached is not None:
-                self._m_models.inc()
-                return cached
         with self.tracer.span(
             "model", messages=len(log), window=list(window)
         ):
@@ -181,24 +166,7 @@ class FlowDiff:
                 stability=stability,
             )
         self._m_models.inc()
-        if cache is not None:
-            cache.store(model)
         return model
-
-    def _model_cache(
-        self,
-        log: ControllerLog,
-        window: Tuple[float, float],
-        assess: bool,
-    ):
-        """The cache entry handle for this request, or None when disabled."""
-        if self.config.cache_dir is None:
-            return None
-        from repro.core.persist import ModelCache
-
-        return ModelCache(
-            self.config.cache_dir, metrics=self.metrics, tracer=self.tracer
-        ).entry(log, self.config, window=window, assess=assess)
 
     # ------------------------------------------------------------------
     # Diagnosing phase

@@ -18,7 +18,7 @@ import hashlib
 import json
 import os
 import warnings
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.core.model import BehaviorModel
 from repro.core.signatures.application import ApplicationSignature
@@ -27,9 +27,6 @@ from repro.core.signatures.infrastructure import InfrastructureSignature
 
 if TYPE_CHECKING:
     from repro.core.flowdiff import FlowDiffConfig
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.tracing import Tracer
-    from repro.openflow.log import ControllerLog
 
 FORMAT_VERSION = 1
 
@@ -170,34 +167,8 @@ def load_model(path: str) -> BehaviorModel:
 
 
 # ----------------------------------------------------------------------
-# Content-addressed model cache
+# Fingerprints and digest-named model objects
 # ----------------------------------------------------------------------
-
-
-def log_fingerprint(log: "ControllerLog") -> str:
-    """SHA-256 fingerprint of a log's content.
-
-    Logs loaded via :func:`~repro.openflow.serialize.read_log` carry the
-    capture file's byte hash; for in-memory logs the canonical JSON
-    encoding of every message is hashed (and cached on the log until it
-    grows). The two schemes differ for equal logs — fingerprints are
-    only compared with fingerprints produced the same way, which holds
-    within any one workflow.
-    """
-    cached = log.cached_content_digest()
-    if cached is not None:
-        return cached
-    from repro.openflow.serialize import message_to_json
-
-    digest = hashlib.sha256()
-    for msg in log:
-        digest.update(
-            json.dumps(message_to_json(msg), sort_keys=True).encode("utf-8")
-        )
-        digest.update(b"\n")
-    out = digest.hexdigest()
-    log.set_content_digest(out)
-    return out
 
 
 def config_fingerprint(config: "FlowDiffConfig") -> str:
@@ -205,9 +176,9 @@ def config_fingerprint(config: "FlowDiffConfig") -> str:
 
     Only knobs that change the produced model participate: the signature
     construction parameters, the stability thresholds, and the interval
-    count. Execution knobs (``jobs``, ``cache_dir``) and diff-phase knobs
-    (compare thresholds, task explanations) are deliberately excluded —
-    changing them must not invalidate cached models.
+    count. ``jobs`` and the diff-phase knobs (compare thresholds, task
+    explanations) are deliberately excluded — changing them must not
+    invalidate a stored baseline.
     """
     sig = config.signature
     st = config.stability
@@ -233,32 +204,6 @@ def config_fingerprint(config: "FlowDiffConfig") -> str:
     ).hexdigest()
 
 
-def model_cache_key(
-    log: "ControllerLog",
-    config: "FlowDiffConfig",
-    window: Tuple[float, float],
-    assess: bool,
-) -> str:
-    """The content-addressed cache key for one modeling request.
-
-    Combines the log content fingerprint, the model-relevant config
-    fingerprint, the requested window and assessment flag, and
-    :data:`FORMAT_VERSION` (a format bump invalidates every cached
-    model). Any change to any component yields a different key — stale
-    entries are never *read*, only left behind.
-    """
-    payload = "\n".join(
-        (
-            f"format:{FORMAT_VERSION}",
-            f"log:{log_fingerprint(log)}",
-            f"config:{config_fingerprint(config)}",
-            f"window:{window[0]!r},{window[1]!r}",
-            f"assess:{assess}",
-        )
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 def model_digest(model: BehaviorModel) -> str:
     """SHA-256 content digest of a model's canonical JSON encoding.
 
@@ -271,103 +216,45 @@ def model_digest(model: BehaviorModel) -> str:
     ).hexdigest()
 
 
-class _CacheEntry:
-    """One (log, config, window, assess) slot of a :class:`ModelCache`."""
-
-    def __init__(self, cache: "ModelCache", key: str) -> None:
-        self._cache = cache
-        self.key = key
-        self.path = os.path.join(cache.root, f"{key}.model.json")
-
-    def load(self) -> Optional[BehaviorModel]:
-        """The cached model, or None on a miss (including corrupt files)."""
-        cache = self._cache
-        with cache.tracer.span("model-cache-load"):
-            if not os.path.exists(self.path):
-                cache._m_miss.inc()
-                return None
-            try:
-                model = load_model(self.path)
-            except (ModelLoadError, OSError) as exc:
-                warnings.warn(
-                    f"ignoring unreadable cached model {self.path}: {exc}",
-                    stacklevel=2,
-                )
-                cache._m_miss.inc()
-                return None
-        cache._m_hit.inc()
-        return model
-
-    def store(self, model: BehaviorModel) -> None:
-        """Persist a model under this key (atomic write-then-rename)."""
-        cache = self._cache
-        with cache.tracer.span("model-cache-store"):
-            os.makedirs(cache.root, exist_ok=True)
-            tmp = f"{self.path}.tmp.{os.getpid()}"
-            try:
-                save_model(model, tmp)
-                os.replace(tmp, self.path)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-        cache._m_store.inc()
+def model_object_path(root: str, digest: str) -> str:
+    """Where the model with content digest ``digest`` lives under ``root``."""
+    return os.path.join(root, f"{digest}.model.json")
 
 
-class ModelCache:
-    """Content-addressed on-disk cache of behavior models.
+def store_model_object(root: str, model: BehaviorModel) -> str:
+    """Store a model under its own content digest; return the digest.
 
-    Keyed by :func:`model_cache_key`, so ``repro diff`` against an
-    unchanged baseline skips remodeling entirely while any change to the
-    log bytes, the model-relevant config, the window, or the persistence
-    format transparently misses. Cached models round-trip through
-    :func:`model_to_dict` identically to freshly built ones (delay
-    distributions carry persisted summaries rather than raw samples, as
-    with any reloaded model).
+    The streaming service checkpoints reference baseline models this
+    way: the envelope carries only the digest, the bytes live beside it,
+    and re-storing an identical model overwrites the same object. The
+    write is write-then-rename, so a crash mid-write leaves no
+    half-written object under the digest's name.
     """
+    digest = model_digest(model)
+    path = model_object_path(root, digest)
+    os.makedirs(root, exist_ok=True)
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        save_model(model, tmp)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return digest
 
-    def __init__(
-        self,
-        root: str,
-        metrics: Optional["MetricsRegistry"] = None,
-        tracer: Optional["Tracer"] = None,
-    ) -> None:
-        from repro.obs.metrics import NOOP_REGISTRY
-        from repro.obs.tracing import NOOP_TRACER
 
-        self.root = root
-        self.metrics = metrics if metrics is not None else NOOP_REGISTRY
-        self.tracer = tracer if tracer is not None else NOOP_TRACER
-        self._m_hit = self.metrics.counter("flowdiff_cache_total", status="hit")
-        self._m_miss = self.metrics.counter("flowdiff_cache_total", status="miss")
-        self._m_store = self.metrics.counter("flowdiff_cache_total", status="store")
-
-    def entry(
-        self,
-        log: "ControllerLog",
-        config: "FlowDiffConfig",
-        window: Tuple[float, float],
-        assess: bool = True,
-    ) -> _CacheEntry:
-        """The cache slot for one modeling request."""
-        return _CacheEntry(self, model_cache_key(log, config, window, assess))
-
-    # -- content-addressed objects (checkpoint references) --------------
-
-    def store_object(self, model: BehaviorModel) -> str:
-        """Store a model under its own content digest; return the digest.
-
-        The streaming service checkpoints reference baseline models this
-        way: the envelope carries only the digest, the bytes live here,
-        and re-storing an identical model is a no-op overwrite of the
-        same object.
-        """
-        digest = model_digest(model)
-        _CacheEntry(self, digest).store(model)
-        return digest
-
-    def load_object(self, digest: str) -> Optional[BehaviorModel]:
-        """The model stored under ``digest``, or None when absent/corrupt."""
-        return _CacheEntry(self, digest).load()
+def load_model_object(root: str, digest: str) -> Optional[BehaviorModel]:
+    """The model stored under ``digest``, or None when absent/unreadable."""
+    path = model_object_path(root, digest)
+    if not os.path.exists(path):
+        return None
+    try:
+        return load_model(path)
+    except (ModelLoadError, OSError) as exc:
+        warnings.warn(
+            f"ignoring unreadable stored model {path}: {exc}", stacklevel=2
+        )
+        return None
 
 
 # ----------------------------------------------------------------------
@@ -380,10 +267,9 @@ def save_checkpoint(path: str, state: Dict[str, Any]) -> None:
 
     ``state`` is the caller's resume payload — for the streaming service,
     the tenant cursor, window geometry, counters, and the baseline model
-    digest (the model bytes themselves live in the
-    :class:`ModelCache` via :meth:`ModelCache.store_object`). The write
-    is write-then-rename like the cache's, so a crash mid-write leaves
-    the previous checkpoint intact.
+    digest (the model bytes themselves live beside it, written by
+    :func:`store_model_object`). The write is write-then-rename like the
+    object's, so a crash mid-write leaves the previous checkpoint intact.
     """
     payload = dict(state)
     payload["version"] = CHECKPOINT_FORMAT_VERSION

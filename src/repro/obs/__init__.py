@@ -15,7 +15,7 @@ costs nothing measurable:
 * :mod:`repro.obs.stats` — one-pass controller-log summaries (message
   mix, rates, top talkers) behind ``repro stats``.
 * :mod:`repro.obs.profile` — span trees rendered as the ``--profile``
-  phase table and as ``{span path: seconds}`` timing dicts.
+  phase table.
 * :mod:`repro.obs.flightrec` — the per-flow causal flight recorder:
   reconstructs PacketIn -> FlowMod -> ... -> FlowRemoved timelines from a
   capture via correlation ids (heuristic 5-tuple grouping as fallback).
@@ -31,11 +31,6 @@ costs nothing measurable:
   pressure).
 * :mod:`repro.obs.httpd` — the read-only ops HTTP endpoint
   (``/healthz``, ``/metrics``, ``/telemetry``, ``/alerts``).
-* :mod:`repro.obs.profiler` — the span-scoped function profiler: a
-  tracer hook keeping one ``cProfile`` per open span, folding results
-  into collapsed-stack format; off unless explicitly attached.
-* :mod:`repro.obs.flamegraph` — deterministic, self-contained SVG
-  flamegraphs of folded stacks (same input → byte-identical output).
 
 Typical instrumented run::
 
@@ -72,7 +67,6 @@ from repro.obs.export import (
     render_prometheus,
     write_jsonl,
 )
-from repro.obs.flamegraph import flamegraph_svg, parse_folded, save_flamegraph
 from repro.obs.flightrec import (
     FlightRecorder,
     FlowTimeline,
@@ -90,14 +84,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NoopRegistry,
 )
-from repro.obs.profile import phase_rows, phase_timings, render_phase_table
-from repro.obs.profiler import (
-    SpanProfiler,
-    attach_profiler,
-    deterministic_timer,
-    reconcile_phases,
-    render_function_table,
-)
+from repro.obs.profile import phase_rows, render_phase_table
 from repro.obs.telemetry import (
     NOOP_TELEMETRY,
     ComponentSeries,
@@ -142,38 +129,29 @@ __all__ = [
     "ProblemClassRule",
     "Severity",
     "Span",
-    "SpanProfiler",
     "TelemetryPlane",
     "ThresholdRule",
     "TimelineEvent",
     "Tracer",
     "UnhealthyWindowsRule",
     "WindowStat",
-    "attach_profiler",
     "default_rules",
-    "deterministic_timer",
-    "flamegraph_svg",
     "heatmap_to_html",
     "iter_metric_events",
     "iter_span_events",
     "iter_telemetry_events",
     "metric_matches",
     "metrics_from_events",
-    "parse_folded",
     "phase_rows",
-    "phase_timings",
     "plane_from_events",
     "read_alerts_jsonl",
     "read_jsonl",
-    "reconcile_phases",
     "reconstruct",
-    "render_function_table",
     "render_phase_table",
     "render_prometheus",
     "render_summary",
     "render_tables",
     "record_log_metrics",
-    "save_flamegraph",
     "save_heatmap",
     "summarize_log",
     "telemetry_registry",

@@ -34,18 +34,12 @@ TELEMETRY_METRIC_RE = re.compile(
     r"^telemetry_(link|switch|controller|app|host)_[a-z][a-z0-9_]*$"
 )
 
-#: The span-scoped profiler family: ``profile_*``
-#: (:mod:`repro.obs.profiler`). Like the telemetry family, membership is
-#: grammatical — the profiler mints per-surface names (spans profiled,
-#: folded bytes) without a manifest edit per instrument.
-PROFILE_METRIC_RE = re.compile(r"^profile_[a-z][a-z0-9_]*$")
-
 #: The streaming-service family: ``service_*`` — ingest volume and rate,
 #: queue depth, drop accounting, tenant population, window/merge
 #: outcomes, report latency, checkpoint age (:mod:`repro.service`).
-#: Grammatical like the telemetry and observatory families: the daemon
-#: mints per-tenant instruments (the tenant rides in a label, never in
-#: the name) without a manifest edit per instrument.
+#: Grammatical like the telemetry family: the daemon mints per-tenant
+#: instruments (the tenant rides in a label, never in the name) without
+#: a manifest edit per instrument.
 SERVICE_METRIC_RE = re.compile(r"^service_[a-z][a-z0-9_]*$")
 
 #: Every metric the reproduction emits, by subsystem. The ``metric-names``
@@ -77,7 +71,6 @@ KNOWN_METRICS: FrozenSet[str] = frozenset(
         "flowdiff_models_total",
         "flowdiff_diffs_total",
         "flowdiff_changes_total",
-        "flowdiff_cache_total",
         # sliding monitor + alerting
         "monitor_window_seconds",
         "monitor_windows_total",
@@ -119,12 +112,10 @@ def is_valid_metric_name(name: str) -> bool:
 
 def is_known_metric(name: str) -> bool:
     """Whether ``name`` is declared: listed in the manifest, or a member
-    of a grammatical family (``telemetry_*``, ``profile_*``,
-    ``service_*``)."""
+    of a grammatical family (``telemetry_*``, ``service_*``)."""
     return (
         name in KNOWN_METRICS
         or bool(TELEMETRY_METRIC_RE.match(name))
-        or bool(PROFILE_METRIC_RE.match(name))
         or bool(SERVICE_METRIC_RE.match(name))
     )
 

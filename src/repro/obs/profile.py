@@ -1,11 +1,7 @@
 """Profiling presentation: turn a span tree into a phase-timing table.
 
 The ``--profile`` CLI flag runs the pipeline with a real
-:class:`~repro.obs.tracing.Tracer` and hands the result here; the same
-helpers feed ``repro profile`` and the span-vs-profiler reconciliation
-(:func:`repro.obs.profiler.reconcile_phases`), so what an operator reads
-on the terminal and what the profiler is checked against are the same
-numbers.
+:class:`~repro.obs.tracing.Tracer` and hands the result here.
 """
 
 from __future__ import annotations
@@ -63,21 +59,3 @@ def render_phase_table(tracer: Tracer, title: str = "phase timings") -> str:
         )
     return "\n".join(lines)
 
-
-def phase_timings(tracer: Tracer) -> Dict[str, float]:
-    """``{span path: wall seconds}`` for every span the tracer recorded.
-
-    Paths are slash-joined (``model/app-signature``) and repeated spans
-    accumulate, so the dict is stable across runs of the same pipeline.
-    """
-    out: Dict[str, float] = {}
-
-    def visit(span: Span, path: str) -> None:
-        full = f"{path}/{span.name}" if path else span.name
-        out[full] = out.get(full, 0.0) + span.duration
-        for child in span.children:
-            visit(child, full)
-
-    for root in tracer.roots:
-        visit(root, "")
-    return out

@@ -11,12 +11,6 @@ The default everywhere is :data:`NOOP_TRACER`, whose ``span`` returns a
 shared do-nothing context manager; uninstrumented code pays one method
 call per phase boundary (phases, not packets — spans are deliberately too
 coarse for per-event use; that is what histograms are for).
-
-A real :class:`Tracer` additionally dispatches to registered *span
-hooks* — objects with ``span_opened(span)``/``span_closed(span)``
-methods — at every boundary. This is how the span-scoped profiler
-(:mod:`repro.obs.profiler`) attaches without the pipeline knowing about
-it; with no hooks registered the dispatch is a single truthiness check.
 """
 
 from __future__ import annotations
@@ -130,21 +124,10 @@ class Tracer:
         self.roots: List[Span] = []
         self._stack: List[Span] = []
         self._sim_clock = sim_clock
-        self._hooks: List[Any] = []
 
     @property
     def enabled(self) -> bool:
         return True
-
-    def add_hook(self, hook: Any) -> None:
-        """Register a span hook (``span_opened``/``span_closed`` methods).
-
-        Hooks fire on every boundary of this tracer, children before
-        parents on close — including exception unwinding. Register hooks
-        before the first span opens; a hook attached mid-tree must
-        tolerate close events for spans it never saw open.
-        """
-        self._hooks.append(hook)
 
     def span(self, name: str, **meta: Any) -> _SpanContext:
         """Open a nested span; use as ``with tracer.span("compare"):``."""
@@ -155,9 +138,6 @@ class Tracer:
         else:
             self.roots.append(span)
         self._stack.append(span)
-        if self._hooks:
-            for hook in self._hooks:
-                hook.span_opened(span)
         return _SpanContext(self, span)
 
     def _close(self, span: Span) -> None:
@@ -165,18 +145,13 @@ class Tracer:
         if self._sim_clock is not None:
             span.end_sim = self._sim_clock()
         # Unwind to (and past) the closing span so an exception inside a
-        # parent block cannot leave orphaned children on the stack. Hooks
-        # see every popped span (innermost first), so a profiler observes
-        # the same close order whether the block exited cleanly or not.
+        # parent block cannot leave orphaned children on the stack.
         while self._stack:
             top = self._stack.pop()
             if top.end_wall is None and top is not span:
                 top.end_wall = span.end_wall
                 if self._sim_clock is not None:
                     top.end_sim = span.end_sim
-            if self._hooks:
-                for hook in self._hooks:
-                    hook.span_closed(top)
             if top is span:
                 break
 

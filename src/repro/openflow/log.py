@@ -46,8 +46,6 @@ class ControllerLog:
         #: ``_ts[i]`` is ``_msgs[i].timestamp``; both sorted by it, stably.
         self._ts: List[float] = []
         self._msgs: List[ControlMessage] = []
-        self._content_digest: Optional[str] = None
-        self._digest_len = -1
         for msg in messages or ():
             self.append(msg)
 
@@ -61,25 +59,6 @@ class ControllerLog:
         log._msgs = msgs
         log._ts = [msg.timestamp for msg in msgs] if stamps is None else stamps
         return log
-
-    def set_content_digest(self, digest: str) -> None:
-        """Cache this log's content fingerprint (hex digest).
-
-        Set by :func:`~repro.openflow.serialize.read_log` (hash of the
-        capture file's bytes) or by
-        :func:`~repro.core.persist.log_fingerprint` (hash of the canonical
-        message stream). The cache is invalidated automatically when the
-        log grows — :meth:`cached_content_digest` compares the length it
-        was recorded at (the log only ever grows).
-        """
-        self._content_digest = digest
-        self._digest_len = len(self._msgs)
-
-    def cached_content_digest(self) -> Optional[str]:
-        """The cached content fingerprint, or None if unset/stale."""
-        if self._content_digest is not None and self._digest_len == len(self._msgs):
-            return self._content_digest
-        return None
 
     def append(self, message: ControlMessage) -> None:
         """Record a control message (stable-ordered by timestamp)."""
@@ -118,8 +97,7 @@ class ControllerLog:
 
         This is the primitive behind the paper's L1/L2 comparison: L1 and L2
         are two windows of the same underlying capture (or two captures).
-        The sub-log is a copy (two slices) with no content digest of its
-        own.
+        The sub-log is a copy (two slices).
         """
         lo = bisect_left(self._ts, t_start)
         hi = bisect_left(self._ts, t_end)

@@ -17,9 +17,11 @@ Decode contract (:class:`CaptureDecoder`, which :func:`message_from_json`,
   value that is not an object, a ``flow``/``match`` that is neither an
   object nor ``null``, a missing ``ts``/``dpid``/``flow``/``match`` (or
   ``src``/``dst``/``sport``/``dport`` inside ``flow``), an unknown
-  ``type``, an unknown ``command``/``reason``. :func:`load_log` prefixes
-  the 1-based line number. Every other key is optional and defaults as
-  the message classes do, which is what keeps old captures readable.
+  ``type``, an unknown ``command``/``reason`` — and, where bytes are read
+  (:func:`read_log`, the file tail), bytes that are not UTF-8.
+  :func:`load_log` prefixes the 1-based line number. Every other key is
+  optional and defaults as the message classes do, which is what keeps
+  old captures readable.
 * **Shared:** messages that carry equal 5-tuples get the *same*
   :class:`FlowKey` / :class:`Match` object (both are immutable), because a
   capture is many messages over few endpoint pairs. The table that does
@@ -32,7 +34,6 @@ Decode contract (:class:`CaptureDecoder`, which :func:`message_from_json`,
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import IO, Any, Dict, Optional, Tuple, Type
 
@@ -377,12 +378,17 @@ def save_log(log: ControllerLog, path: str) -> int:
 def read_log(path: str) -> ControllerLog:
     """Load a capture file from ``path``.
 
-    The file's byte-level SHA-256 is cached on the returned log as its
-    content digest, so model caching (:mod:`repro.core.persist`) can key
-    on log content without re-hashing the message stream.
+    Raises:
+        ValueError: ``"line N: ..."`` as :func:`load_log` does; bytes that
+            are not UTF-8 are reported first, by the line they sit on.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    log = _load_text(raw.decode("utf-8"))
-    log.set_content_digest(hashlib.sha256(raw).hexdigest())
-    return log
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise ValueError(
+            f"line {line_no}: not UTF-8 ({exc.reason}, byte {exc.start})"
+        ) from exc
+    return _load_text(text)

@@ -273,7 +273,7 @@ class MetricNamesRule(Rule):
     must use a string-literal name that passes the shared Prometheus
     validator (:mod:`repro.obs.names`) *and* be declared — listed in
     :data:`~repro.obs.names.KNOWN_METRICS` or a member of a grammatical
-    family (``telemetry_*``, ``profile_*``, ``service_*``; see
+    family (``telemetry_*``, ``service_*``; see
     :func:`~repro.obs.names.is_known_metric`);
     label keyword names must be valid and in
     :data:`~repro.obs.names.KNOWN_LABELS`. Dynamic names are allowed only
@@ -329,7 +329,7 @@ class MetricNamesRule(Rule):
                         f"metric {name!r} is not declared in the manifest "
                         f"(add it to KNOWN_METRICS in repro/obs/names.py, "
                         f"or follow a declared family grammar: telemetry_*, "
-                        f"profile_*, service_*)"
+                        f"service_*)"
                     ),
                 )
             for kw in call.keywords:

@@ -53,7 +53,7 @@ class StreamService:
         metrics: the service registry — one per process, every instrument
             tenant-labeled; a fresh registry is created when omitted.
         checkpoint_dir: directory for per-tenant checkpoints and the
-            baseline model cache.
+            baseline models they name.
         max_pending: ingest queue capacity in batches; beyond it,
             blocking feeds wait and non-blocking feeds drop.
         rebaseline_after: default re-anchoring policy per tenant.
@@ -258,8 +258,9 @@ class FileTailSource:
     ``follow=True`` the source keeps polling for appended lines until
     :meth:`stop` — a live capture tail that waits for a half-written
     line to be completed; otherwise it stops at EOF.
-    Undecodable lines are counted (``service_dropped_total`` with
-    ``reason="decode"``) and skipped rather than wedging the tail.
+    Undecodable lines — bad JSON, not a control message, not UTF-8 — are
+    counted (``service_dropped_total`` with ``reason="decode"``) and
+    skipped rather than wedging the tail.
     Messages of one batch share equal 5-tuples (see
     :class:`~repro.openflow.serialize.CaptureDecoder`); the sharing table
     is dropped at every hand-off, so a followed file cannot grow it.
@@ -303,16 +304,16 @@ class FileTailSource:
         batch: List[ControlMessage] = []
         # A line the producer has only half written: when following, it
         # is carried until its newline arrives, never decoded torn.
-        pending = ""
-        with open(self.path, "r", encoding="utf-8") as fh:
+        pending = b""
+        with open(self.path, "rb") as fh:
             while not self._stop.is_set():
                 line = pending + fh.readline()
-                at_eof = not line.endswith("\n")
-                pending = line if at_eof and self.follow else ""
+                at_eof = not line.endswith(b"\n")
+                pending = line if at_eof and self.follow else b""
                 if not pending:
                     try:
-                        message = self._decoder.line(line)
-                    except ValueError:
+                        message = self._decoder.line(line.decode("utf-8"))
+                    except ValueError:  # UnicodeDecodeError is one
                         self.service.metrics.counter(
                             "service_dropped_total",
                             tenant=self.tenant,

@@ -37,11 +37,13 @@ from repro.core.flowdiff import FlowDiff, FlowDiffConfig
 from repro.core.groups import ApplicationGroup
 from repro.core.monitor import DiagnosisStream, WindowReport
 from repro.core.persist import (
-    ModelCache,
     ModelLoadError,
     config_fingerprint,
     load_checkpoint,
+    load_model_object,
+    model_object_path,
     save_checkpoint,
+    store_model_object,
 )
 from repro.core.tasks.library import TaskLibrary
 from repro.obs.alerts import AlertEngine
@@ -158,12 +160,11 @@ class TenantPipeline:
         self._last_checkpoint_ts: Optional[float] = None
 
         self.checkpoint_path: Optional[str] = None
-        self._cache: Optional[ModelCache] = None
+        self._checkpoint_dir = checkpoint_dir or None
         if checkpoint_dir:
             self.checkpoint_path = os.path.join(
                 checkpoint_dir, f"checkpoint-{name}.json"
             )
-            self._cache = ModelCache(checkpoint_dir)
             if resume:
                 self._restore()
         self._publish()
@@ -227,10 +228,17 @@ class TenantPipeline:
         self._buffer = []
         self.phase = PHASE_STREAMING
         self._cursor = self._baseline_end
-        if self._cache is not None:
-            self._baseline_digest = self._cache.store_object(baseline)
+        self._store_baseline()
         self._open_window()
         self._publish()
+
+    def _store_baseline(self) -> None:
+        """Put the stream's baseline where the next checkpoint names it."""
+        baseline = self.stream.baseline
+        if self._checkpoint_dir is not None and baseline is not None:
+            self._baseline_digest = store_model_object(
+                self._checkpoint_dir, baseline
+            )
 
     def _open_window(self) -> None:
         assert self._cursor is not None
@@ -275,9 +283,16 @@ class TenantPipeline:
             "service_window_merge_total", tenant=self.name, status=status
         ).inc()
         self.status_counts[status] = self.status_counts.get(status, 0) + 1
+        baseline = self.stream.baseline
         entry = self.stream.observe(
             t0, t1, model, window_log=window_log, records=records, started=started
         )
+        superseded: Optional[str] = None
+        if self.stream.baseline is not baseline:
+            # Re-anchored: the checkpoint must name the baseline a restart
+            # should diff against, not the one learned first.
+            superseded = self._baseline_digest
+            self._store_baseline()
         history = self.stream.history
         if len(history) > self.history_limit:
             del history[: len(history) - self.history_limit]
@@ -296,6 +311,14 @@ class TenantPipeline:
             # have to replay — the staleness of the durable state.
             self._m_checkpoint_age.set(t1 - anchor)
         self._checkpoint(t1)
+        if superseded is not None and self._checkpoint_dir is not None:
+            # Only now does no checkpoint of this tenant name the old
+            # object. (Another tenant whose baseline is byte-identical
+            # would cold-start on restart, as for any missing object.)
+            try:
+                os.unlink(model_object_path(self._checkpoint_dir, superseded))
+            except OSError:
+                pass
         self._publish_window(entry)
         self._publish_alerts()
         self._publish()
@@ -394,12 +417,12 @@ class TenantPipeline:
         """Resume from the tenant's checkpoint when one is loadable.
 
         Any failure (no file, version skew, a garbled field, a checkpoint
-        taken under another model-relevant config, evicted baseline model)
+        taken under another model-relevant config, missing or unreadable baseline model)
         falls back to a cold start — restore is an optimization, never a
         correctness dependency. No tenant attribute changes until the
         whole state has parsed.
         """
-        assert self.checkpoint_path is not None and self._cache is not None
+        assert self.checkpoint_path is not None and self._checkpoint_dir is not None
         if not os.path.exists(self.checkpoint_path):
             return
         try:
@@ -427,7 +450,7 @@ class TenantPipeline:
             checkpointed_at = float(state["checkpointed_at"])
         except (KeyError, TypeError, ValueError):
             return
-        baseline = self._cache.load_object(digest)
+        baseline = load_model_object(self._checkpoint_dir, digest)
         if baseline is None:
             return
         self.stream.set_baseline_model(baseline)

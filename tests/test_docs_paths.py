@@ -3,7 +3,10 @@
 Every backticked repo-relative path must be on disk, and every
 backticked benchmark metric (``workload/metric`` or a dotted per-layer
 row) must be a name ``BENCHMARK.json`` declares — so a doc rewrite that
-retires a file or a row cannot leave a dangling pointer behind.
+retires a file or a row cannot leave a dangling pointer behind. Every
+``python -m repro ...`` line in a fenced block (and in the CI workflow)
+must be one the CLI's own parser accepts, so retiring a subcommand or a
+flag cannot leave a command line behind that no longer runs.
 """
 
 import fnmatch
@@ -11,11 +14,15 @@ import glob
 import json
 import os
 import re
+import shlex
 
 import pytest
 
+from repro.cli import build_parser
+
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 DOCS = ("README.md", "docs/TUTORIAL.md")
+CI = ".github/workflows/ci.yml"
 PATH_ROOTS = ("src/", "tests/", "bench/", "benchmarks/", "docs/", "examples/")
 
 with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as _fh:
@@ -69,3 +76,32 @@ def test_backticked_benchmark_metrics_are_declared(doc):
         elif _cites_layer_row(span) and not _known(span, PER_LAYER):
             unknown.append(span)
     assert not unknown, f"{doc} cites metrics BENCHMARK.json lacks: {unknown}"
+
+
+def _repro_command_lines(doc):
+    """The argv of every ``python -m repro`` invocation ``doc`` shows:
+    continuation lines joined, cut at the first shell operator."""
+    with open(os.path.join(ROOT, doc), encoding="utf-8") as fh:
+        text = fh.read()
+    if doc.endswith(".md"):
+        text = "\n".join(re.findall(r"^```.*?^```", text, re.S | re.M))
+    text = re.sub(r"\\\n\s*", " ", text)
+    for match in re.finditer(r"python3? -m repro\b([^\n]*)", text):
+        argv = shlex.split(match.group(1), comments=True)
+        for i, token in enumerate(argv):
+            if token[0] in "|&;<>)":
+                argv = argv[:i]
+                break
+        yield argv
+
+
+@pytest.mark.parametrize("doc", DOCS + (CI,))
+def test_repro_command_lines_parse(doc, capsys):
+    rejected = []
+    for argv in _repro_command_lines(doc):
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            reason = capsys.readouterr().err.strip().splitlines()[-1]
+            rejected.append((" ".join(argv), reason))
+    assert not rejected, f"{doc} shows command lines the CLI rejects: {rejected}"

@@ -1,7 +1,6 @@
 """Tests for the observability subsystem (``repro.obs``)."""
 
 import io
-import math
 
 import pytest
 
@@ -20,7 +19,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NoopRegistry,
 )
-from repro.obs.profile import phase_rows, phase_timings, render_phase_table
+from repro.obs.profile import phase_rows, render_phase_table
 from repro.obs.stats import record_log_metrics, render_summary, summarize_log
 from repro.obs.tracing import NOOP_TRACER, Tracer
 
@@ -298,15 +297,6 @@ class TestProfileTable:
 
     def test_render_empty(self):
         assert "no spans" in render_phase_table(Tracer())
-
-    def test_phase_timings_accumulate(self):
-        t = self.make_tracer()
-        with t.span("model"):
-            pass
-        timings = phase_timings(t)
-        assert set(timings) == {"model", "model/extract"}
-        assert timings["model"] >= timings["model/extract"]
-        assert not math.isnan(timings["model"])
 
 
 class TestSimulatorInstrumentation:

@@ -76,8 +76,6 @@ class TestManifest:
     @pytest.mark.parametrize(
         "name",
         [
-            "profile_spans_total",
-            "profile_folded_bytes",
             "telemetry_link_utilization",
             "service_ingest_messages_total",
             "service_queue_depth",
@@ -90,6 +88,7 @@ class TestManifest:
         "name",
         [
             "profile_",
+            "profile_spans_total",
             "runs_BadCase",
             "runs_records_total",
             "profiler_spans_total",

@@ -82,7 +82,6 @@ class TestControllerLog:
         appended = ControllerLog(list(a) + list(b))
         assert [id(m) for m in merged] == [id(m) for m in appended]
         assert merged.window(1.0, 2.0).time_span == (1.0, 1.0)
-        assert merged.cached_content_digest() is None
 
     @given(st.lists(STAMPS, max_size=50))
     def test_iteration_always_sorted(self, times):
@@ -110,14 +109,3 @@ class TestControllerLog:
             id(m) for m in log if lo <= m.timestamp < hi
         ]
         assert sub.time_span == ControllerLog(list(sub)).time_span
-
-    def test_digest_dropped_by_append_not_inherited(self):
-        log = ControllerLog([pin(1.0), pin(2.0)])
-        assert log.cached_content_digest() is None
-        log.set_content_digest("abc")
-        assert log.cached_content_digest() == "abc"
-        assert log.window(0.0, 10.0).cached_content_digest() is None
-        assert log.filter(lambda m: True).cached_content_digest() is None
-        assert log.cached_content_digest() == "abc"  # reading invalidates nothing
-        log.append(pin(0.5))  # out of order: still a different log
-        assert log.cached_content_digest() is None

@@ -5,13 +5,26 @@ import json
 import pytest
 
 from repro import FlowDiff
+from repro.core.flowdiff import FlowDiffConfig
 from repro.core.persist import (
+    FORMAT_VERSION,
+    ModelLoadError,
+    config_fingerprint,
     load_model,
+    load_model_object,
+    model_digest,
     model_from_dict,
+    model_object_path,
     model_to_dict,
     save_model,
+    store_model_object,
 )
+from repro.core.signatures.application import SignatureConfig
 from repro.faults import LoggingMisconfig
+from repro.openflow.log import ControllerLog
+from repro.openflow.match import FlowKey, Match
+from repro.openflow.messages import FlowMod, PacketIn
+from repro.openflow.serialize import read_log, save_log
 from repro.scenarios import three_tier_lab
 
 DURATION = 25.0
@@ -132,3 +145,113 @@ class TestPortEventsPersistence:
             == model.infrastructure.port_down_events
         )
         assert "ofs5" in restored.infrastructure.corroborated_dead_switches()
+
+
+class TestModelLoadError:
+    def test_truncated_json_names_path(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"version": 1, "window"', encoding="utf-8")
+        with pytest.raises(ModelLoadError, match="invalid JSON") as err:
+            load_model(str(path))
+        assert err.value.path == str(path)
+        assert str(path) in str(err.value)
+
+    def test_version_skew(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "version": 99,
+                    "window": [0, 1],
+                    "app_signatures": {},
+                    "infrastructure": {},
+                }
+            ),
+            encoding="utf-8",
+        )
+        with pytest.raises(ModelLoadError, match="version"):
+            load_model(str(path))
+
+    def test_missing_section(self):
+        with pytest.raises(ModelLoadError, match="infrastructure"):
+            model_from_dict(
+                {"version": FORMAT_VERSION, "window": [0, 1], "app_signatures": {}}
+            )
+
+    def test_wrong_payload_type(self):
+        with pytest.raises(ModelLoadError, match="JSON object"):
+            model_from_dict([1, 2, 3])
+
+    def test_truncated_signature_payload(self, model, tmp_path):
+        data = model_to_dict(model)
+        for sig in data["app_signatures"].values():
+            del sig["fs"]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ModelLoadError, match="truncated or corrupt"):
+            load_model(str(path))
+
+    def test_is_a_value_error(self):
+        # Callers that caught the old ValueError keep working.
+        assert issubclass(ModelLoadError, ValueError)
+
+
+class TestNonAsciiRoundTrip:
+    def test_unicode_host_names_round_trip(self, tmp_path):
+        key = FlowKey("ホストα", "दब-β", 4242, 443)
+        log = ControllerLog()
+        pin = PacketIn(timestamp=1.0, dpid="スイッチ1", flow=key, in_port=1, buffer_id=5)
+        log.append(pin)
+        log.append(
+            FlowMod(
+                timestamp=1.001,
+                dpid="スイッチ1",
+                match=Match.exact(key),
+                out_port=2,
+                in_reply_to=5,
+            )
+        )
+        path = str(tmp_path / "unicode.jsonl")
+        save_log(log, path)
+        reloaded = read_log(path)
+        assert [m.dpid for m in reloaded] == [m.dpid for m in log]
+        assert reloaded.packet_ins()[0].flow == key
+
+        model = FlowDiff(FlowDiffConfig()).model(reloaded, assess=False)
+        model_path = str(tmp_path / "unicode.model.json")
+        save_model(model, model_path)
+        assert model_to_dict(load_model(model_path)) == model_to_dict(model)
+
+
+def test_config_fingerprint_ignores_execution_knobs():
+    base = FlowDiffConfig()
+    assert config_fingerprint(base) == config_fingerprint(FlowDiffConfig(jobs=8))
+    changed = FlowDiffConfig(signature=SignatureConfig(occurrence_gap=2.0))
+    assert config_fingerprint(base) != config_fingerprint(changed)
+
+
+class TestModelObjects:
+    """Baselines stored under their own digest, as checkpoints name them."""
+
+    def test_store_then_load_round_trips(self, model, tmp_path):
+        root = str(tmp_path / "ckpt")  # created on first store
+        digest = store_model_object(root, model)
+        assert digest == model_digest(model)
+        assert [p.name for p in (tmp_path / "ckpt").iterdir()] == [
+            f"{digest}.model.json"
+        ]
+        restored = load_model_object(root, digest)
+        assert model_to_dict(restored) == model_to_dict(model)
+        # Content-addressed: the reloaded model stores onto the same object.
+        assert store_model_object(root, restored) == digest
+
+    def test_absent_object_is_none(self, tmp_path):
+        assert load_model_object(str(tmp_path), "0" * 64) is None
+
+    def test_corrupt_object_is_none_with_a_warning(self, model, tmp_path):
+        root = str(tmp_path)
+        digest = store_model_object(root, model)
+        with open(model_object_path(root, digest), "w", encoding="utf-8") as fh:
+            fh.write("not json at all")
+        with pytest.warns(UserWarning, match="unreadable stored model"):
+            assert load_model_object(root, digest) is None

@@ -343,37 +343,10 @@ class TestMetricNames:
         (finding,) = result.findings
         assert "KNOWN_LABELS" in finding.message
 
-    def test_profile_family_is_declared(self):
-        # ``profile_*`` membership is grammatical, like the telemetry
-        # family: the profiler mints instrument names without a manifest
-        # edit each.
-        mod = module(
-            """\
-            def instrument(metrics):
-                metrics.counter("profile_spans_total")
-                return metrics.counter("profile_folded_bytes")
-            """,
-            name="repro.core.fakemetrics",
-        )
-        assert run(MetricNamesRule(), mod).ok
-
-    def test_profile_family_grammar_is_enforced(self):
-        # The family regex requires lowercase snake after the prefix —
-        # a malformed member is still an undeclared metric.
-        mod = module(
-            """\
-            def instrument(metrics):
-                return metrics.counter("profile_BadName")
-            """,
-            name="repro.core.fakemetrics",
-        )
-        result = run(MetricNamesRule(), mod)
-        (finding,) = result.findings
-        assert "KNOWN_METRICS" in finding.message
-
     def test_service_family_is_declared(self):
-        # ``service_*`` membership is grammatical like ``profile_*``: the
-        # streaming service mints tenant-labeled instruments freely.
+        # ``service_*`` membership is grammatical, like the telemetry
+        # family: the streaming service mints tenant-labeled instruments
+        # freely.
         mod = module(
             """\
             def instrument(metrics):
@@ -387,6 +360,8 @@ class TestMetricNames:
         assert run(MetricNamesRule(), mod).ok
 
     def test_service_family_grammar_is_enforced(self):
+        # The family regex requires lowercase snake after the prefix —
+        # a malformed member is still an undeclared metric.
         mod = module(
             """\
             def instrument(metrics):

@@ -225,6 +225,15 @@ class TestDecodeContract:
         with pytest.raises(ValueError, match="^line 5: .*" + re.escape(why)):
             load_log(io.StringIO(text))
 
+    def test_read_log_names_the_line_of_a_non_utf8_byte(self, tmp_path):
+        """It used to be a bare ``UnicodeDecodeError`` with a byte offset."""
+        path = tmp_path / "capture.jsonl"
+        echo = ECHO.encode("utf-8")
+        path.write_bytes(b"\n".join([echo, b"", echo[:8] + b"\xff\xfe" + echo[8:], echo]))
+        with pytest.raises(ValueError, match="^line 3: not UTF-8") as err:
+            read_log(str(path))
+        assert not isinstance(err.value, UnicodeDecodeError)
+
     @pytest.mark.parametrize("value", [42, None, "x", []], ids=["int", "null", "string", "list"])
     def test_message_from_json_rejects_a_non_object(self, value):
         with pytest.raises(ValueError, match="expected a JSON object"):

@@ -8,7 +8,10 @@ resume, tenant isolation, backpressure accounting, the HTTP surface —
 rides on top of that.
 """
 
+import glob
 import json
+import os
+import shutil
 import threading
 import time
 import urllib.error
@@ -16,11 +19,15 @@ import urllib.request
 
 import pytest
 
+from repro.cli import main
 from repro.core.flowdiff import FlowDiffConfig
 from repro.core.monitor import SlidingDiagnoser
+from repro.core.persist import model_digest
 from repro.core.signatures.application import SignatureConfig
 from repro.faults import LinkLoss
 from repro.obs.metrics import MetricsRegistry
+from repro.openflow.match import FlowKey, Match
+from repro.openflow.messages import FlowMod, PacketIn
 from repro.scenarios import three_tier_lab
 from repro.service import (
     STATUS_FALLBACK,
@@ -256,6 +263,86 @@ class TestCheckpointRestore:
         )
         assert again.resumed
 
+    def test_restart_after_reanchor_resumes_against_the_live_baseline(
+        self, healthy_log, tmp_path
+    ):
+        """A checkpoint names the baseline the stream diffs against *now*
+        (it used to name the first one learned, for ever), and the object
+        a re-anchor supersedes does not stay behind."""
+        ckpt = str(tmp_path / "ckpt")
+        settings = dict(window=WINDOW, baseline_span=BASELINE, rebaseline_after=1)
+        uninterrupted = TenantPipeline("t1", **settings)
+        messages = list(healthy_log)
+        uninterrupted.ingest(messages)
+        assert uninterrupted.stream.rebaseline_count >= 2
+
+        t_first, _ = healthy_log.time_span
+        cut = t_first + BASELINE + 1.5 * WINDOW
+        split = next(i for i, msg in enumerate(messages) if msg.timestamp >= cut)
+        first = TenantPipeline("t1", checkpoint_dir=ckpt, **settings)
+        first.ingest(messages[:split])
+        assert first.stream.rebaseline_count == 1
+
+        second = TenantPipeline("t1", checkpoint_dir=ckpt, **settings)
+        assert second.resumed
+        live = model_digest(first.stream.baseline)
+        assert model_digest(second.stream.baseline) == live
+        assert [os.path.basename(p) for p in glob.glob(f"{ckpt}/*.model.json")] == [
+            f"{live}.model.json"
+        ]
+        second.ingest(messages)
+        assert model_digest(second.stream.baseline) == model_digest(
+            uninterrupted.stream.baseline
+        )
+        combined = first.history + second.history
+        assert len(combined) == len(uninterrupted.history)
+        assert_histories_identical(combined, uninterrupted.history)
+        assert len(glob.glob(f"{ckpt}/*.model.json")) == 1
+
+    def test_checkpoint_written_by_the_parent_commit_resumes(self, tmp_path):
+        """``tests/data/parent_checkpoint`` was written by commit e78009f,
+        whose tenant stored its baseline through a cache class that is
+        gone (window 4 s, baseline 4 s, the stream below up to t=14): same
+        file names, same envelope, so it must still resume."""
+        ckpt = str(tmp_path / "ckpt")
+        shutil.copytree(
+            os.path.join(os.path.dirname(__file__), "data", "parent_checkpoint"), ckpt
+        )
+        with open(os.path.join(ckpt, "checkpoint-t1.json"), encoding="utf-8") as fh:
+            state = json.load(fh)
+        messages = []
+        for i in range(24):
+            src, dst = (("a", "b"), ("b", "c"))[i % 2]
+            key = FlowKey(src, dst, 1000 + i, 80)
+            ts = 1.0 + i
+            messages.append(
+                PacketIn(timestamp=ts, dpid="sw1", flow=key, in_port=1, buffer_id=i)
+            )
+            messages.append(
+                FlowMod(
+                    timestamp=ts + 0.001,
+                    dpid="sw1",
+                    match=Match.exact(key),
+                    out_port=2,
+                    in_reply_to=i,
+                )
+            )
+        uninterrupted = TenantPipeline("t1", window=4.0, baseline_span=4.0)
+        uninterrupted.ingest(messages)
+
+        resumed = TenantPipeline(
+            "t1", window=4.0, baseline_span=4.0, checkpoint_dir=ckpt
+        )
+        assert resumed.resumed is True
+        assert resumed.summary()["cursor"] == state["cursor"] == 13.0
+        assert model_digest(resumed.stream.baseline) == state["baseline_digest"]
+        assert model_digest(uninterrupted.stream.baseline) == state["baseline_digest"]
+        resumed.ingest(messages)
+        assert resumed.windows_total == uninterrupted.windows_total == 4
+        assert_histories_identical(
+            resumed.history, uninterrupted.history[state["windows_total"] :]
+        )
+
     def test_cold_start_when_no_checkpoint_exists(self, tmp_path):
         tenant = TenantPipeline(
             "fresh", window=WINDOW, checkpoint_dir=str(tmp_path / "empty")
@@ -371,21 +458,23 @@ class TestDaemonSources:
         object used to kill the tail thread)."""
         path = str(tmp_path / "capture.jsonl")
         save_log(healthy_log, path)
-        with open(path, encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             lines = fh.readlines()
         bad = [
-            "this is not json\n",
-            '{"type": "unknown_kind"}\n',
-            "42\n",
-            "null\n",
-            '"x"\n',
-            "[]\n",
-            '{"type": "packet_in", "ts": 1.0, "dpid": "sw1", "flow": 7}\n',
-            '{"type": "flow_mod", "ts": 1.0, "dpid": "sw1", "match": [7]}\n',
-            lines[0].rstrip("\n") + " trailing\n",
+            b"this is not json\n",
+            b'{"type": "unknown_kind"}\n',
+            b"42\n",
+            b"null\n",
+            b'"x"\n',
+            b"[]\n",
+            b'{"type": "packet_in", "ts": 1.0, "dpid": "sw1", "flow": 7}\n',
+            b'{"type": "flow_mod", "ts": 1.0, "dpid": "sw1", "match": [7]}\n',
+            lines[0].rstrip(b"\n") + b" trailing\n",
+            # Not UTF-8 (used to kill the tail thread: 0 windows, 0 counted).
+            lines[0][:20] + b"\xff\xfe" + lines[0][20:],
         ]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(lines[:10] + bad + ["\n"] + lines[10:])
+        with open(path, "wb") as fh:
+            fh.writelines(lines[:10] + bad + [b"\n"] + lines[10:])
         service = StreamService(window=WINDOW, baseline_span=BASELINE)
         service.add_tenant("t1")
         with service:
@@ -492,6 +581,22 @@ class TestDaemonSources:
             == 3
         )
         assert service.metrics.total("service_dropped_total") == 0
+
+
+class TestServeCommand:
+    @pytest.mark.parametrize("follow", [[], ["--follow"]], ids=["replay", "follow"])
+    def test_unopenable_capture_exits_2_naming_tenant_and_path(
+        self, tmp_path, capsys, follow
+    ):
+        """It used to print a tail-thread traceback, report "0 windows"
+        and exit 0."""
+        missing = str(tmp_path / "missing.jsonl")
+        code = main(["serve", "--tenants", f"prod={missing}", "--serve-for", "0"] + follow)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""  # nothing was started: no endpoint banner
+        (line,) = captured.err.splitlines()
+        assert "'prod'" in line and missing in line and "No such file" in line
 
 
 def _get(url):

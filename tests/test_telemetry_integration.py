@@ -163,6 +163,59 @@ def test_http_endpoint_serves_health_and_metrics(faulted_run):
         assert excinfo.value.code == 404
 
 
+class TestEndpointProtocol:
+    """``HEAD``/``405``/``404``/``500`` behaviour of the ops endpoint that
+    does not depend on any one page."""
+
+    @pytest.fixture(scope="class")
+    def srv(self):
+        with ObsHTTPServer(ObsState()) as srv:
+            yield srv
+
+    def test_raising_route_is_a_500_not_a_reset(self, caplog):
+        def boom(query):
+            raise RuntimeError("page broke")
+
+        state = ObsState()
+        state.routes["/boom"] = boom
+        with ObsHTTPServer(state) as srv:
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(srv.url("/boom"))
+            assert err.value.code == 500
+            assert "page broke" in json.loads(err.value.read())["error"]
+            # The endpoint outlives the broken page.
+            health = urllib.request.urlopen(srv.url("/healthz")).read()
+            assert json.loads(health)["status"] == "ok"
+        assert "page broke" in caplog.text  # traceback logged, not lost
+
+    def test_head_matches_get(self, srv):
+        for path in ("/healthz", "/metrics", "/alerts"):
+            body = urllib.request.urlopen(srv.url(path)).read()
+            head = urllib.request.urlopen(
+                urllib.request.Request(srv.url(path), method="HEAD")
+            )
+            assert int(head.headers["Content-Length"]) == len(body)
+            assert head.read() == b""
+
+    def test_head_unknown_is_404_no_body(self, srv):
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(
+                urllib.request.Request(srv.url("/nope"), method="HEAD")
+            )
+        assert err.value.code == 404
+        assert err.value.read() == b""
+
+    def test_post_refused_with_allow_header(self, srv):
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(
+                urllib.request.Request(
+                    srv.url("/alerts"), data=b"{}", method="POST"
+                )
+            )
+        assert err.value.code == 405
+        assert err.value.headers["Allow"] == "GET, HEAD"
+
+
 def test_cli_telemetry_smoke(tmp_path, capsys):
     out = str(tmp_path / "telemetry.jsonl")
     prom = str(tmp_path / "telemetry.prom")

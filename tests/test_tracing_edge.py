@@ -1,10 +1,10 @@
 """Edge cases of :mod:`repro.obs.tracing` that the happy-path suite
 skips: self-time under overlapping/nested children, empty-tracer phase
-rows, exception-exit unwinding, and span-hook dispatch order."""
+rows, and exception-exit unwinding."""
 
 import unittest
 
-from repro.obs.profile import phase_rows, phase_timings, render_phase_table
+from repro.obs.profile import phase_rows, render_phase_table
 from repro.obs.tracing import NOOP_TRACER, Span, Tracer
 
 
@@ -28,8 +28,8 @@ class SelfDurationTest(unittest.TestCase):
         self.assertAlmostEqual(grandchild.self_duration, 1.0)
 
     def test_overlapping_children_clamp_to_zero(self):
-        # Two children whose recorded windows overlap (possible when a
-        # hook or clock skew stretches them) can sum past the parent;
+        # Two children whose recorded windows overlap (possible when
+        # clock skew stretches them) can sum past the parent;
         # self time clamps at zero rather than going negative.
         a = self._fixed("a", 0.0, 3.0)
         b = self._fixed("b", 2.0, 6.0)
@@ -46,9 +46,6 @@ class SelfDurationTest(unittest.TestCase):
 class EmptyTracerTest(unittest.TestCase):
     def test_phase_rows_empty(self):
         self.assertEqual(phase_rows(Tracer()), [])
-
-    def test_phase_timings_empty(self):
-        self.assertEqual(phase_timings(Tracer()), {})
 
     def test_render_phase_table_empty(self):
         table = render_phase_table(Tracer())
@@ -95,58 +92,6 @@ class ExceptionExitTest(unittest.TestCase):
             pass
         self.assertEqual([s.name for s in tracer.roots], ["first", "second"])
         self.assertTrue(all(s.end_wall is not None for s in tracer.roots))
-
-
-class _RecordingHook:
-    def __init__(self):
-        self.events = []
-
-    def span_opened(self, span):
-        self.events.append(("open", span.name))
-
-    def span_closed(self, span):
-        self.events.append(("close", span.name))
-
-
-class SpanHookTest(unittest.TestCase):
-    def test_hooks_fire_in_nesting_order(self):
-        tracer = Tracer()
-        hook = _RecordingHook()
-        tracer.add_hook(hook)
-        with tracer.span("outer"):
-            with tracer.span("inner"):
-                pass
-        self.assertEqual(
-            hook.events,
-            [
-                ("open", "outer"),
-                ("open", "inner"),
-                ("close", "inner"),
-                ("close", "outer"),
-            ],
-        )
-
-    def test_hooks_see_unwound_spans_innermost_first(self):
-        tracer = Tracer()
-        hook = _RecordingHook()
-        tracer.add_hook(hook)
-        with self.assertRaises(RuntimeError):
-            with tracer.span("parent"):
-                tracer.span("orphan")  # abandoned: no __exit__
-                raise RuntimeError
-        self.assertEqual(
-            hook.events,
-            [
-                ("open", "parent"),
-                ("open", "orphan"),
-                ("close", "orphan"),
-                ("close", "parent"),
-            ],
-        )
-
-    def test_no_hooks_is_default(self):
-        self.assertEqual(Tracer()._hooks, [])
-        self.assertEqual(NOOP_TRACER._hooks, [])
 
 
 if __name__ == "__main__":
