@@ -20,8 +20,9 @@ import pytest
 
 from repro import FlowDiff
 from repro.core.tasks import TaskLibrary
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import NOOP_TELEMETRY, TelemetryPlane
+from repro.obs.tracing import Tracer
 from repro.scenarios import three_tier_lab
 from repro.workload.traces import VMTraceSynthesizer
 

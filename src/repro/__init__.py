@@ -23,14 +23,11 @@ Quickstart::
     print(report.render())
 """
 
-from repro.core import (
-    BehaviorModel,
-    FlowDiff,
-    FlowDiffConfig,
-    TaskEvent,
-    TaskLibrary,
-)
-from repro.openflow import ControllerLog, FlowKey
+from repro.core.flowdiff import FlowDiff, FlowDiffConfig
+from repro.core.model import BehaviorModel
+from repro.core.tasks import TaskEvent, TaskLibrary
+from repro.openflow.log import ControllerLog
+from repro.openflow.match import FlowKey
 
 __version__ = "1.0.0"
 

@@ -10,41 +10,3 @@ the signature builders and comparators rely on:
   into fixed-width counting windows, as used by the partial-correlation
   signature, plus summary helpers.
 """
-
-from repro.analysis.stats import (
-    EmpiricalCDF,
-    chi_squared,
-    histogram_peaks,
-    mean_std,
-    partial_correlation,
-    pearson,
-)
-from repro.analysis.plotting import ascii_bars, ascii_cdf, ascii_series
-from repro.analysis.polling import (
-    ThroughputPoint,
-    busiest_switches,
-    switch_throughput,
-)
-from repro.analysis.timeseries import (
-    epoch_counts,
-    epoch_edges,
-    split_intervals,
-)
-
-__all__ = [
-    "EmpiricalCDF",
-    "chi_squared",
-    "histogram_peaks",
-    "mean_std",
-    "partial_correlation",
-    "pearson",
-    "epoch_counts",
-    "epoch_edges",
-    "split_intervals",
-    "ThroughputPoint",
-    "busiest_switches",
-    "switch_throughput",
-    "ascii_bars",
-    "ascii_cdf",
-    "ascii_series",
-]

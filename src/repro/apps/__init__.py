@@ -15,19 +15,3 @@ package models them at flow level:
 * :mod:`repro.apps.client` -- workload clients driving requests from an
   arrival process.
 """
-
-from repro.apps.servers import DelayModel, ServerBehavior, ServerFarm
-from repro.apps.services import ServiceDirectory
-from repro.apps.multitier import MultiTierApp, RequestOutcome, TierSpec
-from repro.apps.client import WorkloadClient
-
-__all__ = [
-    "DelayModel",
-    "ServerBehavior",
-    "ServerFarm",
-    "ServiceDirectory",
-    "MultiTierApp",
-    "RequestOutcome",
-    "TierSpec",
-    "WorkloadClient",
-]

@@ -76,6 +76,6 @@ class ServiceDirectory:
         off a given (usually core-adjacent) switch.
         """
         for host in self.hosts.values():
-            if host not in topology.graph:
+            if host not in topology:
                 topology.add_host(host)
                 topology.add_link(host, attach_to, latency=latency)

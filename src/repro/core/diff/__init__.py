@@ -9,25 +9,3 @@
 * :mod:`repro.core.diff.ranking` — component ranking for localization.
 * :mod:`repro.core.diff.report` — the operator-facing diagnosis report.
 """
-
-from repro.core.diff.compare import CompareThresholds, compare_models
-from repro.core.diff.validate import TaskExplanation, validate_changes
-from repro.core.diff.dependency import (
-    DependencyMatrix,
-    ProblemInference,
-    classify_problems,
-)
-from repro.core.diff.ranking import rank_components
-from repro.core.diff.report import DiagnosisReport
-
-__all__ = [
-    "CompareThresholds",
-    "compare_models",
-    "TaskExplanation",
-    "validate_changes",
-    "DependencyMatrix",
-    "ProblemInference",
-    "classify_problems",
-    "rank_components",
-    "DiagnosisReport",
-]

@@ -17,32 +17,3 @@ produces the controller log FlowDiff consumes.
   orchestration, reactive rule installation, timeout-driven FlowRemoved
   emission, and the host-facing ``send_flow`` API.
 """
-
-from repro.netsim.engine import Simulator
-from repro.netsim.links import Link, LinkState
-from repro.netsim.topology import (
-    Topology,
-    fat_tree,
-    lab_testbed,
-    linear_topology,
-    paper_tree,
-)
-from repro.netsim.transport import TransportModel, TransportOutcome
-from repro.netsim.network import FlowRequest, FlowResult, Network, NetworkConfig
-
-__all__ = [
-    "Simulator",
-    "Link",
-    "LinkState",
-    "Topology",
-    "fat_tree",
-    "lab_testbed",
-    "linear_topology",
-    "paper_tree",
-    "TransportModel",
-    "TransportOutcome",
-    "FlowRequest",
-    "FlowResult",
-    "Network",
-    "NetworkConfig",
-]

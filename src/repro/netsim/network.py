@@ -170,10 +170,9 @@ class Network:
         self._dead_hosts: Set[str] = set()
         self._blocked: Set[Tuple[str, int]] = set()
         self._host_of_ip: Dict[str, str] = {
-            topology.graph.nodes[h].get("ip", h): h for h in topology.hosts()
+            topology.ip_of(h): h for h in topology.hosts()
         }
-        self._route_cache: Dict[Tuple[str, str, int], Optional[List[str]]] = {}
-        self._topo_version = 0
+        self._route_cache: Dict[Tuple[str, str], Optional[List[List[str]]]] = {}
         self._sweeper_running = False
         self.flows_sent = 0
         self.flows_delivered = 0
@@ -213,7 +212,7 @@ class Network:
 
     def host_for_ip(self, ip: str) -> Optional[str]:
         """Resolve a flow endpoint identifier to a topology host node."""
-        return self._host_of_ip.get(ip, ip if ip in self.topology.graph else None)
+        return self._host_of_ip.get(ip, ip if ip in self.topology else None)
 
     # ------------------------------------------------------------------
     # Routing
@@ -227,7 +226,7 @@ class Network:
     def _path_between(
         self, src_host: str, dst_host: str, flow: Optional[FlowKey] = None
     ) -> Optional[List[str]]:
-        key = (src_host, dst_host, self._topo_version)
+        key = (src_host, dst_host)
         if key not in self._route_cache:
             if self.config.ecmp:
                 self._route_cache[key] = self.topology.all_shortest_paths(
@@ -265,7 +264,7 @@ class Network:
 
     def invalidate_routes(self) -> None:
         """Drop cached paths after any topology or liveness change."""
-        self._topo_version += 1
+        self._route_cache.clear()
 
     # ------------------------------------------------------------------
     # Flow forwarding
@@ -646,7 +645,7 @@ class Network:
                 if port is None:
                     continue
                 switch.install(
-                    match=Match.destination(self.topology.graph.nodes[host].get("ip", host)),
+                    match=Match.destination(self.topology.ip_of(host)),
                     out_port=port,
                     now=now,
                     idle_timeout=idle_timeout,

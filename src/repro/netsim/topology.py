@@ -23,9 +23,7 @@ Builders:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, Iterable, List, Optional
 
 from repro.netsim.links import Link
 
@@ -38,8 +36,11 @@ class Topology:
     """A data center topology: typed nodes, links, and port numbering."""
 
     def __init__(self) -> None:
-        self.graph = nx.Graph()
-        self._links: Dict[Tuple[str, str], Link] = {}
+        #: Node attributes: ``kind`` for every node, ``ip`` for hosts.
+        self._nodes: Dict[str, Dict[str, str]] = {}
+        #: The graph: ``_adj[a][b]`` is the :class:`Link` joining ``a`` and
+        #: ``b`` (the same object as ``_adj[b][a]``); every node has a row.
+        self._adj: Dict[str, Dict[str, Link]] = {}
         self._ports: Dict[str, Dict[str, int]] = {}
 
     # ------------------------------------------------------------------
@@ -48,11 +49,13 @@ class Topology:
 
     def add_host(self, name: str, ip: Optional[str] = None) -> None:
         """Add a server/VM node; ``ip`` defaults to the node name."""
-        self.graph.add_node(name, kind=HOST, ip=ip or name)
+        self._nodes[name] = {"kind": HOST, "ip": ip or name}
+        self._adj.setdefault(name, {})
 
     def add_switch(self, name: str, programmable: bool = True) -> None:
         """Add a switch node (programmable = OpenFlow, else legacy)."""
-        self.graph.add_node(name, kind=SWITCH if programmable else LEGACY)
+        self._nodes[name] = {"kind": SWITCH if programmable else LEGACY}
+        self._adj.setdefault(name, {})
 
     def add_link(
         self,
@@ -68,11 +71,10 @@ class Topology:
             KeyError: if either endpoint has not been added.
         """
         for node in (a, b):
-            if node not in self.graph:
+            if node not in self:
                 raise KeyError(f"unknown node {node!r}")
         link = Link(a=a, b=b, latency=latency, bandwidth=bandwidth, loss_rate=loss_rate)
-        self.graph.add_edge(a, b)
-        self._links[link.key()] = link
+        self._adj[a][b] = self._adj[b][a] = link
         for node, peer in ((a, b), (b, a)):
             ports = self._ports.setdefault(node, {})
             if peer not in ports:
@@ -83,9 +85,17 @@ class Topology:
     # Queries
     # ------------------------------------------------------------------
 
+    def __contains__(self, node: object) -> bool:
+        """Whether ``node`` names a host or switch of this topology."""
+        return node in self._nodes
+
     def kind(self, node: str) -> str:
         """Return the node kind: ``host``, ``switch``, or ``legacy``."""
-        return self.graph.nodes[node]["kind"]
+        return self._nodes[node]["kind"]
+
+    def ip_of(self, node: str) -> str:
+        """The address flows to ``node`` carry (the name itself by default)."""
+        return self._nodes[node].get("ip", node)
 
     def is_host(self, node: str) -> bool:
         """True for server/VM nodes."""
@@ -95,17 +105,20 @@ class Topology:
         """True for programmable switches."""
         return self.kind(node) == SWITCH
 
+    def _of_kind(self, kind: str) -> List[str]:
+        return sorted(n for n, d in self._nodes.items() if d["kind"] == kind)
+
     def hosts(self) -> List[str]:
         """All host node names, sorted for determinism."""
-        return sorted(n for n, d in self.graph.nodes(data=True) if d["kind"] == HOST)
+        return self._of_kind(HOST)
 
     def switches(self) -> List[str]:
         """All OpenFlow switch names, sorted."""
-        return sorted(n for n, d in self.graph.nodes(data=True) if d["kind"] == SWITCH)
+        return self._of_kind(SWITCH)
 
     def legacy_switches(self) -> List[str]:
         """All legacy (non-programmable) switch names, sorted."""
-        return sorted(n for n, d in self.graph.nodes(data=True) if d["kind"] == LEGACY)
+        return self._of_kind(LEGACY)
 
     def link(self, a: str, b: str) -> Link:
         """The link between adjacent nodes ``a`` and ``b``.
@@ -113,11 +126,16 @@ class Topology:
         Raises:
             KeyError: if the nodes are not adjacent.
         """
-        return self._links[tuple(sorted((a, b)))]
+        return self._adj[a][b]
 
     def links(self) -> List[Link]:
         """All links, in deterministic key order."""
-        return [self._links[k] for k in sorted(self._links)]
+        return [
+            self._adj[a][b]
+            for a in sorted(self._adj)
+            for b in sorted(self._adj[a])
+            if a <= b
+        ]
 
     def port_to(self, node: str, neighbor: str) -> int:
         """The port number on ``node`` that faces ``neighbor``."""
@@ -132,7 +150,7 @@ class Topology:
 
     def attachment_switch(self, host: str) -> Optional[str]:
         """The first switch (OpenFlow or legacy) adjacent to ``host``."""
-        for peer in sorted(self.graph.neighbors(host)):
+        for peer in sorted(self._adj[host]):
             if not self.is_host(peer):
                 return peer
         return None
@@ -160,40 +178,58 @@ class Topology:
         dead_nodes: Iterable[str] = (),
         limit: int = 8,
     ) -> List[List[str]]:
-        """All equal-cost live paths (up to ``limit``), deterministic order.
+        """The lexically first ``limit`` equal-cost live paths, sorted.
 
         The substrate's ECMP building block: multi-rooted trees (the
         paper's dual aggregation/core layers) offer several equal-cost
         paths, and hashing flows across them is how real fabrics spread
-        load. Paths are sorted lexically so path selection is stable.
+        load. Which paths survive the ``limit`` depends on node names
+        only, never on construction order, so path selection is stable.
+
+        A breadth-first search from ``dst`` over live nodes and links
+        gives every node its hop distance; the paths are then walked out
+        of ``src`` in name order, each hop one step closer, which yields
+        them already sorted and stops at ``limit``. Returns ``[]`` for an
+        unknown, dead or unreachable endpoint and ``[[src]]`` when
+        ``src == dst``.
         """
         dead = set(dead_nodes)
-        if src in dead or dst in dead:
+        if src in dead or dst in dead or src not in self or dst not in self:
             return []
-
-        def usable(a: str, b: str) -> bool:
-            if a in dead or b in dead:
-                return False
-            link = self._links.get(tuple(sorted((a, b))))
-            return link is not None and link.up
-
-        live = nx.subgraph_view(self.graph, filter_edge=usable, filter_node=lambda n: n not in dead)
-        try:
-            paths = []
-            for path in nx.all_shortest_paths(live, src, dst):
+        dist = {dst: 0}
+        frontier = [dst]
+        while frontier and src not in dist:
+            reached = []
+            for node in frontier:
+                for peer, link in self._adj[node].items():
+                    if link.up and peer not in dist and peer not in dead:
+                        dist[peer] = dist[node] + 1
+                        reached.append(peer)
+            frontier = reached
+        if src not in dist:
+            return []
+        paths: List[List[str]] = []
+        stack = [[src]]
+        while stack and len(paths) < limit:
+            path = stack.pop()
+            node = path[-1]
+            if node == dst:
                 paths.append(path)
-                if len(paths) >= limit:
-                    break
-            paths.sort()
-            return paths
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            return []
+                continue
+            closer = dist[node] - 1
+            # Reverse name order onto a stack pops in name order.
+            stack.extend(
+                path + [peer]
+                for peer in sorted(self._adj[node], reverse=True)
+                if dist.get(peer) == closer and self._adj[node][peer].up
+            )
+        return paths
 
     def move_host(self, host: str, new_switch: str, **link_kwargs) -> None:
         """Re-home a host onto a different switch (VM migration's effect)."""
-        for peer in list(self.graph.neighbors(host)):
-            self.graph.remove_edge(host, peer)
-            self._links.pop(tuple(sorted((host, peer))), None)
+        for peer in self._adj[host]:
+            del self._adj[peer][host]
+        self._adj[host] = {}
         # Port maps keep historical entries; re-adding assigns a fresh port,
         # mirroring how a migrated VM shows up on a new physical port.
         self.add_link(host, new_switch, **link_kwargs)

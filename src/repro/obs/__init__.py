@@ -34,7 +34,10 @@ costs nothing measurable:
 
 Typical instrumented run::
 
-    from repro.obs import MetricsRegistry, Tracer
+    from repro.obs.export import write_jsonl
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.profile import render_phase_table
+    from repro.obs.tracing import Tracer
 
     metrics = MetricsRegistry()
     tracer = Tracer()
@@ -43,120 +46,3 @@ Typical instrumented run::
     print(render_phase_table(tracer))
     write_jsonl("telemetry.jsonl", metrics, tracer)
 """
-
-from repro.obs.alerts import (
-    Alert,
-    AlertEngine,
-    AlertRule,
-    EwmaDriftRule,
-    ProblemClassRule,
-    Severity,
-    ThresholdRule,
-    UnhealthyWindowsRule,
-    default_rules,
-    metric_matches,
-    read_alerts_jsonl,
-    telemetry_rules,
-    write_alerts_jsonl,
-)
-from repro.obs.export import (
-    iter_metric_events,
-    iter_span_events,
-    metrics_from_events,
-    read_jsonl,
-    render_prometheus,
-    write_jsonl,
-)
-from repro.obs.flightrec import (
-    FlightRecorder,
-    FlowTimeline,
-    TimelineEvent,
-    reconstruct,
-)
-from repro.obs.heatmap import heatmap_to_html, save_heatmap, topology_heatmap_svg
-from repro.obs.httpd import ObsHTTPServer, ObsState
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    NOOP_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NoopRegistry,
-)
-from repro.obs.profile import phase_rows, render_phase_table
-from repro.obs.telemetry import (
-    NOOP_TELEMETRY,
-    ComponentSeries,
-    NoopTelemetry,
-    TelemetryPlane,
-    WindowStat,
-    iter_telemetry_events,
-    plane_from_events,
-    render_tables,
-    telemetry_registry,
-)
-from repro.obs.stats import (
-    LogSummary,
-    record_log_metrics,
-    render_summary,
-    summarize_log,
-)
-from repro.obs.tracing import NOOP_TRACER, NoopTracer, Span, Tracer
-
-__all__ = [
-    "DEFAULT_BUCKETS",
-    "NOOP_REGISTRY",
-    "NOOP_TELEMETRY",
-    "NOOP_TRACER",
-    "Alert",
-    "AlertEngine",
-    "AlertRule",
-    "ComponentSeries",
-    "Counter",
-    "EwmaDriftRule",
-    "FlightRecorder",
-    "FlowTimeline",
-    "Gauge",
-    "Histogram",
-    "LogSummary",
-    "MetricsRegistry",
-    "NoopRegistry",
-    "NoopTelemetry",
-    "NoopTracer",
-    "ObsHTTPServer",
-    "ObsState",
-    "ProblemClassRule",
-    "Severity",
-    "Span",
-    "TelemetryPlane",
-    "ThresholdRule",
-    "TimelineEvent",
-    "Tracer",
-    "UnhealthyWindowsRule",
-    "WindowStat",
-    "default_rules",
-    "heatmap_to_html",
-    "iter_metric_events",
-    "iter_span_events",
-    "iter_telemetry_events",
-    "metric_matches",
-    "metrics_from_events",
-    "phase_rows",
-    "plane_from_events",
-    "read_alerts_jsonl",
-    "read_jsonl",
-    "reconstruct",
-    "render_phase_table",
-    "render_prometheus",
-    "render_summary",
-    "render_tables",
-    "record_log_metrics",
-    "save_heatmap",
-    "summarize_log",
-    "telemetry_registry",
-    "telemetry_rules",
-    "topology_heatmap_svg",
-    "write_alerts_jsonl",
-    "write_jsonl",
-]

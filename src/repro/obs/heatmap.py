@@ -9,7 +9,8 @@ hashing imbalance across ECMP paths is visible at a glance, which is the
 point: the ISSUE-driving traffic-generation work (arXiv:2107.01398) calls
 exactly these views the validation surface for large workloads.
 
-Determinism: node positions come from a seeded spring layout, so the same
+Determinism: nodes are laid out by tier (hosts on the bottom row, every
+other node on the row of its hop distance to the nearest host), so the same
 topology always renders the same picture and tests can assert on output.
 """
 
@@ -18,30 +19,11 @@ from __future__ import annotations
 import html as _html
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.obs.alerts import Alert
 from repro.obs.telemetry import ComponentSeries, TelemetryPlane
 
 if TYPE_CHECKING:  # pragma: no cover - obs must not import netsim at runtime
     from repro.netsim.topology import Topology
-
-# The diff-report stylesheet (repro/core/diff/html.py), restated here
-# because obs must not import core at module load (core's signature stack
-# imports obs). Keep the two in sync when the palette changes.
-_REPORT_STYLE = """
-body { font-family: system-ui, sans-serif; margin: 2rem; color: #222; }
-h1 { font-size: 1.4rem; } h2 { font-size: 1.1rem; margin-top: 1.5rem; }
-table { border-collapse: collapse; margin: 0.5rem 0; }
-td, th { border: 1px solid #ccc; padding: 0.3rem 0.6rem; text-align: left; }
-th { background: #f2f2f2; }
-.healthy { color: #1a7f37; font-weight: 600; }
-.problem { color: #b42318; font-weight: 600; }
-.hint { background: #fff8e1; padding: 0.5rem 0.8rem; border-left: 3px solid #f4b400; }
-.lit { background: #ffe0e0; font-weight: 600; text-align: center; }
-.dark { color: #bbb; text-align: center; }
-code { background: #f5f5f5; padding: 0 0.2rem; }
-"""
 
 #: Heat ramp anchors, shared with the diff-report palette: healthy green,
 #: warning amber, problem red.
@@ -79,22 +61,40 @@ def _esc(text: object) -> str:
 
 
 def _layout(
-    topology: Topology, width: float, height: float, margin: float, seed: int
+    topology: Topology, width: float, height: float, margin: float
 ) -> Dict[str, Tuple[float, float]]:
-    """Seeded spring-layout positions scaled into the SVG viewport."""
-    pos = nx.spring_layout(topology.graph, seed=seed)
-    xs = [p[0] for p in pos.values()]
-    ys = [p[1] for p in pos.values()]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    x_span = (x_hi - x_lo) or 1.0
-    y_span = (y_hi - y_lo) or 1.0
+    """Tiered positions: row = hop distance to the nearest host.
+
+    Hosts fill the bottom row; a node no host reaches goes on the top
+    row, so every link endpoint has a position. Rows are name-sorted and
+    evenly spaced.
+    """
+    peers: Dict[str, List[str]] = {}
+    for link in topology.links():
+        peers.setdefault(link.a, []).append(link.b)
+        peers.setdefault(link.b, []).append(link.a)
+    tier = {host: 0 for host in topology.hosts()}
+    frontier = list(tier)
+    while frontier:
+        reached = []
+        for node in frontier:
+            for peer in peers.get(node, ()):
+                if peer not in tier:
+                    tier[peer] = tier[node] + 1
+                    reached.append(peer)
+        frontier = reached
+    top = max(tier.values(), default=0) + 1
+    rows: Dict[int, List[str]] = {}
+    for node in sorted(set(tier) | set(peers)):
+        rows.setdefault(tier.get(node, top), []).append(node)
+    y_step = (height - 2 * margin) / (max(rows, default=0) or 1)
     return {
         node: (
-            margin + (x - x_lo) / x_span * (width - 2 * margin),
-            margin + (y - y_lo) / y_span * (height - 2 * margin),
+            margin + (i + 0.5) / len(row) * (width - 2 * margin),
+            height - margin - r * y_step,
         )
-        for node, (x, y) in pos.items()
+        for r, row in rows.items()
+        for i, node in enumerate(row)
     }
 
 
@@ -112,7 +112,6 @@ def topology_heatmap_svg(
     plane: TelemetryPlane,
     width: int = 960,
     height: int = 620,
-    seed: int = 7,
 ) -> str:
     """Render the topology as an inline SVG heatmap.
 
@@ -123,7 +122,7 @@ def topology_heatmap_svg(
     marked even when its utilization stays moderate.
     """
     margin = 48.0
-    pos = _layout(topology, float(width), float(height), margin, seed)
+    pos = _layout(topology, float(width), float(height), margin)
     out: List[str] = [
         f'<svg viewBox="0 0 {width} {height}" width="{width}" '
         f'height="{height}" xmlns="http://www.w3.org/2000/svg" '
@@ -240,21 +239,23 @@ def heatmap_to_html(
     plane: TelemetryPlane,
     alerts: Optional[List[Alert]] = None,
     title: str = "Telemetry heatmap",
-    seed: int = 7,
 ) -> str:
     """Render the full heatmap report: SVG, legend, tables, alerts."""
+    # Not at module load: core's signature stack imports obs.
+    from repro.core.diff.html import _STYLE
+
     summary = plane.summary()
     out: List[str] = [
         "<!DOCTYPE html>",
         "<html><head><meta charset='utf-8'>",
         f"<title>{_esc(title)}</title>",
-        f"<style>{_REPORT_STYLE}{_EXTRA_STYLE}</style>",
+        f"<style>{_STYLE}{_EXTRA_STYLE}</style>",
         "</head><body>",
         f"<h1>{_esc(title)}</h1>",
         f"<p>{summary['series']} series &middot; {summary['samples']} samples "
         f"&middot; {summary['window_s']:g}s windows "
         f"(ring capacity {summary['capacity']})</p>",
-        topology_heatmap_svg(topology, plane, seed=seed),
+        topology_heatmap_svg(topology, plane),
         "<p class='legend'>link color: peak utilization "
         f"(<span style='color:{heat_color(0.0)}'>idle</span> &rarr; "
         f"<span style='color:{heat_color(0.5)}'>busy</span> &rarr; "
@@ -293,8 +294,7 @@ def save_heatmap(
     plane: TelemetryPlane,
     alerts: Optional[List[Alert]] = None,
     title: str = "Telemetry heatmap",
-    seed: int = 7,
 ) -> None:
     """Write the heatmap report to ``path``."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(heatmap_to_html(topology, plane, alerts=alerts, title=title, seed=seed))
+        fh.write(heatmap_to_html(topology, plane, alerts=alerts, title=title))

@@ -20,44 +20,3 @@ of the paper). This package implements that substrate from scratch:
 * :mod:`repro.openflow.log` -- the timestamped controller log plus
   windowing/filtering helpers; this is the artifact FlowDiff diffs.
 """
-
-from repro.openflow.match import FlowKey, Match, MaskedFlow, mask_flows
-from repro.openflow.messages import (
-    ControlMessage,
-    EchoRequest,
-    FlowMod,
-    FlowModCommand,
-    FlowRemoved,
-    FlowRemovedReason,
-    FlowStatsReply,
-    PacketIn,
-    PacketOut,
-    PortStatus,
-)
-from repro.openflow.flowtable import FlowEntry, FlowTable
-from repro.openflow.switch import OpenFlowSwitch
-from repro.openflow.controller import Controller, ControllerConfig
-from repro.openflow.log import ControllerLog
-
-__all__ = [
-    "FlowKey",
-    "Match",
-    "MaskedFlow",
-    "mask_flows",
-    "ControlMessage",
-    "EchoRequest",
-    "FlowMod",
-    "FlowModCommand",
-    "FlowRemoved",
-    "FlowRemovedReason",
-    "FlowStatsReply",
-    "PacketIn",
-    "PacketOut",
-    "PortStatus",
-    "FlowEntry",
-    "FlowTable",
-    "OpenFlowSwitch",
-    "Controller",
-    "ControllerConfig",
-    "ControllerLog",
-]

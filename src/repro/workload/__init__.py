@@ -10,36 +10,3 @@
   stop, migration, NFS mount/unmount) with run-to-run variation, standing
   in for the paper's EC2 tcpdump captures (Table III).
 """
-
-from repro.workload.arrivals import (
-    ArrivalProcess,
-    FixedProcess,
-    OnOffProcess,
-    PoissonProcess,
-    lognormal_params,
-)
-from repro.workload.traffic import (
-    RandomThreeTierWorkload,
-    WorkloadStats,
-)
-from repro.workload.replay import ReplayStats, replay_log
-from repro.workload.traces import (
-    TraceConfig,
-    VMImage,
-    VMTraceSynthesizer,
-)
-
-__all__ = [
-    "ArrivalProcess",
-    "FixedProcess",
-    "OnOffProcess",
-    "PoissonProcess",
-    "lognormal_params",
-    "RandomThreeTierWorkload",
-    "WorkloadStats",
-    "TraceConfig",
-    "VMImage",
-    "VMTraceSynthesizer",
-    "ReplayStats",
-    "replay_log",
-]

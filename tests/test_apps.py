@@ -82,7 +82,7 @@ class TestServiceDirectory:
         services = ServiceDirectory.standard()
         services.register_into(topo, attach_to="sw1")
         for host in services.special_nodes():
-            assert host in topo.graph
+            assert host in topo
         # idempotent
         services.register_into(topo, attach_to="sw1")
 

@@ -99,13 +99,16 @@ class TestAssessStability:
         # Very sparse: either unjudged (absent) or judged; never crash.
         assert isinstance(verdicts, dict)
 
-    def test_src_runs_without_numpy(self):
-        """``src/`` never imports numpy: with the module poisoned before
-        ``import repro``, the lab capture still models (with stability)
-        and diffs clean against itself."""
+    def test_src_runs_without_numpy(self, tmp_path):
+        """``src/`` imports nothing third-party: with numpy, networkx and
+        scipy poisoned before ``import repro``, the lab capture still
+        models (with stability) and diffs clean against itself, and
+        ``repro telemetry --html`` draws its heatmap."""
+        page = tmp_path / "heatmap.html"
         code = (
             "import sys\n"
-            "sys.modules['numpy'] = None\n"
+            "for name in ('numpy', 'networkx', 'scipy'):\n"
+            "    sys.modules[name] = None\n"
             "import repro\n"
             "from repro.scenarios import three_tier_lab\n"
             "log = three_tier_lab(seed=3).run(0.5, 20.0)\n"
@@ -113,12 +116,15 @@ class TestAssessStability:
             "model = fd.model(log)\n"
             "assert model.stability\n"
             "assert not fd.diff(model, fd.model(log)).unknown_changes\n"
+            "from repro.cli import main\n"
+            f"assert main(['telemetry', '--duration', '5', '--html', {str(page)!r}]) == 0\n"
         )
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
         subprocess.run(
             [sys.executable, "-c", code], check=True, env=env, capture_output=True
         )
+        assert "<svg" in page.read_text(encoding="utf-8")
 
 
 def reference_verdicts(monkeypatch, log, window=None):

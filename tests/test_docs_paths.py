@@ -6,11 +6,15 @@ row) must be a name ``BENCHMARK.json`` declares — so a doc rewrite that
 retires a file or a row cannot leave a dangling pointer behind. Every
 ``python -m repro ...`` line in a fenced block (and in the CI workflow)
 must be one the CLI's own parser accepts, so retiring a subcommand or a
-flag cannot leave a command line behind that no longer runs.
+flag cannot leave a command line behind that no longer runs. Every
+``from repro... import ...`` / ``import repro...`` line in a fenced block
+must import, and every name it imports must be there, so moving a name
+cannot leave a snippet importing it from where it used to live.
 """
 
 import fnmatch
 import glob
+import importlib
 import json
 import os
 import re
@@ -78,13 +82,19 @@ def test_backticked_benchmark_metrics_are_declared(doc):
     assert not unknown, f"{doc} cites metrics BENCHMARK.json lacks: {unknown}"
 
 
-def _repro_command_lines(doc):
-    """The argv of every ``python -m repro`` invocation ``doc`` shows:
-    continuation lines joined, cut at the first shell operator."""
+def _fenced(doc):
+    """The text ``doc`` shows as code: its fenced blocks (all of a non-Markdown file)."""
     with open(os.path.join(ROOT, doc), encoding="utf-8") as fh:
         text = fh.read()
     if doc.endswith(".md"):
         text = "\n".join(re.findall(r"^```.*?^```", text, re.S | re.M))
+    return text
+
+
+def _repro_command_lines(doc):
+    """The argv of every ``python -m repro`` invocation ``doc`` shows:
+    continuation lines joined, cut at the first shell operator."""
+    text = _fenced(doc)
     text = re.sub(r"\\\n\s*", " ", text)
     for match in re.finditer(r"python3? -m repro\b([^\n]*)", text):
         argv = shlex.split(match.group(1), comments=True)
@@ -105,3 +115,34 @@ def test_repro_command_lines_parse(doc, capsys):
             reason = capsys.readouterr().err.strip().splitlines()[-1]
             rejected.append((" ".join(argv), reason))
     assert not rejected, f"{doc} shows command lines the CLI rejects: {rejected}"
+
+
+def _repro_imports(doc):
+    """``(module, names)`` for every ``repro`` import ``doc`` shows,
+    parenthesised continuations joined; ``names`` is empty for a plain
+    ``import repro.x``."""
+    text = re.sub(r"\(([^()]*)\)", lambda m: m.group(1).replace("\n", " "), _fenced(doc))
+    for module, names in re.findall(
+        r"^\s*from (repro[\w.]*) import ([^\n#]+)", text, re.M
+    ):
+        yield module, [n.split(" as ")[0].strip() for n in names.split(",") if n.strip()]
+    for module in re.findall(r"^\s*import (repro[\w.]*)", text, re.M):
+        yield module, []
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_repro_imports_resolve(doc):
+    broken = []
+    for module, names in _repro_imports(doc):
+        try:
+            mod = importlib.import_module(module)
+        except ImportError as err:
+            broken.append((module, str(err)))
+            continue
+        for name in names:
+            if not hasattr(mod, name):
+                try:
+                    importlib.import_module(f"{module}.{name}")
+                except ImportError:
+                    broken.append((module, name))
+    assert not broken, f"{doc} shows imports that do not resolve: {broken}"

@@ -173,6 +173,25 @@ class TestFaultHooks:
         net.sim.run(until=80.0)
         assert r[0].delivered
 
+    def test_route_cache_bounded_by_routed_pairs(self):
+        """Invalidation drops stale routes instead of stranding a generation."""
+        net = Network(lab_testbed())
+        pairs = [("S1", "S3"), ("S2", "S4"), ("S3", "S1")]
+
+        def traffic(sport, until):
+            for src, dst in pairs:
+                net.send_flow(
+                    FlowRequest(key=FlowKey(src, dst, sport, 80), size_bytes=100, duration=0.01)
+                )
+            net.sim.run(until=until)
+
+        traffic(40000, 5.0)
+        net.fail_link("ofs3", "ofs1")
+        traffic(41000, 10.0)
+        net.recover_link("ofs3", "ofs1")
+        traffic(42000, 15.0)
+        assert 0 < len(net._route_cache) <= len(pairs)
+
     def test_host_shutdown_blocks_flows(self):
         net = make_network()
         net.shutdown_host("h5")

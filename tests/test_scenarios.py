@@ -27,7 +27,7 @@ class TestThreeTierLab:
     def test_with_services_adds_special_nodes(self):
         scenario = three_tier_lab(seed=3, with_services=True)
         assert scenario.special_nodes()
-        assert "svc-dns" in scenario.network.topology.graph
+        assert "svc-dns" in scenario.network.topology
 
     def test_without_services_no_special_nodes(self):
         scenario = three_tier_lab(seed=3)

@@ -4,6 +4,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -356,6 +358,28 @@ class TestCLI:
         assert rc == 1
         assert "S3" in out
         assert "DD" in out
+
+    def test_diff_loads_only_what_it_uses(self, tmp_path):
+        """The import closure of ``import repro`` and of an offline diff:
+        no third-party package, no simulator, no HTTP server."""
+        captures = [str(tmp_path / name) for name in ("l1.jsonl", "l2.jsonl")]
+        for seed, capture in zip(("3", "4"), captures):
+            assert main(["simulate", "--out", capture, "--duration", "5", "--seed", seed]) == 0
+        code = (
+            "import sys\n"
+            "unwanted = ('networkx', 'numpy', 'scipy', 'http.server', 'repro.netsim',\n"
+            "            'repro.obs.heatmap', 'repro.obs.httpd', 'repro.obs.telemetry',\n"
+            "            'repro.openflow.controller')\n"
+            "import repro\n"
+            "assert not [m for m in unwanted if m in sys.modules], 'import repro'\n"
+            "from repro.cli import main\n"
+            f"assert main(['diff', *{captures!r}]) in (0, 1)\n"
+            "assert not [m for m in unwanted if m in sys.modules], 'repro diff'\n"
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        subprocess.run([sys.executable, "-c", code], check=True, env=env, capture_output=True)
 
     def test_unknown_fault_rejected(self, tmp_path):
         out = str(tmp_path / "x.jsonl")

@@ -20,16 +20,11 @@ from repro.core.diff.evidence import attach_evidence, telemetry_records_for
 from repro.core.diff.html import report_to_html
 from repro.core.diff.report import DiagnosisReport
 from repro.faults.network import LinkLoss
-from repro.obs import (
-    AlertEngine,
-    MetricsRegistry,
-    ObsHTTPServer,
-    ObsState,
-    TelemetryPlane,
-    heatmap_to_html,
-    telemetry_rules,
-    topology_heatmap_svg,
-)
+from repro.obs.alerts import AlertEngine, telemetry_rules
+from repro.obs.heatmap import heatmap_to_html, topology_heatmap_svg
+from repro.obs.httpd import ObsHTTPServer, ObsState
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.telemetry import TelemetryPlane
 from repro.scenarios import three_tier_lab
 
 FAULTED_EDGE = "ofs1--ofs5"
@@ -84,7 +79,12 @@ def test_heatmap_visibly_marks_the_faulted_link(faulted_run):
 def test_heatmap_is_deterministic(faulted_run):
     scenario, plane, _, _, _ = faulted_run
     topo = scenario.network.topology
-    assert topology_heatmap_svg(topo, plane) == topology_heatmap_svg(topo, plane)
+    svg = topology_heatmap_svg(topo, plane)
+    assert svg == topology_heatmap_svg(topo, plane)
+    # Laid out by tier: aggregation above edge above hosts (SVG y grows down).
+    circles = re.findall(r'<circle [^>]*data-component="([^"]*)" cx="[^"]*" cy="([^"]*)"', svg)
+    cy = {node: float(y) for node, y in circles}
+    assert cy["ofs1"] < cy["ofs3"] < cy["S1"]
 
 
 def test_telemetry_alert_fires_for_the_faulted_link(faulted_run):
