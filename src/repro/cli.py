@@ -238,10 +238,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     log = _read(args.log, args.format)
     recorder = FlightRecorder.from_log(log, occurrence_gap=args.gap)
+    # The first filter given narrows the recorder's unbuilt chains; what
+    # is left to filter after it is at most what gets shown.
     timelines = recorder.timelines
     if args.corr is not None:
         match = recorder.timeline(args.corr)
         timelines = [match] if match is not None else []
+    elif args.flow:
+        timelines = recorder.for_flow(args.flow)
+    elif args.incomplete:
+        timelines = recorder.incomplete()
     if args.flow:
         timelines = [
             t for t in timelines if t.flow is not None and args.flow in str(t.flow)

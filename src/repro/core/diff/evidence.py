@@ -70,7 +70,6 @@ def attach_evidence(
     metrics: Optional[MetricsRegistry] = None,
     max_components: int = 3,
     max_flows_per_component: int = 3,
-    recorder: Optional[FlightRecorder] = None,
     telemetry: Optional[TelemetryPlane] = None,
     max_series_per_component: int = 4,
 ) -> DiagnosisReport:
@@ -83,19 +82,19 @@ def attach_evidence(
         metrics: optional registry; occupancy samples annotate each chain.
         max_components: how many ranked suspects get evidence.
         max_flows_per_component: flows kept per suspect (worst first).
-        recorder: reuse an already-reconstructed recorder (e.g. from the
-            monitor loop) instead of re-reading the log.
         telemetry: optional data-plane telemetry plane from the same run;
             each suspect's chain then carries its worst-window readings
             (utilization spikes, drop bursts, latency peaks).
         max_series_per_component: telemetry records kept per suspect.
 
-    A healthy report (no ranked suspects) is returned unchanged.
+    Only the chains of flows that can touch one of those suspects are
+    built (:meth:`FlightRecorder.for_component`), so the cost follows the
+    suspects' flows, not the capture. A healthy report (no ranked
+    suspects) is returned unchanged.
     """
     if not report.component_ranking:
         return report
-    if recorder is None:
-        recorder = FlightRecorder.from_log(current_log, metrics=metrics)
+    recorder = FlightRecorder.from_log(current_log, metrics=metrics)
     chains = []
     for component, score in report.component_ranking[: max(0, max_components)]:
         implicated = recorder.for_component(component)

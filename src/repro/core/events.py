@@ -17,12 +17,19 @@ observations instead:
 A 5-tuple can recur (connection reuse after entry expiry, periodic jobs);
 occurrences of the same key separated by more than ``occurrence_gap`` are
 distinct arrivals.
+
+:class:`HopReport`, :class:`FlowArrival` and :class:`FlowRecord` are named
+tuples — one is built per ``PacketIn`` / flow / record in every modeling
+pass, and a tuple is the cheapest immutable record Python has (no
+``__dict__``, and the cyclic collector stops tracking one that holds only
+atoms). So each compares equal to a plain tuple of the same fields, and
+``dataclasses.replace`` / ``fields`` do not apply to them (``_replace`` and
+``_fields`` do).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.occurrence import splits_occurrence
 from repro.openflow.log import ControllerLog
@@ -30,9 +37,8 @@ from repro.openflow.match import FlowKey
 from repro.openflow.messages import FlowMod, FlowRemoved, PacketIn
 
 
-@dataclass(frozen=True)
-class HopReport:
-    """One switch's report of a flow occurrence.
+class HopReport(NamedTuple):
+    """One switch's report of a flow occurrence (a named tuple).
 
     Attributes:
         dpid: the reporting switch.
@@ -50,9 +56,8 @@ class HopReport:
     out_port: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class FlowArrival:
-    """One occurrence of a flow, as seen through control traffic.
+class FlowArrival(NamedTuple):
+    """One occurrence of a flow, as seen through control traffic (a named tuple).
 
     Attributes:
         flow: the 5-tuple.
@@ -80,9 +85,8 @@ class FlowArrival:
         return tuple(h.dpid for h in self.hops)
 
 
-@dataclass(frozen=True)
-class FlowRecord:
-    """A flow occurrence joined with its final counters.
+class FlowRecord(NamedTuple):
+    """A flow occurrence joined with its final counters (a named tuple).
 
     Attributes:
         arrival: the occurrence.

@@ -20,12 +20,36 @@ flow 5-tuple and occurrence gap, yielding synthetic (negative) ids.
 Dropped or reordered control messages never abort reconstruction — the
 resulting timeline simply reports itself incomplete or non-monotone,
 which is itself diagnostic signal.
+
+:class:`FlightRecorder` is an index, not a pile of chains: binding a
+capture costs one pass that groups its messages by flow instance, and a
+:class:`FlowTimeline` (sorted, formatted, latencies computed) is built the
+first time something reads it. Asking for one correlation id builds one
+chain; ``repro diff --evidence`` builds the chains of the flows that can
+touch a ranked suspect, so it costs in proportion to the suspects' flows,
+not to the capture.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import (
+    Any,
+    Callable,
+    Collection,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+    overload,
+)
 
 from repro.core.occurrence import splits_occurrence
 from repro.obs.metrics import Histogram, MetricsRegistry
@@ -45,14 +69,31 @@ from repro.openflow.messages import (
 #: FlowRemoved (idle timeout + sweep period after the last packet) attached.
 DEFAULT_OCCURRENCE_GAP = 10.0
 
-#: Stage ordering used to break timestamp ties into causal order.
-_STAGE_ORDER = {
-    "packet_in": 0,
-    "flow_mod": 1,
-    "packet_out": 2,
-    "flow_stats": 3,
-    "flow_removed": 4,
-}
+#: The stages every whole chain has: trigger, decision, expiry.
+_REQUIRED_STAGES = ("packet_in", "flow_mod", "flow_removed")
+
+
+def _dropped_stages(stages: Collection[str]) -> Tuple[str, ...]:
+    return tuple(s for s in _REQUIRED_STAGES if s not in stages)
+
+
+def _causal(marks: Sequence[Tuple[str, str, float]]) -> bool:
+    """Whether ``(stage, dpid, timestamp)`` marks in timestamp order respect
+    causality: no hop's FlowMod before the PacketIn that triggered it, no
+    expiry before the chain's trigger."""
+    first_in: Dict[str, float] = {}
+    for stage, dpid, timestamp in marks:
+        if stage == "packet_in" and dpid not in first_in:
+            first_in[dpid] = timestamp
+    trigger = min(first_in.values()) if first_in else None
+    for stage, dpid, timestamp in marks:
+        if stage == "flow_mod" and dpid in first_in:
+            if timestamp < first_in[dpid]:
+                return False
+        elif stage == "flow_removed" and trigger is not None:
+            if timestamp < trigger:
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -131,8 +172,7 @@ class FlowTimeline:
     @property
     def complete(self) -> bool:
         """Trigger, decision, and expiry all present in the chain."""
-        stages = {e.stage for e in self.events}
-        return {"packet_in", "flow_mod", "flow_removed"} <= stages
+        return not self.dropped_stages
 
     @property
     def monotone(self) -> bool:
@@ -143,27 +183,12 @@ class FlowTimeline:
         *causality*: a hop's FlowMod timestamped before the PacketIn that
         triggered it, or an expiry before the chain's trigger.
         """
-        first_in: Dict[str, float] = {}
-        for event in self.events:
-            if event.stage == "packet_in" and event.dpid not in first_in:
-                first_in[event.dpid] = event.timestamp
-        trigger = min(first_in.values()) if first_in else None
-        for event in self.events:
-            if event.stage == "flow_mod" and event.dpid in first_in:
-                if event.timestamp < first_in[event.dpid]:
-                    return False
-            elif event.stage == "flow_removed" and trigger is not None:
-                if event.timestamp < trigger:
-                    return False
-        return True
+        return _causal([(e.stage, e.dpid, e.timestamp) for e in self.events])
 
     @property
     def dropped_stages(self) -> Tuple[str, ...]:
         """Expected-but-missing stages — the gaps in the chain."""
-        stages = {e.stage for e in self.events}
-        return tuple(
-            s for s in ("packet_in", "flow_mod", "flow_removed") if s not in stages
-        )
+        return _dropped_stages({e.stage for e in self.events})
 
     def stage_events(self, stage: str) -> List[TimelineEvent]:
         return [e for e in self.events if e.stage == stage]
@@ -244,84 +269,151 @@ class FlowTimeline:
 
 
 # ----------------------------------------------------------------------
-# Reconstruction
+# What the recorder knows about each message class
 # ----------------------------------------------------------------------
 
 
-def _message_flow(msg: ControlMessage) -> Optional[FlowKey]:
-    """The flow identity a message carries, if recoverable."""
-    if isinstance(msg, (PacketIn, PacketOut)):
-        return msg.flow
-    if isinstance(msg, (FlowMod, FlowRemoved, FlowStatsReply)):
-        match = msg.match
-        if isinstance(match, Match) and match.is_microflow:
-            return FlowKey(
-                src=match.src,
-                dst=match.dst,
-                src_port=match.src_port,
-                dst_port=match.dst_port,
-                proto=match.proto or "tcp",
-            )
+def _match_flow(msg: Any) -> Optional[FlowKey]:
+    """The 5-tuple a rule message concerns, when its match names one flow."""
+    match = msg.match
+    if isinstance(match, Match) and match.is_microflow:
+        return FlowKey(
+            src=match.src,
+            dst=match.dst,
+            src_port=match.src_port,
+            dst_port=match.dst_port,
+            proto=match.proto or "tcp",
+        )
     return None
 
 
-def _stage_of(msg: ControlMessage) -> Optional[str]:
-    if isinstance(msg, PacketIn):
-        return "packet_in"
-    if isinstance(msg, FlowMod):
-        return "flow_mod"
-    if isinstance(msg, PacketOut):
-        return "packet_out"
-    if isinstance(msg, FlowRemoved):
-        return "flow_removed"
-    if isinstance(msg, FlowStatsReply):
-        return "flow_stats"
-    return None
+def _packet_in_detail(msg: PacketIn) -> str:
+    return f"table miss, in_port={msg.in_port}"
 
 
-def _detail_of(msg: ControlMessage) -> str:
-    if isinstance(msg, PacketIn):
-        return f"table miss, in_port={msg.in_port}"
-    if isinstance(msg, FlowMod):
-        return (
-            f"install out_port={msg.out_port} idle={msg.idle_timeout:g}s"
-            + (f" reply_to=#{msg.in_reply_to}" if msg.in_reply_to is not None else "")
+def _flow_mod_detail(msg: FlowMod) -> str:
+    return f"install out_port={msg.out_port} idle={msg.idle_timeout:g}s" + (
+        f" reply_to=#{msg.in_reply_to}" if msg.in_reply_to is not None else ""
+    )
+
+
+def _packet_out_detail(msg: PacketOut) -> str:
+    return f"release buffered packet out_port={msg.out_port}"
+
+
+def _flow_removed_detail(msg: FlowRemoved) -> str:
+    return (
+        f"expired ({msg.reason.value}) after {msg.duration:g}s, "
+        f"{msg.byte_count}B/{msg.packet_count}pkt"
+    )
+
+
+def _flow_stats_detail(msg: FlowStatsReply) -> str:
+    return f"counter poll: {msg.byte_count}B/{msg.packet_count}pkt"
+
+
+class _Kind(NamedTuple):
+    """One row of :data:`_KINDS`: a message class as a chain stage."""
+
+    stage: str
+    #: breaks timestamp ties into causal order
+    order: int
+    #: the flow identity a message carries, if recoverable
+    flow: Callable[[Any], Optional[FlowKey]]
+    detail: Callable[[Any], str]
+
+
+#: Keyed on ``type(msg)`` (the message classes have no subclasses); a
+#: class that is not here (PortStatus, the bare base) is no part of any
+#: flow's chain.
+_KINDS: Dict[type, _Kind] = {
+    PacketIn: _Kind("packet_in", 0, attrgetter("flow"), _packet_in_detail),
+    FlowMod: _Kind("flow_mod", 1, _match_flow, _flow_mod_detail),
+    PacketOut: _Kind("packet_out", 2, attrgetter("flow"), _packet_out_detail),
+    FlowStatsReply: _Kind("flow_stats", 3, _match_flow, _flow_stats_detail),
+    FlowRemoved: _Kind("flow_removed", 4, _match_flow, _flow_removed_detail),
+}
+
+
+# ----------------------------------------------------------------------
+# Grouping (cheap, whole capture) and building (on demand, one chain)
+# ----------------------------------------------------------------------
+
+
+def _causal_key(msg: ControlMessage) -> Tuple[float, int]:
+    return msg.timestamp, _KINDS[type(msg)].order
+
+
+def _chain_flow(messages: Sequence[ControlMessage]) -> Optional[FlowKey]:
+    """The 5-tuple of the first message, in causal order, that carries one.
+
+    ``messages`` is in log (timestamp) order, so only the stage order among
+    the messages sharing the earliest flow-carrying timestamp is left to
+    settle — normally the scan stops at the second message.
+    """
+    best: Optional[FlowKey] = None
+    best_at = 0.0
+    best_order = 0
+    for msg in messages:
+        if best is not None and msg.timestamp > best_at:
+            break
+        kind = _KINDS[type(msg)]
+        if best is None or kind.order < best_order:
+            flow = kind.flow(msg)
+            if flow is not None:
+                best, best_at, best_order = flow, msg.timestamp, kind.order
+    return best
+
+
+class _Group(NamedTuple):
+    """The messages of one flow instance — a chain not built yet.
+
+    Field order is sort order: groups compare by ``(t_start, corr_id)``
+    and, ids being unique, never reach ``messages``.
+    """
+
+    t_start: float
+    corr_id: int
+    #: in log order, every one of a class in :data:`_KINDS`
+    messages: List[ControlMessage]
+    synthetic: bool
+
+    def flow(self) -> Optional[FlowKey]:
+        return _chain_flow(self.messages)
+
+    def names(self) -> Set[str]:
+        """Every switch and flow endpoint the chain could name."""
+        names = {msg.dpid for msg in self.messages}
+        flow = self.flow()
+        if flow is not None:
+            names.update(flow.endpoints())
+        return names
+
+    def complete(self) -> bool:
+        return not _dropped_stages({_KINDS[type(m)].stage for m in self.messages})
+
+    def monotone(self) -> bool:
+        return _causal(
+            [(_KINDS[type(m)].stage, m.dpid, m.timestamp) for m in self.messages]
         )
-    if isinstance(msg, PacketOut):
-        return f"release buffered packet out_port={msg.out_port}"
-    if isinstance(msg, FlowRemoved):
-        return (
-            f"expired ({msg.reason.value}) after {msg.duration:g}s, "
-            f"{msg.byte_count}B/{msg.packet_count}pkt"
-        )
-    if isinstance(msg, FlowStatsReply):
-        return f"counter poll: {msg.byte_count}B/{msg.packet_count}pkt"
-    return type(msg).__name__
 
 
 def _build_timeline(
-    corr_id: int, messages: List[ControlMessage], synthetic: bool
+    corr_id: int, messages: Sequence[ControlMessage], synthetic: bool
 ) -> FlowTimeline:
-    ordered = sorted(
-        messages,
-        key=lambda m: (m.timestamp, _STAGE_ORDER.get(_stage_of(m) or "", 9)),
+    timeline = FlowTimeline(
+        corr_id=corr_id, flow=_chain_flow(messages), synthetic=synthetic
     )
-    flow = next(
-        (f for f in (_message_flow(m) for m in ordered) if f is not None), None
-    )
-    timeline = FlowTimeline(corr_id=corr_id, flow=flow, synthetic=synthetic)
     prev: Optional[float] = None
-    for msg in ordered:
-        stage = _stage_of(msg)
-        if stage is None:
-            continue
+    for msg in sorted(messages, key=_causal_key):
+        kind = _KINDS[type(msg)]
         latency = 0.0 if prev is None else msg.timestamp - prev
         timeline.events.append(
             TimelineEvent(
                 timestamp=msg.timestamp,
-                stage=stage,
+                stage=kind.stage,
                 dpid=msg.dpid,
-                detail=_detail_of(msg),
+                detail=kind.detail(msg),
                 latency=latency,
             )
         )
@@ -351,78 +443,98 @@ def _annotate(timeline: FlowTimeline, metrics: MetricsRegistry) -> None:
         timeline.annotations["controller_response_mean_s"] = response.mean
 
 
-def reconstruct(
-    log: ControllerLog,
-    metrics: Optional[MetricsRegistry] = None,
-    occurrence_gap: float = DEFAULT_OCCURRENCE_GAP,
-) -> List[FlowTimeline]:
-    """Reconstruct every flow's causal timeline from a capture.
+def _group_messages(log: ControllerLog, occurrence_gap: float) -> List[_Group]:
+    """One pass over the capture: its flow instances, by ``(t_start, corr_id)``.
 
     Messages with correlation ids are grouped exactly; the remainder fall
     back to (5-tuple, occurrence-gap) grouping with synthetic negative ids.
-    Returns timelines sorted by start time.
-
-    Args:
-        log: the controller capture.
-        metrics: optional registry whose occupancy instruments annotate
-            each timeline (see :func:`_annotate`).
-        occurrence_gap: heuristic-mode split threshold in seconds.
     """
-    by_corr: Dict[int, List[ControlMessage]] = {}
-    loose: Dict[FlowKey, List[ControlMessage]] = {}
+    by_corr: Dict[int, List[ControlMessage]] = defaultdict(list)
+    loose: Dict[FlowKey, List[ControlMessage]] = defaultdict(list)
+    kinds = _KINDS
     for msg in log:
-        if _stage_of(msg) is None:
+        if type(msg) not in kinds:
             continue
-        if msg.corr_id is not None:
-            by_corr.setdefault(msg.corr_id, []).append(msg)
+        corr_id = msg.corr_id
+        if corr_id is not None:
+            by_corr[corr_id].append(msg)
             continue
-        flow = _message_flow(msg)
-        if flow is None:
-            continue
-        loose.setdefault(flow, []).append(msg)
+        flow = kinds[type(msg)].flow(msg)
+        if flow is not None:
+            loose[flow].append(msg)
 
-    timelines = [
-        _build_timeline(cid, msgs, synthetic=False)
-        for cid, msgs in by_corr.items()
+    groups = [
+        _Group(msgs[0].timestamp, cid, msgs, False) for cid, msgs in by_corr.items()
     ]
-
     next_synthetic = -1
     for flow in sorted(loose, key=str):
-        msgs = sorted(loose[flow], key=lambda m: m.timestamp)
         bucket: List[ControlMessage] = []
-        for msg in msgs:
-            if bucket and splits_occurrence(bucket[-1].timestamp, msg.timestamp, occurrence_gap):
-                timelines.append(
-                    _build_timeline(next_synthetic, bucket, synthetic=True)
-                )
+        for msg in loose[flow]:
+            if bucket and splits_occurrence(
+                bucket[-1].timestamp, msg.timestamp, occurrence_gap
+            ):
+                groups.append(_Group(bucket[0].timestamp, next_synthetic, bucket, True))
                 next_synthetic -= 1
                 bucket = []
             bucket.append(msg)
-        if bucket:
-            timelines.append(_build_timeline(next_synthetic, bucket, synthetic=True))
-            next_synthetic -= 1
+        groups.append(_Group(bucket[0].timestamp, next_synthetic, bucket, True))
+        next_synthetic -= 1
+    groups.sort()
+    return groups
 
-    if metrics is not None:
-        for timeline in timelines:
-            _annotate(timeline, metrics)
-    timelines.sort(key=lambda t: (t.t_start, t.corr_id))
-    return timelines
+
+class _Chains(Sequence[FlowTimeline]):
+    """Some of a recorder's chains, by ``(t_start, corr_id)``.
+
+    Its length is known without building anything; an index builds one
+    chain and a slice builds (and returns a list of) only the slice.
+    """
+
+    def __init__(self, recorder: "FlightRecorder", groups: List[_Group]) -> None:
+        self._recorder = recorder
+        self._groups = groups
+
+    def __len__(self) -> int:
+        return len(self._groups)
+
+    @overload
+    def __getitem__(self, index: int) -> FlowTimeline: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> List[FlowTimeline]: ...
+
+    def __getitem__(
+        self, index: Union[int, slice]
+    ) -> Union[FlowTimeline, List[FlowTimeline]]:
+        build = self._recorder._build
+        if isinstance(index, slice):
+            return [build(group) for group in self._groups[index]]
+        return build(self._groups[index])
+
+    def __iter__(self) -> Iterator[FlowTimeline]:
+        return map(self._recorder._build, self._groups)
 
 
 class FlightRecorder:
-    """Convenience wrapper binding a capture to its reconstructed chains.
+    """A capture bound to the chains that can be reconstructed from it.
 
     >>> recorder = FlightRecorder.from_log(log)
     >>> recorder.timeline(corr_id=12).render()
     >>> [t for t in recorder.timelines if not t.complete]
+
+    Chains are built when first read and kept, so the same
+    :class:`FlowTimeline` object comes back every time.
     """
 
     def __init__(
-        self, timelines: List[FlowTimeline], metrics: Optional[MetricsRegistry] = None
+        self, groups: List[_Group], metrics: Optional[MetricsRegistry] = None
     ) -> None:
-        self.timelines = timelines
         self.metrics = metrics
-        self._by_id = {t.corr_id: t for t in timelines}
+        self._groups = groups
+        self._by_id = {group.corr_id: group for group in groups}
+        self._built: Dict[int, FlowTimeline] = {}
+        #: ``_names[i]`` is ``_groups[i].names()``, once a component is asked for
+        self._names: Optional[List[Set[str]]] = None
 
     @classmethod
     def from_log(
@@ -431,26 +543,51 @@ class FlightRecorder:
         metrics: Optional[MetricsRegistry] = None,
         occurrence_gap: float = DEFAULT_OCCURRENCE_GAP,
     ) -> "FlightRecorder":
-        return cls(reconstruct(log, metrics, occurrence_gap), metrics=metrics)
+        """Bind a capture: one grouping pass, no chain built yet.
+
+        Args:
+            log: the controller capture.
+            metrics: optional registry whose occupancy instruments annotate
+                each chain (see :func:`_annotate`).
+            occurrence_gap: heuristic-mode split threshold in seconds.
+        """
+        return cls(_group_messages(log, occurrence_gap), metrics=metrics)
+
+    def _build(self, group: _Group) -> FlowTimeline:
+        timeline = self._built.get(group.corr_id)
+        if timeline is None:
+            timeline = _build_timeline(group.corr_id, group.messages, group.synthetic)
+            if self.metrics is not None:
+                _annotate(timeline, self.metrics)
+            self._built[group.corr_id] = timeline
+        return timeline
 
     def __len__(self) -> int:
-        return len(self.timelines)
+        return len(self._groups)
+
+    @property
+    def timelines(self) -> Sequence[FlowTimeline]:
+        """Every chain, sorted by start time; indexing, slicing or
+        iterating builds what it reaches and no more."""
+        return _Chains(self, self._groups)
 
     def timeline(self, corr_id: int) -> Optional[FlowTimeline]:
         """The chain for one correlation id, or None."""
-        return self._by_id.get(corr_id)
+        group = self._by_id.get(corr_id)
+        return None if group is None else self._build(group)
 
-    def for_flow(self, needle: str) -> List[FlowTimeline]:
+    def for_flow(self, needle: str) -> Sequence[FlowTimeline]:
         """Chains whose 5-tuple rendering contains ``needle``.
 
         ``needle`` may be a full ``src:port->dst:port/proto`` string or any
         substring of it (a host name, ``"->S8"``, a port, ...).
         """
-        return [
-            t
-            for t in self.timelines
-            if t.flow is not None and needle in str(t.flow)
-        ]
+        matching = []
+        for group in self._groups:
+            flow = group.flow()
+            if flow is not None and needle in str(flow):
+                matching.append(group)
+        return _Chains(self, matching)
 
     def for_component(self, component: str) -> List[FlowTimeline]:
         """Chains implicating a host, switch, or edge (``"a--b"``).
@@ -458,27 +595,45 @@ class FlightRecorder:
         A chain matches a switch when it traverses it, a host when the
         host is a flow endpoint, and an edge when it traverses both
         endpoints consecutively (or touches the endpoint, for host-switch
-        edges).
+        edges). Every one of those needs the component, or the first end
+        of the edge, among the chain's switches and endpoints — only the
+        groups that pass that are built and put to the exact test.
         """
+        if self._names is None:
+            self._names = [group.names() for group in self._groups]
+        parts = {component, component.split("--", 1)[0]}
         out = []
-        for t in self.timelines:
-            if _timeline_touches(t, component):
-                out.append(t)
+        for group, names in zip(self._groups, self._names):
+            if parts.isdisjoint(names):
+                continue
+            timeline = self._build(group)
+            if _timeline_touches(timeline, component):
+                out.append(timeline)
         return out
 
-    def incomplete(self) -> List[FlowTimeline]:
+    def incomplete(self) -> Sequence[FlowTimeline]:
         """Chains with missing stages — the broken flows."""
-        return [t for t in self.timelines if not t.complete]
+        return _Chains(self, [g for g in self._groups if not g.complete()])
 
     def summary(self) -> Dict[str, int]:
-        """Counts handy for the CLI footer and tests."""
+        """Counts handy for the CLI footer and tests (builds no chain)."""
+        complete = sum(1 for g in self._groups if g.complete())
         return {
-            "flows": len(self.timelines),
-            "complete": sum(1 for t in self.timelines if t.complete),
-            "incomplete": sum(1 for t in self.timelines if not t.complete),
-            "synthetic": sum(1 for t in self.timelines if t.synthetic),
-            "reordered": sum(1 for t in self.timelines if not t.monotone),
+            "flows": len(self._groups),
+            "complete": complete,
+            "incomplete": len(self._groups) - complete,
+            "synthetic": sum(1 for g in self._groups if g.synthetic),
+            "reordered": sum(1 for g in self._groups if not g.monotone()),
         }
+
+
+def reconstruct(
+    log: ControllerLog,
+    metrics: Optional[MetricsRegistry] = None,
+    occurrence_gap: float = DEFAULT_OCCURRENCE_GAP,
+) -> List[FlowTimeline]:
+    """Every flow's causal timeline, built now, sorted by start time."""
+    return list(FlightRecorder.from_log(log, metrics, occurrence_gap).timelines)
 
 
 def _timeline_touches(timeline: FlowTimeline, component: str) -> bool:

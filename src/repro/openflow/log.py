@@ -43,11 +43,11 @@ class ControllerLog:
     """
 
     def __init__(self, messages: Optional[Iterable[ControlMessage]] = None) -> None:
-        #: ``_ts[i]`` is ``_msgs[i].timestamp``; both sorted by it, stably.
-        self._ts: List[float] = []
-        self._msgs: List[ControlMessage] = []
-        for msg in messages or ():
-            self.append(msg)
+        #: ``_ts[i]`` is ``_msgs[i].timestamp``; both sorted by it, stably —
+        #: the order appending ``messages`` one by one would give, from one
+        #: sort that is linear when they already are in order.
+        self._msgs: List[ControlMessage] = sorted(messages or (), key=_timestamp)
+        self._ts: List[float] = [msg.timestamp for msg in self._msgs]
 
     @classmethod
     def _from_sorted(

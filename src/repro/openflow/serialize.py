@@ -35,7 +35,7 @@ Decode contract (:class:`CaptureDecoder`, which :func:`message_from_json`,
 from __future__ import annotations
 
 import json
-from typing import IO, Any, Dict, Optional, Tuple, Type
+from typing import IO, Any, Dict, List, Optional, Tuple, Type
 
 from repro.openflow.log import ControllerLog
 from repro.openflow.match import FlowKey, Match
@@ -357,7 +357,7 @@ def load_log(fh: IO[str]) -> ControllerLog:
 
 
 def _load_text(text: str) -> ControllerLog:
-    log = ControllerLog()
+    messages: List[ControlMessage] = []
     decode = CaptureDecoder().line
     for line_no, line in enumerate(text.split("\n"), 1):
         try:
@@ -365,8 +365,8 @@ def _load_text(text: str) -> ControllerLog:
         except ValueError as exc:
             raise ValueError(f"line {line_no}: {exc}") from exc
         if message is not None:
-            log.append(message)
-    return log
+            messages.append(message)
+    return ControllerLog(messages)
 
 
 def save_log(log: ControllerLog, path: str) -> int:

@@ -117,8 +117,11 @@ class ServiceState(ObsState):
             ControllerLog(tenant.trace_snapshot()),
             occurrence_gap=tenant.flowdiff.config.signature.occurrence_gap,
         )
+        # Chains are built as they are read: one for ``corr``, and for a
+        # listing the first ``limit`` of however many there are.
         timelines = recorder.timelines
         corr = query.get("corr")
+        flow = query.get("flow")
         if corr:
             try:
                 corr_id = int(corr[0])
@@ -128,11 +131,10 @@ class ServiceState(ObsState):
             if timeline is None:
                 return 404, {"error": f"no chain with corr id {corr_id}"}
             timelines = [timeline]
-        flow = query.get("flow")
-        if flow:
-            timelines = [
-                t for t in timelines if t.flow is not None and flow[0] in str(t.flow)
-            ]
+            if flow and (timeline.flow is None or flow[0] not in str(timeline.flow)):
+                timelines = []
+        elif flow:
+            timelines = recorder.for_flow(flow[0])
         try:
             limit = max(1, int(query.get("limit", ["50"])[0]))
         except ValueError:

@@ -74,6 +74,24 @@ class TestTraceCommand:
         assert len(timelines) == 1
         assert timelines[0]["corr_id"] == 1
 
+    def test_corr_filter_builds_one_chain(self, healthy_capture, capsys, monkeypatch):
+        """The footer's counts come off the recorder's groups: picking one
+        chain out of the file builds one chain, in text mode too."""
+        from repro.obs import flightrec
+
+        built = []
+        real = flightrec._build_timeline
+        monkeypatch.setattr(
+            flightrec,
+            "_build_timeline",
+            lambda corr_id, *rest: built.append(corr_id) or real(corr_id, *rest),
+        )
+        assert main(["trace", healthy_capture, "--corr", "1"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("corr=1 ")
+        assert "1 of " in out and "0 incomplete" in out
+        assert built == [1]
+
     def test_missing_corr_exits_nonzero(self, healthy_capture, capsys):
         assert main(["trace", healthy_capture, "--corr", "999999999"]) == 1
 

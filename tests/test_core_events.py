@@ -3,6 +3,10 @@
 import pytest
 
 from repro.core.events import (
+    FlowArrival,
+    FlowRecord,
+    HopReport,
+    arrival_sort_key,
     extract_flow_arrivals,
     extract_flow_records,
     timed_flows,
@@ -221,3 +225,53 @@ class TestOccurrenceBoundary:
             )
         recorder = FlightRecorder.from_log(log, occurrence_gap=self.GAP)
         assert len(recorder.timelines) == expected_timelines
+
+
+class TestRecordTuples:
+    """``HopReport`` / ``FlowArrival`` / ``FlowRecord`` are named tuples."""
+
+    HOP = HopReport(dpid="sw1", in_port=1, packet_in_at=1.0, flow_mod_at=1.5, out_port=2)
+    ARRIVAL = FlowArrival(flow=KEY, time=1.0, hops=(HOP,))
+    RECORD = FlowRecord(arrival=ARRIVAL, byte_count=10, packet_count=2, duration=0.5)
+
+    @pytest.mark.parametrize("record", [HOP, ARRIVAL, RECORD], ids=lambda r: type(r).__name__)
+    def test_immutable_and_dictless(self, record):
+        assert not hasattr(record, "__dict__")
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    def test_keyword_and_positional_construction_agree(self):
+        assert self.HOP == HopReport("sw1", 1, 1.0, 1.5, 2)
+        assert self.ARRIVAL == FlowArrival(KEY, 1.0, (self.HOP,))
+        assert self.RECORD == FlowRecord(self.ARRIVAL, 10, 2, 0.5)
+        dropped = HopReport(dpid="sw1", in_port=1, packet_in_at=1.0)
+        assert dropped == HopReport("sw1", 1, 1.0, None, None)
+        assert (dropped.flow_mod_at, dropped.out_port) == (None, None)
+
+    def test_equality_and_hash_follow_the_fields(self):
+        twin = FlowRecord(
+            FlowArrival(FlowKey("a", "b", 1000, 80), 1.0, (HopReport("sw1", 1, 1.0, 1.5, 2),)),
+            10, 2, 0.5,
+        )
+        assert twin == self.RECORD and hash(twin) == hash(self.RECORD)
+        assert twin.arrival is not self.ARRIVAL
+        assert len({self.HOP, twin.arrival.hops[0]}) == 1
+        assert self.RECORD._replace(byte_count=11) != self.RECORD
+        assert self.HOP == ("sw1", 1, 1.0, 1.5, 2)  # a tuple of its fields
+
+    def test_properties_survive(self):
+        assert (self.ARRIVAL.src, self.ARRIVAL.dst) == ("a", "b")
+        assert self.ARRIVAL.path_dpids == ("sw1",)
+
+    def test_arrival_sort_key_order_unchanged(self):
+        """(time, flow key): not the tuple's own order, which would go on
+        to compare hops."""
+        late = FlowArrival(FlowKey("a", "b", 1, 80), 2.0, ())
+        tie_low = FlowArrival(FlowKey("a", "b", 1, 80), 1.0, (self.HOP, self.HOP))
+        tie_high = FlowArrival(FlowKey("a", "c", 1, 80), 1.0, ())
+        ordered = sorted([late, tie_high, tie_low], key=arrival_sort_key)
+        assert ordered == [tie_low, tie_high, late]
+        assert arrival_sort_key(tie_low) == (1.0, FlowKey("a", "b", 1, 80))

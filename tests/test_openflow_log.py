@@ -85,7 +85,8 @@ class TestControllerLog:
 
     @given(st.lists(STAMPS, max_size=50))
     def test_iteration_always_sorted(self, times):
-        """Any append order reads back sorted by ``(timestamp, arrival)``."""
+        """Any append order reads back sorted by ``(timestamp, arrival)``,
+        and the constructor's one sort gives the log appending gives."""
         messages = [pin(t, str(arrival)) for arrival, t in enumerate(times)]
         log = ControllerLog()
         for message in messages:
@@ -96,6 +97,11 @@ class TestControllerLog:
         assert [id(m) for m in log] == [id(m) for _, m in reference]
         assert len(log) == len(times)
         assert log.time_span == ((min(times), max(times)) if times else (0.0, 0.0))
+        for adopted in (ControllerLog(messages), ControllerLog(iter(messages))):
+            assert [id(m) for m in adopted] == [id(m) for m in log]
+            assert adopted._ts == log._ts
+            assert adopted.time_span == log.time_span
+        assert messages == [pin(t, str(arrival)) for arrival, t in enumerate(times)]
 
     @given(st.lists(STAMPS, max_size=50), STAMPS, STAMPS)
     def test_window_subset_invariant(self, times, lo, hi):

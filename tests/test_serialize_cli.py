@@ -144,6 +144,17 @@ class TestDecodeContract:
         assert list(restored) == list(log)
         assert [type(m) for m in restored] == [type(m) for m in log]
 
+    @given(st.lists(MESSAGES, max_size=20))
+    @settings(max_examples=60)
+    def test_unsorted_file_loads_as_if_appended_line_by_line(self, messages):
+        text = "".join(json.dumps(message_to_json(m)) + "\n" for m in messages)
+        appended = ControllerLog()
+        for message in messages:
+            appended.append(message)
+        loaded = load_log(io.StringIO(text))
+        assert list(loaded) == list(appended)
+        assert loaded.time_span == appended.time_span
+
     @given(MESSAGES)
     @settings(max_examples=60)
     def test_old_capture_lines_get_the_class_defaults(self, message):

@@ -673,6 +673,38 @@ class TestHTTPSurface:
         assert payload["chains"] > 0
         assert len(payload["timelines"]) == 5
 
+    def test_traces_build_only_the_chains_they_return(self, served, monkeypatch):
+        """One chain for ``corr=``, at most ``limit`` for a listing (with or
+        without ``flow=``) — the ring's other chains are counted, not built."""
+        from repro.obs import flightrec
+
+        built = []
+        real = flightrec._build_timeline
+        monkeypatch.setattr(
+            flightrec,
+            "_build_timeline",
+            lambda corr_id, *rest: built.append(corr_id) or real(corr_id, *rest),
+        )
+        _, server = served
+        listing = _get(server.url("/traces?tenant=prod&limit=2"))
+        assert listing["chains"] > 2 and len(listing["timelines"]) == 2
+        assert len(built) == 2
+        corr_id = listing["timelines"][1]["corr_id"]
+        flow = listing["timelines"][1]["flow"]
+        del built[:]
+        one = _get(server.url(f"/traces?tenant=prod&corr={corr_id}"))
+        assert [t["corr_id"] for t in one["timelines"]] == [corr_id]
+        assert one["timelines"][0] == listing["timelines"][1]
+        assert built == [corr_id]
+        del built[:]
+        host = flow.split(":")[0]
+        by_flow = _get(server.url(f"/traces?tenant=prod&flow={host}&limit=1"))
+        assert by_flow["chains"] >= 1 and len(by_flow["timelines"]) == 1
+        assert host in by_flow["timelines"][0]["flow"]
+        assert len(built) == 1
+        mismatch = _get(server.url(f"/traces?tenant=prod&corr={corr_id}&flow=nobody"))
+        assert mismatch["chains"] == 0
+
     def test_metrics_exports_service_family(self, served):
         _, server = served
         with urllib.request.urlopen(server.url("/metrics")) as resp:
