@@ -60,7 +60,7 @@ def test_fig10_delay_peak_robustness(benchmark, record_table):
         for label, r1, r2, reuse in SETTINGS:
             sig = run_setting(r1, r2, reuse)
             peak = sig.dd.dominant_peak(PAIR)
-            n = len(sig.dd.samples_for(PAIR))
+            n = sig.dd.summary(PAIR).n
             rows.append((label, peak, n))
         return rows
 

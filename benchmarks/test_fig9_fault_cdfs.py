@@ -15,7 +15,9 @@ shift directions and visibility (KS distance).
 
 import pytest
 
-from repro.core.signatures import SignatureConfig, build_application_signatures
+from repro.core.events import extract_flow_records
+from repro.core.signatures.delay import delay_cdf
+from repro.core.signatures.flowstats import byte_cdf
 from repro.faults import LinkLoss, LoggingMisconfig
 from repro.scenarios import AppPlan, three_tier_lab
 
@@ -31,20 +33,19 @@ FOUR_NODE = AppPlan(
 
 
 def run_case(fault=None, seed=3):
+    """The flow records of one run; the single app is the only group."""
     scenario = three_tier_lab([FOUR_NODE], seed=seed)
     if fault is not None:
         scenario.inject(fault, at=0.0)
-    log = scenario.run(0.5, DURATION)
-    sigs = build_application_signatures(log, SignatureConfig())
-    return next(iter(sigs.values()))
+    return extract_flow_records(scenario.run(0.5, DURATION))
 
 
 @pytest.fixture(scope="module")
-def signatures():
+def records():
     vanilla = run_case()
     loss = run_case(LinkLoss([("S1", "ofs3"), ("S3", "ofs5")], 0.03))
-    logging_sig = run_case(LoggingMisconfig("S3", overhead=0.05))
-    return vanilla, loss, logging_sig
+    logging_run = run_case(LoggingMisconfig("S3", overhead=0.05))
+    return vanilla, loss, logging_run
 
 
 def cdf_rows(cdf, points=10):
@@ -56,11 +57,11 @@ def cdf_rows(cdf, points=10):
     return rows
 
 
-def test_fig9a_byte_count_cdf(benchmark, signatures, record_table):
-    vanilla, loss, _ = signatures
+def test_fig9a_byte_count_cdf(benchmark, records, record_table):
+    vanilla, loss, _ = records
 
     def build_cdfs():
-        return vanilla.fs.byte_cdf(), loss.fs.byte_cdf()
+        return byte_cdf(vanilla), byte_cdf(loss)
 
     v_cdf, l_cdf = benchmark.pedantic(build_cdfs, rounds=1, iterations=1)
 
@@ -86,14 +87,13 @@ def test_fig9a_byte_count_cdf(benchmark, signatures, record_table):
     assert ks > 0.005
 
 
-def test_fig9b_delay_cdf(benchmark, signatures, record_table):
-    vanilla, loss, logging_sig = signatures
+def test_fig9b_delay_cdf(benchmark, records, record_table):
+    vanilla, loss, logging_run = records
 
     def build_cdfs():
-        return (
-            vanilla.dd.delay_cdf(APP_PAIR),
-            logging_sig.dd.delay_cdf(APP_PAIR),
-            loss.dd.delay_cdf(APP_PAIR),
+        return tuple(
+            delay_cdf([r.arrival for r in run], APP_PAIR)
+            for run in (vanilla, logging_run, loss)
         )
 
     v_cdf, g_cdf, l_cdf = benchmark.pedantic(build_cdfs, rounds=1, iterations=1)

@@ -46,7 +46,7 @@ import json
 import logging
 import os
 import sys
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.core.flowdiff import FlowDiff, FlowDiffConfig
 from repro.core.signatures.application import SignatureConfig
@@ -511,6 +511,28 @@ def _add_obs_flags(sub_parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _PositiveSeconds(argparse.Action):
+    """``--window`` / ``--baseline``: a span of stream time.
+
+    A non-positive one is one stderr line and exit 2, before anything is
+    read: a zero window has no bounds, and a negative baseline learns an
+    empty model that alarms on every window.
+    """
+
+    def __call__(
+        self,
+        parser: argparse.ArgumentParser,
+        namespace: argparse.Namespace,
+        values: Any,
+        option_string: Optional[str] = None,
+    ) -> None:
+        if not values > 0:
+            parser.exit(
+                2, f"{parser.prog}: {option_string} must be positive, got {values:g}\n"
+            )
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing and docs)."""
     parser = argparse.ArgumentParser(
@@ -654,11 +676,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mon.add_argument("log")
     mon.add_argument(
-        "--window", type=float, default=30.0, help="seconds diagnosed per step"
+        "--window",
+        type=float,
+        action=_PositiveSeconds,
+        default=30.0,
+        help="seconds diagnosed per step",
     )
     mon.add_argument(
         "--baseline",
         type=float,
+        action=_PositiveSeconds,
         help="seconds of leading log modeled as the healthy baseline "
         "(default: one window)",
     )
@@ -765,12 +792,14 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument(
         "--window",
         type=float,
+        action=_PositiveSeconds,
         default=10.0,
         help="diagnosis window length in stream seconds",
     )
     srv.add_argument(
         "--baseline",
         type=float,
+        action=_PositiveSeconds,
         metavar="SECONDS",
         help="baseline learning span (default: one window)",
     )
@@ -778,7 +807,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--slices",
         type=int,
         default=4,
-        help="per-window merge slices on the incremental path",
+        help="sub-intervals per window: the fold cadence of incremental extraction",
     )
     srv.add_argument(
         "--checkpoint-dir",

@@ -58,8 +58,8 @@ class DiagnosisStream:
     metrics, alert-engine wiring, and baseline re-anchoring. Callers
     produce window models however they like — the batch
     :class:`SlidingDiagnoser` remodels each window from the log, the
-    streaming service assembles them incrementally via signature
-    ``merge()`` — and feed them through :meth:`observe`.
+    streaming service builds them from arrivals it extracted
+    incrementally — and feed them through :meth:`observe`.
 
     Args:
         flowdiff: the configured pipeline used for diffs (and for the

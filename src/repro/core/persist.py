@@ -6,10 +6,11 @@ the raw log every time is wasteful and, worse, requires keeping the raw
 log; this module serializes a :class:`~repro.core.model.BehaviorModel` to
 JSON so the *model* is the retained artifact.
 
-Raw delay/byte samples are not persisted — only the derived signature
-content diffing needs (edges, counts, peaks, first-pairing means/SEs,
-moments). A reloaded model therefore diffs identically but cannot re-plot
-sample-level CDFs; keep the log too if you need those.
+A signature holds exactly what is written here — the content diffing
+needs (edges, counts, peaks, first-pairing means/SEs, moments), never raw
+delay/byte samples — so a reloaded model equals the one that was saved.
+Sample-level CDFs (Figure 9) are computed from the log; keep it too if you
+need those.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from repro.core.signatures.base import ChangeRecord, Signature, SignatureKind
 from repro.core.signatures.connectivity import ConnectivityGraph
 from repro.core.signatures.flowstats import FlowStats
 from repro.core.signatures.interaction import ComponentInteraction
-from repro.core.signatures.delay import DelayDistribution, PersistedDelayDistribution
+from repro.core.signatures.delay import DelayDistribution
 from repro.core.signatures.correlation import PartialCorrelation
 from repro.core.signatures.application import (
     ApplicationSignature,
@@ -47,7 +47,6 @@ __all__ = [
     "FlowStats",
     "ComponentInteraction",
     "DelayDistribution",
-    "PersistedDelayDistribution",
     "PartialCorrelation",
     "ApplicationSignature",
     "SignatureConfig",

@@ -72,12 +72,7 @@ class ApplicationSignature:
 
     @classmethod
     def from_dict(cls, data: JsonDict) -> "ApplicationSignature":
-        """Rebuild from :meth:`to_dict` output.
-
-        The DD component decodes to a summary-backed
-        :class:`~repro.core.signatures.delay.PersistedDelayDistribution`;
-        everything else round-trips exactly.
-        """
+        """Rebuild from :meth:`to_dict` output (exact round-trip)."""
         return cls(
             group=ApplicationGroup(
                 members=frozenset(data["group"]["members"]),

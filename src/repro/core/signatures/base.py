@@ -10,28 +10,26 @@ from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 class Signature:
     """Base class of every signature component (CG/FS/CI/DD/PC/PT/ISL/CRT).
 
-    Subclasses are frozen dataclasses carrying derived signature content.
-    The class is deliberately *not* abstract — ``merge`` signatures vary
-    per component (some need window bounds, all need their ``keep_*``
-    retention flag), so the contract is enforced statically by the
-    ``signature-contract`` lint rule of :mod:`repro.qa` instead of by
-    ``abc``. Every direct subclass must define:
+    Subclasses are frozen dataclasses holding exactly what their
+    ``to_dict`` writes: counts, summaries and histogram peaks, never the
+    raw samples they were computed from. Each is built in one place (its
+    ``build`` classmethod, called by
+    :func:`~repro.core.signatures.application.build_application_signatures`
+    and
+    :func:`~repro.core.signatures.infrastructure.build_infrastructure_signature`
+    for batch and streaming windows alike), so a built signature and a
+    reloaded one are the same type with the same fields. ``build``
+    arguments vary per component, so the contract is enforced statically
+    by the ``signature-contract`` lint rule of :mod:`repro.qa` instead of
+    by ``abc``. Every direct subclass must define:
 
-    * ``merge(cls, parts, ...)`` — combine partials built over slices of
-      one stream into the signature a single build over the full stream
-      would produce. **Must be associative** (the streaming window in
-      :mod:`repro.service.incremental` merges per-slice partials) as
-      long as the retention flag (``keep_rows``/``keep_events``/... ) is
-      threaded through intermediate merges; the property-based harness
-      in ``tests/test_signature_contract.py`` checks this.
     * ``diff(self, other, ...)`` — change records of ``other`` (current)
       against ``self`` (baseline).
-    * ``to_dict(self)`` — the persisted-JSON encoding of the *derived*
-      content (never retained raw state); consumed by
+    * ``to_dict(self)`` — the persisted-JSON encoding; consumed by
       :mod:`repro.core.persist`.
     * ``from_dict(cls, data)`` — rebuild from :meth:`to_dict` output. The
-      round-trip must re-encode identically: ``from_dict(d).to_dict() ==
-      d``.
+      round-trip is an identity: ``from_dict(sig.to_dict()) == sig``
+      (``tests/test_signature_contract.py`` checks it per class).
     """
 
     __slots__ = ()

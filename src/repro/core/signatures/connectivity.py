@@ -53,24 +53,6 @@ class ConnectivityGraph(Signature):
             first_seen=tuple(sorted(first.items())),
         )
 
-    @classmethod
-    def merge(cls, parts: Sequence["ConnectivityGraph"]) -> "ConnectivityGraph":
-        """Combine partial CGs built over slices of one arrival stream.
-
-        Exact and associative with no retained raw state: edges union,
-        first-seen timestamps take the minimum per edge. Equals a single
-        build over the concatenated arrivals, in any part order.
-        """
-        first: Dict[Edge, float] = {}
-        for part in parts:
-            for edge, t in part.first_seen:
-                if edge not in first or t < first[edge]:
-                    first[edge] = t
-        return cls(
-            edges=frozenset(first),
-            first_seen=tuple(sorted(first.items())),
-        )
-
     def to_dict(self) -> JsonDict:
         """The persisted-JSON encoding (see :mod:`repro.core.persist`)."""
         return {

@@ -39,15 +39,10 @@ class PartialCorrelation(Signature):
             cascade orientation ``(u, n), (n, w)``), the correlation of
             their per-epoch flow-count series.
         epoch: the epoch width used, in seconds.
-        times_by_edge: raw per-edge arrival times, retained only by
-            partial builds (``keep_times=True``) so :meth:`merge` can
-            re-bucket and re-correlate over the full window; empty on
-            normal builds and never persisted.
     """
 
     correlations: Tuple[Tuple[EdgePair, float], ...]
     epoch: float = 1.0
-    times_by_edge: Tuple[Tuple[Edge, Tuple[float, ...]], ...] = ()
 
     @classmethod
     def build(
@@ -57,64 +52,16 @@ class PartialCorrelation(Signature):
         t_end: float,
         epoch: float = 1.0,
         min_count: int = 4,
-        keep_times: bool = False,
     ) -> "PartialCorrelation":
         """Correlate adjacent edges' epoch count series.
 
         Edge pairs with fewer than ``min_count`` total observations on
         either edge are skipped (their correlation estimate would be
-        noise). ``keep_times=True`` retains the per-edge arrival times,
-        making the result a partial signature :meth:`merge` can combine.
+        noise).
         """
-        times: Dict[Edge, List[float]] = {}
+        times_by_edge: Dict[Edge, List[float]] = {}
         for arrival in arrivals:
-            times.setdefault((arrival.src, arrival.dst), []).append(arrival.time)
-        return cls._from_times(times, t_start, t_end, epoch, min_count, keep_times)
-
-    @classmethod
-    def merge(
-        cls,
-        parts: Sequence["PartialCorrelation"],
-        t_start: float,
-        t_end: float,
-        epoch: float = 1.0,
-        min_count: int = 4,
-        keep_times: bool = False,
-    ) -> "PartialCorrelation":
-        """Combine partial PCs built with ``keep_times=True``.
-
-        Pearson's coefficient is not decomposable over sub-series (and the
-        ``min_count`` filter applies to *total* observations), so the
-        merge concatenates the raw per-edge arrival times and re-runs the
-        epoch bucketing and correlation over the merged window ``[t_start,
-        t_end)``. Epoch counts are integers, so the result is exact in any
-        part order; associative when ``keep_times=True`` is threaded
-        through intermediate merges.
-
-        Raises:
-            ValueError: if a non-empty part retained no times.
-        """
-        times: Dict[Edge, List[float]] = {}
-        for part in parts:
-            if part.correlations and not part.times_by_edge:
-                raise ValueError(
-                    "PartialCorrelation.merge needs partials built with "
-                    "keep_times=True"
-                )
-            for edge, values in part.times_by_edge:
-                times.setdefault(edge, []).extend(values)
-        return cls._from_times(times, t_start, t_end, epoch, min_count, keep_times)
-
-    @classmethod
-    def _from_times(
-        cls,
-        times_by_edge: Dict[Edge, List[float]],
-        t_start: float,
-        t_end: float,
-        epoch: float,
-        min_count: int,
-        keep_times: bool,
-    ) -> "PartialCorrelation":
+            times_by_edge.setdefault((arrival.src, arrival.dst), []).append(arrival.time)
         series = {
             edge: epoch_counts(times, t_start, t_end, epoch)
             for edge, times in times_by_edge.items()
@@ -141,16 +88,7 @@ class PartialCorrelation(Signature):
                     [float(c) for c in series[in_edge]],
                     [float(c) for c in series[out_edge]],
                 )
-        return cls(
-            correlations=tuple(sorted(out.items())),
-            epoch=epoch,
-            times_by_edge=tuple(
-                (edge, tuple(values))
-                for edge, values in sorted(times_by_edge.items())
-            )
-            if keep_times
-            else (),
-        )
+        return cls(correlations=tuple(sorted(out.items())), epoch=epoch)
 
     def to_dict(self) -> JsonDict:
         """The persisted-JSON encoding (see :mod:`repro.core.persist`)."""
@@ -163,7 +101,7 @@ class PartialCorrelation(Signature):
 
     @classmethod
     def from_dict(cls, data: JsonDict) -> "PartialCorrelation":
-        """Rebuild from :meth:`to_dict` output (raw times stay empty)."""
+        """Rebuild from :meth:`to_dict` output (exact round-trip)."""
         return cls(
             correlations=tuple(
                 (decode_pair(p), r) for p, r in data["correlations"]

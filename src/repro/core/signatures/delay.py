@@ -15,7 +15,7 @@ threshold flags performance degradation at the connecting server
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.analysis.stats import EmpiricalCDF, histogram_peaks
 from repro.core.events import FlowArrival
@@ -35,35 +35,112 @@ Edge = Tuple[str, str]
 EdgePair = Tuple[Edge, Edge]
 
 
+class PairDelays(NamedTuple):
+    """What one edge pair's delays come to; exactly what is persisted.
+
+    Attributes:
+        peaks: ``(delay, count)`` histogram peaks over *all* pairings of
+            an incoming flow with the outgoing flows in its window,
+            dominant first — the distribution whose peaks identify
+            processing times even under interleaving.
+        mean: mean delay to the *first* outgoing flow after each incoming
+            flow — the tighter causal estimate used for mean-shift
+            detection (an all-pairs mean would be diluted by later
+            unrelated flows); -1 when there is none.
+        stderr: standard error of that mean; ``inf`` below two samples.
+        n: number of all-pairings delays.
+        n_first: number of first-pairing delays.
+    """
+
+    peaks: Tuple[Tuple[float, int], ...]
+    mean: float
+    stderr: float
+    n: int
+    n_first: int
+
+
+_UNSEEN = PairDelays(peaks=(), mean=-1.0, stderr=float("inf"), n=0, n_first=0)
+
+
+def pair_delays(
+    arrivals: Sequence[FlowArrival],
+    window: float = 1.0,
+    max_pairs_per_in: int = 8,
+) -> Tuple[Dict[EdgePair, List[float]], Dict[EdgePair, List[float]]]:
+    """Inter-flow delays at every node: ``(all pairings, first pairings)``.
+
+    Args:
+        arrivals: one group's flow arrivals.
+        window: how long after an incoming flow an outgoing flow can
+            still be considered potentially dependent.
+        max_pairs_per_in: cap on outgoing flows paired with one
+            incoming flow (bounds quadratic blowup under bursts; true
+            dependency peaks survive because they recur).
+    """
+    incoming: Dict[str, List[Tuple[float, Edge]]] = {}
+    outgoing: Dict[str, List[Tuple[float, Edge]]] = {}
+    for arrival in arrivals:
+        edge = (arrival.src, arrival.dst)
+        outgoing.setdefault(arrival.src, []).append((arrival.time, edge))
+        incoming.setdefault(arrival.dst, []).append((arrival.time, edge))
+
+    delays: Dict[EdgePair, List[float]] = {}
+    first_delays: Dict[EdgePair, List[float]] = {}
+    for node, in_list in incoming.items():
+        out_list = sorted(outgoing.get(node, []))
+        if not out_list:
+            continue
+        out_times = [t for t, _ in out_list]
+        for t_in, in_edge in sorted(in_list):
+            # Binary search for the first outgoing flow after t_in.
+            lo, hi = 0, len(out_times)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if out_times[mid] <= t_in:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            paired = 0
+            seen_pairs = set()
+            for t_out, out_edge in out_list[lo:]:
+                if t_out - t_in > window or paired >= max_pairs_per_in:
+                    break
+                pair = (in_edge, out_edge)
+                delays.setdefault(pair, []).append(t_out - t_in)
+                if pair not in seen_pairs:
+                    seen_pairs.add(pair)
+                    first_delays.setdefault(pair, []).append(t_out - t_in)
+                paired += 1
+    return delays, first_delays
+
+
+def delay_cdf(
+    arrivals: Sequence[FlowArrival],
+    pair: EdgePair,
+    window: float = 1.0,
+    max_pairs_per_in: int = 8,
+) -> EmpiricalCDF:
+    """Empirical CDF of one pair's first-pairing delays (Figure 9(b)).
+
+    It needs the arrivals because the signature holds summaries, not
+    samples.
+    """
+    _, first_delays = pair_delays(arrivals, window, max_pairs_per_in)
+    return EmpiricalCDF.from_values(first_delays.get(pair, ()))
+
+
 @dataclass(frozen=True)
 class DelayDistribution(Signature):
     """Inter-flow delay peaks for each dependent edge pair of a group.
 
     Attributes:
-        samples: per edge pair, the raw delay samples (seconds), pairing
-            each incoming flow with every outgoing flow in the window —
-            the distribution whose histogram peaks identify processing
-            times even under interleaving.
-        first_samples: per edge pair, only the delay to the *first*
-            outgoing flow after each incoming flow — the tighter causal
-            estimate used for mean-shift detection and the Figure 9(b)
-            CDFs (an all-pairs mean would be diluted by later unrelated
-            flows).
-        peaks: per edge pair, ``(delay, count)`` histogram peaks, dominant
-            first.
+        stats: per edge pair, its :class:`PairDelays`, in pair order.
         bin_width: histogram bin width used for peak extraction (the paper
             plots 20 ms bins).
-        events: raw ``(time, src, dst)`` arrival events, retained only by
-            partial builds (``keep_events=True``) so :meth:`merge` can
-            re-pair across part boundaries; empty on normal builds and
-            never persisted.
     """
 
-    samples: Tuple[Tuple[EdgePair, Tuple[float, ...]], ...]
-    first_samples: Tuple[Tuple[EdgePair, Tuple[float, ...]], ...]
-    peaks: Tuple[Tuple[EdgePair, Tuple[Tuple[float, int], ...]], ...]
+    stats: Tuple[Tuple[EdgePair, PairDelays], ...]
     bin_width: float = 0.02
-    events: Tuple[Tuple[float, str, str], ...] = ()
 
     @classmethod
     def build(
@@ -73,177 +150,80 @@ class DelayDistribution(Signature):
         bin_width: float = 0.02,
         max_pairs_per_in: int = 8,
         min_peak_count: int = 3,
-        keep_events: bool = False,
     ) -> "DelayDistribution":
-        """Collect inter-flow delays at every node of a group.
+        """Summarize the inter-flow delays at every node of a group.
 
         Args:
-            arrivals: the group's flow arrivals.
-            window: how long after an incoming flow an outgoing flow can
-                still be considered potentially dependent.
+            arrivals, window, max_pairs_per_in: see :func:`pair_delays`.
             bin_width: histogram bin width in seconds.
-            max_pairs_per_in: cap on outgoing flows paired with one
-                incoming flow (bounds quadratic blowup under bursts; true
-                dependency peaks survive because they recur).
             min_peak_count: minimum bin count for a peak to register.
-            keep_events: retain the raw arrival events, making the result
-                a partial signature that :meth:`merge` can combine.
         """
-        events = tuple((a.time, a.src, a.dst) for a in arrivals)
-        return cls._from_events(
-            events, window, bin_width, max_pairs_per_in, min_peak_count, keep_events
-        )
-
-    @classmethod
-    def merge(
-        cls,
-        parts: Sequence["DelayDistribution"],
-        window: float = 1.0,
-        bin_width: float = 0.02,
-        max_pairs_per_in: int = 8,
-        min_peak_count: int = 3,
-        keep_events: bool = False,
-    ) -> "DelayDistribution":
-        """Combine partial DDs built with ``keep_events=True``.
-
-        Pairing of incoming with outgoing flows crosses slice boundaries
-        (an incoming flow near a boundary pairs with outgoing flows up to
-        ``window`` seconds into the next slice), so the merge re-runs the
-        pairing over the concatenated raw events. The internal sorting of
-        per-node event lists makes the result independent of part order;
-        the construction parameters must match the parts' builds.
-
-        Raises:
-            ValueError: if a non-empty part retained no events.
-        """
-        events: List[Tuple[float, str, str]] = []
-        for part in parts:
-            if part.samples and not part.events:
-                raise ValueError(
-                    "DelayDistribution.merge needs partials built with "
-                    "keep_events=True"
-                )
-            events.extend(part.events)
-        return cls._from_events(
-            tuple(events), window, bin_width, max_pairs_per_in, min_peak_count,
-            keep_events,
-        )
-
-    @classmethod
-    def _from_events(
-        cls,
-        events: Tuple[Tuple[float, str, str], ...],
-        window: float,
-        bin_width: float,
-        max_pairs_per_in: int,
-        min_peak_count: int,
-        keep_events: bool,
-    ) -> "DelayDistribution":
-        incoming: Dict[str, List[Tuple[float, Edge]]] = {}
-        outgoing: Dict[str, List[Tuple[float, Edge]]] = {}
-        for time, src, dst in events:
-            edge = (src, dst)
-            outgoing.setdefault(src, []).append((time, edge))
-            incoming.setdefault(dst, []).append((time, edge))
-
-        delays: Dict[EdgePair, List[float]] = {}
-        first_delays: Dict[EdgePair, List[float]] = {}
-        for node, in_list in incoming.items():
-            out_list = sorted(outgoing.get(node, []))
-            if not out_list:
-                continue
-            out_times = [t for t, _ in out_list]
-            for t_in, in_edge in sorted(in_list):
-                # Binary search for the first outgoing flow after t_in.
-                lo, hi = 0, len(out_times)
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if out_times[mid] <= t_in:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                paired = 0
-                seen_pairs = set()
-                for t_out, out_edge in out_list[lo:]:
-                    if t_out - t_in > window or paired >= max_pairs_per_in:
-                        break
-                    pair = (in_edge, out_edge)
-                    delays.setdefault(pair, []).append(t_out - t_in)
-                    if pair not in seen_pairs:
-                        seen_pairs.add(pair)
-                        first_delays.setdefault(pair, []).append(t_out - t_in)
-                    paired += 1
-
-        peaks = {
-            pair: tuple(
-                histogram_peaks(vals, bin_width, min_count=min_peak_count)
-            )
-            for pair, vals in delays.items()
-        }
-        return cls(
-            samples=tuple(
-                (pair, tuple(vals)) for pair, vals in sorted(delays.items())
-            ),
-            first_samples=tuple(
-                (pair, tuple(vals)) for pair, vals in sorted(first_delays.items())
-            ),
-            peaks=tuple(sorted(peaks.items())),
-            bin_width=bin_width,
-            events=events if keep_events else (),
-        )
+        delays, first_delays = pair_delays(arrivals, window, max_pairs_per_in)
+        stats = []
+        for pair, vals in sorted(delays.items()):
+            first = first_delays.get(pair, ())
+            mean = sum(first) / len(first) if first else -1.0
+            stderr = float("inf")
+            if len(first) >= 2:
+                var = sum((v - mean) ** 2 for v in first) / (len(first) - 1)
+                stderr = (var / len(first)) ** 0.5
+            peaks = tuple(histogram_peaks(vals, bin_width, min_count=min_peak_count))
+            stats.append((pair, PairDelays(peaks, mean, stderr, len(vals), len(first))))
+        return cls(stats=tuple(stats), bin_width=bin_width)
 
     def to_dict(self) -> JsonDict:
-        """The persisted-JSON encoding: per-pair summaries, no raw samples.
+        """The persisted-JSON encoding (see :mod:`repro.core.persist`).
 
-        Peaks plus the first-pairing mean/SE/count per pair — everything
-        diffing consumes. ``inf`` standard errors travel as the ``-1.0``
-        sentinel (JSON has no infinity).
+        ``inf`` standard errors travel as the ``-1.0`` sentinel (JSON has
+        no infinity).
         """
         return {
             "bin_width": self.bin_width,
-            # Persist summaries, not raw samples: peaks plus the
-            # first-pairing mean/SE/count per pair.
             "pairs": [
                 {
                     "pair": encode_pair(pair),
-                    "peaks": [
-                        list(p) for p in dict(self.peaks).get(pair, ())
-                    ],
-                    "mean": self.mean_delay(pair),
-                    "stderr": finite_or_flag(self.mean_standard_error(pair)),
-                    "n": len(self.samples_for(pair)),
-                    "n_first": len(self.first_samples_for(pair)),
+                    "peaks": [list(p) for p in s.peaks],
+                    "mean": s.mean,
+                    "stderr": finite_or_flag(s.stderr),
+                    "n": s.n,
+                    "n_first": s.n_first,
                 }
-                for pair in self.pairs()
+                for pair, s in self.stats
             ],
         }
 
     @classmethod
     def from_dict(cls, data: JsonDict) -> "DelayDistribution":
-        """Rebuild from :meth:`to_dict` output.
-
-        Returns a :class:`PersistedDelayDistribution` — diffs identically
-        to the original but cannot re-plot sample-level CDFs.
-        """
-        return PersistedDelayDistribution(data["pairs"], data["bin_width"])
+        """Rebuild from :meth:`to_dict` output (exact round-trip)."""
+        return cls(
+            stats=tuple(
+                (
+                    decode_pair(entry["pair"]),
+                    PairDelays(
+                        peaks=tuple((p[0], p[1]) for p in entry["peaks"]),
+                        mean=entry["mean"],
+                        stderr=(
+                            float("inf") if entry["stderr"] < 0 else entry["stderr"]
+                        ),
+                        n=entry["n"],
+                        n_first=entry["n_first"],
+                    ),
+                )
+                for entry in data["pairs"]
+            ),
+            bin_width=data["bin_width"],
+        )
 
     def pairs(self) -> List[EdgePair]:
         """All edge pairs with delay samples."""
-        return [p for p, _ in self.samples]
+        return [p for p, _ in self.stats]
 
-    def samples_for(self, pair: EdgePair) -> Tuple[float, ...]:
-        """Raw (all-pairings) delays for one edge pair."""
-        for p, vals in self.samples:
+    def summary(self, pair: EdgePair) -> PairDelays:
+        """One edge pair's summary; the no-samples one when absent."""
+        for p, s in self.stats:
             if p == pair:
-                return vals
-        return ()
-
-    def first_samples_for(self, pair: EdgePair) -> Tuple[float, ...]:
-        """First-pairing (causal-estimate) delays for one edge pair."""
-        for p, vals in self.first_samples:
-            if p == pair:
-                return vals
-        return ()
+                return s
+        return _UNSEEN
 
     def dominant_peak(self, pair: EdgePair, prominence: float = 1.5) -> float:
         """The most frequent delay for an edge pair; -1 when unknown.
@@ -255,34 +235,17 @@ class DelayDistribution(Signature):
         pairs are excluded from stability and diffing rather than allowed
         to flap between near-equal modes.
         """
-        for p, pk in self.peaks:
-            if p == pair and pk:
-                if len(pk) > 1 and pk[0][1] < prominence * pk[1][1]:
-                    return -1.0
-                return pk[0][0]
-        return -1.0
-
-    def delay_cdf(self, pair: EdgePair) -> EmpiricalCDF:
-        """Empirical CDF of one pair's first-pairing delays (Figure 9(b))."""
-        return EmpiricalCDF.from_values(self.first_samples_for(pair))
+        return _dominant(self.summary(pair).peaks, prominence)
 
     def peak_map(self, prominence: float = 1.5) -> Dict[EdgePair, float]:
         """:meth:`dominant_peak` for every sampled pair, in one pass.
 
-        Per-pair :meth:`dominant_peak` calls rescan ``peaks`` each time,
+        Per-pair :meth:`dominant_peak` calls rescan ``stats`` each time,
         which makes pairwise distances quadratic in the pair count; this
         is the linear batch form ``distance`` uses. Values are the
         dominant delay, or ``-1.0`` for unknown/multi-modal pairs.
         """
-        peaks_by_pair = dict(self.peaks)
-        out: Dict[EdgePair, float] = {}
-        for pair, _vals in self.samples:
-            pk = peaks_by_pair.get(pair)
-            if not pk or (len(pk) > 1 and pk[0][1] < prominence * pk[1][1]):
-                out[pair] = -1.0
-            else:
-                out[pair] = pk[0][0]
-        return out
+        return {pair: _dominant(s.peaks, prominence) for pair, s in self.stats}
 
     def distance(self, other: "DelayDistribution") -> float:
         """Largest dominant-peak shift (seconds) across common edge pairs."""
@@ -297,10 +260,7 @@ class DelayDistribution(Signature):
 
     def mean_delay(self, pair: EdgePair) -> float:
         """Mean first-pairing delay for an edge pair; -1 when no samples."""
-        vals = self.first_samples_for(pair)
-        if not vals:
-            return -1.0
-        return sum(vals) / len(vals)
+        return self.summary(pair).mean
 
     def mean_standard_error(self, pair: EdgePair) -> float:
         """Standard error of the first-pairing delay mean; inf when unknown.
@@ -310,12 +270,7 @@ class DelayDistribution(Signature):
         client-to-client pair) has a high-variance mean, and a fixed
         threshold there would alarm on sampling noise.
         """
-        vals = self.first_samples_for(pair)
-        if len(vals) < 2:
-            return float("inf")
-        mean = sum(vals) / len(vals)
-        var = sum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
-        return (var / len(vals)) ** 0.5
+        return self.summary(pair).stderr
 
     def diff(
         self,
@@ -353,7 +308,7 @@ class DelayDistribution(Signature):
             if (
                 self.dominant_peak(pair, prominence=2.0) >= 0
                 and cur_peak < 0
-                and len(other.samples_for(pair)) >= 30
+                and other.summary(pair).n >= 30
             ):
                 in_edge, out_edge = pair
                 changes.append(
@@ -429,42 +384,8 @@ class DelayDistribution(Signature):
         return changes
 
 
-class PersistedDelayDistribution(DelayDistribution):
-    """A DelayDistribution reloaded from summaries (no raw samples).
-
-    Overrides the sample-derived accessors to return the persisted
-    mean/SE; ``samples``/``first_samples`` hold placeholder tuples sized
-    to the original sample counts so length-based guards (e.g. the
-    structure-collapse detector's minimum-sample check) behave the same.
-    """
-
-    def __init__(self, pairs: List[JsonDict], bin_width: float) -> None:
-        samples = []
-        first_samples = []
-        peaks = []
-        self._means: Dict[EdgePair, float] = {}
-        self._stderrs: Dict[EdgePair, float] = {}
-        for entry in pairs:
-            pair = decode_pair(entry["pair"])
-            samples.append((pair, (0.0,) * entry["n"]))
-            first_samples.append((pair, (0.0,) * entry["n_first"]))
-            peaks.append((pair, tuple(tuple(p) for p in entry["peaks"])))
-            self._means[pair] = entry["mean"]
-            stderr = entry["stderr"]
-            self._stderrs[pair] = float("inf") if stderr < 0 else stderr
-        object.__setattr__(self, "samples", tuple(samples))
-        object.__setattr__(self, "first_samples", tuple(first_samples))
-        object.__setattr__(self, "peaks", tuple(peaks))
-        object.__setattr__(self, "bin_width", bin_width)
-        object.__setattr__(self, "events", ())
-
-    def mean_delay(self, pair: EdgePair) -> float:  # noqa: D102 - inherited
-        return self._means.get(pair, -1.0)
-
-    def mean_standard_error(self, pair: EdgePair) -> float:  # noqa: D102
-        return self._stderrs.get(pair, float("inf"))
-
-    def delay_cdf(self, pair: EdgePair) -> EmpiricalCDF:  # noqa: D102
-        raise NotImplementedError(
-            "raw delay samples are not persisted; rebuild from the log"
-        )
+def _dominant(peaks: Tuple[Tuple[float, int], ...], prominence: float) -> float:
+    """The leading peak's delay, or -1 when none stands out."""
+    if not peaks or (len(peaks) > 1 and peaks[0][1] < prominence * peaks[1][1]):
+        return -1.0
+    return peaks[0][0]

@@ -26,9 +26,6 @@ from repro.core.signatures.base import (
 )
 
 Edge = Tuple[str, str]
-#: Raw per-record row retained by partial builds: (arrival time, byte
-#: count, packet count, duration, src, dst). Everything ``build`` consumes.
-Row = Tuple[float, int, int, float, str, str]
 
 
 @dataclass(frozen=True)
@@ -63,11 +60,6 @@ class FlowStats(Signature):
         flows_per_sec: max/min/avg flow arrivals per second.
         bytes_per_sec: max/min/avg volume per second.
         per_edge_bytes: total bytes per CG edge (localizes volume shifts).
-        byte_samples: raw per-flow byte counts (kept for CDF plots and the
-            Figure 9 comparison; sample count is bounded by the log window).
-        rows: raw per-record rows, retained only by partial builds
-            (``keep_rows=True``) so :meth:`merge` can re-finalize exactly;
-            empty on normal builds and never persisted.
     """
 
     flow_count: int
@@ -79,8 +71,6 @@ class FlowStats(Signature):
     flows_per_sec: RateSummary
     bytes_per_sec: RateSummary
     per_edge_bytes: Tuple[Tuple[Edge, int], ...]
-    byte_samples: Tuple[int, ...] = ()
-    rows: Tuple[Row, ...] = ()
 
     @classmethod
     def build(
@@ -89,75 +79,14 @@ class FlowStats(Signature):
         t_start: float,
         t_end: float,
         epoch: float = 1.0,
-        keep_rows: bool = False,
     ) -> "FlowStats":
-        """Build FS over records of one group within ``[t_start, t_end)``.
+        """Build FS over records of one group within ``[t_start, t_end)``."""
+        with_counters = [r for r in records if r.byte_count > 0]
+        byte_mean, byte_std = mean_std([float(r.byte_count) for r in with_counters])
+        duration_mean, duration_std = mean_std([r.duration for r in with_counters])
+        packet_mean, _ = mean_std([float(r.packet_count) for r in with_counters])
 
-        With ``keep_rows=True`` the raw per-record rows are retained on
-        the result, making it a *partial* signature that :meth:`merge`
-        can combine with neighbors.
-        """
-        rows = tuple(
-            (
-                r.arrival.time,
-                r.byte_count,
-                r.packet_count,
-                r.duration,
-                r.arrival.src,
-                r.arrival.dst,
-            )
-            for r in records
-        )
-        return cls._from_rows(rows, t_start, t_end, epoch, keep_rows)
-
-    @classmethod
-    def merge(
-        cls,
-        parts: Sequence["FlowStats"],
-        t_start: float,
-        t_end: float,
-        epoch: float = 1.0,
-        keep_rows: bool = False,
-    ) -> "FlowStats":
-        """Combine partial signatures built with ``keep_rows=True``.
-
-        ``parts`` must cover disjoint, time-contiguous slices of one
-        record stream, given in time order; the result is then identical
-        (bit for bit — float accumulation order is preserved) to a single
-        build over the full stream with window ``[t_start, t_end)``.
-        Associative: merged partials re-merge freely as long as
-        ``keep_rows=True`` is threaded through the intermediate merges.
-
-        Raises:
-            ValueError: if a non-empty part retained no rows.
-        """
-        rows: List[Row] = []
-        for part in parts:
-            if part.flow_count and not part.rows:
-                raise ValueError(
-                    "FlowStats.merge needs partials built with keep_rows=True"
-                )
-            rows.extend(part.rows)
-        return cls._from_rows(tuple(rows), t_start, t_end, epoch, keep_rows)
-
-    @classmethod
-    def _from_rows(
-        cls,
-        rows: Tuple[Row, ...],
-        t_start: float,
-        t_end: float,
-        epoch: float,
-        keep_rows: bool,
-    ) -> "FlowStats":
-        with_counters = [row for row in rows if row[1] > 0]
-        bytes_list = [float(row[1]) for row in with_counters]
-        byte_mean, byte_std = mean_std(bytes_list)
-        duration_mean, duration_std = mean_std(
-            [row[3] for row in with_counters]
-        )
-        packet_mean, _ = mean_std([float(row[2]) for row in with_counters])
-
-        times = [row[0] for row in rows]
+        times = [r.arrival.time for r in records]
         span = max(t_end - t_start, 1e-9)
         if times and span > epoch:
             counts = epoch_counts(times, t_start, t_end, epoch)
@@ -168,9 +97,9 @@ class FlowStats(Signature):
         volume_series: List[float] = []
         if with_counters and span > epoch:
             buckets: Dict[int, float] = {}
-            for row in with_counters:
-                idx = int((row[0] - t_start) // epoch)
-                buckets[idx] = buckets.get(idx, 0.0) + row[1]
+            for r in with_counters:
+                idx = int((r.arrival.time - t_start) // epoch)
+                buckets[idx] = buckets.get(idx, 0.0) + r.byte_count
             n_buckets = int(span // epoch) or 1
             volume_series = [buckets.get(i, 0.0) / epoch for i in range(n_buckets)]
         bytes_rate = RateSummary.of(volume_series)
@@ -187,12 +116,12 @@ class FlowStats(Signature):
             )
 
         per_edge: Dict[Edge, int] = {}
-        for row in with_counters:
-            edge = (row[4], row[5])
-            per_edge[edge] = per_edge.get(edge, 0) + row[1]
+        for r in with_counters:
+            edge = (r.arrival.src, r.arrival.dst)
+            per_edge[edge] = per_edge.get(edge, 0) + r.byte_count
 
         return cls(
-            flow_count=len(rows),
+            flow_count=len(records),
             byte_mean=byte_mean,
             byte_std=byte_std,
             duration_mean=duration_mean,
@@ -201,18 +130,10 @@ class FlowStats(Signature):
             flows_per_sec=flows_rate,
             bytes_per_sec=bytes_rate,
             per_edge_bytes=tuple(sorted(per_edge.items())),
-            byte_samples=tuple(row[1] for row in with_counters),
-            rows=rows if keep_rows else (),
         )
 
     def to_dict(self) -> JsonDict:
-        """The persisted-JSON encoding: scalar summaries only.
-
-        Raw ``byte_samples`` and ``rows`` are deliberately dropped — the
-        persisted model diffs identically but cannot re-plot sample-level
-        CDFs (the module docstring of :mod:`repro.core.persist` owns that
-        trade-off).
-        """
+        """The persisted-JSON encoding (see :mod:`repro.core.persist`)."""
         return {
             "flow_count": self.flow_count,
             "byte_mean": self.byte_mean,
@@ -237,7 +158,7 @@ class FlowStats(Signature):
 
     @classmethod
     def from_dict(cls, data: JsonDict) -> "FlowStats":
-        """Rebuild from :meth:`to_dict` output (samples stay empty)."""
+        """Rebuild from :meth:`to_dict` output (exact round-trip)."""
         return cls(
             flow_count=data["flow_count"],
             byte_mean=data["byte_mean"],
@@ -250,12 +171,7 @@ class FlowStats(Signature):
             per_edge_bytes=tuple(
                 (decode_edge(e), b) for e, b in data["per_edge_bytes"]
             ),
-            byte_samples=(),
         )
-
-    def byte_cdf(self) -> EmpiricalCDF:
-        """Empirical CDF of per-flow byte counts (Figure 9(a))."""
-        return EmpiricalCDF.from_values(float(b) for b in self.byte_samples)
 
     def scalar_summary(self) -> Tuple[float, float, float, float]:
         """The four scalars :meth:`distance` compares, in a fixed order.
@@ -324,6 +240,17 @@ class FlowStats(Signature):
                 out.add(edge[1])
                 out.add(edge_component(*edge))
         return frozenset(out)
+
+
+def byte_cdf(records: Sequence[FlowRecord]) -> EmpiricalCDF:
+    """Empirical CDF of per-flow byte counts (Figure 9(a)).
+
+    Over the counter-bearing flows, as ``byte_mean`` is; it needs the
+    records because the signature holds summaries, not samples.
+    """
+    return EmpiricalCDF.from_values(
+        float(r.byte_count) for r in records if r.byte_count > 0
+    )
 
 
 def _relative(base: float, current: float) -> float:

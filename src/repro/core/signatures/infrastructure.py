@@ -43,21 +43,14 @@ class PhysicalTopology(Signature):
         host_attachment: host -> (first) switch it entered the fabric at.
         switch_observations: per switch, how many flow hops it reported —
             the evidence weight behind "this switch exists and is alive".
-        attach_votes: per host, the raw per-switch attachment vote counts,
-            retained only by partial builds (``keep_votes=True``) so
-            :meth:`merge` can re-run the majority over combined votes;
-            empty on normal builds and never persisted.
     """
 
     switch_links: FrozenSet[SwitchEdge]
     host_attachment: Tuple[Tuple[str, str], ...]
     switch_observations: Tuple[Tuple[str, int], ...] = ()
-    attach_votes: Tuple[Tuple[str, Tuple[Tuple[str, int], ...]], ...] = ()
 
     @classmethod
-    def build(
-        cls, arrivals: Sequence[FlowArrival], keep_votes: bool = False
-    ) -> "PhysicalTopology":
+    def build(cls, arrivals: Sequence[FlowArrival]) -> "PhysicalTopology":
         """Infer links from traversal order and attachments by majority.
 
         A log window can truncate a traversal mid-path (the tail hops land
@@ -79,48 +72,6 @@ class PhysicalTopology(Signature):
                 src_votes[dpids[0]] = src_votes.get(dpids[0], 0) + 1
                 dst_votes = attach_votes.setdefault(arrival.dst, {})
                 dst_votes[dpids[-1]] = dst_votes.get(dpids[-1], 0) + 1
-        return cls._finalize(links, attach_votes, obs, keep_votes)
-
-    @classmethod
-    def merge(
-        cls, parts: Sequence["PhysicalTopology"], keep_votes: bool = False
-    ) -> "PhysicalTopology":
-        """Combine partial PTs built with ``keep_votes=True``.
-
-        Links union, observation counts add, and the host-attachment
-        majority is re-decided over the summed votes (a per-part majority
-        would not be associative — a host's true attachment can lose a
-        narrow part but win the total). Exact in any part order.
-
-        Raises:
-            ValueError: if a non-empty part retained no votes.
-        """
-        links = set()
-        attach_votes: Dict[str, Dict[str, int]] = {}
-        obs: Dict[str, int] = {}
-        for part in parts:
-            if part.host_attachment and not part.attach_votes:
-                raise ValueError(
-                    "PhysicalTopology.merge needs partials built with "
-                    "keep_votes=True"
-                )
-            links.update(part.switch_links)
-            for dpid, count in part.switch_observations:
-                obs[dpid] = obs.get(dpid, 0) + count
-            for host, votes in part.attach_votes:
-                host_votes = attach_votes.setdefault(host, {})
-                for sw, count in votes:
-                    host_votes[sw] = host_votes.get(sw, 0) + count
-        return cls._finalize(links, attach_votes, obs, keep_votes)
-
-    @classmethod
-    def _finalize(
-        cls,
-        links: set,
-        attach_votes: Dict[str, Dict[str, int]],
-        obs: Dict[str, int],
-        keep_votes: bool,
-    ) -> "PhysicalTopology":
         attach = {
             host: max(sorted(votes), key=lambda sw: votes[sw])
             for host, votes in attach_votes.items()
@@ -129,16 +80,10 @@ class PhysicalTopology(Signature):
             switch_links=frozenset(links),
             host_attachment=tuple(sorted(attach.items())),
             switch_observations=tuple(sorted(obs.items())),
-            attach_votes=tuple(
-                (host, tuple(sorted(votes.items())))
-                for host, votes in sorted(attach_votes.items())
-            )
-            if keep_votes
-            else (),
         )
 
     def to_dict(self) -> JsonDict:
-        """The persisted-JSON encoding (votes are never persisted)."""
+        """The persisted-JSON encoding (see :mod:`repro.core.persist`)."""
         return {
             "links": [encode_edge(l) for l in sorted(self.switch_links)],
             "attachment": [list(a) for a in self.host_attachment],
@@ -277,21 +222,12 @@ class PhysicalTopology(Signature):
 
 @dataclass(frozen=True)
 class InterSwitchLatency(Signature):
-    """Mean/std of observed latency between adjacent switch pairs.
-
-    ``samples`` holds the raw per-pair latency values, retained only by
-    partial builds (``keep_samples=True``) so :meth:`merge` can
-    re-summarize in original time order; empty on normal builds and never
-    persisted.
-    """
+    """Mean/std/count of observed latency between adjacent switch pairs."""
 
     stats: Tuple[Tuple[SwitchEdge, Tuple[float, float, int]], ...]
-    samples: Tuple[Tuple[SwitchEdge, Tuple[float, ...]], ...] = ()
 
     @classmethod
-    def build(
-        cls, arrivals: Sequence[FlowArrival], keep_samples: bool = False
-    ) -> "InterSwitchLatency":
+    def build(cls, arrivals: Sequence[FlowArrival]) -> "InterSwitchLatency":
         """Collect per-adjacent-pair latency samples from hop reports."""
         samples: Dict[SwitchEdge, List[float]] = {}
         for arrival in arrivals:
@@ -304,53 +240,14 @@ class InterSwitchLatency(Signature):
                     continue
                 pair = tuple(sorted((up.dpid, down.dpid)))
                 samples.setdefault(pair, []).append(latency)
-        return cls._finalize(samples, keep_samples)
-
-    @classmethod
-    def merge(
-        cls, parts: Sequence["InterSwitchLatency"], keep_samples: bool = False
-    ) -> "InterSwitchLatency":
-        """Combine partial ISLs built with ``keep_samples=True``.
-
-        Mean/std are float-accumulation-order sensitive, so the merge
-        concatenates the raw samples in part order — parts must be
-        time-contiguous slices of one arrival stream, in time order — and
-        re-summarizes, matching a single build over the full stream
-        bit for bit.
-
-        Raises:
-            ValueError: if a non-empty part retained no samples.
-        """
-        merged: Dict[SwitchEdge, List[float]] = {}
-        for part in parts:
-            if part.stats and not part.samples:
-                raise ValueError(
-                    "InterSwitchLatency.merge needs partials built with "
-                    "keep_samples=True"
-                )
-            for pair, values in part.samples:
-                merged.setdefault(pair, []).extend(values)
-        return cls._finalize(merged, keep_samples)
-
-    @classmethod
-    def _finalize(
-        cls, samples: Dict[SwitchEdge, List[float]], keep_samples: bool
-    ) -> "InterSwitchLatency":
         stats = {}
         for pair, vals in samples.items():
             mean, std = mean_std(vals)
             stats[pair] = (mean, std, len(vals))
-        return cls(
-            stats=tuple(sorted(stats.items())),
-            samples=tuple(
-                (pair, tuple(vals)) for pair, vals in sorted(samples.items())
-            )
-            if keep_samples
-            else (),
-        )
+        return cls(stats=tuple(sorted(stats.items())))
 
     def to_dict(self) -> JsonDict:
-        """The persisted-JSON encoding (raw samples are never persisted)."""
+        """The persisted-JSON encoding (see :mod:`repro.core.persist`)."""
         return {
             "stats": [
                 [encode_edge(pair), [mean, std, n]]
@@ -360,7 +257,7 @@ class InterSwitchLatency(Signature):
 
     @classmethod
     def from_dict(cls, data: JsonDict) -> "InterSwitchLatency":
-        """Rebuild from :meth:`to_dict` output (samples stay empty)."""
+        """Rebuild from :meth:`to_dict` output (exact round-trip)."""
         return cls(
             stats=tuple(
                 (decode_edge(pair), (stats[0], stats[1], stats[2]))
@@ -421,22 +318,14 @@ class InterSwitchLatency(Signature):
 
 @dataclass(frozen=True)
 class ControllerResponseTime(Signature):
-    """Mean/std/count of PacketIn-to-FlowMod response times.
-
-    ``samples`` holds the raw response times, retained only by partial
-    builds (``keep_samples=True``) for :meth:`merge`; empty on normal
-    builds and never persisted.
-    """
+    """Mean/std/count of PacketIn-to-FlowMod response times."""
 
     mean: float
     std: float
     count: int
-    samples: Tuple[float, ...] = ()
 
     @classmethod
-    def build(
-        cls, arrivals: Sequence[FlowArrival], keep_samples: bool = False
-    ) -> "ControllerResponseTime":
+    def build(cls, arrivals: Sequence[FlowArrival]) -> "ControllerResponseTime":
         """Summarize PacketIn-to-FlowMod response times across all hops."""
         samples = [
             hop.flow_mod_at - hop.packet_in_at
@@ -445,49 +334,15 @@ class ControllerResponseTime(Signature):
             if hop.flow_mod_at is not None and hop.flow_mod_at >= hop.packet_in_at
         ]
         mean, std = mean_std(samples)
-        return cls(
-            mean=mean,
-            std=std,
-            count=len(samples),
-            samples=tuple(samples) if keep_samples else (),
-        )
-
-    @classmethod
-    def merge(
-        cls, parts: Sequence["ControllerResponseTime"], keep_samples: bool = False
-    ) -> "ControllerResponseTime":
-        """Combine partial CRTs built with ``keep_samples=True``.
-
-        Concatenates raw samples in part order (parts must be
-        time-contiguous slices, in time order) and re-summarizes, matching
-        a single build over the full stream bit for bit.
-
-        Raises:
-            ValueError: if a non-empty part retained no samples.
-        """
-        samples: List[float] = []
-        for part in parts:
-            if part.count and not part.samples:
-                raise ValueError(
-                    "ControllerResponseTime.merge needs partials built with "
-                    "keep_samples=True"
-                )
-            samples.extend(part.samples)
-        mean, std = mean_std(samples)
-        return cls(
-            mean=mean,
-            std=std,
-            count=len(samples),
-            samples=tuple(samples) if keep_samples else (),
-        )
+        return cls(mean=mean, std=std, count=len(samples))
 
     def to_dict(self) -> JsonDict:
-        """The persisted-JSON encoding (raw samples are never persisted)."""
+        """The persisted-JSON encoding (see :mod:`repro.core.persist`)."""
         return {"mean": self.mean, "std": self.std, "count": self.count}
 
     @classmethod
     def from_dict(cls, data: JsonDict) -> "ControllerResponseTime":
-        """Rebuild from :meth:`to_dict` output (samples stay empty)."""
+        """Rebuild from :meth:`to_dict` output (exact round-trip)."""
         return cls(mean=data["mean"], std=data["std"], count=data["count"])
 
     def distance(self, other: "ControllerResponseTime") -> float:
@@ -566,46 +421,15 @@ class InfrastructureSignature:
             ),
         )
 
-    @classmethod
-    def merge(
-        cls,
-        parts: Sequence["InfrastructureSignature"],
-        keep_partials: bool = False,
-    ) -> "InfrastructureSignature":
-        """Combine partial bundles built with ``keep_partials=True``.
-
-        Delegates to the per-signature merges (see their exactness
-        contracts — parts must be time-contiguous slices, in time order)
-        and concatenates the switch-reported port-down events.
-        """
-        return cls(
-            pt=PhysicalTopology.merge([p.pt for p in parts], keep_votes=keep_partials),
-            isl=InterSwitchLatency.merge(
-                [p.isl for p in parts], keep_samples=keep_partials
-            ),
-            crt=ControllerResponseTime.merge(
-                [p.crt for p in parts], keep_samples=keep_partials
-            ),
-            port_down_events=tuple(
-                event for part in parts for event in part.port_down_events
-            ),
-        )
-
 
 def build_infrastructure_signature(
     arrivals: Sequence[FlowArrival],
     port_down_events: Sequence[Tuple[float, str, int]] = (),
-    keep_partials: bool = False,
 ) -> InfrastructureSignature:
-    """Build PT, ISL, and CRT from all flow arrivals in a log.
-
-    With ``keep_partials=True`` each component retains its raw votes and
-    samples, making the bundle a partial that
-    :meth:`InfrastructureSignature.merge` can combine.
-    """
+    """Build PT, ISL, and CRT from all flow arrivals in a log."""
     return InfrastructureSignature(
-        pt=PhysicalTopology.build(arrivals, keep_votes=keep_partials),
-        isl=InterSwitchLatency.build(arrivals, keep_samples=keep_partials),
-        crt=ControllerResponseTime.build(arrivals, keep_samples=keep_partials),
+        pt=PhysicalTopology.build(arrivals),
+        isl=InterSwitchLatency.build(arrivals),
+        crt=ControllerResponseTime.build(arrivals),
         port_down_events=tuple(port_down_events),
     )

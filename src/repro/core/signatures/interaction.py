@@ -55,30 +55,6 @@ class ComponentInteraction(Signature):
             )
         )
 
-    @classmethod
-    def merge(cls, parts: Sequence["ComponentInteraction"]) -> "ComponentInteraction":
-        """Combine partial CIs built over disjoint slices of one arrival
-        stream.
-
-        Integer count addition — exact and associative in any part order.
-        The slices must partition the arrivals (each flow occurrence
-        counted by exactly one part); the incremental window guarantees
-        this by stitching boundary-straddling occurrences before
-        attribution.
-        """
-        per_node: Dict[str, NodeCounts] = {}
-        for part in parts:
-            for node, items in part.counts:
-                counts = per_node.setdefault(node, {})
-                for key, value in items:
-                    counts[key] = counts.get(key, 0) + value
-        return cls(
-            counts=tuple(
-                (node, tuple(sorted(counts.items())))
-                for node, counts in sorted(per_node.items())
-            )
-        )
-
     def to_dict(self) -> JsonDict:
         """The persisted-JSON encoding (see :mod:`repro.core.persist`)."""
         return {

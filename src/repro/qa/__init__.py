@@ -2,8 +2,8 @@
 
 FlowDiff's correctness rests on invariants the interpreter never checks:
 simulation determinism (captures must replay identically or L1/L2 diffs
-reflect the run, not the network), associative signature merges (the
-streaming window merges per-slice partials), and stable serialization schemas
+reflect the run, not the network), one signature contract (the differ
+compares them, the model file round-trips them), and stable serialization schemas
 (models and captures silently corrupt downstream diffs when fields drift
 without a ``FORMAT_VERSION`` bump). This package enforces those
 invariants statically, as an AST pass over the source tree, exposed as

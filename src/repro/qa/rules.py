@@ -192,21 +192,21 @@ class OpenEncodingRule(Rule):
 class SignatureContractRule(Rule):
     """Every ``Signature`` subclass implements the full contract.
 
-    The streaming window merges per-slice partials and the persistence
-    layer round-trips them through JSON, so a direct subclass
+    The differ compares them and the persistence layer round-trips them
+    through JSON, so a direct subclass
     of :class:`repro.core.signatures.base.Signature` must define all of
-    ``merge``/``diff``/``to_dict``/``from_dict`` (the associativity of
-    ``merge`` is checked dynamically by the property harness in
+    ``diff``/``to_dict``/``from_dict`` (that ``from_dict`` inverts
+    ``to_dict`` exactly is checked dynamically by the property harness in
     ``tests/test_signature_contract.py``). The inverse is enforced too: a
-    class in the signatures package that defines both ``merge`` and
-    ``diff`` is a signature component and must subclass ``Signature`` so
-    the contract applies to it.
+    class in the signatures package that defines both ``diff`` and
+    ``to_dict`` is a signature component and must subclass ``Signature``
+    so the contract applies to it.
     """
 
     name = "signature-contract"
-    description = "Signature subclasses define merge/diff/to_dict/from_dict"
+    description = "Signature subclasses define diff/to_dict/from_dict"
 
-    REQUIRED: Tuple[str, ...] = ("merge", "diff", "to_dict", "from_dict")
+    REQUIRED: Tuple[str, ...] = ("diff", "to_dict", "from_dict")
     _BASE = "repro.core.signatures.base.Signature"
 
     def check_project(self, project: Project) -> Iterator[Finding]:
@@ -237,17 +237,17 @@ class SignatureContractRule(Rule):
                         )
                 elif (
                     module.in_package(("repro.core.signatures",))
-                    and "merge" in defined
                     and "diff" in defined
+                    and "to_dict" in defined
                 ):
                     yield Finding(
                         rule=self.name,
                         path=module.path,
                         line=node.lineno,
                         message=(
-                            f"{node.name} defines merge and diff but does not "
-                            f"subclass Signature; the contract (and its "
-                            f"associativity harness) must apply to it"
+                            f"{node.name} defines diff and to_dict but does "
+                            f"not subclass Signature; the contract (and its "
+                            f"round-trip harness) must apply to it"
                         ),
                     )
 

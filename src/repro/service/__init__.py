@@ -2,17 +2,17 @@
 
 The batch pipeline answers "what changed between these two captures?";
 this package answers it continuously. A long-running daemon ingests
-control messages as they arrive, maintains each tenant's open diagnosis
-window *incrementally* through the signatures' associative ``merge()``
-path (no per-window remodel), diffs every closed window against the
-learned baseline, and serves reports, alerts, flight-recorder traces,
-and health over the read-only ops endpoint — with checkpoint/restore so
-a restart resumes at the last closed window.
+control messages as they arrive, extracts each tenant's open diagnosis
+window's flow arrivals *incrementally* (closing a window is a join plus
+one signature build, through the batch builder), diffs every closed
+window against the learned baseline, and serves reports, alerts,
+flight-recorder traces, and health over the read-only ops endpoint —
+with checkpoint/restore so a restart resumes at the last closed window.
 
 Layers, bottom up:
 
-* :mod:`repro.service.incremental` — one open window folding messages
-  into per-slice partial signatures (the incremental data path);
+* :mod:`repro.service.incremental` — one open window stitching messages
+  into flow arrivals slice by slice (the incremental data path);
 * :mod:`repro.service.tenant` — per-tenant lifecycle: baseline learning,
   window turnover, diagnosis, checkpointing, bounded memory;
 * :mod:`repro.service.daemon` — the multi-tenant process: bounded ingest

@@ -49,7 +49,8 @@ class StreamService:
         window: default diagnosis window seconds per tenant.
         baseline_span: default baseline-learning span; defaults to
             ``window``.
-        slices: default incremental sub-intervals per window.
+        slices: sub-intervals per window — the fold cadence of incremental
+            extraction.
         metrics: the service registry — one per process, every instrument
             tenant-labeled; a fresh registry is created when omitted.
         checkpoint_dir: directory for per-tenant checkpoints and the

@@ -9,7 +9,7 @@ messages, and checkpoint/restore through :mod:`repro.core.persist` so a
 restarted daemon resumes at the last closed window instead of cold
 remodeling.
 
-Memory is bounded by construction: raw messages and partial signatures
+Memory is bounded by construction: raw messages and stitched arrivals
 live only for the currently open window, the report history is trimmed
 to ``history_limit`` entries, and the trace ring is a fixed-size deque.
 
@@ -30,11 +30,10 @@ from __future__ import annotations
 import os
 import threading
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional
 
 from repro.core.events import extract_flow_records
 from repro.core.flowdiff import FlowDiff, FlowDiffConfig
-from repro.core.groups import ApplicationGroup
 from repro.core.monitor import DiagnosisStream, WindowReport
 from repro.core.persist import (
     ModelLoadError,
@@ -66,7 +65,8 @@ class TenantPipeline:
         window: seconds of stream per diagnosis window.
         baseline_span: seconds of stream learned as the healthy baseline
             before windowed diagnosis starts; defaults to ``window``.
-        slices: sub-intervals per window for incremental folding.
+        slices: sub-intervals per window — the fold cadence of incremental
+            extraction.
         task_library: learned operator-task signatures used to silence
             planned changes (forces per-window log materialization).
         rebaseline_after: see :class:`~repro.core.monitor.DiagnosisStream`.
@@ -155,7 +155,6 @@ class TenantPipeline:
         self._cursor: Optional[float] = None
         self._resume_cursor: Optional[float] = None
         self._win: Optional[IncrementalWindow] = None
-        self._expected_groups: Tuple[ApplicationGroup, ...] = ()
         self._baseline_digest: Optional[str] = None
         self._last_checkpoint_ts: Optional[float] = None
 
@@ -224,7 +223,6 @@ class TenantPipeline:
             baseline_log, window=(self._t_first, self._baseline_end)
         )
         self.stream.set_baseline_model(baseline)
-        self._expected_groups = tuple(baseline.groups())
         self._buffer = []
         self.phase = PHASE_STREAMING
         self._cursor = self._baseline_end
@@ -247,7 +245,7 @@ class TenantPipeline:
             self._cursor + self.window,
             self.flowdiff.config.signature,
             self.slices,
-            self._expected_groups,
+            (),
         )
 
     def _close_window(self) -> WindowReport:
@@ -271,13 +269,11 @@ class TenantPipeline:
                 sub, window=(t0, t1), assess=False, records=records
             )
             status = STATUS_FALLBACK
-            expected = tuple(model.groups())
             window_log: Optional[ControllerLog] = sub
         else:
             model = outcome.model
             records = outcome.records
             status = outcome.status
-            expected = outcome.groups
             window_log = win.as_log() if need_log else None
         self.metrics.counter(
             "service_window_merge_total", tenant=self.name, status=status
@@ -298,7 +294,6 @@ class TenantPipeline:
             del history[: len(history) - self.history_limit]
         self.windows_total += 1
         self._m_windows.inc()
-        self._expected_groups = expected
         self._cursor = t1
         self._open_window()
         anchor = (
@@ -401,10 +396,6 @@ class TenantPipeline:
             "slices": self.slices,
             "t_first": self._t_first,
             "baseline_digest": self._baseline_digest,
-            "expected_groups": [
-                [sorted(g.members), sorted(g.services)]
-                for g in self._expected_groups
-            ],
             "windows_total": self.windows_total,
             "status_counts": dict(self.status_counts),
             "checkpointed_at": at_ts,
@@ -436,12 +427,6 @@ class TenantPipeline:
             digest = state["baseline_digest"]
             t_first = float(state["t_first"])
             cursor = float(state["cursor"])
-            expected_groups = tuple(
-                ApplicationGroup(
-                    members=frozenset(members), services=frozenset(services)
-                )
-                for members, services in state["expected_groups"]
-            )
             windows_total = int(state["windows_total"])
             status_counts = {
                 str(status): int(count)
@@ -460,7 +445,6 @@ class TenantPipeline:
         self._baseline_digest = digest
         self._cursor = cursor
         self._resume_cursor = cursor
-        self._expected_groups = expected_groups
         self.windows_total = windows_total
         self.status_counts = status_counts
         self._last_checkpoint_ts = checkpointed_at

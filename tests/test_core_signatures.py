@@ -14,6 +14,8 @@ from repro.core.signatures import (
     PhysicalTopology,
     SignatureKind,
 )
+from repro.core.signatures.delay import delay_cdf
+from repro.core.signatures.flowstats import byte_cdf
 from repro.openflow.match import FlowKey
 
 
@@ -92,8 +94,7 @@ class TestFlowStats:
 
     def test_byte_cdf(self):
         records = [record("a", "b", 0.0, nbytes=n) for n in (100, 200, 300)]
-        fs = FlowStats.build(records, 0.0, 1.0)
-        cdf = fs.byte_cdf()
+        cdf = byte_cdf(records)
         assert cdf(200) == pytest.approx(2 / 3)
 
     def test_diff_flags_byte_growth(self):
@@ -239,8 +240,7 @@ class TestDelayDistribution:
         assert dd.dominant_peak((("a", "n"), ("n", "b"))) == -1.0
 
     def test_delay_cdf(self):
-        dd = DelayDistribution.build(self.chain(0.06))
-        cdf = dd.delay_cdf((("a", "n"), ("n", "b")))
+        cdf = delay_cdf(self.chain(0.06), (("a", "n"), ("n", "b")))
         assert cdf(0.1) == pytest.approx(1.0)
         assert cdf(0.01) == pytest.approx(0.0)
 

@@ -270,7 +270,7 @@ def _blank_signature(members):
             per_edge_bytes=(),
         ),
         ci=ComponentInteraction(counts=()),
-        dd=DelayDistribution(samples=(), first_samples=(), peaks=()),
+        dd=DelayDistribution(stats=()),
         pc=PartialCorrelation(correlations=()),
     )
 

@@ -228,9 +228,6 @@ SIGNATURE_OK = """\
     from repro.core.signatures.base import Signature
 
     class Good(Signature):
-        def merge(self, other):
-            return self
-
         def diff(self, other):
             return ()
 
@@ -254,8 +251,8 @@ class TestSignatureContract:
             from repro.core.signatures.base import Signature
 
             class Incomplete(Signature):
-                def merge(self, other):
-                    return self
+                def to_dict(self):
+                    return {}
             """,
             name="repro.core.signatures.fake",
         )
@@ -269,11 +266,11 @@ class TestSignatureContract:
         mod = module(
             """\
             class Sneaky:
-                def merge(self, other):
-                    return self
-
                 def diff(self, other):
                     return ()
+
+                def to_dict(self):
+                    return {}
             """,
             name="repro.core.signatures.fake",
         )
@@ -285,11 +282,11 @@ class TestSignatureContract:
         mod = module(
             """\
             class Intervals:
-                def merge(self, other):
-                    return self
-
                 def diff(self, other):
                     return ()
+
+                def to_dict(self):
+                    return {}
             """,
             name="repro.analysis.intervals",
         )

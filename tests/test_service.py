@@ -1,9 +1,9 @@
 """Tests for the streaming FlowDiff service (:mod:`repro.service`).
 
-The load-bearing property is *equivalence*: a window assembled
-incrementally through the signatures' ``merge()`` path must produce a
-diagnosis report dict-identical to the batch :class:`SlidingDiagnoser`
-remodeling the same window from scratch. Everything else — checkpoint
+The load-bearing property is *equivalence*: a window closed from
+incrementally stitched arrivals must produce a diagnosis report
+dict-identical to the batch :class:`SlidingDiagnoser` remodeling the
+same window from scratch. Everything else — checkpoint
 resume, tenant isolation, backpressure accounting, the HTTP surface —
 rides on top of that.
 """
@@ -20,12 +20,15 @@ import urllib.request
 import pytest
 
 from repro.cli import main
+from repro.core.events import extract_flow_records
 from repro.core.flowdiff import FlowDiffConfig
+from repro.core.groups import extract_groups
 from repro.core.monitor import SlidingDiagnoser
 from repro.core.persist import model_digest
 from repro.core.signatures.application import SignatureConfig
 from repro.faults import LinkLoss
 from repro.obs.metrics import MetricsRegistry
+from repro.openflow.log import ControllerLog
 from repro.openflow.match import FlowKey, Match
 from repro.openflow.messages import FlowMod, PacketIn
 from repro.scenarios import three_tier_lab
@@ -101,7 +104,7 @@ class TestIncrementalEquivalence:
     def test_healthy_capture_matches_batch(self, healthy_log):
         tenant, registry = stream_through(healthy_log)
         assert_histories_identical(tenant.history, batch_reference(healthy_log))
-        # Every window went through the merge path — no remodel happened.
+        # Every window closed from incrementally stitched arrivals.
         assert tenant.status_counts == {STATUS_MERGED: tenant.windows_total}
         assert registry.value(
             "service_window_merge_total", tenant="t1", status=STATUS_MERGED
@@ -140,6 +143,57 @@ class TestIncrementalEquivalence:
         tenant.ingest(messages)
         assert tenant.status_counts.get(STATUS_FALLBACK, 0) >= 1
         assert_histories_identical(tenant.history, batch_reference(healthy_log))
+
+    def test_regrouping_windows_match_batch(self):
+        """A group appears, joins another and splits off again, one window
+        each: a window whose grouping differs from its predecessor's used
+        to take a close path of its own (status ``rebuilt``) that no test
+        drove; there is one close path now and it must equal batch."""
+        edges_by_window = [
+            (("a", "b"),),  # baseline span [1, 5)
+            (("a", "b"),),
+            (("a", "b"), ("c", "d")),  # a second group appears
+            (("a", "b"), ("b", "c"), ("c", "d")),  # the two become one
+            (("a", "b"), ("c", "d")),  # and split again
+            (("a", "b"),),  # only here to close the window before it
+        ]
+        messages = []
+        for w, edges in enumerate(edges_by_window):
+            for step in range(8):
+                src, dst = edges[step % len(edges)]
+                i = len(messages) // 2
+                key = FlowKey(src, dst, 1000 + i, 80)
+                ts = 1.0 + 4.0 * w + 0.5 * step
+                messages.append(
+                    PacketIn(timestamp=ts, dpid="sw1", flow=key, in_port=1, buffer_id=i)
+                )
+                messages.append(
+                    FlowMod(
+                        timestamp=ts + 0.001,
+                        dpid="sw1",
+                        match=Match.exact(key),
+                        out_port=2,
+                        in_reply_to=i,
+                    )
+                )
+        log = ControllerLog(messages)
+        groupings = [
+            [
+                group.key
+                for group in extract_groups(
+                    [r.arrival for r in extract_flow_records(log.window(lo, lo + 4.0))]
+                )
+            ]
+            for lo in (5.0, 9.0, 13.0, 17.0)
+        ]
+        assert groupings == [["a|b"], ["a|b", "c|d"], ["a|b|c|d"], ["a|b", "c|d"]]
+
+        tenant = TenantPipeline("t1", window=4.0, baseline_span=4.0)
+        tenant.ingest(messages)
+        assert tenant.status_counts == {STATUS_MERGED: 4}
+        reference = batch_reference(log, window=4.0, baseline=4.0)
+        assert len(reference) == 4
+        assert_histories_identical(tenant.history, reference)
 
     def test_single_batch_and_tiny_batches_agree(self, healthy_log):
         one, _ = stream_through(healthy_log, batch_size=10 ** 9)
@@ -231,10 +285,9 @@ class TestCheckpointRestore:
         "field,value",
         [
             ("cursor", None),
-            ("expected_groups", [["x"]]),
             ("baseline_digest", "0" * 64),
         ],
-        ids=["garbled-cursor", "garbled-groups", "missing-baseline-object"],
+        ids=["garbled-cursor", "missing-baseline-object"],
     )
     def test_unusable_checkpoint_field_cold_starts(
         self, healthy_log, tmp_path, field, value
@@ -597,6 +650,33 @@ class TestServeCommand:
         assert captured.out == ""  # nothing was started: no endpoint banner
         (line,) = captured.err.splitlines()
         assert "'prod'" in line and missing in line and "No such file" in line
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--tenants", "prod={capture}", "--window", "0"],
+            ["serve", "--tenants", "prod={capture}", "--baseline", "-3"],
+            ["monitor", "{capture}", "--window", "0"],
+            ["monitor", "{capture}", "--baseline", "-3"],
+        ],
+        ids=["serve-window", "serve-baseline", "monitor-window", "monitor-baseline"],
+    )
+    def test_non_positive_span_exits_2_in_one_line(
+        self, healthy_log, tmp_path, capsys, argv
+    ):
+        """A zero window used to be a ``ValueError`` traceback (exit 1);
+        a negative baseline was accepted, learned an empty model and
+        alarmed ``critical`` on every window."""
+        capture = str(tmp_path / "capture.jsonl")
+        save_log(healthy_log, capture)
+        with pytest.raises(SystemExit) as refused:
+            main([arg.format(capture=capture) for arg in argv])
+        captured = capsys.readouterr()
+        assert refused.value.code == 2
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"repro {argv[0]}: {argv[-2]} must be positive")
 
 
 def _get(url):
