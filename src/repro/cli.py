@@ -22,9 +22,10 @@ Usage (also via ``python -m repro``):
   the telemetry alert rules, and optionally export JSONL/Prometheus,
   write a topology heatmap, or serve the read-only ops HTTP endpoint.
 * ``repro serve --tenants prod=capture.jsonl`` — the always-on streaming
-  diagnosis daemon: tail one capture per tenant, maintain each open
-  window incrementally, diff every closed window against the learned
-  baseline, and serve reports/alerts/traces/health over HTTP.
+  diagnosis daemon: tail one capture per tenant, buffer each open window
+  and model it when the stream passes its end, diff every closed window
+  against the learned baseline, and serve reports/alerts/traces/health
+  over HTTP.
 * ``repro lint`` — flowlint, the domain-invariant static analysis pass
   (sim-clock discipline, determinism, schema drift, signature contract,
   metric hygiene); ``--update-schemas`` regenerates the
@@ -413,7 +414,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         _config(args),
         window=args.window,
         baseline_span=args.baseline,
-        slices=args.slices,
         checkpoint_dir=args.checkpoint_dir,
         max_pending=args.max_pending,
         rebaseline_after=args.rebaseline_after,
@@ -802,12 +802,6 @@ def build_parser() -> argparse.ArgumentParser:
         action=_PositiveSeconds,
         metavar="SECONDS",
         help="baseline learning span (default: one window)",
-    )
-    srv.add_argument(
-        "--slices",
-        type=int,
-        default=4,
-        help="sub-intervals per window: the fold cadence of incremental extraction",
     )
     srv.add_argument(
         "--checkpoint-dir",

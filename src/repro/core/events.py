@@ -105,10 +105,9 @@ class FlowRecord(NamedTuple):
 def arrival_sort_key(arrival: FlowArrival) -> Tuple[float, FlowKey]:
     """Deterministic ordering for arrival lists: (time, flow key).
 
-    The flow-key tiebreak makes the order independent of extraction
-    strategy, so the batch path and the streaming incremental window
-    emit byte-identical arrival sequences even when two flows start at
-    the same timestamp.
+    The flow-key tiebreak makes the order independent of the order
+    flows were closed in, so every extraction emits byte-identical
+    arrival sequences even when two flows start at the same timestamp.
     """
     return (arrival.time, arrival.flow)
 
@@ -198,10 +197,10 @@ def join_flow_records(
 ) -> List[FlowRecord]:
     """Join already-extracted arrivals with time-ordered expiry reports.
 
-    The single joining implementation shared by the batch path (via
-    :func:`extract_flow_records`) and the streaming incremental window
-    (:mod:`repro.service.incremental`), which stitches arrivals across
-    slice boundaries first and joins once over the full window.
+    The single joining implementation, shared by
+    :func:`extract_flow_records` and the interval views stability
+    assessment slices out of one extraction
+    (:func:`interval_flow_records_from_arrivals`).
     ``removed`` must be in log (time) order — consumption cursors rely
     on it.
     """
@@ -311,41 +310,6 @@ def partition_log(
                 return None, "duplicate_flowmod_reply_id"
             reply_ids.add(reply_id)
     return removed_by_interval, None
-
-
-def build_occurrence_runs(
-    pins: Sequence[PacketIn],
-    mods_by_reply: Dict[int, FlowMod],
-    occurrence_gap: float,
-) -> Dict[FlowKey, List[List[HopReport]]]:
-    """Group time-ordered ``PacketIn`` messages into per-flow occurrence runs.
-
-    The grouping step of the streaming incremental window
-    (:mod:`repro.service.incremental`): consecutive reports of one
-    5-tuple within ``occurrence_gap`` seconds extend the current run; a
-    larger gap starts a new one. ``FlowMod`` pairing is by reply buffer
-    id only — callers must have verified that every ``FlowMod`` carries
-    a unique ``in_reply_to``.
-    """
-    runs: Dict[FlowKey, List[List[HopReport]]] = {}
-    last_ts: Dict[FlowKey, float] = {}
-    for pin in pins:
-        mod = mods_by_reply.get(pin.buffer_id)
-        hop = HopReport(
-            dpid=pin.dpid,
-            in_port=pin.in_port,
-            packet_in_at=pin.timestamp,
-            flow_mod_at=mod.timestamp if mod else None,
-            out_port=mod.out_port if mod else None,
-        )
-        flow = pin.flow
-        prev = last_ts.get(flow)
-        if prev is not None and not splits_occurrence(prev, pin.timestamp, occurrence_gap):
-            runs[flow][-1].append(hop)
-        else:
-            runs.setdefault(flow, []).append([hop])
-        last_ts[flow] = pin.timestamp
-    return runs
 
 
 def interval_flow_records_from_arrivals(

@@ -16,7 +16,10 @@ Decode contract (:class:`CaptureDecoder`, which :func:`message_from_json`,
   not one control message: malformed JSON, text after the record, a JSON
   value that is not an object, a ``flow``/``match`` that is neither an
   object nor ``null``, a missing ``ts``/``dpid``/``flow``/``match`` (or
-  ``src``/``dst``/``sport``/``dport`` inside ``flow``), an unknown
+  ``src``/``dst``/``sport``/``dport`` inside ``flow``), a ``ts`` that is
+  not a finite JSON number (``Infinity``, ``NaN``, a string, ``null``, a
+  boolean: one would wedge the daemon's window clock or break the log's
+  sort order), an unknown
   ``type``, an unknown ``command``/``reason`` — and, where bytes are read
   (:func:`read_log`, the file tail), bytes that are not UTF-8.
   :func:`load_log` prefixes the 1-based line number. Every other key is
@@ -162,6 +165,8 @@ _raw_decode = json.JSONDecoder().raw_decode
 
 _COMMANDS = {member.value: member for member in FlowModCommand}
 _REASONS = {member.value: member for member in FlowRemovedReason}
+#: The exact types a ``ts`` may have (``bool`` is an ``int``, not a time).
+_TS_TYPES = (float, int)
 
 _FiveTuple = Tuple[Any, Any, Any, Any, Any]
 
@@ -225,6 +230,8 @@ class CaptureDecoder:
         try:
             name = data.get("type")
             ts = data["ts"]
+            if type(ts) not in _TS_TYPES or ts - ts != 0:  # inf - inf is nan
+                raise ValueError(f"{name} message with a bad 'ts' ({ts!r})")
             dpid = data["dpid"]
             corr = data.get("corr")
             if name == "packet_in":

@@ -1,18 +1,19 @@
-"""The streaming FlowDiff service: always-on incremental diagnosis.
+"""The streaming FlowDiff service: always-on windowed diagnosis.
 
 The batch pipeline answers "what changed between these two captures?";
 this package answers it continuously. A long-running daemon ingests
-control messages as they arrive, extracts each tenant's open diagnosis
-window's flow arrivals *incrementally* (closing a window is a join plus
-one signature build, through the batch builder), diffs every closed
-window against the learned baseline, and serves reports, alerts,
+control messages as they arrive, buffers each tenant's open diagnosis
+window, and when the stream passes the window's end extracts and models
+that window in one pass through the batch code (the same window the
+batch monitor would model, to the dict). It diffs every closed window
+against the learned baseline and serves reports, alerts,
 flight-recorder traces, and health over the read-only ops endpoint —
 with checkpoint/restore so a restart resumes at the last closed window.
 
 Layers, bottom up:
 
-* :mod:`repro.service.incremental` — one open window stitching messages
-  into flow arrivals slice by slice (the incremental data path);
+* :mod:`repro.service.incremental` — one open window: an ordered buffer
+  that notes whether it arrived clean, modelled when it closes;
 * :mod:`repro.service.tenant` — per-tenant lifecycle: baseline learning,
   window turnover, diagnosis, checkpointing, bounded memory;
 * :mod:`repro.service.daemon` — the multi-tenant process: bounded ingest

@@ -4,8 +4,11 @@
 one process. Producers — file tails, in-process simulator feeds, tests —
 hand message batches to :meth:`StreamService.feed`; a single drain thread
 serializes them into the per-tenant pipelines, so the heavy pipeline
-work runs lock-free. The queue is bounded: a blocking producer experiences
-backpressure, a non-blocking one gets its batch dropped with explicit
+work runs lock-free. That work happens at window close: a pipeline
+buffers its open window's messages and models the window in one pass
+once the stream passes the window's end. The queue is bounded: a
+blocking producer experiences backpressure, a non-blocking one gets its
+batch dropped with explicit
 ``service_dropped_total{reason="backpressure"}`` accounting — ingest
 never buffers unboundedly.
 
@@ -49,8 +52,7 @@ class StreamService:
         window: default diagnosis window seconds per tenant.
         baseline_span: default baseline-learning span; defaults to
             ``window``.
-        slices: sub-intervals per window — the fold cadence of incremental
-            extraction.
+        slices: accepted and ignored — nothing reads it.
         metrics: the service registry — one per process, every instrument
             tenant-labeled; a fresh registry is created when omitted.
         checkpoint_dir: directory for per-tenant checkpoints and the
@@ -67,7 +69,7 @@ class StreamService:
         *,
         window: float = 30.0,
         baseline_span: Optional[float] = None,
-        slices: int = 4,
+        slices: int = 4,  # Unread; bench/stream.py (frozen) passes it.
         metrics: Optional[MetricsRegistry] = None,
         checkpoint_dir: Optional[str] = None,
         max_pending: int = 64,
@@ -78,7 +80,6 @@ class StreamService:
         self.config = config
         self.window = window
         self.baseline_span = baseline_span
-        self.slices = slices
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.checkpoint_dir = checkpoint_dir
         self.rebaseline_after = rebaseline_after
@@ -110,7 +111,6 @@ class StreamService:
         kwargs: Dict[str, object] = {
             "window": self.window,
             "baseline_span": self.baseline_span,
-            "slices": self.slices,
             "metrics": self.metrics,
             "alert_engine": AlertEngine(default_rules()),
             "checkpoint_dir": self.checkpoint_dir,
@@ -259,9 +259,10 @@ class FileTailSource:
     ``follow=True`` the source keeps polling for appended lines until
     :meth:`stop` — a live capture tail that waits for a half-written
     line to be completed; otherwise it stops at EOF.
-    Undecodable lines — bad JSON, not a control message, not UTF-8 — are
-    counted (``service_dropped_total`` with ``reason="decode"``) and
-    skipped rather than wedging the tail.
+    Undecodable lines — bad JSON, not a control message, a ``ts`` that
+    is not a finite number, not UTF-8 — are counted
+    (``service_dropped_total`` with ``reason="decode"``) and skipped
+    rather than wedging the tail or the tenant.
     Messages of one batch share equal 5-tuples (see
     :class:`~repro.openflow.serialize.CaptureDecoder`); the sharing table
     is dropped at every hand-off, so a followed file cannot grow it.

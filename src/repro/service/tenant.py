@@ -2,16 +2,18 @@
 
 A :class:`TenantPipeline` owns everything one monitored environment
 needs: the baseline-learning phase, the open
-:class:`~repro.service.incremental.IncrementalWindow`, the shared
+:class:`~repro.service.incremental.IncrementalWindow` (a buffer, modelled
+in one pass when it closes, exactly as the batch monitor models a
+window), the shared
 :class:`~repro.core.monitor.DiagnosisStream` (diffing, history, health
 metrics, alerting), a bounded flight-recorder ring of recent raw
 messages, and checkpoint/restore through :mod:`repro.core.persist` so a
 restarted daemon resumes at the last closed window instead of cold
 remodeling.
 
-Memory is bounded by construction: raw messages and stitched arrivals
-live only for the currently open window, the report history is trimmed
-to ``history_limit`` entries, and the trace ring is a fixed-size deque.
+Memory is bounded by construction: raw messages live only for the
+currently open window, the report history is trimmed to
+``history_limit`` entries, and the trace ring is a fixed-size deque.
 
 The heavy pipeline is single-threaded by design — the daemon
 (:mod:`repro.service.daemon`) serializes all ingest through one drain
@@ -32,7 +34,6 @@ import threading
 from collections import deque
 from typing import Deque, Dict, List, Optional
 
-from repro.core.events import extract_flow_records
 from repro.core.flowdiff import FlowDiff, FlowDiffConfig
 from repro.core.monitor import DiagnosisStream, WindowReport
 from repro.core.persist import (
@@ -50,14 +51,14 @@ from repro.obs.metrics import NOOP_REGISTRY, MetricsRegistry
 from repro.obs.tracing import wall_now
 from repro.openflow.log import ControllerLog
 from repro.openflow.messages import ControlMessage
-from repro.service.incremental import STATUS_FALLBACK, IncrementalWindow
+from repro.service.incremental import IncrementalWindow
 
 PHASE_BASELINE = "baseline"
 PHASE_STREAMING = "streaming"
 
 
 class TenantPipeline:
-    """Always-on incremental diagnosis for one monitored environment.
+    """Always-on windowed diagnosis for one monitored environment.
 
     Args:
         name: the tenant label (rides on every ``service_*`` metric).
@@ -65,10 +66,9 @@ class TenantPipeline:
         window: seconds of stream per diagnosis window.
         baseline_span: seconds of stream learned as the healthy baseline
             before windowed diagnosis starts; defaults to ``window``.
-        slices: sub-intervals per window — the fold cadence of incremental
-            extraction.
+        slices: accepted and ignored — nothing reads it.
         task_library: learned operator-task signatures used to silence
-            planned changes (forces per-window log materialization).
+            planned changes.
         rebaseline_after: see :class:`~repro.core.monitor.DiagnosisStream`.
         metrics: shared service registry; all ``service_*`` instruments
             carry a ``tenant`` label.
@@ -90,7 +90,7 @@ class TenantPipeline:
         *,
         window: float = 30.0,
         baseline_span: Optional[float] = None,
-        slices: int = 4,
+        slices: int = 4,  # Unread; bench/stream.py (frozen) passes it.
         task_library: Optional[TaskLibrary] = None,
         rebaseline_after: int = 0,
         metrics: MetricsRegistry = NOOP_REGISTRY,
@@ -108,7 +108,6 @@ class TenantPipeline:
         self.baseline_span = float(
             baseline_span if baseline_span is not None else window
         )
-        self.slices = max(1, int(slices))
         self.metrics = metrics
         self.history_limit = max(1, int(history_limit))
         self.stream = DiagnosisStream(
@@ -244,8 +243,6 @@ class TenantPipeline:
             self._cursor,
             self._cursor + self.window,
             self.flowdiff.config.signature,
-            self.slices,
-            (),
         )
 
     def _close_window(self) -> WindowReport:
@@ -254,34 +251,20 @@ class TenantPipeline:
         assert win is not None
         started = wall_now()
         t0, t1 = win.t_start, win.t_end
-        need_log = (
-            self.stream.task_library is not None
-            or self.stream.rebaseline_after > 0
-        )
         outcome = win.close()
-        if outcome is None:
-            # Dirty window: the batch path, bit-identical to the monitor.
-            sub = win.as_log()
-            records = extract_flow_records(
-                sub, self.flowdiff.config.signature.occurrence_gap
-            )
-            model = self.flowdiff.model(
-                sub, window=(t0, t1), assess=False, records=records
-            )
-            status = STATUS_FALLBACK
-            window_log: Optional[ControllerLog] = sub
-        else:
-            model = outcome.model
-            records = outcome.records
-            status = outcome.status
-            window_log = win.as_log() if need_log else None
+        status = outcome.status
         self.metrics.counter(
             "service_window_merge_total", tenant=self.name, status=status
         ).inc()
         self.status_counts[status] = self.status_counts.get(status, 0) + 1
         baseline = self.stream.baseline
         entry = self.stream.observe(
-            t0, t1, model, window_log=window_log, records=records, started=started
+            t0,
+            t1,
+            outcome.model,
+            window_log=outcome.log,
+            records=outcome.records,
+            started=started,
         )
         superseded: Optional[str] = None
         if self.stream.baseline is not baseline:
@@ -393,7 +376,6 @@ class TenantPipeline:
             "cursor": self._cursor,
             "window": self.window,
             "baseline_span": self.baseline_span,
-            "slices": self.slices,
             "t_first": self._t_first,
             "baseline_digest": self._baseline_digest,
             "windows_total": self.windows_total,

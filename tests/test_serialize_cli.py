@@ -189,6 +189,23 @@ class TestDecodeContract:
             pytest.param("[" * 100_000, "nested too deeply", id="deep-nesting"),
             pytest.param('{"type": "echo", "dpid": "sw1"}', "without 'ts'", id="no-ts"),
             pytest.param('{"type": "echo", "ts": 1.0}', "without 'dpid'", id="no-dpid"),
+            # A ts that is not a finite number used to decode: an infinite
+            # one wedged the daemon's window clock, NaN broke the log's sort.
+            *(
+                pytest.param(
+                    '{"type": "echo", "ts": %s, "dpid": "sw1"}' % ts,
+                    "echo message with a bad 'ts'",
+                    id=f"ts-{name}",
+                )
+                for name, ts in [
+                    ("inf", "Infinity"),
+                    ("minus-inf", "-Infinity"),
+                    ("nan", "NaN"),
+                    ("string", '"abc"'),
+                    ("null", "null"),
+                    ("bool", "true"),
+                ]
+            ),
             pytest.param(HEAD % "packet_in" + "}", "without 'flow'", id="no-flow"),
             pytest.param(HEAD % "flow_mod" + "}", "without 'match'", id="no-match"),
             pytest.param(

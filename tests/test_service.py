@@ -1,9 +1,10 @@
 """Tests for the streaming FlowDiff service (:mod:`repro.service`).
 
-The load-bearing property is *equivalence*: a window closed from
-incrementally stitched arrivals must produce a diagnosis report
-dict-identical to the batch :class:`SlidingDiagnoser` remodeling the
-same window from scratch. Everything else — checkpoint
+The load-bearing property is *equivalence*: a window the daemon buffered
+and closed must produce a diagnosis report dict-identical to the batch
+:class:`SlidingDiagnoser` modeling the same window of the capture,
+whether the window arrived clean (status ``merged``) or not
+(``fallback``). Everything else — checkpoint
 resume, tenant isolation, backpressure accounting, the HTTP surface —
 rides on top of that.
 """
@@ -36,6 +37,7 @@ from repro.service import (
     STATUS_FALLBACK,
     STATUS_MERGED,
     FileTailSource,
+    IncrementalWindow,
     StreamService,
     TenantPipeline,
     create_server,
@@ -104,7 +106,7 @@ class TestIncrementalEquivalence:
     def test_healthy_capture_matches_batch(self, healthy_log):
         tenant, registry = stream_through(healthy_log)
         assert_histories_identical(tenant.history, batch_reference(healthy_log))
-        # Every window closed from incrementally stitched arrivals.
+        # Every window arrived clean.
         assert tenant.status_counts == {STATUS_MERGED: tenant.windows_total}
         assert registry.value(
             "service_window_merge_total", tenant="t1", status=STATUS_MERGED
@@ -123,7 +125,7 @@ class TestIncrementalEquivalence:
         messages = list(healthy_log)
         # Swap two strictly-ordered messages inside one post-baseline
         # window so exactly that window goes dirty; equivalence must
-        # still hold because the fallback path re-sorts the raw buffer.
+        # still hold because closing a window sorts its buffer.
         t_first, _ = healthy_log.time_span
         lo = t_first + BASELINE + 2.0
         idx = next(
@@ -194,6 +196,57 @@ class TestIncrementalEquivalence:
         reference = batch_reference(log, window=4.0, baseline=4.0)
         assert len(reference) == 4
         assert_histories_identical(tenant.history, reference)
+
+    def test_late_flowmod_reply_window_is_merged_and_matches_batch(self):
+        """A ``FlowMod`` answering a ``PacketIn`` 4 s later, in timestamp
+        order: the window used to go ``fallback`` (``late_flowmod_reply``,
+        which only protected the slice fold). It arrived clean, so it is
+        ``merged`` now, and still equal to batch."""
+        messages = []
+        for i in range(42):
+            src, dst = (("a", "b"), ("b", "c"))[i % 2]
+            key = FlowKey(src, dst, 1000 + i, 80)
+            ts = 1.0 + i
+            # Buffer 21 (t=22) sits in the window [21, 31).
+            reply_at = ts + (4.0 if i == 21 else 0.001)
+            messages.append(
+                PacketIn(timestamp=ts, dpid="sw1", flow=key, in_port=1, buffer_id=i)
+            )
+            messages.append(
+                FlowMod(
+                    timestamp=reply_at,
+                    dpid="sw1",
+                    match=Match.exact(key),
+                    out_port=2,
+                    in_reply_to=i,
+                )
+            )
+        messages.sort(key=lambda msg: msg.timestamp)
+        log = ControllerLog(messages)
+        tenant = TenantPipeline("t1", window=WINDOW, baseline_span=WINDOW)
+        tenant.ingest(messages)
+        assert tenant.status_counts == {STATUS_MERGED: 3}
+        reference = batch_reference(log, window=WINDOW, baseline=WINDOW)
+        assert len(reference) == 3
+        assert_histories_identical(tenant.history, reference)
+
+    def test_out_of_order_window_closes_as_fallback(self):
+        """``close()`` models a dirty window too (it used to return
+        ``None`` and leave the remodel to the tenant)."""
+        key = FlowKey("a", "b", 1000, 80)
+        early = PacketIn(timestamp=1.0, dpid="sw1", flow=key, in_port=1, buffer_id=1)
+        late = PacketIn(timestamp=2.0, dpid="sw2", flow=key, in_port=1, buffer_id=2)
+        dirty = IncrementalWindow(0.0, 10.0, SignatureConfig())
+        clean = IncrementalWindow(0.0, 10.0, SignatureConfig())
+        for msg in (late, early):
+            dirty.add(msg)
+        for msg in (early, late):
+            clean.add(msg)
+        assert dirty.dirty == "out_of_order" and clean.dirty is None
+        got, want = dirty.close(), clean.close()
+        assert (got.status, want.status) == (STATUS_FALLBACK, STATUS_MERGED)
+        assert got.records == want.records
+        assert list(got.log) == [early, late]
 
     def test_single_batch_and_tiny_batches_agree(self, healthy_log):
         one, _ = stream_through(healthy_log, batch_size=10 ** 9)
@@ -547,6 +600,53 @@ class TestDaemonSources:
             == len(lines)
         )
         assert service.tenants["t1"].windows_total >= 1
+
+    def test_non_finite_ts_line_is_one_decode_drop(self, healthy_log, tmp_path):
+        """A ``"ts": Infinity`` line after the baseline used to decode,
+        and the tenant then closed empty windows for ever."""
+
+        class Recorder:  # the two things a tail asks of its service
+            def __init__(self):
+                self.metrics = MetricsRegistry()
+                self.batches = []
+
+            def feed(self, tenant, batch):
+                self.batches.append(batch)
+
+        clean = str(tmp_path / "capture.jsonl")
+        save_log(healthy_log, clean)
+        with open(clean, "rb") as fh:
+            lines = fh.readlines()
+        t_first, _ = healthy_log.time_span
+        cut = next(
+            i for i, msg in enumerate(healthy_log) if msg.timestamp >= t_first + BASELINE
+        )
+        spliced = str(tmp_path / "spliced.jsonl")
+        with open(spliced, "wb") as fh:
+            fh.writelines(
+                lines[:cut] + [b'{"type": "echo", "ts": Infinity, "dpid": "s1"}\n'] + lines[cut:]
+            )
+
+        def serve(path):
+            recorder = Recorder()
+            FileTailSource(recorder, "t1", path).run()
+            tenant = TenantPipeline("t1", window=WINDOW, baseline_span=BASELINE)
+            worker = threading.Thread(
+                target=lambda: [tenant.ingest(batch) for batch in recorder.batches],
+                daemon=True,
+            )
+            worker.start()
+            worker.join(timeout=60.0)
+            assert not worker.is_alive(), "ingest never returned"
+            drops = recorder.metrics.value("service_dropped_total", tenant="t1", reason="decode")
+            return tenant, drops
+
+        want, clean_drops = serve(clean)
+        got, drops = serve(spliced)
+        assert (clean_drops, drops) == (0, 1)
+        assert got.windows_total == want.windows_total >= 1
+        assert got.status_counts == want.status_counts
+        assert_histories_identical(got.history, want.history)
 
     def test_tail_shares_five_tuples_per_batch_and_keeps_none(self, healthy_log, tmp_path):
         """The follow-mode leak guard, by count: the decoder's table never
