@@ -157,10 +157,10 @@ class Controller:
 
         Logs the ``PacketIn`` immediately and, after the modeled response
         time (plus any queueing behind an in-flight request), logs and
-        returns the ``FlowMod`` + ``PacketOut`` pair. A dead controller logs
-        the PacketIn arrival attempt but never replies, which surfaces as a
-        vanishing control-message stream — the controller-failure problem
-        class of Figure 2(b).
+        returns the ``FlowMod`` + ``PacketOut`` pair. A dead controller
+        neither logs the ``PacketIn`` (the log is captured at the controller)
+        nor replies, which surfaces as a vanishing control-message stream —
+        the controller-failure problem class of Figure 2(b).
         """
         packet_in = PacketIn(
             timestamp=arrived_at,

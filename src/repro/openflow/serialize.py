@@ -30,6 +30,13 @@ Decode contract (:class:`CaptureDecoder`, which :func:`message_from_json`,
   capture is many messages over few endpoint pairs. The table that does
   this lives as long as its decoder: one :func:`load_log` call, one
   batch of the file tail, one :func:`message_from_json` call.
+* **Encode:** :func:`dump_log` writes one line per message, byte-identical
+  to ``json.dumps(message_to_json(m)) + "\n"``, from a per-type template
+  (:func:`line`) rather than a dict per message: finite floats, exact ints
+  and strings are formatted as ``json.dumps`` formats them
+  (``float.__repr__``, ``int.__repr__``, ``encode_basestring_ascii``) and
+  every other value (NaN/±inf, booleans, ``None``, ...) goes through
+  ``json.dumps`` itself.
 * **Order:** messages enter the :class:`ControllerLog` in file order; the
   log sorts by ``(timestamp, arrival)``, so a time-ordered file is read
   back exactly as written.
@@ -38,7 +45,7 @@ Decode contract (:class:`CaptureDecoder`, which :func:`message_from_json`,
 from __future__ import annotations
 
 import json
-from typing import IO, Any, Dict, List, Optional, Tuple, Type
+from typing import IO, Any, Callable, Dict, List, Optional, Tuple, Type
 
 from repro.openflow.log import ControllerLog
 from repro.openflow.match import FlowKey, Match
@@ -157,6 +164,110 @@ def message_to_json(message: ControlMessage) -> Dict[str, Any]:
     elif isinstance(message, EchoRequest):
         out.update(replied=message.replied)
     return out
+
+
+_dumps = json.dumps
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+_str_json = json.encoder.encode_basestring_ascii
+
+
+def _scalar(value: Any) -> str:
+    """One JSON scalar exactly as ``json.dumps`` writes it."""
+    kind = type(value)
+    if kind is str:
+        return _str_json(value)
+    if kind is float:
+        if value - value == 0.0:  # finite: inf - inf and nan - nan are nan
+            return _float_repr(value)
+    elif kind is int:
+        return _int_repr(value)
+    return _dumps(value)
+
+
+def _five_tuple(key: Any) -> str:
+    """A ``FlowKey`` or ``Match`` as :func:`_flow_to_json` /
+    :func:`_match_to_json` encode it."""
+    if key is None:
+        return "null"
+    return '{"src": %s, "dst": %s, "sport": %s, "dport": %s, "proto": %s}' % (
+        _scalar(key.src),
+        _scalar(key.dst),
+        _scalar(key.src_port),
+        _scalar(key.dst_port),
+        _scalar(key.proto),
+    )
+
+
+#: Per message type: the fields after ``type``/``ts``/``dpid``/``corr``,
+#: in :func:`message_to_json`'s order.
+_BODIES: Dict[Type[ControlMessage], Callable[[Any], str]] = {
+    PacketIn: lambda m: (
+        ', "flow": %s, "in_port": %s, "buffer_id": %s}\n'
+        % (_five_tuple(m.flow), _scalar(m.in_port), _scalar(m.buffer_id))
+    ),
+    PacketOut: lambda m: (
+        ', "flow": %s, "out_port": %s, "buffer_id": %s}\n'
+        % (_five_tuple(m.flow), _scalar(m.out_port), _scalar(m.buffer_id))
+    ),
+    FlowMod: lambda m: (
+        ', "match": %s, "out_port": %s, "idle": %s, "hard": %s, "priority": %s,'
+        ' "command": %s, "in_reply_to": %s}\n'
+        % (
+            _five_tuple(m.match),
+            _scalar(m.out_port),
+            _scalar(m.idle_timeout),
+            _scalar(m.hard_timeout),
+            _scalar(m.priority),
+            _scalar(m.command.value),
+            _scalar(m.in_reply_to),
+        )
+    ),
+    FlowRemoved: lambda m: (
+        ', "match": %s, "duration": %s, "bytes": %s, "packets": %s, "reason": %s}\n'
+        % (
+            _five_tuple(m.match),
+            _scalar(m.duration),
+            _scalar(m.byte_count),
+            _scalar(m.packet_count),
+            _scalar(m.reason.value),
+        )
+    ),
+    PortStatus: lambda m: (
+        ', "port": %s, "live": %s}\n' % (_scalar(m.port), _scalar(m.live))
+    ),
+    FlowStatsReply: lambda m: (
+        ', "match": %s, "bytes": %s, "packets": %s, "duration": %s}\n'
+        % (
+            _five_tuple(m.match),
+            _scalar(m.byte_count),
+            _scalar(m.packet_count),
+            _scalar(m.duration),
+        )
+    ),
+    EchoRequest: lambda m: ', "replied": %s}\n' % _scalar(m.replied),
+}
+_HEADS = {cls: '{"type": %s, "ts": ' % _str_json(name) for cls, name in _NAMES.items()}
+
+
+def line(message: ControlMessage) -> str:
+    """One capture line: ``json.dumps(message_to_json(message)) + "\\n"``.
+
+    Raises:
+        TypeError: for unknown message classes.
+    """
+    cls = type(message)
+    body = _BODIES.get(cls)
+    if body is None:
+        raise TypeError(f"cannot serialize {cls.__name__}")
+    corr = message.corr_id
+    return '%s%s, "dpid": %s%s%s' % (
+        _HEADS[cls],
+        _scalar(message.timestamp),
+        _scalar(message.dpid),
+        "" if corr is None else ', "corr": ' + _scalar(corr),
+        body(message),
+    )
 
 
 #: One JSON value from the start of a string -> ``(value, end)``, without
@@ -344,11 +455,8 @@ def message_from_json(data: Dict[str, Any]) -> ControlMessage:
 
 def dump_log(log: ControllerLog, fh: IO[str]) -> int:
     """Write a log as JSON lines; returns the number of messages written."""
-    count = 0
-    for message in log:
-        fh.write(json.dumps(message_to_json(message)) + "\n")
-        count += 1
-    return count
+    fh.writelines(map(line, log))
+    return len(log)
 
 
 def load_log(fh: IO[str]) -> ControllerLog:

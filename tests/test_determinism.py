@@ -8,6 +8,11 @@ the end-to-end property the rule protects: two ``repro simulate`` runs
 with the same seed — in separate interpreter processes, with *different*
 ``PYTHONHASHSEED`` values so set/dict iteration order cannot leak into
 the capture — write byte-identical logs.
+
+Two captures are also pinned to golden digests, so a change to the
+encoder, to the log's ordering or to the simulator that moves one byte
+fails here rather than only in the benchmark's ``capture_sha256``. A
+change that moves the bytes on purpose re-records them and says why.
 """
 
 import hashlib
@@ -17,8 +22,16 @@ import sys
 
 import pytest
 
+from repro.openflow.serialize import save_log
+from repro.scenarios import scalability_sim
+
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 DURATION = "8.0"
+
+#: ``repro simulate --seed 5 --duration 8.0`` (the lab, 3,976 messages).
+LAB_SHA256 = "04504e8ce9cda44fbb377d7c2b68c717d9247c397874deee50d429ccad5e316c"
+#: :func:`tree_capture` (the 320-server tree, 2,331 messages).
+TREE_SHA256 = "85f8dd539c8a95bd118e38a84533d25dfa3a055219e67b601c15e48d30a4a0fa"
 
 
 def simulate(out_path, seed, hashseed):
@@ -44,6 +57,26 @@ def simulate(out_path, seed, hashseed):
     )
     with open(out_path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+def tree_capture(out_path):
+    """Four random apps on the ECMP tree: 2.5 s of traffic, 3 s of drain;
+    298 of the 2,331 appends land below the log's last timestamp."""
+    network, workload = scalability_sim(n_apps=4, seed=11)
+    workload.start(0.5, 3.0)
+    network.sim.run(until=6.0)
+    save_log(network.log, str(out_path))
+    with open(out_path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.mark.slow
+def test_lab_capture_matches_its_golden_digest(tmp_path):
+    assert simulate(tmp_path / "lab.jsonl", seed=5, hashseed=1) == LAB_SHA256
+
+
+def test_tree_capture_matches_its_golden_digest(tmp_path):
+    assert tree_capture(tmp_path / "tree.jsonl") == TREE_SHA256
 
 
 @pytest.mark.slow

@@ -255,6 +255,7 @@ class TestFaultHooks:
         net.sim.run(until=10.0)
         assert results and not results[0].delivered
         assert len(net.log.flow_mods()) == 0  # no replies from a dead brain
+        assert len(net.log.packet_ins()) == 0  # ... and no log: it lives there
 
 
 class TestECMP:

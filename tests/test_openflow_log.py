@@ -1,7 +1,9 @@
 """Unit and property tests for the controller log."""
 
+from bisect import bisect_right
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.openflow.log import ControllerLog
 from repro.openflow.match import FlowKey
@@ -99,7 +101,7 @@ class TestControllerLog:
         assert log.time_span == ((min(times), max(times)) if times else (0.0, 0.0))
         for adopted in (ControllerLog(messages), ControllerLog(iter(messages))):
             assert [id(m) for m in adopted] == [id(m) for m in log]
-            assert adopted._ts == log._ts
+            assert [m.timestamp for m in adopted] == [m.timestamp for m in log]
             assert adopted.time_span == log.time_span
         assert messages == [pin(t, str(arrival)) for arrival, t in enumerate(times)]
 
@@ -115,3 +117,91 @@ class TestControllerLog:
             id(m) for m in log if lo <= m.timestamp < hi
         ]
         assert sub.time_span == ControllerLog(list(sub)).time_span
+
+
+class InsertionOracle:
+    """The log as it used to be kept: every append inserted after the
+    messages already holding its timestamp (``bisect_right``)."""
+
+    def __init__(self):
+        self.stamps = []
+        self.msgs = []
+
+    def append(self, message):
+        at = bisect_right(self.stamps, message.timestamp)
+        self.stamps.insert(at, message.timestamp)
+        self.msgs.insert(at, message)
+
+
+def ids(messages):
+    return [id(m) for m in messages]
+
+
+#: Every reader, as ``(log, oracle message list, lo, hi) -> (got, expected)``.
+READERS = {
+    "len": lambda log, ref, lo, hi: (len(log), len(ref)),
+    "iter": lambda log, ref, lo, hi: (ids(log), ids(ref)),
+    "window": lambda log, ref, lo, hi: (
+        ids(log.window(lo, hi)),
+        ids(m for m in ref if lo <= m.timestamp < hi),
+    ),
+    "time_span": lambda log, ref, lo, hi: (
+        log.time_span,
+        (ref[0].timestamp, ref[-1].timestamp) if ref else (0.0, 0.0),
+    ),
+    "of_type": lambda log, ref, lo, hi: (
+        ids(log.of_type(FlowMod)),
+        ids(m for m in ref if type(m) is FlowMod),
+    ),
+    "correlation_ids": lambda log, ref, lo, hi: (
+        log.correlation_ids(),
+        list(dict.fromkeys(m.corr_id for m in ref)),
+    ),
+    "filter": lambda log, ref, lo, hi: (
+        ids(log.filter(lambda m: m.corr_id % 2)),
+        ids(m for m in ref if m.corr_id % 2),
+    ),
+    "merged_with": lambda log, ref, lo, hi: (
+        ids(log.merged_with(log)),
+        ids(sorted(ref + ref, key=lambda m: m.timestamp)),
+    ),
+}
+
+#: An append (a timestamp, a PacketIn or a FlowMod) or a read with a window.
+STEPS = st.lists(
+    st.tuples(st.just("append"), STAMPS, st.booleans())
+    | st.tuples(st.sampled_from(sorted(READERS)), STAMPS, STAMPS),
+    max_size=60,
+)
+
+
+class TestSortOnFirstRead:
+    @given(STEPS)
+    @settings(max_examples=300)
+    def test_every_read_sees_the_insertion_order(self, steps):
+        """Appends interleaved with reads, ties and out-of-order stamps
+        included: each read equals the oracle at that point, also for
+        appends made after an earlier read already sorted the log."""
+        log = ControllerLog()
+        oracle = InsertionOracle()
+        for arrival, (step, a, b) in enumerate(steps):
+            if step == "append":
+                message = (
+                    FlowMod(timestamp=a, dpid="sw1", corr_id=arrival)
+                    if b
+                    else PacketIn(timestamp=a, dpid="sw1", flow=KEY, corr_id=arrival)
+                )
+                log.append(message)
+                oracle.append(message)
+            else:
+                got, expected = READERS[step](log, list(oracle.msgs), a, b)
+                assert got == expected, step
+        assert ids(log) == ids(oracle.msgs)
+
+    def test_len_does_not_sort(self):
+        log = ControllerLog()
+        log.append(pin(2.0, "late"))
+        log.append(pin(1.0, "early"))
+        assert len(log) == 2
+        assert [m.dpid for m in log._msgs] == ["late", "early"]
+        assert [m.dpid for m in log] == ["early", "late"]

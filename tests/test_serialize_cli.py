@@ -27,6 +27,7 @@ from repro.openflow.messages import (
 from repro.scenarios import three_tier_lab
 from repro.openflow.serialize import (
     dump_log,
+    line,
     load_log,
     message_from_json,
     message_to_json,
@@ -129,8 +130,77 @@ MESSAGES = st.one_of(
     st.builds(EchoRequest, **HEADER, replied=st.booleans()),
 )
 
+#: Wider than ``MESSAGES``, for the line encoder: text that needs escaping,
+#: and wherever a number goes also floats, booleans, ``2**70``, NaN/±inf
+#: (never in ``ts``, which the decoder rejects non-finite).
+ODD_TEXT = st.sampled_from(["ä", '"', "\\", "\n", "sw1", ""]) | st.text(max_size=4)
+ODD_SCALARS = (
+    st.integers(-(2**64), 2**64)
+    | st.just(2**70)
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0])
+    | st.booleans()
+)
+ODD_FLOWS = st.none() | st.builds(
+    FlowKey, ODD_TEXT, ODD_TEXT, ODD_SCALARS, ODD_SCALARS, ODD_TEXT
+)
+ODD_MATCHES = st.none() | st.builds(
+    Match,
+    st.none() | ODD_TEXT,
+    st.none() | ODD_TEXT,
+    st.none() | ODD_SCALARS,
+    st.none() | ODD_SCALARS,
+    st.none() | ODD_TEXT,
+)
+ODD_HEADER = dict(
+    timestamp=st.floats(allow_nan=False, allow_infinity=False) | st.integers(),
+    dpid=ODD_TEXT,
+    corr_id=st.none() | ODD_SCALARS,
+)
+ODD_MESSAGES = st.one_of(
+    st.builds(PacketIn, **ODD_HEADER, flow=ODD_FLOWS, in_port=ODD_SCALARS, buffer_id=ODD_SCALARS),
+    st.builds(PacketOut, **ODD_HEADER, flow=ODD_FLOWS, out_port=ODD_SCALARS, buffer_id=ODD_SCALARS),
+    st.builds(
+        FlowMod,
+        **ODD_HEADER,
+        match=ODD_MATCHES,
+        out_port=ODD_SCALARS,
+        idle_timeout=ODD_SCALARS,
+        hard_timeout=ODD_SCALARS,
+        priority=ODD_SCALARS,
+        command=st.sampled_from(FlowModCommand),
+        in_reply_to=st.none() | ODD_SCALARS,
+    ),
+    st.builds(
+        FlowRemoved,
+        **ODD_HEADER,
+        match=ODD_MATCHES,
+        duration=ODD_SCALARS,
+        byte_count=ODD_SCALARS,
+        packet_count=ODD_SCALARS,
+        reason=st.sampled_from(FlowRemovedReason),
+    ),
+    st.builds(PortStatus, **ODD_HEADER, port=ODD_SCALARS, live=ODD_SCALARS),
+    st.builds(
+        FlowStatsReply,
+        **ODD_HEADER,
+        match=ODD_MATCHES,
+        byte_count=ODD_SCALARS,
+        packet_count=ODD_SCALARS,
+        duration=ODD_SCALARS,
+    ),
+    st.builds(EchoRequest, **ODD_HEADER, replied=ODD_SCALARS),
+)
+
 ECHO = '{"type": "echo", "ts": 1.0, "dpid": "sw1"}'
 HEAD = '{"type": "%s", "ts": 1.0, "dpid": "sw1"'
+
+
+class TestLineEncoder:
+    @given(MESSAGES | ODD_MESSAGES)
+    @settings(max_examples=300)
+    def test_line_is_json_dumps_of_message_to_json(self, message):
+        assert line(message) == json.dumps(message_to_json(message)) + "\n"
 
 
 class TestDecodeContract:
@@ -331,6 +401,8 @@ class TestSerialization:
 
         with pytest.raises(TypeError):
             message_to_json(Fake())  # type: ignore[arg-type]
+        with pytest.raises(TypeError):
+            line(Fake())  # type: ignore[arg-type]
 
     @given(
         st.floats(0, 1e6),
