@@ -168,17 +168,17 @@ def histogram_peaks(
         return []
     counts: dict[int, int] = {}
     for v in values:
-        counts[int(v // bin_width)] = counts.get(int(v // bin_width), 0) + 1
-    indices = sorted(counts)
+        b = int(v // bin_width)
+        counts[b] = counts.get(b, 0) + 1
     peaks: List[Tuple[float, int]] = []
-    for i, idx in enumerate(indices):
+    get = counts.get
+    for idx in sorted(counts):
         c = counts[idx]
-        left = counts.get(idx - 1, 0)
-        right = counts.get(idx + 1, 0)
-        # Local maximum; a plateau is attributed to its leftmost bin.
-        if c >= min_count and c >= right and (c > left or left == 0 and i == 0):
-            if c > left or (c == left and idx - 1 not in counts):
-                peaks.append(((idx + 0.5) * bin_width, c))
+        # Local maximum; a plateau is attributed to its leftmost bin. Every
+        # present bin counts at least 1, so an empty left neighbour (0) is
+        # always strictly below.
+        if c >= min_count and c >= get(idx + 1, 0) and c > get(idx - 1, 0):
+            peaks.append(((idx + 0.5) * bin_width, c))
     peaks.sort(key=lambda p: (-p[1], p[0]))
     return peaks[:max_peaks]
 

@@ -16,10 +16,13 @@ observations instead:
 
 A 5-tuple can recur (connection reuse after entry expiry, periodic jobs);
 occurrences of the same key separated by more than ``occurrence_gap`` are
-distinct arrivals.
+distinct arrivals. Extraction reads the sorted log once: one loop buckets
+the ``PacketIn`` and ``FlowMod`` messages, and one loop over the
+``PacketIn`` messages pairs replies and groups occurrences.
 
-:class:`HopReport`, :class:`FlowArrival` and :class:`FlowRecord` are named
-tuples — one is built per ``PacketIn`` / flow / record in every modeling
+:class:`HopReport`, :class:`FlowArrival`, :class:`FlowRecord` and the
+:class:`~repro.openflow.match.FlowKey` they carry are named tuples — one
+is built per capture line / ``PacketIn`` / flow / record in every modeling
 pass, and a tuple is the cheapest immutable record Python has (no
 ``__dict__``, and the cyclic collector stops tracking one that holds only
 atoms). So each compares equal to a plain tuple of the same fields, and
@@ -29,6 +32,7 @@ atoms). So each compares equal to a plain tuple of the same fields, and
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.occurrence import splits_occurrence
@@ -69,20 +73,14 @@ class FlowArrival(NamedTuple):
     time: float
     hops: Tuple[HopReport, ...]
 
-    @property
-    def src(self) -> str:
-        """Source endpoint."""
-        return self.flow.src
-
-    @property
-    def dst(self) -> str:
-        """Destination endpoint."""
-        return self.flow.dst
+    # C-level getters: six signature builders read these once per arrival.
+    src = property(attrgetter("flow.src"), doc="Source endpoint.")
+    dst = property(attrgetter("flow.dst"), doc="Destination endpoint.")
 
     @property
     def path_dpids(self) -> Tuple[str, ...]:
         """Switch dpids in traversal order."""
-        return tuple(h.dpid for h in self.hops)
+        return tuple([h.dpid for h in self.hops])
 
 
 class FlowRecord(NamedTuple):
@@ -120,59 +118,60 @@ def extract_flow_arrivals(
     Messages with the same 5-tuple within ``occurrence_gap`` seconds of the
     previous report belong to one occurrence (the flow traversing its
     path); a larger gap starts a new occurrence. ``FlowMod`` replies are
-    paired via their ``in_reply_to`` buffer id when present, falling back
-    to (dpid, order) matching.
+    paired via their ``in_reply_to`` buffer id when present (the last
+    reply logged for an id wins), falling back to (dpid, order) matching.
+
+    A message without flow identity is skipped: a ``PacketIn`` whose
+    ``flow`` is null joins no occurrence, and an unpaired ``FlowMod``
+    whose ``match`` is null pairs with nothing.
 
     Returns:
         Arrivals sorted by time.
     """
-    # Pair FlowMods with PacketIns.
+    # One pass over the sorted log buckets what pairing needs.
+    pins: List[PacketIn] = []
     mods_by_reply: Dict[int, FlowMod] = {}
     unpaired_mods: Dict[str, List[FlowMod]] = {}
-    for mod in log.flow_mods():
-        if mod.in_reply_to is not None:
-            mods_by_reply[mod.in_reply_to] = mod
-        else:
-            unpaired_mods.setdefault(mod.dpid, []).append(mod)
-
-    def find_mod(pin: PacketIn) -> Optional[FlowMod]:
-        if pin.buffer_id in mods_by_reply:
-            return mods_by_reply[pin.buffer_id]
-        candidates = unpaired_mods.get(pin.dpid, [])
-        for mod in candidates:
-            if mod.timestamp >= pin.timestamp and mod.match.matches(pin.flow):
-                candidates.remove(mod)
-                return mod
-        return None
+    for msg in log:
+        kind = type(msg)
+        if kind is PacketIn:
+            if msg.flow is not None:
+                pins.append(msg)
+        elif kind is FlowMod:
+            if msg.in_reply_to is not None:
+                mods_by_reply[msg.in_reply_to] = msg
+            elif msg.match is not None:
+                unpaired_mods.setdefault(msg.dpid, []).append(msg)
 
     arrivals: List[FlowArrival] = []
+    # Per open flow, its hops so far; the last one's ``packet_in_at`` is
+    # when the flow was last seen.
     open_runs: Dict[FlowKey, List[HopReport]] = {}
-    last_seen: Dict[FlowKey, float] = {}
-
-    def close(flow: FlowKey) -> None:
-        hops = open_runs.pop(flow, [])
-        if hops:
-            arrivals.append(
-                FlowArrival(flow=flow, time=hops[0].packet_in_at, hops=tuple(hops))
-            )
-
-    for pin in log.packet_ins():
+    for pin in pins:
         flow = pin.flow
-        if flow in open_runs and splits_occurrence(last_seen[flow], pin.timestamp, occurrence_gap):
-            close(flow)
-        mod = find_mod(pin)
-        hop = HopReport(
-            dpid=pin.dpid,
-            in_port=pin.in_port,
-            packet_in_at=pin.timestamp,
-            flow_mod_at=mod.timestamp if mod else None,
-            out_port=mod.out_port if mod else None,
-        )
-        open_runs.setdefault(flow, []).append(hop)
-        last_seen[flow] = pin.timestamp
+        ts = pin.timestamp
+        mod = mods_by_reply.get(pin.buffer_id)
+        if mod is None:
+            candidates = unpaired_mods.get(pin.dpid, [])
+            for i, cand in enumerate(candidates):
+                if cand.timestamp >= ts and cand.match.matches(flow):
+                    mod = candidates.pop(i)
+                    break
+        if mod is None:
+            hop = HopReport(pin.dpid, pin.in_port, ts)
+        else:
+            hop = HopReport(pin.dpid, pin.in_port, ts, mod.timestamp, mod.out_port)
+        run = open_runs.get(flow)
+        if run is None:
+            open_runs[flow] = [hop]
+        elif splits_occurrence(run[-1].packet_in_at, ts, occurrence_gap):
+            arrivals.append(FlowArrival(flow, run[0].packet_in_at, tuple(run)))
+            open_runs[flow] = [hop]
+        else:
+            run.append(hop)
 
-    for flow in list(open_runs):
-        close(flow)
+    for flow, run in open_runs.items():
+        arrivals.append(FlowArrival(flow, run[0].packet_in_at, tuple(run)))
     arrivals.sort(key=arrival_sort_key)
     return arrivals
 
@@ -202,55 +201,62 @@ def join_flow_records(
     assessment slices out of one extraction
     (:func:`interval_flow_records_from_arrivals`).
     ``removed`` must be in log (time) order — consumption cursors rely
-    on it.
+    on it. A report whose ``match`` is null has no flow identity and
+    joins nothing.
     """
     # Index expiry reports for O(1) joining, keyed flow-first so the hot
     # loop hashes each arrival's flow once rather than once per hop. Keys
-    # are plain 5-tuples — hashing one is several times cheaper than a
-    # dataclass FlowKey, and this loop runs once per expiry report.
-    # Microflow matches are keyed by their exact 5-tuple per dpid; wildcard
-    # matches (rare in reactive deployments) fall back to a small linear list.
-    exact: Dict[tuple, Dict[str, List[FlowRemoved]]] = {}
+    # are plain 5-tuples, which hash and compare equal to the arrival's
+    # ``FlowKey``. Microflow matches are keyed by their exact 5-tuple per
+    # dpid, each bucket a ``[cursor, report, ...]`` list whose cursor (the
+    # next unconsumed report's index) moves as reports are taken; wildcard
+    # matches (rare in reactive deployments) fall back to a small linear
+    # list.
+    exact: Dict[tuple, Dict[str, list]] = {}
     wildcards: List[List] = []  # [FlowRemoved, consumed_flag]
     for fr in removed:
         m = fr.match
-        if m is not None and m.is_microflow:
-            key = (m.src, m.dst, m.src_port, m.dst_port, m.proto)
-            exact.setdefault(key, {}).setdefault(fr.dpid, []).append(fr)
-        else:
+        if m is None:
+            continue
+        key = (m.src, m.dst, m.src_port, m.dst_port, m.proto)
+        if None in key:
             wildcards.append([fr, False])
-    # Per-bucket cursor: reports are already time-ordered within the log.
-    cursors: Dict[tuple, Dict[str, int]] = {}
+        else:
+            exact.setdefault(key, {}).setdefault(fr.dpid, [1]).append(fr)
 
     records: List[FlowRecord] = []
     for arrival in arrivals:
         best_bytes = 0
         best_packets = 0
         best_duration = 0.0
+        t = arrival.time
         on_path = {h.dpid for h in arrival.hops}
         taken_dpids: set = set()
-        f = arrival.flow
-        flow_key = (f.src, f.dst, f.src_port, f.dst_port, f.proto)
-        by_dpid = exact.get(flow_key)
+        by_dpid = exact.get(arrival.flow)
         if by_dpid:
-            flow_cursors = cursors.setdefault(flow_key, {})
             for dpid in on_path:
                 bucket = by_dpid.get(dpid)
-                if not bucket:
+                if bucket is None:
                     continue
-                i = flow_cursors.get(dpid, 0)
-                while i < len(bucket) and bucket[i].timestamp < arrival.time:
+                i = bucket[0]
+                n = len(bucket)
+                while i < n and bucket[i].timestamp < t:
                     i += 1
-                if i < len(bucket):
+                if i < n:
                     fr = bucket[i]
-                    flow_cursors[dpid] = i + 1
+                    bucket[0] = i + 1
                     taken_dpids.add(dpid)
-                    best_bytes = max(best_bytes, fr.byte_count)
-                    best_packets = max(best_packets, fr.packet_count)
-                    best_duration = max(best_duration, fr.duration)
+                    # Like ``max``: only a strictly greater value (never a
+                    # NaN, never an equal one of another type) replaces.
+                    if fr.byte_count > best_bytes:
+                        best_bytes = fr.byte_count
+                    if fr.packet_count > best_packets:
+                        best_packets = fr.packet_count
+                    if fr.duration > best_duration:
+                        best_duration = fr.duration
         for item in wildcards:
             fr, consumed = item
-            if consumed or fr.timestamp < arrival.time:
+            if consumed or fr.timestamp < t:
                 continue
             if fr.dpid not in on_path or fr.dpid in taken_dpids:
                 continue
@@ -260,17 +266,13 @@ def join_flow_records(
             # later reports for the same 5-tuple describe re-occurrences.
             item[1] = True
             taken_dpids.add(fr.dpid)
-            best_bytes = max(best_bytes, fr.byte_count)
-            best_packets = max(best_packets, fr.packet_count)
-            best_duration = max(best_duration, fr.duration)
-        records.append(
-            FlowRecord(
-                arrival=arrival,
-                byte_count=best_bytes,
-                packet_count=best_packets,
-                duration=best_duration,
-            )
-        )
+            if fr.byte_count > best_bytes:
+                best_bytes = fr.byte_count
+            if fr.packet_count > best_packets:
+                best_packets = fr.packet_count
+            if fr.duration > best_duration:
+                best_duration = fr.duration
+        records.append(FlowRecord(arrival, best_bytes, best_packets, best_duration))
     return records
 
 

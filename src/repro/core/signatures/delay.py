@@ -14,6 +14,7 @@ threshold flags performance degradation at the connecting server
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
@@ -69,6 +70,14 @@ def pair_delays(
 ) -> Tuple[Dict[EdgePair, List[float]], Dict[EdgePair, List[float]]]:
     """Inter-flow delays at every node: ``(all pairings, first pairings)``.
 
+    Each incoming flow is paired with the outgoing flows of its
+    destination that arrive strictly after it, in time order, stopping at
+    the first one more than ``window`` later. At most
+    ``max_pairs_per_in`` candidates are read per incoming flow (a binary
+    search finds the first), so a node costs ``O(n log n)`` however many
+    outgoing flows follow. Arrival times are finite (the capture decoder
+    rejects any other timestamp).
+
     Args:
         arrivals: one group's flow arrivals.
         window: how long after an incoming flow an outgoing flow can
@@ -80,37 +89,33 @@ def pair_delays(
     incoming: Dict[str, List[Tuple[float, Edge]]] = {}
     outgoing: Dict[str, List[Tuple[float, Edge]]] = {}
     for arrival in arrivals:
-        edge = (arrival.src, arrival.dst)
-        outgoing.setdefault(arrival.src, []).append((arrival.time, edge))
-        incoming.setdefault(arrival.dst, []).append((arrival.time, edge))
+        src, dst = arrival.src, arrival.dst
+        item = (arrival.time, (src, dst))
+        outgoing.setdefault(src, []).append(item)
+        incoming.setdefault(dst, []).append(item)
 
+    cap = max(max_pairs_per_in, 0)
     delays: Dict[EdgePair, List[float]] = {}
     first_delays: Dict[EdgePair, List[float]] = {}
     for node, in_list in incoming.items():
-        out_list = sorted(outgoing.get(node, []))
+        out_list = outgoing.get(node)
         if not out_list:
             continue
+        out_list.sort()
         out_times = [t for t, _ in out_list]
-        for t_in, in_edge in sorted(in_list):
-            # Binary search for the first outgoing flow after t_in.
-            lo, hi = 0, len(out_times)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if out_times[mid] <= t_in:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            paired = 0
+        in_list.sort()
+        for t_in, in_edge in in_list:
+            lo = bisect_right(out_times, t_in)
             seen_pairs = set()
-            for t_out, out_edge in out_list[lo:]:
-                if t_out - t_in > window or paired >= max_pairs_per_in:
+            for t_out, out_edge in out_list[lo : lo + cap]:
+                delay = t_out - t_in
+                if delay > window:
                     break
                 pair = (in_edge, out_edge)
-                delays.setdefault(pair, []).append(t_out - t_in)
+                delays.setdefault(pair, []).append(delay)
                 if pair not in seen_pairs:
                     seen_pairs.add(pair)
-                    first_delays.setdefault(pair, []).append(t_out - t_in)
-                paired += 1
+                    first_delays.setdefault(pair, []).append(delay)
     return delays, first_delays
 
 

@@ -66,7 +66,7 @@ class PhysicalTopology(Signature):
             for dpid in dpids:
                 obs[dpid] = obs.get(dpid, 0) + 1
             for a, b in zip(dpids, dpids[1:]):
-                links.add(tuple(sorted((a, b))))
+                links.add((a, b) if a <= b else (b, a))
             if dpids:
                 src_votes = attach_votes.setdefault(arrival.src, {})
                 src_votes[dpids[0]] = src_votes.get(dpids[0], 0) + 1
@@ -238,7 +238,8 @@ class InterSwitchLatency(Signature):
                 latency = down.packet_in_at - up.flow_mod_at
                 if latency < 0:
                     continue
-                pair = tuple(sorted((up.dpid, down.dpid)))
+                a, b = up.dpid, down.dpid
+                pair = (a, b) if a <= b else (b, a)
                 samples.setdefault(pair, []).append(latency)
         stats = {}
         for pair, vals in samples.items():

@@ -81,7 +81,8 @@ def summarize_log(log: ControllerLog, top: int = 5) -> LogSummary:
             by_kind[kind] += 1
         switches[msg.dpid] += 1
         if type(msg) is PacketIn:
-            talkers[msg.flow.src] += 1
+            if msg.flow is not None:  # a flowless PacketIn names no talker
+                talkers[msg.flow.src] += 1
             packet_in_ids.append(msg.buffer_id)
         elif type(msg) is FlowMod and msg.in_reply_to is not None:
             replied.add(msg.in_reply_to)

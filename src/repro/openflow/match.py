@@ -17,16 +17,23 @@ wildcarded to ``*`` exactly as in the paper's Figure 4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 #: Source ports at or above this value are treated as ephemeral (client-side)
 #: and wildcarded when building task-signature flow templates.
 EPHEMERAL_PORT_FLOOR = 10000
 
 
-@dataclass(frozen=True, order=True)
-class FlowKey:
-    """The identity of a network flow: a 5-tuple.
+class FlowKey(NamedTuple):
+    """The identity of a network flow: a 5-tuple (a named tuple).
+
+    One is decoded per capture line and hashed several times per flow in
+    every modeling pass, so it is a tuple: hashing, equality and ordering
+    run in C, field by field in declaration order. It therefore compares
+    equal to, and hashes like, a plain 5-tuple of the same fields
+    (``FlowKey("a", "b", 1, 2) == ("a", "b", 1, 2, "tcp")``), but never
+    equals a :class:`Match`. ``_replace`` and ``_fields`` apply to it;
+    ``dataclasses.replace`` / ``fields`` do not.
 
     Attributes:
         src: source endpoint identifier (an IP address or a host name; the
@@ -45,13 +52,7 @@ class FlowKey:
 
     def reversed(self) -> "FlowKey":
         """Return the key of the reverse-direction flow (e.g. the response)."""
-        return FlowKey(
-            src=self.dst,
-            dst=self.src,
-            src_port=self.dst_port,
-            dst_port=self.src_port,
-            proto=self.proto,
-        )
+        return FlowKey(self.dst, self.src, self.dst_port, self.src_port, self.proto)
 
     def endpoints(self) -> Tuple[str, str]:
         """Return the ``(src, dst)`` endpoint pair."""

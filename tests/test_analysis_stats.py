@@ -175,6 +175,51 @@ class TestHistogramPeaks:
             assert peaks[0][1] == max(bins.values())
 
 
+def oracle_histogram_peaks(values, bin_width, min_count=1, max_peaks=5):
+    """The peak finder before its dead clauses went; verbatim."""
+    if bin_width <= 0:
+        raise ValueError(f"bin_width must be positive, got {bin_width}")
+    if not values:
+        return []
+    counts = {}
+    for v in values:
+        counts[int(v // bin_width)] = counts.get(int(v // bin_width), 0) + 1
+    indices = sorted(counts)
+    peaks = []
+    for i, idx in enumerate(indices):
+        c = counts[idx]
+        left = counts.get(idx - 1, 0)
+        right = counts.get(idx + 1, 0)
+        if c >= min_count and c >= right and (c > left or left == 0 and i == 0):
+            if c > left or (c == left and idx - 1 not in counts):
+                peaks.append(((idx + 0.5) * bin_width, c))
+    peaks.sort(key=lambda p: (-p[1], p[0]))
+    return peaks[:max_peaks]
+
+
+class TestHistogramPeaksOracle:
+    #: Multiples of the bin width land on bin edges (or a float's width
+    #: off them); the rest are anywhere, negative delays included.
+    values = st.lists(
+        st.one_of(
+            st.integers(-10, 40).map(lambda k: k * 0.02),
+            st.floats(-0.5, 1.0, allow_nan=False),
+        ),
+        max_size=80,
+    )
+
+    @given(values, st.sampled_from([0.02, 0.05, 1.0]), st.integers(0, 4), st.integers(1, 6))
+    def test_equals_the_oracle(self, values, bin_width, min_count, max_peaks):
+        got = histogram_peaks(values, bin_width, min_count, max_peaks)
+        assert got == oracle_histogram_peaks(values, bin_width, min_count, max_peaks)
+
+    def test_nan_raises_like_the_oracle(self):
+        with pytest.raises(ValueError):
+            oracle_histogram_peaks([0.1, float("nan")], 0.02)
+        with pytest.raises(ValueError):
+            histogram_peaks([0.1, float("nan")], 0.02)
+
+
 class TestEmpiricalCDF:
     def test_monotone_and_bounded(self):
         cdf = EmpiricalCDF.from_values([3.0, 1.0, 2.0])

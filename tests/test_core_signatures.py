@@ -1,6 +1,9 @@
 """Unit tests for the five application signatures and infrastructure bundle."""
 
+from typing import Dict, List, Sequence, Tuple
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.events import FlowArrival, FlowRecord, HopReport
 from repro.core.signatures import (
@@ -14,7 +17,7 @@ from repro.core.signatures import (
     PhysicalTopology,
     SignatureKind,
 )
-from repro.core.signatures.delay import delay_cdf
+from repro.core.signatures.delay import delay_cdf, pair_delays
 from repro.core.signatures.flowstats import byte_cdf
 from repro.openflow.match import FlowKey
 
@@ -243,6 +246,85 @@ class TestDelayDistribution:
         cdf = delay_cdf(self.chain(0.06), (("a", "n"), ("n", "b")))
         assert cdf(0.1) == pytest.approx(1.0)
         assert cdf(0.01) == pytest.approx(0.0)
+
+
+def oracle_pair_delays(
+    arrivals: Sequence[FlowArrival],
+    window: float = 1.0,
+    max_pairs_per_in: int = 8,
+) -> Tuple[Dict, Dict]:
+    """``pair_delays`` as it was, copying the tail per incoming flow."""
+    incoming: Dict[str, List] = {}
+    outgoing: Dict[str, List] = {}
+    for arrival in arrivals:
+        edge = (arrival.src, arrival.dst)
+        outgoing.setdefault(arrival.src, []).append((arrival.time, edge))
+        incoming.setdefault(arrival.dst, []).append((arrival.time, edge))
+
+    delays: Dict = {}
+    first_delays: Dict = {}
+    for node, in_list in incoming.items():
+        out_list = sorted(outgoing.get(node, []))
+        if not out_list:
+            continue
+        out_times = [t for t, _ in out_list]
+        for t_in, in_edge in sorted(in_list):
+            lo, hi = 0, len(out_times)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if out_times[mid] <= t_in:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            paired = 0
+            seen_pairs = set()
+            for t_out, out_edge in out_list[lo:]:
+                if t_out - t_in > window or paired >= max_pairs_per_in:
+                    break
+                pair = (in_edge, out_edge)
+                delays.setdefault(pair, []).append(t_out - t_in)
+                if pair not in seen_pairs:
+                    seen_pairs.add(pair)
+                    first_delays.setdefault(pair, []).append(t_out - t_in)
+                paired += 1
+    return delays, first_delays
+
+
+class TestPairDelaysOracle:
+    """The bisecting, capped scan equals the tail-copying one exactly:
+    the same pairs, in the same order, with the same delay lists."""
+
+    hosts = st.sampled_from(["a", "n", "b", "c"])
+    #: A dense eighth-second grid over three seconds: ties, gaps of
+    #: exactly the window, and bursts of far more than eight outgoing
+    #: flows inside one window.
+    times = st.one_of(
+        st.integers(0, 24).map(lambda k: k * 0.125),
+        st.floats(0.0, 3.0, allow_nan=False),
+    )
+    arrivals = st.lists(
+        st.builds(lambda s, d, t: arrival(s, d, t), hosts, hosts, times), max_size=80
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrivals, st.sampled_from([0.125, 0.5, 1.0]), st.integers(-1, 10))
+    def test_equals_the_oracle(self, arrivals, window, cap):
+        got = pair_delays(arrivals, window, cap)
+        want = oracle_pair_delays(arrivals, window, cap)
+        for mine, theirs in zip(got, want):
+            assert list(mine.items()) == list(theirs.items())
+
+    @pytest.mark.parametrize("cap", [0, -1, -3])
+    def test_a_non_positive_cap_pairs_nothing(self, cap):
+        arrivals = [arrival("a", "n", 0.0), arrival("n", "b", 0.1), arrival("n", "c", 0.2)]
+        assert pair_delays(arrivals, 1.0, cap) == ({}, {}) == oracle_pair_delays(arrivals, 1.0, cap)
+
+    def test_a_burst_is_capped_per_incoming_flow(self):
+        burst = [arrival("a", "n", 0.0)] + [arrival("n", "b", 0.01 * k) for k in range(1, 21)]
+        delays, first = pair_delays(burst, window=1.0, max_pairs_per_in=8)
+        pair = (("a", "n"), ("n", "b"))
+        assert delays[pair] == [0.01 * k for k in range(1, 9)]
+        assert first[pair] == [0.01]
 
 
 class TestPartialCorrelation:

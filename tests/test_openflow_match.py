@@ -1,5 +1,8 @@
 """Unit and property tests for flow keys, matches, and masking."""
 
+import pickle
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -38,6 +41,74 @@ class TestFlowKey:
         keys = {FlowKey("a", "b", 1, 2), FlowKey("a", "b", 1, 2)}
         assert len(keys) == 1
         assert FlowKey("a", "b", 1, 2) < FlowKey("b", "a", 1, 2)
+
+
+def _dataclass_flow_key():
+    """The frozen dataclass ``FlowKey`` was before it became a named tuple."""
+
+    @dataclass(frozen=True, order=True)
+    class FlowKey:
+        src: str
+        dst: str
+        src_port: int
+        dst_port: int
+        proto: str = "tcp"
+
+    FlowKey.__qualname__ = "FlowKey"  # its repr names the class by qualname
+    return FlowKey
+
+
+OldFlowKey = _dataclass_flow_key()
+
+any_flow_keys = st.builds(
+    FlowKey,
+    st.text(max_size=6),
+    st.text(max_size=6),
+    st.integers(0, 65535),
+    st.integers(0, 65535),
+    st.sampled_from(["tcp", "udp"]),
+)
+
+
+class TestFlowKeyContract:
+    """The named tuple keeps every observable of the dataclass it
+    replaced: ``repr``, ``hash`` (so dict and set orders, and every
+    digest built from them), ordering, ``str`` and the methods."""
+
+    @given(any_flow_keys)
+    def test_repr_and_hash_are_the_dataclass_ones(self, key):
+        old = OldFlowKey(*key)
+        assert repr(key) == repr(old)
+        assert hash(key) == hash(old) == hash(tuple(key))
+
+    @given(st.lists(any_flow_keys, max_size=12))
+    def test_sorting_is_field_order(self, keys):
+        assert [OldFlowKey(*k) for k in sorted(keys)] == sorted(OldFlowKey(*k) for k in keys)
+
+    @given(any_flow_keys)
+    def test_str_reversed_and_endpoints(self, key):
+        assert str(key) == f"{key.src}:{key.src_port}->{key.dst}:{key.dst_port}/{key.proto}"
+        rev = key.reversed()
+        assert type(rev) is FlowKey
+        assert tuple(rev) == (key.dst, key.src, key.dst_port, key.src_port, key.proto)
+        assert key.endpoints() == (key.src, key.dst)
+
+    def test_keywords_default_and_replace(self):
+        key = FlowKey(src="a", dst="b", src_port=1, dst_port=2)
+        assert key.proto == "tcp"
+        assert key == FlowKey("a", "b", 1, 2, "tcp") == ("a", "b", 1, 2, "tcp")
+        assert key._replace(proto="udp") == FlowKey("a", "b", 1, 2, "udp")
+        assert key._fields == ("src", "dst", "src_port", "dst_port", "proto")
+
+    @given(any_flow_keys)
+    def test_pickle_round_trips(self, key):
+        back = pickle.loads(pickle.dumps(key))
+        assert back == key and type(back) is FlowKey
+
+    @given(any_flow_keys)
+    def test_never_equal_to_its_match(self, key):
+        assert key != Match.exact(key)
+        assert Match.exact(key) != key
 
 
 class TestMatch:

@@ -31,7 +31,7 @@ from repro.faults import LinkLoss
 from repro.obs.metrics import MetricsRegistry
 from repro.openflow.log import ControllerLog
 from repro.openflow.match import FlowKey, Match
-from repro.openflow.messages import FlowMod, PacketIn
+from repro.openflow.messages import FlowMod, FlowRemoved, PacketIn
 from repro.scenarios import three_tier_lab
 from repro.service import (
     STATUS_FALLBACK,
@@ -500,6 +500,38 @@ class TestTenantIsolation:
         service = StreamService()
         with pytest.raises(KeyError):
             service.feed("ghost", list(healthy_log)[:5])
+
+
+    def test_null_match_expiry_does_not_wedge_the_tenant(self, healthy_log):
+        """A ``flow_removed`` with ``"match": null`` on an on-path switch
+        made the close of its window raise before the next window opened,
+        so every later batch raised again and no window closed."""
+        messages = list(healthy_log)
+        t_first, _ = healthy_log.time_span
+        # Late in the first diagnosed window: the flows before it expire
+        # only in the next window, so its switch's wildcard scan reads it.
+        at = t_first + BASELINE + WINDOW - 0.5
+        cut = next(i for i, msg in enumerate(messages) if msg.timestamp > at)
+        flowless = FlowRemoved(
+            timestamp=at, dpid="ofs1", match=None, duration=1.0, byte_count=500, packet_count=1
+        )
+
+        def serve(capture):
+            service = StreamService(window=WINDOW, baseline_span=BASELINE)
+            service.add_tenant("t1")
+            with service:
+                replay_messages(service, "t1", capture)
+                service.drain()
+            return service
+
+        want = serve(messages)
+        got = serve(messages[:cut] + [flowless] + messages[cut:])
+        assert got.metrics.value("service_ingest_errors_total", tenant="t1") == 0
+        assert got.errors == []
+        tenant, clean = got.tenants["t1"], want.tenants["t1"]
+        assert tenant.windows_total == clean.windows_total >= 2
+        assert tenant.status_counts == clean.status_counts
+        assert_histories_identical(tenant.history, clean.history)
 
 
 class TestBackpressure:
