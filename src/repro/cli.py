@@ -447,8 +447,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         for source in sources:
             source.stop()
         service.stop()
-        for _name, tenant in service.tenant_items():
-            row = tenant.summary()
+        for tenant in service.tenants.values():
+            row = tenant.view.summary
             print(
                 f"tenant {tenant.name}: {row['windows']} windows "
                 f"{row['statuses']}, {row['alerts']} alert(s), "

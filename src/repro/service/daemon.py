@@ -18,11 +18,13 @@ following the file as a live producer appends to it — the daemon
 equivalent of ``tail -f`` on a controller capture.
 
 Thread model: producers (main thread, tail threads) call :meth:`feed`,
-the drain thread mutates pipelines, and the HTTP thread reads snapshots.
-``StreamService._lock`` guards the tenant map, the error tail, and the
-queue-depth counter; everything heavier happens outside it. The HTTP
-surface must use the snapshot accessors (:meth:`get_tenant`,
-:meth:`tenant_items`, :meth:`recent_errors`), never the raw containers.
+the drain thread is the only code that touches a tenant pipeline after
+construction, and the HTTP thread reads each tenant's published
+:attr:`~repro.service.tenant.TenantPipeline.view`. ``StreamService._lock``
+covers only tenant insertion and the queue-depth counter. ``tenants`` is
+a dict replaced whole under that lock and never mutated, and ``errors``
+a list only the drain thread replaces, so any thread reads either by
+taking one reference.
 """
 
 from __future__ import annotations
@@ -63,6 +65,12 @@ class StreamService:
         history_limit/trace_capacity: per-tenant memory bounds.
     """
 
+    _GUARDED_BY = {
+        "tenants": "copy-on-write: add_tenant swaps in a new dict under "
+        "_lock and no dict is mutated once published",
+        "errors": "replaced whole, never mutated, by the drain thread alone",
+    }
+
     def __init__(
         self,
         config: Optional[FlowDiffConfig] = None,
@@ -90,8 +98,7 @@ class StreamService:
 
         self._queue: "queue.Queue[object]" = queue.Queue(maxsize=max_pending)
         self._depth_msgs = 0
-        #: Guards ``tenants``, ``errors``, and ``_depth_msgs`` — the only
-        #: state shared between producers, the drain thread, and HTTP.
+        #: Guards tenant insertion and ``_depth_msgs``.
         self._lock = threading.Lock()
         self._thread: Optional[threading.Thread] = None
         self._m_depth = self.metrics.gauge("service_queue_depth")
@@ -105,9 +112,8 @@ class StreamService:
         Keyword overrides are forwarded to :class:`TenantPipeline` on top
         of the service defaults.
         """
-        with self._lock:
-            if name in self.tenants:
-                raise ValueError(f"tenant {name!r} already registered")
+        if name in self.tenants:
+            raise ValueError(f"tenant {name!r} already registered")
         kwargs: Dict[str, object] = {
             "window": self.window,
             "baseline_span": self.baseline_span,
@@ -126,25 +132,18 @@ class StreamService:
         with self._lock:
             if name in self.tenants:
                 raise ValueError(f"tenant {name!r} already registered")
-            self.tenants[name] = tenant
-            count = len(self.tenants)
-        self._m_tenants.set(float(count))
+            tenants = {**self.tenants, name: tenant}
+            self.tenants = tenants
+        self._m_tenants.set(float(len(tenants)))
         return tenant
 
-    def get_tenant(self, name: str) -> Optional[TenantPipeline]:
-        """Snapshot lookup of one tenant (safe from any thread)."""
-        with self._lock:
-            return self.tenants.get(name)
-
     def tenant_items(self) -> List[Tuple[str, TenantPipeline]]:
-        """A point-in-time copy of the tenant map (safe from any thread)."""
-        with self._lock:
-            return list(self.tenants.items())
+        """A list of the tenant map's items (``bench/stream.py`` reads it)."""
+        return list(self.tenants.items())
 
     def recent_errors(self) -> List[str]:
-        """A copy of the recent ingest-error tail (safe from any thread)."""
-        with self._lock:
-            return list(self.errors)
+        """A copy of the recent ingest-error tail."""
+        return list(self.errors)
 
     # -- ingest ----------------------------------------------------------
 
@@ -163,9 +162,7 @@ class StreamService:
         counted under ``service_dropped_total{reason="backpressure"}``
         (the lossy mode for live feeds that must not stall the producer).
         """
-        with self._lock:
-            known = tenant in self.tenants
-        if not known:
+        if tenant not in self.tenants:
             raise KeyError(f"unknown tenant {tenant!r}")
         batch = list(messages)
         if not batch:
@@ -223,20 +220,12 @@ class StreamService:
                 return
             name, batch = item  # type: ignore[misc]
             try:
-                with self._lock:
-                    pipeline = self.tenants.get(name)
-                if pipeline is None:  # pragma: no cover - feed() checks first
-                    raise KeyError(f"unknown tenant {name!r}")
-                # Ingest is the heavy path (modeling, checkpoint I/O) and
-                # must run outside the service lock.
-                pipeline.ingest(batch)
+                self.tenants[name].ingest(batch)
             except Exception as exc:  # pragma: no cover - defensive
                 self.metrics.counter(
                     "service_ingest_errors_total", tenant=name
                 ).inc()
-                with self._lock:
-                    self.errors.append(f"{name}: {exc!r}")
-                    del self.errors[:-16]
+                self.errors = (self.errors + [f"{name}: {exc!r}"])[-16:]
             finally:
                 with self._lock:
                     self._depth_msgs -= len(batch)

@@ -8,16 +8,18 @@ service pages ride the endpoint's route table:
 
 * ``/tenants``               — every tenant's phase/progress/health row;
 * ``/diff?tenant=X[&n=K]``   — the latest ``K`` window diagnosis reports;
-* ``/alerts[?tenant=X]``     — fired alerts, tenant-labeled, stream-time
-  ordered (overrides the single-engine page of the base endpoint);
+* ``/alerts``               — the newest ``history_limit`` fired alerts
+  per tenant, tenant-labeled, stream-time ordered (overrides the
+  single-engine page of the base endpoint);
 * ``/traces?tenant=X[&corr=N][&flow=S][&limit=K]`` — flight-recorder
   chains reconstructed from the tenant's recent-message ring.
 
-Everything is read-only and served from the tenants' *published
-snapshots* (``summary``/``history_rows``/``alerts_snapshot``/
-``trace_snapshot`` and the service's ``tenant_items``/``recent_errors``)
-— handlers run on the HTTP thread while the drain worker mutates
-pipeline state, so they must never touch live modeling attributes.
+Thread model: the drain worker owns every tenant's state; handlers run
+on the HTTP thread and read only each tenant's published
+:attr:`~repro.service.tenant.TenantPipeline.view`, taken once per
+request, so one page never mixes two moments. ``service.tenants`` and
+``service.errors`` are replaced whole, never mutated, so a handler reads
+them without a lock.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.httpd import ObsHTTPServer, ObsState, Query
-from repro.obs.telemetry import NOOP_TELEMETRY, TelemetryPlane
 from repro.service.daemon import StreamService
 from repro.service.tenant import TenantPipeline
 
@@ -33,12 +34,8 @@ from repro.service.tenant import TenantPipeline
 class ServiceState(ObsState):
     """The ops-endpoint state for a running :class:`StreamService`."""
 
-    def __init__(
-        self,
-        service: StreamService,
-        telemetry: TelemetryPlane = NOOP_TELEMETRY,
-    ) -> None:
-        super().__init__(registry=service.metrics, telemetry=telemetry)
+    def __init__(self, service: StreamService) -> None:
+        super().__init__(registry=service.metrics)
         self.service = service
         self.routes["/tenants"] = self._route_tenants
         self.routes["/diff"] = self._route_diff
@@ -51,19 +48,19 @@ class ServiceState(ObsState):
         while the daemon serves (per-tenant health is in the rows)."""
         payload = super().health()
         payload["tenants"] = {
-            name: tenant.summary()
-            for name, tenant in self.service.tenant_items()
+            name: tenant.view.summary
+            for name, tenant in self.service.tenants.items()
         }
-        errors = self.service.recent_errors()
+        errors = self.service.errors
         if errors:
             payload["ingest_errors"] = errors
         return payload
 
     def alerts_json(self) -> List[Dict[str, Any]]:
-        """Every tenant's fired alerts, tenant-labeled, ordered by time."""
-        out: List[Dict[str, Any]] = []
-        for _, tenant in self.service.tenant_items():
-            out.extend(tenant.alerts_snapshot())
+        """Each tenant's newest fired alerts, tenant-labeled, by time."""
+        out: List[Dict[str, Any]] = [
+            row for t in self.service.tenants.values() for row in t.view.alerts
+        ]
         out.sort(key=lambda row: row.get("timestamp") or 0.0)
         return out
 
@@ -71,23 +68,23 @@ class ServiceState(ObsState):
 
     def _tenant_for(self, query: Query) -> Tuple[Optional[TenantPipeline], Any]:
         """Resolve ``?tenant=``; a single-tenant service needs no query."""
+        tenants = self.service.tenants
         names = query.get("tenant")
         if names:
-            tenant = self.service.get_tenant(names[0])
+            tenant = tenants.get(names[0])
             if tenant is None:
                 return None, (404, {"error": f"unknown tenant {names[0]!r}"})
             return tenant, None
-        items = self.service.tenant_items()
-        if len(items) == 1:
-            return items[0][1], None
+        if len(tenants) == 1:
+            return next(iter(tenants.values())), None
         return None, (
             400,
-            {"error": "tenant query required", "tenants": sorted(n for n, _ in items)},
+            {"error": "tenant query required", "tenants": sorted(tenants)},
         )
 
     def _route_tenants(self, query: Query) -> Tuple[int, Any]:
         return 200, {
-            "tenants": [t.summary() for _, t in self.service.tenant_items()]
+            "tenants": [t.view.summary for t in self.service.tenants.values()]
         }
 
     def _route_diff(self, query: Query) -> Tuple[int, Any]:
@@ -98,10 +95,11 @@ class ServiceState(ObsState):
             n = max(1, int(query.get("n", ["1"])[0]))
         except ValueError:
             return 400, {"error": "n must be an integer"}
+        view = tenant.view
         return 200, {
             "tenant": tenant.name,
-            "phase": tenant.summary().get("phase"),
-            "windows": tenant.history_rows(n),
+            "phase": view.summary["phase"],
+            "windows": list(view.history[-n:]),
         }
 
     def _route_traces(self, query: Query) -> Tuple[int, Any]:
@@ -114,7 +112,7 @@ class ServiceState(ObsState):
         from repro.openflow.log import ControllerLog
 
         recorder = FlightRecorder.from_log(
-            ControllerLog(tenant.trace_snapshot()),
+            ControllerLog(tenant.view.trace),
             occurrence_gap=tenant.flowdiff.config.signature.occurrence_gap,
         )
         # Chains are built as they are read: one for ``corr``, and for a
@@ -150,7 +148,6 @@ def create_server(
     service: StreamService,
     host: str = "127.0.0.1",
     port: int = 0,
-    telemetry: TelemetryPlane = NOOP_TELEMETRY,
 ) -> ObsHTTPServer:
     """An ops endpoint bound to ``service`` (start it with ``.start()``)."""
-    return ObsHTTPServer(ServiceState(service, telemetry), host, port)
+    return ObsHTTPServer(ServiceState(service), host, port)

@@ -12,27 +12,26 @@ restarted daemon resumes at the last closed window instead of cold
 remodeling.
 
 Memory is bounded by construction: raw messages live only for the
-currently open window, the report history is trimmed to
-``history_limit`` entries, and the trace ring is a fixed-size deque.
+currently open window, the report history and the published ``/diff``
+and ``/alerts`` rows are each trimmed to ``history_limit`` entries, and
+the trace ring is a fixed-size deque.
 
-The heavy pipeline is single-threaded by design — the daemon
-(:mod:`repro.service.daemon`) serializes all ingest through one drain
-thread, so modeling state needs no locks. What *is* shared with the
-HTTP thread goes through a small set of published mirrors guarded by
-``_lock``: the trace ring, prebuilt diff-report rows, tenant-labeled
-alert rows, and the :meth:`summary` snapshot dict. The worker rebuilds
-those mirrors at phase changes and window closes (all computation
-outside the lock, only the swap inside), and HTTP handlers read them
-through the ``*_snapshot``/``history_rows``/``summary`` accessors —
-never the live modeling attributes.
+Thread model: the daemon's drain thread (:mod:`repro.service.daemon`)
+is the only code that touches a pipeline after construction, so none of
+its state has a lock. Other threads read :attr:`TenantPipeline.view`
+and nothing else: one immutable :class:`TenantView` that the worker
+rebuilds after every ingest batch and window close and publishes by a
+single attribute assignment. A reader takes ``tenant.view`` once and
+gets a summary, ``/diff`` rows, alert rows and a trace that all describe
+the same moment.
 """
 
 from __future__ import annotations
 
+import logging
 import os
-import threading
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.flowdiff import FlowDiff, FlowDiffConfig
 from repro.core.monitor import DiagnosisStream, WindowReport
@@ -46,15 +45,35 @@ from repro.core.persist import (
     store_model_object,
 )
 from repro.core.tasks.library import TaskLibrary
-from repro.obs.alerts import AlertEngine
+from repro.obs.alerts import AlertEngine, Severity
 from repro.obs.metrics import NOOP_REGISTRY, MetricsRegistry
 from repro.obs.tracing import wall_now
 from repro.openflow.log import ControllerLog
 from repro.openflow.messages import ControlMessage
 from repro.service.incremental import IncrementalWindow
 
+logger = logging.getLogger(__name__)
+
 PHASE_BASELINE = "baseline"
 PHASE_STREAMING = "streaming"
+
+Row = Dict[str, object]
+
+
+class TenantView(NamedTuple):
+    """One consistent moment of a tenant, as other threads may read it.
+
+    Built by the worker and never mutated once published.
+    """
+
+    #: One row of ``/tenants``: phase, progress and health.
+    summary: Row
+    #: The newest ``history_limit`` prebuilt ``/diff`` rows, oldest first.
+    history: Tuple[Row, ...]
+    #: The newest ``history_limit`` fired alerts, tenant-labelled.
+    alerts: Tuple[Row, ...]
+    #: The trace ring as of the last ingest batch.
+    trace: Tuple[ControlMessage, ...]
 
 
 class TenantPipeline:
@@ -82,6 +101,12 @@ class TenantPipeline:
         trace_capacity: raw messages retained for flight-recorder traces.
         resume: attempt checkpoint restore at construction.
     """
+
+    _GUARDED_BY = {
+        "view": "an immutable TenantView the worker publishes by one "
+        "attribute assignment (atomic in CPython); readers take one "
+        "reference and never mutate it",
+    }
 
     def __init__(
         self,
@@ -117,14 +142,11 @@ class TenantPipeline:
             metrics=metrics,
             alert_engine=alert_engine,
         )
-        #: Guards the published mirrors below (and the trace ring) — the
-        #: only tenant state the HTTP thread may touch.
-        self._lock = threading.Lock()
         self.trace_ring: Deque[ControlMessage] = deque(maxlen=trace_capacity)
-        self._published: Dict[str, object] = {}
-        self._history_rows: List[Dict[str, object]] = []
-        self._alert_rows: List[Dict[str, object]] = []
+        self._history_rows: Deque[Row] = deque(maxlen=self.history_limit)
+        self._alert_rows: Deque[Row] = deque(maxlen=self.history_limit)
         self._alerts_seen = 0
+        self._worst: Optional[Severity] = None
 
         self._m_ingested = metrics.counter(
             "service_ingest_messages_total", tenant=name
@@ -165,7 +187,7 @@ class TenantPipeline:
             )
             if resume:
                 self._restore()
-        self._publish()
+        self._publish(trace=())
 
     # -- ingest ----------------------------------------------------------
 
@@ -180,11 +202,7 @@ class TenantPipeline:
         """
         self._m_ingested.inc(len(messages))
         reports: List[WindowReport] = []
-        # One bulk append per batch: the ring is read by the HTTP thread
-        # (``trace_snapshot``), so mutation happens under the lock — and
-        # amortized per batch, not per message.
-        with self._lock:
-            self.trace_ring.extend(messages)
+        self.trace_ring.extend(messages)
         resume_cursor = self._resume_cursor
         for msg in messages:
             ts = msg.timestamp
@@ -207,9 +225,12 @@ class TenantPipeline:
                 self._m_late.inc()
                 continue
             while ts >= win.t_end:  # type: ignore[union-attr]
-                reports.append(self._close_window())
+                entry = self._close_window()
+                if entry is not None:
+                    reports.append(entry)
                 win = self._win
             win.add(msg)  # type: ignore[union-attr]
+        self._publish(trace=tuple(self.trace_ring))
         return reports
 
     # -- phases ----------------------------------------------------------
@@ -227,7 +248,6 @@ class TenantPipeline:
         self._cursor = self._baseline_end
         self._store_baseline()
         self._open_window()
-        self._publish()
 
     def _store_baseline(self) -> None:
         """Put the stream's baseline where the next checkpoint names it."""
@@ -245,27 +265,48 @@ class TenantPipeline:
             self.flowdiff.config.signature,
         )
 
-    def _close_window(self) -> WindowReport:
-        """Close the open window, diagnose it, checkpoint, open the next."""
+    def _close_window(self) -> Optional[WindowReport]:
+        """Close the open window, diagnose it, checkpoint, open the next.
+
+        A window whose modeling or diagnosis raises is dropped: its
+        messages are counted under
+        ``service_dropped_total{reason="close_error"}`` and the tenant
+        moves on to the next window instead of retrying this one with
+        every later batch.
+        """
         win = self._win
         assert win is not None
         started = wall_now()
         t0, t1 = win.t_start, win.t_end
-        outcome = win.close()
+        self._cursor = t1
+        self._open_window()
+        baseline = self.stream.baseline
+        try:
+            outcome = win.close()
+            entry = self.stream.observe(
+                t0,
+                t1,
+                outcome.model,
+                window_log=outcome.log,
+                records=outcome.records,
+                started=started,
+            )
+        except Exception:
+            logger.exception(
+                "tenant %s: dropped window [%s, %s): its close raised",
+                self.name,
+                t0,
+                t1,
+            )
+            self.metrics.counter(
+                "service_dropped_total", tenant=self.name, reason="close_error"
+            ).inc(len(win.raw))
+            return None
         status = outcome.status
         self.metrics.counter(
             "service_window_merge_total", tenant=self.name, status=status
         ).inc()
         self.status_counts[status] = self.status_counts.get(status, 0) + 1
-        baseline = self.stream.baseline
-        entry = self.stream.observe(
-            t0,
-            t1,
-            outcome.model,
-            window_log=outcome.log,
-            records=outcome.records,
-            started=started,
-        )
         superseded: Optional[str] = None
         if self.stream.baseline is not baseline:
             # Re-anchored: the checkpoint must name the baseline a restart
@@ -277,8 +318,6 @@ class TenantPipeline:
             del history[: len(history) - self.history_limit]
         self.windows_total += 1
         self._m_windows.inc()
-        self._cursor = t1
-        self._open_window()
         anchor = (
             self._last_checkpoint_ts
             if self._last_checkpoint_ts is not None
@@ -297,73 +336,56 @@ class TenantPipeline:
                 os.unlink(model_object_path(self._checkpoint_dir, superseded))
             except OSError:
                 pass
-        self._publish_window(entry)
-        self._publish_alerts()
+        self._history_rows.append(
+            {
+                "t_start": t0,
+                "t_end": t1,
+                "healthy": entry.healthy,
+                "report": entry.report.to_dict(),
+            }
+        )
         self._publish()
         self._m_report.observe(wall_now() - started)
         return entry
 
-    # -- published mirrors (worker writes, HTTP reads) -------------------
+    # -- the published view (worker writes, any thread reads) -----------
 
-    def _publish_window(self, entry: WindowReport) -> None:
-        """Append one prebuilt ``/diff`` row; the expensive
-        ``report.to_dict()`` runs before the lock is taken."""
-        row: Dict[str, object] = {
-            "t_start": entry.t_start,
-            "t_end": entry.t_end,
-            "healthy": entry.healthy,
-            "report": entry.report.to_dict(),
-        }
-        with self._lock:
-            self._history_rows.append(row)
-            if len(self._history_rows) > self.history_limit:
-                del self._history_rows[: len(self._history_rows) - self.history_limit]
+    def _publish(self, trace: Optional[Tuple[ControlMessage, ...]] = None) -> None:
+        """Rebuild :attr:`view` from worker-owned state and publish it.
 
-    def _publish_alerts(self) -> None:
-        """Mirror alerts fired since the last close, tenant-labeled."""
-        engine = self.stream.alert_engine
-        if engine is None:
-            return
-        alerts = engine.alerts
-        if len(alerts) <= self._alerts_seen:
-            return
-        rows: List[Dict[str, object]] = []
-        for alert in alerts[self._alerts_seen :]:
-            row = alert.to_dict()
-            row["tenant"] = self.name
-            rows.append(row)
-        self._alerts_seen = len(alerts)
-        with self._lock:
-            self._alert_rows.extend(rows)
-
-    def _publish(self) -> None:
-        """Rebuild the :meth:`summary` snapshot from worker-owned state."""
-        worst = None
+        Alerts fired since the last publish are labelled and folded into
+        the worst severity once; ``trace`` defaults to the published one.
+        """
         alerts = 0
         engine = self.stream.alert_engine
         if engine is not None:
-            alerts = len(engine.alerts)
-            severity = engine.worst_severity()
-            worst = str(severity) if severity is not None else None
-        last_window = None
-        history = self.stream.history
-        if history:
-            tail = history[-1]
-            last_window = [tail.t_start, tail.t_end]
-        payload: Dict[str, object] = {
+            fired = engine.alerts
+            for alert in fired[self._alerts_seen :]:
+                row = alert.to_dict()
+                row["tenant"] = self.name
+                self._alert_rows.append(row)
+                if self._worst is None or alert.severity > self._worst:
+                    self._worst = alert.severity
+            self._alerts_seen = alerts = len(fired)
+        rows = self._history_rows
+        summary: Row = {
             "tenant": self.name,
             "phase": self.phase,
             "resumed": self.resumed,
             "windows": self.windows_total,
             "statuses": dict(self.status_counts),
             "cursor": self._cursor,
-            "last_window": last_window,
+            "last_window": [rows[-1]["t_start"], rows[-1]["t_end"]] if rows else None,
             "healthy_streak": self.stream.healthy_streak(),
             "alerts": alerts,
-            "worst_severity": worst,
+            "worst_severity": str(self._worst) if self._worst is not None else None,
         }
-        with self._lock:
-            self._published = payload
+        self.view = TenantView(
+            summary,
+            tuple(rows),
+            tuple(self._alert_rows),
+            self.view.trace if trace is None else trace,
+        )
 
     # -- checkpoint / restore -------------------------------------------
 
@@ -442,28 +464,3 @@ class TenantPipeline:
     @property
     def alert_engine(self) -> Optional[AlertEngine]:
         return self.stream.alert_engine
-
-    def summary(self) -> Dict[str, object]:
-        """One row of ``/tenants``: phase, progress, and health.
-
-        Served from the published snapshot — safe from any thread; the
-        worker refreshes it at every phase change and window close.
-        """
-        with self._lock:
-            return dict(self._published)
-
-    def history_rows(self, n: int) -> List[Dict[str, object]]:
-        """The last ``n`` prebuilt ``/diff`` rows (safe from any thread)."""
-        with self._lock:
-            rows = self._history_rows[-n:] if n > 0 else []
-            return [dict(row) for row in rows]
-
-    def alerts_snapshot(self) -> List[Dict[str, object]]:
-        """Every mirrored alert row, tenant-labeled (safe from any thread)."""
-        with self._lock:
-            return [dict(row) for row in self._alert_rows]
-
-    def trace_snapshot(self) -> List[ControlMessage]:
-        """A point-in-time copy of the trace ring (safe from any thread)."""
-        with self._lock:
-            return list(self.trace_ring)

@@ -28,6 +28,7 @@ from repro.core.monitor import SlidingDiagnoser
 from repro.core.persist import model_digest
 from repro.core.signatures.application import SignatureConfig
 from repro.faults import LinkLoss
+from repro.obs.alerts import AlertEngine, default_rules
 from repro.obs.metrics import MetricsRegistry
 from repro.openflow.log import ControllerLog
 from repro.openflow.match import FlowKey, Match
@@ -44,6 +45,7 @@ from repro.service import (
     replay_messages,
 )
 from repro.openflow.serialize import save_log
+from repro.service import incremental
 
 pytestmark = pytest.mark.slow
 
@@ -440,7 +442,7 @@ class TestCheckpointRestore:
             "t1", window=4.0, baseline_span=4.0, checkpoint_dir=ckpt
         )
         assert resumed.resumed is True
-        assert resumed.summary()["cursor"] == state["cursor"] == 13.0
+        assert resumed.view.summary["cursor"] == state["cursor"] == 13.0
         assert model_digest(resumed.stream.baseline) == state["baseline_digest"]
         assert model_digest(uninterrupted.stream.baseline) == state["baseline_digest"]
         resumed.ingest(messages)
@@ -480,8 +482,8 @@ class TestTenantIsolation:
         broken = service.tenants["broken"]
         assert all(entry.healthy for entry in steady.history)
         assert any(not entry.healthy for entry in broken.history)
-        assert steady.summary()["worst_severity"] is None
-        assert broken.summary()["worst_severity"] == "critical"
+        assert steady.view.summary["worst_severity"] is None
+        assert broken.view.summary["worst_severity"] == "critical"
         # Shared registry, tenant-labeled instruments: both visible.
         assert service.metrics.value(
             "service_windows_total", tenant="steady"
@@ -532,6 +534,100 @@ class TestTenantIsolation:
         assert tenant.windows_total == clean.windows_total >= 2
         assert tenant.status_counts == clean.status_counts
         assert_histories_identical(tenant.history, clean.history)
+
+
+    def test_a_close_that_raises_drops_only_its_window(self, healthy_log, monkeypatch):
+        """A window whose close raised used to stay open: every later batch
+        closed it again and raised again, so no later window closed. Now
+        the window is dropped, counted, and the tenant moves on."""
+        messages = list(healthy_log)
+
+        def serve():
+            service = StreamService(window=WINDOW / 2, baseline_span=BASELINE)
+            service.add_tenant("t1")
+            with service:
+                replay_messages(service, "t1", messages, batch_size=500)
+                service.drain()
+            return service
+
+        clean = serve().tenants["t1"]
+        assert len(clean.history) >= 3
+        dropped = clean.history[1]
+        marker = next(m for m in messages if m.timestamp >= dropped.t_start)
+        extract = incremental.extract_flow_records
+
+        def failing_extract(log, occurrence_gap):
+            if any(m is marker for m in log):
+                raise RuntimeError("injected close failure")
+            return extract(log, occurrence_gap)
+
+        monkeypatch.setattr(incremental, "extract_flow_records", failing_extract)
+        got = serve()
+        tenant = got.tenants["t1"]
+        kept = [entry for entry in clean.history if entry is not dropped]
+        assert [(e.t_start, e.t_end) for e in tenant.history] == [
+            (e.t_start, e.t_end) for e in kept
+        ]
+        assert_histories_identical(tenant.history, kept)
+        assert tenant.windows_total == clean.windows_total - 1
+        assert sum(tenant.status_counts.values()) == tenant.windows_total
+        in_window = sum(
+            1 for m in messages if dropped.t_start <= m.timestamp < dropped.t_end
+        )
+        assert got.metrics.value(
+            "service_dropped_total", tenant="t1", reason="close_error"
+        ) == in_window
+        assert got.metrics.value("service_ingest_errors_total", tenant="t1") == 0
+        assert got.errors == []
+
+
+class TestPublishedView:
+    def test_every_view_describes_one_moment(self, faulty_log):
+        """What HTTP reads is one published view: its summary, its rows
+        and its alerts agree with each other after every batch."""
+        tenant = TenantPipeline(
+            "t1",
+            window=WINDOW,
+            baseline_span=BASELINE,
+            alert_engine=AlertEngine(default_rules()),
+        )
+        views = [tenant.view]
+        messages = list(faulty_log)
+        for start in range(0, len(messages), 300):
+            tenant.ingest(messages[start : start + 300])
+            views.append(tenant.view)
+        assert views[-1].history and views[-1].alerts
+        for view in views:
+            summary, rows = view.summary, view.history
+            assert isinstance(rows, tuple) and isinstance(view.alerts, tuple)
+            assert summary["windows"] == len(rows)
+            assert summary["alerts"] == len(view.alerts)
+            if rows:
+                assert summary["phase"] == "streaming"
+                assert summary["last_window"] == [rows[-1]["t_start"], rows[-1]["t_end"]]
+            else:
+                assert summary["last_window"] is None
+        assert [row["t_end"] for row in views[-1].history] == [
+            entry.t_end for entry in tenant.history
+        ]
+        assert len(views[-1].trace) == len(tenant.trace_ring)
+
+    def test_view_keeps_the_newest_rows(self, faulty_log):
+        """``history`` and ``alerts`` are capped at ``history_limit``;
+        the summary still counts every window and alert."""
+        engine = AlertEngine(default_rules())
+        tenant, _ = stream_through(faulty_log, history_limit=1, alert_engine=engine)
+        view = tenant.view
+        assert tenant.windows_total > 1 and len(engine.alerts) > 1
+        assert [row["t_end"] for row in view.history] == [
+            entry.t_end for entry in tenant.history
+        ]
+        (last,) = view.history
+        assert view.summary["windows"] == tenant.windows_total
+        assert view.summary["last_window"] == [last["t_start"], last["t_end"]]
+        assert list(view.alerts) == [{**engine.alerts[-1].to_dict(), "tenant": "t1"}]
+        assert view.summary["alerts"] == len(engine.alerts)
+        assert view.summary["worst_severity"] == str(engine.worst_severity())
 
 
 class TestBackpressure:
@@ -588,7 +684,7 @@ class TestDaemonSources:
         tenant = service.tenants["t1"]
         assert tenant.windows_total >= 2
         assert tenant.status_counts.get(STATUS_MERGED, 0) >= 2
-        assert tenant.summary()["worst_severity"] == "critical"
+        assert tenant.view.summary["worst_severity"] == "critical"
 
     def test_undecodable_lines_are_counted_not_fatal(self, healthy_log, tmp_path):
         """Bad lines in the *middle* of a capture are counted and skipped:

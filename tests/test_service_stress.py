@@ -71,14 +71,17 @@ def test_stress_real_service_is_race_free(capture):
         server = create_server(service)
         server.start()
         stop_http = threading.Event()
+        diffs = []
 
         def hammer():
             while not stop_http.is_set():
                 for page in PAGES:
                     try:
-                        _get(server.url(page))
+                        payload = _get(server.url(page))
                     except urllib.error.HTTPError:
-                        pass
+                        continue
+                    if page.startswith("/diff"):
+                        diffs.append(payload)
 
         with checker.activate():
             service.start()
@@ -111,7 +114,15 @@ def test_stress_real_service_is_race_free(capture):
     assert checker.accesses > 1000
     assert service.tenants["prod"].windows_total >= 1
     assert service.tenants["shadow"].windows_total >= 1
-    assert service.tenants["prod"].summary()["phase"] == "streaming"
+    assert service.tenants["prod"].view.summary["phase"] == "streaming"
+    # Every /diff page came from one published view: rows imply the
+    # streaming phase, and their windows strictly advance.
+    assert any(payload["windows"] for payload in diffs)
+    for payload in diffs:
+        ends = [row["t_end"] for row in payload["windows"]]
+        if ends:
+            assert payload["phase"] == "streaming"
+        assert all(a < b for a, b in zip(ends, ends[1:]))
 
 
 class LeakyService(StreamService):
