@@ -28,7 +28,8 @@ Usage (also via ``python -m repro``):
   over HTTP.
 * ``repro lint`` — flowlint, the domain-invariant static analysis pass
   (sim-clock discipline, determinism, schema drift, signature contract,
-  metric hygiene); ``--update-schemas`` regenerates the
+  metric hygiene, and the per-class concurrency rules over the service);
+  ``--update-schemas`` regenerates the
   serialized-schema manifest after a ``FORMAT_VERSION`` bump.
 
 ``simulate``, ``model``, and ``diff`` accept ``--profile`` (print a
@@ -480,10 +481,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             f"review and commit the change"
         )
         return 0
-    rules = qa.default_rules()
-    if args.concurrency:
-        rules = rules + qa.concurrency_rules()
-    engine = qa.LintEngine(rules)
+    engine = qa.LintEngine(qa.default_rules())
     result = engine.run(project)
     if args.format == "json":
         sys.stdout.write(qa.render_json(result))
@@ -870,13 +868,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="regenerate the serialized-schema manifest instead of linting "
         "(run AFTER bumping the owning FORMAT_VERSION)",
-    )
-    lint.add_argument(
-        "--concurrency",
-        action="store_true",
-        help="also run the interprocedural concurrency rules "
-        "(lock-discipline, blocking-under-lock, lock-order, "
-        "unmanaged-thread) over the thread-reachability call graph",
     )
     lint.set_defaults(fn=_cmd_lint)
     return parser

@@ -18,17 +18,16 @@ Layout:
   determinism, open() encoding, signature contract, metric hygiene).
 * :mod:`repro.qa.schemas` — serialized-schema extraction and the
   ``schemas.json`` manifest keyed by ``FORMAT_VERSION``.
-* :mod:`repro.qa.callgraph` — the interprocedural call graph with
-  thread-entrypoint discovery and main/worker/http reachability
-  coloring that powers the concurrency rules.
-* :mod:`repro.qa.concurrency` — the concurrency rules (lock-discipline,
-  blocking-under-lock, lock-order, unmanaged-thread), run via
-  ``repro lint --concurrency``.
+* :mod:`repro.qa.concurrency` — the per-class concurrency rules
+  (lock-discipline, blocking-under-lock, lock-order, unmanaged-thread,
+  lock-confinement) over the service and its HTTP surface; part of
+  :func:`~repro.qa.rules.default_rules`.
 * :mod:`repro.qa.sanitizer` — the opt-in runtime Eraser-style lockset
-  tracker asserted by the multi-threaded service stress test.
+  tracker. The static rules see one class at a time; the service stress
+  test runs this tracker to check what one object reaches in another
+  (the drain thread into a tenant, an HTTP handler into its view).
 """
 
-from repro.qa.callgraph import CallGraph
 from repro.qa.concurrency import CONCURRENCY_PACKAGES, concurrency_rules
 from repro.qa.framework import (
     Finding,
@@ -46,14 +45,12 @@ from repro.qa.sanitizer import (
     RaceReport,
     TrackedLock,
     instrument_class,
-    race_checked,
     wrap_locks,
 )
 from repro.qa.schemas import SchemaDriftRule, extract_schemas, update_manifest
 
 __all__ = [
     "CONCURRENCY_PACKAGES",
-    "CallGraph",
     "Finding",
     "LintEngine",
     "LintResult",
@@ -68,7 +65,6 @@ __all__ = [
     "default_rules",
     "extract_schemas",
     "instrument_class",
-    "race_checked",
     "render_json",
     "render_text",
     "update_manifest",

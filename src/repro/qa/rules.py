@@ -19,6 +19,7 @@ from repro.obs.names import (
     is_valid_label_name,
     is_valid_metric_name,
 )
+from repro.qa.concurrency import concurrency_rules
 from repro.qa.framework import (
     Finding,
     ModuleFile,
@@ -454,7 +455,7 @@ class HotLoopAllocRule(Rule):
 def default_rules(
     manifest_path: Optional[str] = None,
 ) -> List[Rule]:
-    """The standard rule set ``repro lint`` runs.
+    """The standard rule set ``repro lint`` runs, concurrency rules included.
 
     Args:
         manifest_path: override the schema manifest location (tests point
@@ -469,4 +470,5 @@ def default_rules(
         SignatureContractRule(),
         MetricNamesRule(),
         HotLoopAllocRule(),
+        *concurrency_rules(),
     ]

@@ -1,7 +1,9 @@
 """Runtime lockset race sanitizer (the Eraser algorithm, opt-in).
 
-The static rules (:mod:`repro.qa.concurrency`) reason about code; this
-module watches an actual run. It implements the classic Eraser lockset
+The static rules (:mod:`repro.qa.concurrency`) reason about one class
+at a time; this module watches an actual run, so it also sees one object
+reaching into another (the drain thread into a tenant, an HTTP handler
+into a tenant's view). It implements the classic Eraser lockset
 discipline: for every shared instance attribute, track the set of locks
 held at each access; the *candidate lockset* is the intersection across
 accesses, and when it goes empty on a write after the attribute has been
@@ -14,8 +16,7 @@ Pieces:
   acquisitions land in a per-thread held-lock set;
 * :func:`instrument_class` — patches ``__setattr__``/``__getattribute__``
   on a class so instance-attribute accesses report to the active
-  checker (returns an undo callable); :func:`race_checked` is the
-  decorator form for test fixtures;
+  checker (returns an undo callable);
 * :func:`wrap_locks` — replaces every plain lock attribute on an
   *instance* with a :class:`TrackedLock`;
 * :class:`LocksetChecker` — the state machine + report.
@@ -25,10 +26,10 @@ Instrumentation is process-global but inert unless a checker is
 for it. The checker honours ``_GUARDED_BY`` class tables — attributes
 the static layer sanctioned are skipped at runtime too.
 
-Known limitation, same as the static layer: container *mutations*
-(``list.append`` on an already-read attribute) look like reads here,
-because only the attribute fetch is visible to ``__getattribute__``.
-The static mutator-call analysis covers that side.
+Known limitation: container *mutations* (``list.append`` on an
+already-read attribute) look like reads here, because only the attribute
+fetch is visible to ``__getattribute__``. The static mutator-call
+analysis covers that side within a class.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "RaceReport",
     "TrackedLock",
     "instrument_class",
-    "race_checked",
     "wrap_locks",
 ]
 
@@ -367,12 +367,6 @@ def instrument_class(cls: Type[Any]) -> Callable[[], None]:
             del cls._lockset_instrumented  # type: ignore[attr-defined]
 
     return undo
-
-
-def race_checked(cls: Type[Any]) -> Type[Any]:
-    """Class decorator form of :func:`instrument_class` (no undo)."""
-    instrument_class(cls)
-    return cls
 
 
 def wrap_locks(obj: Any, prefix: str = "") -> List[str]:

@@ -2,8 +2,8 @@
 
 ``lockset_checker`` is the runtime race sanitizer
 (:mod:`repro.qa.sanitizer`) already activated for the duration of the
-test: instrument the classes under test (``instrument_class`` /
-``@race_checked``), wrap their locks (``wrap_locks``), run the threads,
+test: instrument the classes under test (``instrument_class``), wrap
+their locks (``wrap_locks``), run the threads,
 then call ``checker.assert_clean()``. Main-thread inspection of
 instrumented objects after the workers finish should happen *after* the
 test body deactivates the checker (or be tolerant of the one free

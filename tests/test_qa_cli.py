@@ -56,6 +56,19 @@ class TestLintCommand:
         assert payload["ok"] is False
         assert payload["findings"][0]["rule"] == "determinism"
 
+    def test_concurrency_rules_run_by_default(self, tmp_path, capsys):
+        bad = write(
+            tmp_path,
+            "repro/netsim/bad.py",
+            """\
+            import threading
+
+            LOCK = threading.Lock()
+            """,
+        )
+        assert main(["lint", bad]) == 1
+        assert f"{bad}:3: [lock-confinement]" in capsys.readouterr().out
+
     def test_update_schemas_writes_manifest(self, tmp_path, capsys, monkeypatch):
         import repro.qa.schemas as schemas_mod
 

@@ -1,16 +1,17 @@
-"""Good/bad fixture pairs for the four concurrency rules.
+"""Good/bad fixture pairs for the five concurrency rules.
 
 Fixture modules live under a fake ``repro.confix`` package; the rules
 are built with ``packages=("repro.confix",)`` so the fixtures are in
-reporting scope. The final self-check runs the real rule set (scoped to
-the service + ops endpoint) over the shipped source tree — the
-repository must lint clean under ``repro lint --concurrency``.
+reporting scope. The final checks run over the shipped source tree: its
+thread roots are the ones the service really has, and it lints clean
+under ``repro lint``.
 """
 
 import os
 import textwrap
 
-from repro.qa import LintEngine, concurrency_rules, default_rules
+from repro.qa import CONCURRENCY_PACKAGES, LintEngine, concurrency_rules, default_rules
+from repro.qa.concurrency import HTTP, MAIN, WORKER, class_models
 from repro.qa.framework import ModuleFile, Project
 
 REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
@@ -175,6 +176,102 @@ class TestLockDiscipline:
             )
         )
         assert result.ok, "\n".join(f.render() for f in result.findings)
+
+
+    def test_thread_target_color_does_not_leak_into_the_spawner(self):
+        # start() spawns _run but runs on the caller's thread: `started`
+        # is main-only, so it needs no lock until the worker touches it.
+        source = """\
+            import threading
+
+            class Box:
+                def __init__(self):
+                    self.started = False
+                    self._thread = None
+
+                def start(self):
+                    self._thread = threading.Thread(target=self._run)
+                    self._thread.start()
+                    self.started = True
+
+                def stop(self):
+                    self._thread.join()
+
+                def running(self) -> bool:
+                    return self.started
+
+                def _run(self):
+                    pass
+            """
+        result = run(module(source))
+        assert result.ok, "\n".join(f.render() for f in result.findings)
+        shared = source.replace("pass", "self.started = False")
+        result = run(module(shared))
+        assert rules_fired(result) == ["lock-discipline"]
+        assert "Box.started" in result.findings[0].message
+
+    def test_constructor_writes_are_exempt(self):
+        source = """\
+            import threading
+
+            class Box:
+                def __init__(self):
+                    self.limit = 10
+                    self._thread = None
+
+                def start(self):
+                    self._thread = threading.Thread(target=self._run)
+                    self._thread.start()
+
+                def stop(self):
+                    self._thread.join()
+
+                def _run(self):
+                    return self.limit
+
+                def limit_now(self) -> int:
+                    return self.limit
+            """
+        assert run(module(source)).ok
+        rewritten = source.replace(
+            "def limit_now(self) -> int:",
+            "def set_limit(self, n):\n                    self.limit = n\n\n"
+            "                def limit_now(self) -> int:",
+        )
+        result = run(module(rewritten))
+        assert rules_fired(result) == ["lock-discipline"]
+        assert "Box.limit" in result.findings[0].message
+
+    def test_mutator_call_on_a_worker_counts_as_a_write(self):
+        source = """\
+            import threading
+
+            class Ring:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self.items = []
+                    self._thread = threading.Thread(target=self._run)
+                    self._thread.start()
+
+                def stop(self):
+                    self._thread.join()
+
+                def size(self) -> int:
+                    with self._lock:
+                        return len(self.items)
+
+                def _run(self):
+                    with self._lock:
+                        self.items.append(1)
+            """
+        assert run(module(source)).ok
+        bare = source.replace(
+            "with self._lock:\n                        self.items.append(1)",
+            "self.items.append(1)",
+        )
+        result = run(module(bare))
+        assert rules_fired(result) == ["lock-discipline"]
+        assert "Ring.items" in result.findings[0].message
 
 
 class TestBlockingUnderLock:
@@ -413,10 +510,47 @@ class TestPragmas:
         assert result.suppressed == 1
 
 
+class TestLockConfinement:
+    SOURCE = """\
+        import threading
+        from threading import RLock
+
+        class Cache:
+            def __init__(self):
+                self._lock = threading.Lock()
+                self._rlock = RLock()
+        """
+
+    def test_lock_outside_the_concurrency_packages_is_flagged(self):
+        result = run(module(self.SOURCE, name="repro.elsewhere.mod"))
+        assert rules_fired(result) == ["lock-confinement"]
+        assert [f.line for f in result.findings] == [6, 7]
+
+    def test_lock_inside_the_concurrency_packages_is_clean(self):
+        result = run(module(self.SOURCE))
+        assert result.ok, "\n".join(f.render() for f in result.findings)
+
+    def test_the_sanitizer_package_may_build_locks(self):
+        result = run(module(self.SOURCE, name="repro.qa.mod"))
+        assert result.ok, "\n".join(f.render() for f in result.findings)
+
+
 class TestSelfCheck:
+    def test_real_service_thread_roots(self):
+        roots = {}
+        for mod in Project.load([REPO_SRC]).modules:
+            if mod.in_package(CONCURRENCY_PACKAGES):
+                for model in class_models(mod):
+                    roots.update(model.roots)
+        assert roots["repro.service.daemon.StreamService._drain_loop"] == WORKER
+        assert roots["repro.service.daemon.FileTailSource.run"] == WORKER
+        assert roots["repro.obs.httpd._Handler.do_GET"] == HTTP
+        assert roots["repro.service.http.ServiceState._route_diff"] == HTTP
+        assert roots["repro.service.daemon.StreamService.feed"] == MAIN
+        assert roots["repro.service.daemon.replay_messages"] == MAIN
+
     def test_repository_lints_clean_with_concurrency_rules(self):
-        """`repro lint --concurrency` over the shipped tree — the CI gate."""
+        """`repro lint` over the shipped tree — the CI gate."""
         project = Project.load([REPO_SRC])
-        engine = LintEngine(default_rules() + concurrency_rules())
-        result = engine.run(project)
+        result = LintEngine(default_rules()).run(project)
         assert result.ok, "\n" + "\n".join(f.render() for f in result.findings)

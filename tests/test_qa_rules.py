@@ -510,16 +510,10 @@ class TestSelfCheck:
         assert result.ok, "\n" + "\n".join(f.render() for f in result.findings)
 
     def test_repo_pragma_budget(self):
-        """<= 8 pragmas repo-wide, all justified, none in repro.qa.
-
-        The budget was raised from 5 when the concurrency rules landed:
-        interprocedural lock analysis can legitimately need a few benign
-        suppressions (the current count is well under the ceiling — the
-        service refactor fixed its findings outright instead).
-        """
+        """<= 5 pragmas repo-wide, all justified, none in repro.qa."""
         project = Project.load([REPO_SRC])
         result = LintEngine(default_rules()).run(project)
-        assert len(result.pragmas) <= 8
+        assert len(result.pragmas) <= 5
         for pragma in result.pragmas:
             assert pragma.justification, f"unjustified pragma at {pragma.path}"
             assert os.sep + "qa" + os.sep not in pragma.path

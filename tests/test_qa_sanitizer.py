@@ -15,7 +15,6 @@ from repro.qa.sanitizer import (
     LocksetChecker,
     TrackedLock,
     instrument_class,
-    race_checked,
     wrap_locks,
 )
 
@@ -140,18 +139,6 @@ class TestMachinery:
             obj.bump(1)
         undo()
         assert checker.accesses > 0
-
-    def test_race_checked_decorator(self):
-        @race_checked
-        class Decorated:
-            def __init__(self):
-                self.x = 0
-
-        checker = LocksetChecker()
-        with checker.activate():
-            d = Decorated()
-            d.x = 1
-        assert checker.accesses >= 2
 
     def test_tracked_lock_is_lock_compatible(self):
         lock = TrackedLock("test.lock")

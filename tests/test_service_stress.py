@@ -6,8 +6,13 @@ instrumented by the Eraser lockset checker and their locks wrapped,
 concurrent producers hammering :meth:`StreamService.feed` while an HTTP
 client hammers every service page must produce **zero** race candidates
 — and a deliberately-injected unguarded write into the same workload
-must be caught. This is the runtime twin of the static
-``repro lint --concurrency`` gate (the ``race-stress`` CI lane).
+must be caught. A third tenant is registered mid-run, while the drain
+thread and the handlers read the tenant map.
+
+This test owns the races between objects — the drain thread calling
+into a tenant, a handler reading a tenant's ``view`` or the service's
+tenant map — which the per-class static rules of ``repro lint`` do not
+see (the ``race-stress`` CI lane).
 
 Main-thread assertions about pipeline state happen after the checker
 deactivates: post-drain inspection is ordered by the joins, but the
@@ -97,6 +102,12 @@ def test_stress_real_service_is_race_free(capture):
             for t in producers:
                 t.start()
             http_client.start()
+            # A tenant registered under load: its copy-on-write insert
+            # races the drain thread's and the handlers' reads of
+            # `service.tenants`.
+            late = service.add_tenant("late")
+            wrap_locks(late)
+            service.feed("late", capture[:BATCH])
             for t in producers:
                 t.join()
             service.drain()
@@ -114,6 +125,7 @@ def test_stress_real_service_is_race_free(capture):
     assert checker.accesses > 1000
     assert service.tenants["prod"].windows_total >= 1
     assert service.tenants["shadow"].windows_total >= 1
+    assert len(service.tenants["late"].view.trace) == BATCH
     assert service.tenants["prod"].view.summary["phase"] == "streaming"
     # Every /diff page came from one published view: rows imply the
     # streaming phase, and their windows strictly advance.
