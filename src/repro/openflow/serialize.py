@@ -19,17 +19,26 @@ Decode contract (:class:`CaptureDecoder`, which :func:`message_from_json`,
   ``src``/``dst``/``sport``/``dport`` inside ``flow``), a ``ts`` that is
   not a finite JSON number (``Infinity``, ``NaN``, a string, ``null``, a
   boolean: one would wedge the daemon's window clock or break the log's
-  sort order), an unknown
+  sort order), a ``dpid`` that is not a string, a ``buffer_id`` /
+  ``in_reply_to`` that is an array or object, a ``flow_removed``
+  ``duration``/``bytes``/``packets`` that is not a number (modeling sorts
+  dpids, hashes reply ids and compares counters, so each would raise
+  ``TypeError`` there), an unknown
   ``type``, an unknown ``command``/``reason`` — and, where bytes are read
   (:func:`read_log`, the file tail), bytes that are not UTF-8.
   :func:`load_log` prefixes the 1-based line number. Every other key is
   optional and defaults as the message classes do, which is what keeps
   old captures readable.
 * **Shared:** messages that carry equal 5-tuples get the *same*
-  :class:`FlowKey` / :class:`Match` object (both are immutable), because a
-  capture is many messages over few endpoint pairs. The table that does
-  this lives as long as its decoder: one :func:`load_log` call, one
-  batch of the file tail, one :func:`message_from_json` call.
+  :class:`FlowKey` / :class:`Match` object (both are immutable), and
+  messages from one switch the same ``dpid`` string, because a capture is
+  many messages over few endpoint pairs and fewer switches. The tables
+  that do this live as long as their decoder: one :func:`load_log` or
+  :func:`read_log` call, one batch of the file tail, one
+  :func:`message_from_json` call.
+* **Memory:** :func:`read_log` and :func:`load_log` read the file one
+  line at a time, so a read holds one line besides the messages it
+  returns, never the whole file, its text or a list of its lines.
 * **Encode:** :func:`dump_log` writes one line per message, byte-identical
   to ``json.dumps(message_to_json(m)) + "\n"``, from a per-type template
   (:func:`line`) rather than a dict per message: finite floats, exact ints
@@ -45,7 +54,7 @@ Decode contract (:class:`CaptureDecoder`, which :func:`message_from_json`,
 from __future__ import annotations
 
 import json
-from typing import IO, Any, Callable, Dict, List, Optional, Tuple, Type
+from typing import IO, Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Type
 
 from repro.openflow.log import ControllerLog
 from repro.openflow.match import FlowKey, Match
@@ -278,32 +287,40 @@ _COMMANDS = {member.value: member for member in FlowModCommand}
 _REASONS = {member.value: member for member in FlowRemovedReason}
 #: The exact types a ``ts`` may have (``bool`` is an ``int``, not a time).
 _TS_TYPES = (float, int)
+#: JSON types a field must not have, by what modeling does with it: a
+#: ``buffer_id`` / ``in_reply_to`` is hashed to pair a reply, a
+#: ``flow_removed`` counter compared with the others of its flow.
+_UNHASHABLE = (list, dict)
+_NOT_A_NUMBER = (str, type(None), list, dict)
 
 _FiveTuple = Tuple[Any, Any, Any, Any, Any]
 
 
 class CaptureDecoder:
-    """Turn capture lines into messages, sharing equal 5-tuples.
+    """Turn capture lines into messages, sharing equal 5-tuples and dpids.
 
     See the module docstring for the contract. ``len()`` is the number of
-    5-tuples currently shared; :meth:`forget` drops them, which a reader
-    of an unbounded stream must do now and then (the file tail does at
-    every batch it hands off).
+    5-tuples currently shared; :meth:`forget` drops them and the shared
+    dpids, which a reader of an unbounded stream must do now and then (the
+    file tail does at every batch it hands off).
     """
 
-    __slots__ = ("_flows", "_matches")
+    __slots__ = ("_flows", "_matches", "_dpids")
 
     def __init__(self) -> None:
         self._flows: Dict[_FiveTuple, FlowKey] = {}
         self._matches: Dict[_FiveTuple, Match] = {}
+        self._dpids: Dict[str, str] = {}
 
     def __len__(self) -> int:
         return len(self._flows) + len(self._matches)
 
     def forget(self) -> None:
-        """Drop the shared 5-tuples (messages already built keep theirs)."""
+        """Drop the shared 5-tuples and dpids (messages already built keep
+        theirs)."""
         self._flows.clear()
         self._matches.clear()
+        self._dpids.clear()
 
     def line(self, line: str) -> Optional[ControlMessage]:
         """Decode one capture line; ``None`` for a blank one.
@@ -344,6 +361,9 @@ class CaptureDecoder:
             if type(ts) not in _TS_TYPES or ts - ts != 0:  # inf - inf is nan
                 raise ValueError(f"{name} message with a bad 'ts' ({ts!r})")
             dpid = data["dpid"]
+            if type(dpid) is not str:
+                raise ValueError(f"{name} message with a bad 'dpid' ({dpid!r})")
+            dpid = self._dpids.setdefault(dpid, dpid)
             corr = data.get("corr")
             if name == "packet_in":
                 return PacketIn(
@@ -352,7 +372,7 @@ class CaptureDecoder:
                     corr,
                     self._flow(data["flow"]),
                     data.get("in_port", 0),
-                    data.get("buffer_id", 0),
+                    _field(name, data, "buffer_id", 0, _UNHASHABLE),
                 )
             if name == "packet_out":
                 return PacketOut(
@@ -361,7 +381,7 @@ class CaptureDecoder:
                     corr,
                     self._flow(data["flow"]),
                     data.get("out_port", 0),
-                    data.get("buffer_id", 0),
+                    _field(name, data, "buffer_id", 0, _UNHASHABLE),
                 )
             if name == "flow_mod":
                 command = data.get("command", "add")
@@ -375,7 +395,7 @@ class CaptureDecoder:
                     data.get("hard", 0.0),
                     data.get("priority", 0),
                     _COMMANDS.get(command) or FlowModCommand(command),
-                    data.get("in_reply_to"),
+                    _field(name, data, "in_reply_to", None, _UNHASHABLE),
                 )
             if name == "flow_removed":
                 reason = data.get("reason", "idle_timeout")
@@ -384,9 +404,9 @@ class CaptureDecoder:
                     dpid,
                     corr,
                     self._match(data["match"]),
-                    data.get("duration", 0.0),
-                    data.get("bytes", 0),
-                    data.get("packets", 0),
+                    _field(name, data, "duration", 0.0, _NOT_A_NUMBER),
+                    _field(name, data, "bytes", 0, _NOT_A_NUMBER),
+                    _field(name, data, "packets", 0, _NOT_A_NUMBER),
                     _REASONS.get(reason) or FlowRemovedReason(reason),
                 )
             if name == "port_status":
@@ -443,6 +463,14 @@ class CaptureDecoder:
         return match
 
 
+def _field(name: Any, data: Dict[str, Any], key: str, default: Any, rejected: Any) -> Any:
+    """``data[key]`` (``default`` when absent), unless of a ``rejected`` type."""
+    value = data.get(key, default)
+    if type(value) in rejected:
+        raise ValueError(f"{name} message with a bad {key!r} ({value!r})")
+    return value
+
+
 def message_from_json(data: Dict[str, Any]) -> ControlMessage:
     """Decode one control message from its JSON object.
 
@@ -468,20 +496,7 @@ def load_log(fh: IO[str]) -> ControllerLog:
         ValueError: ``"line N: ..."`` for the first line that is not one
             control message (see the module docstring).
     """
-    return _load_text(fh.read())
-
-
-def _load_text(text: str) -> ControllerLog:
-    messages: List[ControlMessage] = []
-    decode = CaptureDecoder().line
-    for line_no, line in enumerate(text.split("\n"), 1):
-        try:
-            message = decode(line)
-        except ValueError as exc:
-            raise ValueError(f"line {line_no}: {exc}") from exc
-        if message is not None:
-            messages.append(message)
-    return ControllerLog(messages)
+    return _decode_lines(fh)
 
 
 def save_log(log: ControllerLog, path: str) -> int:
@@ -498,12 +513,41 @@ def read_log(path: str) -> ControllerLog:
             are not UTF-8 are reported first, by the line they sit on.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line_no = raw.count(b"\n", 0, exc.start) + 1
-        raise ValueError(
-            f"line {line_no}: not UTF-8 ({exc.reason}, byte {exc.start})"
-        ) from exc
-    return _load_text(text)
+        lines = _utf8_lines(fh)
+        try:
+            return _decode_lines(lines)
+        except ValueError:
+            for _ in lines:  # a non-UTF-8 byte further on wins
+                pass
+            raise
+
+
+def _decode_lines(lines: Iterable[str]) -> ControllerLog:
+    """The decode loop of :func:`load_log` and :func:`read_log`."""
+    messages: List[ControlMessage] = []
+    decode = CaptureDecoder().line
+    for line_no, line in enumerate(lines, 1):
+        try:
+            message = decode(line)
+        except ValueError as exc:
+            raise ValueError(f"line {line_no}: {exc}") from exc
+        if message is not None:
+            messages.append(message)
+    return ControllerLog(messages)
+
+
+def _utf8_lines(fh: IO[bytes]) -> Iterator[str]:
+    """The lines of a binary file, decoded.
+
+    Raises:
+        ValueError: ``"line N: not UTF-8 (...)"``, with the bad byte's
+            offset in the file.
+    """
+    for line_no, raw in enumerate(fh, 1):
+        try:
+            yield raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            byte = fh.tell() - len(raw) + exc.start
+            raise ValueError(
+                f"line {line_no}: not UTF-8 ({exc.reason}, byte {byte})"
+            ) from exc

@@ -252,9 +252,9 @@ class FileTailSource:
     is not a finite number, not UTF-8 — are counted
     (``service_dropped_total`` with ``reason="decode"``) and skipped
     rather than wedging the tail or the tenant.
-    Messages of one batch share equal 5-tuples (see
-    :class:`~repro.openflow.serialize.CaptureDecoder`); the sharing table
-    is dropped at every hand-off, so a followed file cannot grow it.
+    Messages of one batch share equal 5-tuples and dpids (see
+    :class:`~repro.openflow.serialize.CaptureDecoder`); the sharing tables
+    are dropped at every hand-off, so a followed file cannot grow them.
     """
 
     def __init__(

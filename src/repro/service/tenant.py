@@ -219,7 +219,12 @@ class TenantPipeline:
                 if ts < self._baseline_end:  # type: ignore[operator]
                     self._buffer.append(msg)
                     continue
-                self._learn_baseline()
+                if not self._learn_baseline():
+                    # The span was dropped: learn afresh from this message.
+                    self._t_first = ts
+                    self._baseline_end = ts + self.baseline_span
+                    self._buffer.append(msg)
+                    continue
             win = self._win
             if ts < win.t_start:  # type: ignore[union-attr]
                 self._m_late.inc()
@@ -235,19 +240,45 @@ class TenantPipeline:
 
     # -- phases ----------------------------------------------------------
 
-    def _learn_baseline(self) -> None:
-        """Model the buffered span as the healthy reference and move on."""
-        assert self._t_first is not None and self._baseline_end is not None
-        baseline_log = ControllerLog(self._buffer)
-        baseline = self.flowdiff.model(
-            baseline_log, window=(self._t_first, self._baseline_end)
-        )
-        self.stream.set_baseline_model(baseline)
-        self._buffer = []
+    def _learn_baseline(self) -> bool:
+        """Model the buffered span as the healthy reference and move on.
+
+        A span whose modeling raises is dropped, as a window whose close
+        raises is: its messages are counted under
+        ``service_dropped_total{reason="close_error"}`` and ``False`` tells
+        the caller to learn afresh, instead of every later batch modeling
+        the same span and raising again.
+        """
+        t_first, t_end = self._t_first, self._baseline_end
+        assert t_first is not None and t_end is not None
+        buffered, self._buffer = self._buffer, []
+        try:
+            baseline = self.flowdiff.model(
+                ControllerLog(buffered), window=(t_first, t_end)
+            )
+            self.stream.set_baseline_model(baseline)
+        except Exception:
+            self._drop("baseline span", t_first, t_end, len(buffered))
+            return False
         self.phase = PHASE_STREAMING
         self._cursor = self._baseline_end
         self._store_baseline()
         self._open_window()
+        return True
+
+    def _drop(self, what: str, t0: float, t1: float, n: int) -> None:
+        """Log the exception being handled and count the ``n`` messages of
+        ``[t0, t1)`` under ``service_dropped_total{reason="close_error"}``."""
+        logger.exception(
+            "tenant %s: dropped %s [%s, %s): it raised",
+            self.name,
+            what,
+            t0,
+            t1,
+        )
+        self.metrics.counter(
+            "service_dropped_total", tenant=self.name, reason="close_error"
+        ).inc(n)
 
     def _store_baseline(self) -> None:
         """Put the stream's baseline where the next checkpoint names it."""
@@ -292,15 +323,7 @@ class TenantPipeline:
                 started=started,
             )
         except Exception:
-            logger.exception(
-                "tenant %s: dropped window [%s, %s): its close raised",
-                self.name,
-                t0,
-                t1,
-            )
-            self.metrics.counter(
-                "service_dropped_total", tenant=self.name, reason="close_error"
-            ).inc(len(win.raw))
+            self._drop("window", t0, t1, len(win.raw))
             return None
         status = outcome.status
         self.metrics.counter(

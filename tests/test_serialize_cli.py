@@ -295,6 +295,42 @@ class TestDecodeContract:
                 "bad field",
                 id="unhashable-flow-field",
             ),
+            # A dpid that is not a string, or a reply id that is an array or
+            # object, used to decode and then crash modeling with TypeError.
+            *(
+                pytest.param(
+                    '{"type": "packet_in", "ts": 1.0, "dpid": %s, "flow": null}' % dpid,
+                    "packet_in message with a bad 'dpid'",
+                    id=f"dpid-{name}",
+                )
+                for name, dpid in [("null", "null"), ("number", "7"), ("list", '["sw1"]')]
+            ),
+            *(
+                pytest.param(
+                    HEAD % kind + ', "%s": null, "%s": %s}' % (subject, field, value),
+                    "%s message with a bad '%s'" % (kind, field),
+                    id=f"{kind}-{field}-{name}",
+                )
+                for kind, subject, field in [
+                    ("packet_in", "flow", "buffer_id"),
+                    ("packet_out", "flow", "buffer_id"),
+                    ("flow_mod", "match", "in_reply_to"),
+                ]
+                for name, value in [("list", "[7]"), ("object", '{"id": 7}')]
+            ),
+            # So did a flow_removed counter that is not a number.
+            *(
+                pytest.param(
+                    HEAD % "flow_removed" + ', "match": null, "%s": %s}' % (field, value),
+                    "flow_removed message with a bad '%s'" % field,
+                    id=f"flow_removed-{field}-{name}",
+                )
+                for field, name, value in [
+                    ("bytes", "string", '"12"'),
+                    ("packets", "null", "null"),
+                    ("duration", "list", "[1.0]"),
+                ]
+            ),
             pytest.param(
                 HEAD % "mystery" + "}",
                 "unknown control message type 'mystery'",
@@ -551,6 +587,22 @@ class TestCLIErrorPaths:
         assert main(["simulate", "--out", capture, "--duration", "5"]) == 0
         with pytest.raises(ValueError, match="version"):
             main(["diff", str(bad), capture, "--baseline-model"])
+
+    def test_diff_of_a_capture_with_a_non_string_dpid_names_the_line(self, tmp_path):
+        """Such a ``packet_in`` used to decode, and ``repro diff`` then died
+        in modeling with a ``TypeError`` traceback."""
+        good = str(tmp_path / "good.jsonl")
+        bad = str(tmp_path / "bad.jsonl")
+        assert main(["simulate", "--out", good, "--duration", "5"]) == 0
+        with open(good, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        record = json.loads(next(text for text in lines[40:] if '"packet_in"' in text))
+        record["dpid"] = None
+        lines.insert(40, json.dumps(record) + "\n")
+        with open(bad, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+        with pytest.raises(ValueError, match="^line 41: packet_in message with a bad 'dpid'"):
+            main(["diff", good, bad])
 
 
 class TestCLIHtmlReport:

@@ -580,6 +580,45 @@ class TestTenantIsolation:
         assert got.metrics.value("service_ingest_errors_total", tenant="t1") == 0
         assert got.errors == []
 
+    def test_a_baseline_learn_that_raises_is_dropped_and_relearned(self, healthy_log):
+        """A ``packet_in`` with a null dpid, fed in-process (so no decoder
+        rejects it) inside the baseline span, made the learn raise on every
+        later batch: no window ever closed and the tenant stayed in
+        ``baseline``. Now the span is dropped, counted, and the tenant
+        learns afresh from the next message."""
+        messages = list(healthy_log)
+        t_first, _ = healthy_log.time_span
+        at = next(
+            i for i, m in enumerate(messages) if isinstance(m, PacketIn) and m.flow is not None
+        )
+        poisoned = PacketIn(
+            timestamp=messages[at].timestamp, dpid=None, flow=messages[at].flow, buffer_id=-1
+        )
+        relearn = next(
+            i for i, m in enumerate(messages) if m.timestamp >= t_first + BASELINE
+        )
+
+        def serve(capture):
+            service = StreamService(window=WINDOW / 2, baseline_span=BASELINE)
+            service.add_tenant("t1")
+            with service:
+                replay_messages(service, "t1", capture, batch_size=200)
+                service.drain()
+            return service
+
+        got = serve(messages[: at + 1] + [poisoned] + messages[at + 1 :])
+        want = serve(messages[relearn:]).tenants["t1"]
+        tenant = got.tenants["t1"]
+        assert got.metrics.value("service_ingest_errors_total", tenant="t1") == 0
+        assert got.errors == []
+        assert got.metrics.value(
+            "service_dropped_total", tenant="t1", reason="close_error"
+        ) == relearn + 1
+        assert tenant.phase == "streaming"
+        assert tenant.windows_total == want.windows_total >= 2
+        assert tenant.status_counts == want.status_counts
+        assert_histories_identical(tenant.history, want.history)
+
 
 class TestPublishedView:
     def test_every_view_describes_one_moment(self, faulty_log):
@@ -775,6 +814,42 @@ class TestDaemonSources:
         assert got.windows_total == want.windows_total >= 1
         assert got.status_counts == want.status_counts
         assert_histories_identical(got.history, want.history)
+
+    def test_field_types_modeling_cannot_take_are_decode_drops(self, healthy_log, tmp_path):
+        """A non-string ``dpid``, an array/object reply id or a non-numeric
+        expiry counter used to reach the tenant, where modeling raised
+        ``TypeError``."""
+
+        class Recorder:  # the two things a tail asks of its service
+            def __init__(self):
+                self.metrics = MetricsRegistry()
+                self.batches = []
+
+            def feed(self, tenant, batch):
+                self.batches.append(batch)
+
+        path = str(tmp_path / "capture.jsonl")
+        save_log(healthy_log, path)
+        with open(path, "rb") as fh:
+            lines = fh.readlines()
+        pin = b'{"type": "packet_in", "ts": 1.0, "dpid": %s, "flow": null, "buffer_id": %s}\n'
+        bad = [
+            pin % (b"null", b"1"),
+            pin % (b"7", b"1"),
+            pin % (b'["ofs1"]', b"1"),
+            pin % (b'"ofs1"', b"[1]"),
+            b'{"type": "flow_mod", "ts": 1.0, "dpid": "ofs1", "match": null,'
+            b' "in_reply_to": {"id": 1}}\n',
+            b'{"type": "flow_removed", "ts": 1.0, "dpid": "ofs1", "match": null, "bytes": "x"}\n',
+        ]
+        with open(path, "wb") as fh:
+            fh.writelines(lines[:10] + bad + lines[10:])
+        recorder = Recorder()
+        FileTailSource(recorder, "t1", path).run()
+        assert recorder.metrics.value(
+            "service_dropped_total", tenant="t1", reason="decode"
+        ) == len(bad)
+        assert sum(len(batch) for batch in recorder.batches) == len(lines)
 
     def test_tail_shares_five_tuples_per_batch_and_keeps_none(self, healthy_log, tmp_path):
         """The follow-mode leak guard, by count: the decoder's table never
