@@ -6,10 +6,9 @@ for task-automaton learning and matching — the one hot primitive with no
 ``BENCHMARK.json`` row (extract, signatures, modeling, diff and JSONL
 encode are per-layer rows there, on a larger input).
 
-The second half holds the instrumentation *budget* tests — observability
-and the telemetry plane must each stay cheap — with the interleaved
-median-of-repeats loops they measure with. These
-assert a budget and record nothing: performance numbers are produced and
+The second half holds the instrumentation *budget* test — metrics and
+tracing must stay cheap — with the interleaved median-of-repeats loop
+it measures with. It asserts a budget and records nothing: performance numbers are produced and
 gated by ``bench/run.py`` against ``BENCHMARK.json`` only.
 """
 
@@ -21,7 +20,6 @@ import pytest
 from repro import FlowDiff
 from repro.core.tasks import TaskLibrary
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import NOOP_TELEMETRY, TelemetryPlane
 from repro.obs.tracing import Tracer
 from repro.scenarios import three_tier_lab
 from repro.workload.traces import VMTraceSynthesizer
@@ -132,55 +130,6 @@ def run_obs_overhead_bench(log):
     return out
 
 
-def run_ingest_bench():
-    """The data-plane telemetry path three ways.
-
-    * ``raw_samples_per_s`` — tight-loop ingest into one held
-      ``ComponentSeries`` (the hot-path upper bound).
-    * ``messages_per_s`` — end-to-end simulation throughput with the
-      plane enabled, in control messages per wall second.
-    * ``overhead_us_per_message`` — telemetry-enabled vs
-      ``NOOP_TELEMETRY`` simulation time per control message,
-      median-of-``REPEATS`` interleaved with the repeat spread as the
-      noise floor.
-    """
-    raw_samples = 200_000
-
-    def one_run(telemetry):
-        scenario = three_tier_lab(seed=3, telemetry=telemetry)
-        started = time.perf_counter()
-        messages = len(scenario.run(0.5, 15.0))
-        return time.perf_counter() - started, messages
-
-    one_run(NOOP_TELEMETRY)  # warm-up: imports, allocator, caches
-    off_samples, on_samples = [], []
-    for _ in range(REPEATS):
-        off_samples.append(one_run(NOOP_TELEMETRY)[0])
-        elapsed, messages = one_run(TelemetryPlane())
-        on_samples.append(elapsed)
-    off_s = median(off_samples)
-    on_s = median(on_samples)
-
-    series = TelemetryPlane().series("link", "a--b", "utilization")
-    started = time.perf_counter()
-    for i in range(raw_samples):
-        series.record(i * 1e-3, 0.5)
-    raw_s = time.perf_counter() - started
-
-    out = {
-        "raw_samples_per_s": raw_samples / raw_s,
-        "messages_per_s": messages / on_s,
-        "overhead_us_per_message": (on_s - off_s) / messages * 1e6,
-    }
-    out.update(
-        _overhead_fields(
-            (on_s / off_s - 1.0) * 100.0,
-            max(_spread_pct(off_samples), _spread_pct(on_samples)),
-        )
-    )
-    return out
-
-
 def _assert_overhead_not_below_noise_floor(result):
     """No bench may report an overhead below its own noise floor.
 
@@ -209,35 +158,6 @@ def test_obs_overhead_under_five_percent(lab_log):
             break
     assert result["overhead_pct"] < 5.0, result
     assert result["noise_floor_pct"] >= 0.0
-    _assert_overhead_not_below_noise_floor(result)
-
-
-TELEMETRY_BUDGET_US_PER_MSG = 6.0
-
-
-def test_telemetry_overhead_budget_per_message():
-    """Enabling the telemetry plane must cost <6µs per control message.
-
-    Every packet delivery, table install, and RPC completion samples the
-    plane when it is enabled, so a regression here multiplies across the
-    whole simulation. The budget is *absolute* on purpose: a percent-of-
-    simulation contract silently tightens every time the simulator gets
-    faster and silently loosens when it regresses. The measured figure
-    is the ``obs.telemetry.overhead_us_per_msg`` row of ``bench/``.
-    """
-    # Median-of-N suppresses most scheduler noise, but on a single-CPU
-    # runner one unlucky leg can still exceed the budget; re-measure up
-    # to twice before declaring a regression (a real hot path fails all
-    # three).
-    result = None
-    for _ in range(3):
-        result = run_ingest_bench()
-        if result["overhead_us_per_message"] < TELEMETRY_BUDGET_US_PER_MSG:
-            break
-    assert result["overhead_us_per_message"] < TELEMETRY_BUDGET_US_PER_MSG, result
-    assert result["noise_floor_pct"] >= 0.0
-    assert result["raw_samples_per_s"] > 0
-    assert result["messages_per_s"] > 0
     _assert_overhead_not_below_noise_floor(result)
 
 

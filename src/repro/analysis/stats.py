@@ -187,8 +187,8 @@ def percentile_index(count: int, q: float) -> int:
     """0-based order-statistic index for quantile ``q`` of ``count`` values.
 
     The inverted-CDF convention (``ceil(q*n) - 1``), matching
-    ``numpy.percentile(..., method="inverted_cdf")`` — the recomputation
-    the telemetry rollup tests check against.
+    ``numpy.percentile(..., method="inverted_cdf")``, which the tests
+    recompute it against.
     """
     if count <= 0:
         return 0

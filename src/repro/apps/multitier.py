@@ -204,7 +204,6 @@ class MultiTierApp:
         hops: List[str] = [client_host]
 
         def fail() -> None:
-            self._note_outcome(started, hops, completed=False)
             if on_done is not None:
                 on_done(
                     RequestOutcome(
@@ -230,7 +229,6 @@ class MultiTierApp:
 
         def finish() -> None:
             self.requests_completed += 1
-            self._note_outcome(started, hops, completed=True)
             if on_done is not None:
                 on_done(
                     RequestOutcome(
@@ -256,27 +254,6 @@ class MultiTierApp:
             self._send(dns_key, size=120, on_complete=lambda _res: begin_front_tier())
         else:
             begin_front_tier()
-
-    def _note_outcome(
-        self, started: float, hops: List[str], completed: bool
-    ) -> None:
-        """Record the request's end-to-end latency into the telemetry plane.
-
-        One level series per app (client-perceived RPC latency) plus one
-        per front-tier server, so a slow or faulted server stands out from
-        its healthy peers in the per-host tables.
-        """
-        telemetry = self.network.telemetry
-        if not telemetry.enabled:
-            return
-        now = self.network.now
-        latency = now - started
-        telemetry.record("app", self.name, "rpc_latency", now, latency)
-        telemetry.record("app", self.name, "requests", now, 1.0, counter=True)
-        if not completed:
-            telemetry.record("app", self.name, "failures", now, 1.0, counter=True)
-        if len(hops) > 1:
-            telemetry.record("host", hops[1], "rpc_latency", now, latency)
 
     def _send(
         self, key: FlowKey, size: int, on_complete: Callable[[FlowResult], None]

@@ -7,7 +7,7 @@ Usage (also via ``python -m repro``):
   in for a live capture.
 * ``repro inspect baseline.jsonl`` — summarize a capture: message counts,
   span, application groups, signature digests.
-* ``repro stats baseline.jsonl`` — fast telemetry-only summary (message
+* ``repro stats baseline.jsonl`` — fast control-message summary (message
   mix, rates, top talkers) without modeling anything.
 * ``repro diff baseline.jsonl current.jsonl`` — the paper's workflow:
   model both captures and print the diagnosis report (``--evidence``
@@ -17,10 +17,6 @@ Usage (also via ``python -m repro``):
 * ``repro monitor capture.jsonl --alerts-out alerts.jsonl`` — replay a
   capture through the sliding diagnoser + alert engine and export the
   fired alerts.
-* ``repro telemetry --html heatmap.html`` — run the lab scenario with the
-  data-plane telemetry plane on, print per-component tables, evaluate
-  the telemetry alert rules, and optionally export JSONL/Prometheus,
-  write a topology heatmap, or serve the read-only ops HTTP endpoint.
 * ``repro serve --tenants prod=capture.jsonl`` — the always-on streaming
   diagnosis daemon: tail one capture per tenant, buffer each open window
   and model it when the stream passes its end, diff every closed window
@@ -72,7 +68,7 @@ def _read(path: str, fmt: str):
 
 
 def _obs_context(args: argparse.Namespace) -> Tuple[MetricsRegistry, Tracer]:
-    """Real instruments when the run wants telemetry, no-ops otherwise."""
+    """Real instruments when the run wants metrics, no-ops otherwise."""
     if getattr(args, "profile", False) or getattr(args, "metrics_out", None):
         return MetricsRegistry(), Tracer()
     return NOOP_REGISTRY, NOOP_TRACER
@@ -87,7 +83,7 @@ def _finish_obs(
     out = getattr(args, "metrics_out", None)
     if out:
         lines = write_jsonl(out, metrics, tracer, extra={"command": command})
-        print(f"wrote {lines} telemetry events to {out}")
+        print(f"wrote {lines} events to {out}")
 
 #: Faults injectable from the command line (name -> factory taking a target).
 _CLI_FAULTS = {
@@ -188,7 +184,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         metrics = MetricsRegistry()
         record_log_metrics(metrics, log, role="capture")
         lines = write_jsonl(args.metrics_out, metrics, extra={"command": "stats"})
-        print(f"wrote {lines} telemetry events to {args.metrics_out}")
+        print(f"wrote {lines} events to {args.metrics_out}")
     return 0
 
 
@@ -310,71 +306,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         )
     _finish_obs(args, metrics, tracer, "monitor")
     return 1 if engine.alerts else 0
-
-
-def _cmd_telemetry(args: argparse.Namespace) -> int:
-    from repro.obs.alerts import AlertEngine, telemetry_rules
-    from repro.obs.heatmap import save_heatmap
-    from repro.obs.httpd import ObsHTTPServer, ObsState
-    from repro.obs.telemetry import (
-        TelemetryPlane,
-        render_tables,
-        telemetry_registry,
-    )
-    from repro.scenarios import three_tier_lab
-
-    plane = TelemetryPlane(window=args.window, capacity=args.retain)
-    metrics = MetricsRegistry()
-    scenario = three_tier_lab(seed=args.seed, metrics=metrics, telemetry=plane)
-    if args.fault:
-        factory = _CLI_FAULTS.get(args.fault)
-        if factory is None:
-            print(f"unknown fault {args.fault!r}; choices: {sorted(_CLI_FAULTS)}")
-            return 2
-        scenario.inject(factory(args.target), at=args.fault_at)
-    scenario.run(stop=args.duration)
-    plane.flush(scenario.network.now)
-
-    engine = AlertEngine(telemetry_rules())
-    engine.observe_telemetry(plane)
-
-    print(render_tables(plane, top=args.top))
-    for alert in engine.alerts[: args.top]:
-        print(f"[{alert.severity}] t={alert.timestamp:g}s {alert.rule}: {alert.message}")
-    if len(engine.alerts) > args.top:
-        print(f"... and {len(engine.alerts) - args.top} more alert(s)")
-
-    if args.out:
-        lines = write_jsonl(
-            args.out, metrics, telemetry=plane, extra={"command": "telemetry"}
-        )
-        print(f"wrote {lines} telemetry events to {args.out}")
-    if args.prom:
-        from repro.obs.export import render_prometheus
-
-        with open(args.prom, "w", encoding="utf-8") as fh:
-            fh.write(render_prometheus(metrics))
-            fh.write(render_prometheus(telemetry_registry(plane)))
-        print(f"wrote Prometheus exposition to {args.prom}")
-    if args.html:
-        save_heatmap(
-            args.html, scenario.network.topology, plane, alerts=engine.alerts
-        )
-        print(f"wrote topology heatmap to {args.html}")
-    if args.serve_for is not None:
-        import time
-
-        state = ObsState(registry=metrics, telemetry=plane, engine=engine)
-        server = ObsHTTPServer(state, port=args.port)
-        server.start()
-        print(f"serving read-only ops endpoint at {server.url('/healthz')}")
-        try:
-            time.sleep(args.serve_for)
-        except KeyboardInterrupt:
-            pass
-        finally:
-            server.stop()
-    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -563,7 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(fn=_cmd_simulate)
 
     stats = sub.add_parser(
-        "stats", help="summarize a capture's telemetry without modeling it"
+        "stats",
+        help="summarize a capture's control-message mix without modeling it",
     )
     stats.add_argument("log")
     stats.add_argument(
@@ -714,68 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_obs_flags(mon)
     mon.set_defaults(fn=_cmd_monitor)
-
-    tel = sub.add_parser(
-        "telemetry",
-        help="run the lab scenario with the data-plane telemetry plane on",
-    )
-    tel.add_argument("--duration", type=float, default=30.0)
-    tel.add_argument("--seed", type=int, default=3)
-    tel.add_argument(
-        "--window",
-        type=float,
-        default=1.0,
-        help="rollup window length in simulation seconds",
-    )
-    tel.add_argument(
-        "--retain",
-        type=int,
-        default=120,
-        help="closed windows retained per series (the ring-buffer bound)",
-    )
-    tel.add_argument("--fault", help=f"inject a fault: {sorted(_CLI_FAULTS)}")
-    tel.add_argument(
-        "--target",
-        default="ofs1--ofs5",
-        help="fault target (a host, or an 'a--b' edge for linkloss)",
-    )
-    tel.add_argument(
-        "--fault-at",
-        type=float,
-        default=15.0,
-        help="simulation time at which the fault is injected",
-    )
-    tel.add_argument(
-        "--top", type=int, default=10, help="rows per table / alerts printed"
-    )
-    tel.add_argument(
-        "--out",
-        metavar="FILE.jsonl",
-        help="export metrics + telemetry series as JSON lines to this path",
-    )
-    tel.add_argument(
-        "--prom",
-        metavar="FILE.prom",
-        help="export the combined Prometheus text exposition to this path",
-    )
-    tel.add_argument(
-        "--html",
-        metavar="FILE.html",
-        help="write the standalone topology-heatmap report to this path",
-    )
-    tel.add_argument(
-        "--serve-for",
-        type=float,
-        metavar="SECONDS",
-        help="after the run, serve the read-only ops HTTP endpoint this long",
-    )
-    tel.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="ops endpoint port (default 0 = ephemeral, printed at start)",
-    )
-    tel.set_defaults(fn=_cmd_telemetry)
 
     srv = sub.add_parser(
         "serve",

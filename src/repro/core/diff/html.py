@@ -125,23 +125,6 @@ def report_to_html(report: DiagnosisReport, title: str = "FlowDiff diagnosis") -
                         f"<td>{_esc(event.detail)}</td></tr>"
                     )
                 out.append("</table>")
-            if chain.telemetry:
-                out.append("<table>")
-                out.append(
-                    "<tr><th>telemetry series</th><th>window (s)</th>"
-                    "<th>peak</th><th>mean</th><th>p95</th></tr>"
-                )
-                for record in chain.telemetry:
-                    out.append(
-                        f"<tr><td><code>{_esc(record.kind)}/"
-                        f"{_esc(record.component)}/{_esc(record.metric)}"
-                        f"</code></td>"
-                        f"<td>[{record.t_start:g}, {record.t_end:g})</td>"
-                        f"<td>{record.value:g}"
-                        f"{'/window' if record.counter else ''}</td>"
-                        f"<td>{record.mean:g}</td><td>{record.p95:g}</td></tr>"
-                    )
-                out.append("</table>")
 
     out.append("<h2>Dependency matrix</h2><table>")
     out.append(

@@ -19,61 +19,6 @@ from repro.obs.flightrec import FlowTimeline
 
 
 @dataclass(frozen=True)
-class TelemetryRecord:
-    """One data-plane telemetry reading backing a suspect component.
-
-    The worst retained window of one per-component series — the congested
-    link's peak utilization, the drop burst, the latency spike — so the
-    behavioral verdict points at a concrete data-plane observation.
-
-    Attributes:
-        kind: series family (``link``/``switch``/``controller``/...).
-        component: the sampled component (``a--b`` edge, dpid, app name).
-        metric: the sampled quantity (``utilization``, ``drops``, ...).
-        t_start / t_end: the peak window's bounds in stream time.
-        value: the peak reading — window sum for counter series, window
-            max for level series.
-        mean: the peak window's sample mean.
-        p95: the peak window's 95th-percentile sample.
-        counter: True when the series counts increments per window.
-    """
-
-    kind: str
-    component: str
-    metric: str
-    t_start: float
-    t_end: float
-    value: float
-    mean: float
-    p95: float
-    counter: bool = False
-
-    def describe(self) -> str:
-        reading = (
-            f"{self.value:g}/window"
-            if self.counter
-            else f"peak {self.value:g} (mean {self.mean:g}, p95 {self.p95:g})"
-        )
-        return (
-            f"telemetry {self.kind} {self.metric}: {reading} "
-            f"in [{self.t_start:g}, {self.t_end:g})s"
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "component": self.component,
-            "metric": self.metric,
-            "t_start": self.t_start,
-            "t_end": self.t_end,
-            "value": self.value,
-            "mean": self.mean,
-            "p95": self.p95,
-            "counter": self.counter,
-        }
-
-
-@dataclass(frozen=True)
 class EvidenceChain:
     """Flight-recorder evidence backing one ranked suspect component.
 
@@ -87,21 +32,16 @@ class EvidenceChain:
         score: the suspect's ranking score (change-association count).
         timelines: the selected per-flow causal chains (most anomalous
             first: incomplete chains, then slowest setups).
-        telemetry: worst-window data-plane readings for the suspect
-            (attached when a telemetry plane observed the run).
     """
 
     component: str
     score: float
     timelines: Tuple[FlowTimeline, ...] = ()
-    telemetry: Tuple[TelemetryRecord, ...] = ()
 
     def render(self) -> str:
         lines = [f"{self.component} (score {self.score:g}):"]
         for timeline in self.timelines:
             lines.append("  " + timeline.describe())
-        for record in self.telemetry:
-            lines.append("  " + record.describe())
         return "\n".join(lines)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -109,7 +49,6 @@ class EvidenceChain:
             "component": self.component,
             "score": self.score,
             "flows": [t.to_dict() for t in self.timelines],
-            "telemetry": [r.to_dict() for r in self.telemetry],
         }
 
 

@@ -106,9 +106,9 @@ class Simulator:
             heapq.heappop(self._queue)
             self._now = when
             if instrumented:
-                t0 = time.perf_counter()  # flowlint: disable=sim-clock -- telemetry duration, never enters sim state
+                t0 = time.perf_counter()  # flowlint: disable=sim-clock -- metrics duration, never enters sim state
                 callback()
-                self._m_callback.observe(time.perf_counter() - t0)  # flowlint: disable=sim-clock -- telemetry duration, never enters sim state
+                self._m_callback.observe(time.perf_counter() - t0)  # flowlint: disable=sim-clock -- metrics duration, never enters sim state
             else:
                 callback()
             executed += 1

@@ -28,11 +28,6 @@ class LinkState:
     offered_rate: float = 0.0
     #: Time of the last utilization update.
     updated_at: float = 0.0
-    #: Cumulative bytes carried (retransmissions included), both directions.
-    tx_bytes: float = 0.0
-    #: Cumulative packets this link's loss dropped (fractional when a
-    #: retransmission burst is attributed across several lossy links).
-    drops: float = 0.0
 
 
 @dataclass(**DATACLASS_KW)
@@ -73,11 +68,6 @@ class Link:
         self._decay_to(now)
         effective_duration = max(duration, 1e-6)
         self.state.offered_rate += nbytes / effective_duration
-        self.state.tx_bytes += nbytes
-
-    def record_drops(self, n: float) -> None:
-        """Account ``n`` packets dropped by this link's loss process."""
-        self.state.drops += n
 
     def _decay_to(self, now: float) -> None:
         dt = now - self.state.updated_at
@@ -91,17 +81,6 @@ class Link:
         if self.bandwidth <= 0:
             return 0.95
         return min(0.95, self.state.offered_rate / self.bandwidth)
-
-    def queue_depth(self, now: float) -> float:
-        """M/M/1 mean queue occupancy rho/(1-rho) at the current load.
-
-        The same utilization estimate that inflates
-        :meth:`effective_latency`, read out as a depth so telemetry can
-        plot table pressure and congestion on the same axes the paper's
-        Figure 9 experiments perturb.
-        """
-        rho = self.utilization(now)
-        return rho / (1.0 - rho)
 
     def effective_latency(self, now: float) -> float:
         """Propagation delay inflated by M/M/1-style queueing.

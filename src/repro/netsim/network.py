@@ -41,9 +41,7 @@ from repro._compat import DATACLASS_KW
 from repro.netsim.engine import Simulator
 from repro.netsim.topology import Topology
 from repro.obs.metrics import NOOP_REGISTRY, MetricsRegistry
-from repro.obs.telemetry import NOOP_TELEMETRY, TelemetryPlane
-from repro.netsim.links import Link
-from repro.netsim.transport import TransportModel, TransportOutcome
+from repro.netsim.transport import TransportModel
 from repro.openflow.controller import Controller, ControllerConfig
 from repro.openflow.log import ControllerLog
 from repro.openflow.match import FlowKey, Match
@@ -132,20 +130,16 @@ class Network:
         sim: Optional[Simulator] = None,
         config: Optional[NetworkConfig] = None,
         metrics: MetricsRegistry = NOOP_REGISTRY,
-        telemetry: TelemetryPlane = NOOP_TELEMETRY,
+        telemetry: object = None,  # Unread; bench/ (frozen) passes it.
     ) -> None:
         self.topology = topology
         self.metrics = metrics
-        self.telemetry = telemetry
-        #: Per-link telemetry instrument bundles, keyed by ``id(link)``
-        #: (safe: the topology owns its Link objects for our lifetime).
-        self._link_probes: Dict[int, tuple] = {}
         self.sim = sim or Simulator(metrics=metrics)
         self.config = config or NetworkConfig()
         self.rng = random.Random(self.config.seed)
         self.transport = TransportModel()
         self.switches: Dict[str, OpenFlowSwitch] = {
-            name: OpenFlowSwitch(name, metrics=metrics, telemetry=telemetry)
+            name: OpenFlowSwitch(name, metrics=metrics)
             for name in topology.switches()
         }
         n_controllers = max(1, self.config.n_controllers)
@@ -155,7 +149,6 @@ class Network:
                 config=self.config.controller,
                 rng=random.Random(self.config.seed + 1 + i),
                 metrics=metrics,
-                telemetry=telemetry,
                 name=f"c{i}",
             )
             for i in range(n_controllers)
@@ -440,8 +433,6 @@ class Network:
         completed = head_arrived + duration + outcome.extra_delay
         for lk in links:
             lk.record_traffic(head_arrived, outcome.observed_bytes, duration)
-        if self.telemetry.enabled:
-            self._sample_links(links, head_arrived, outcome)
 
         body_bytes = max(0, outcome.observed_bytes - self.transport.mss)
         body_packets = max(0, self.transport.packets_for(request.size_bytes) - 1)
@@ -459,45 +450,6 @@ class Network:
             observed_bytes=outcome.observed_bytes,
         )
         self.sim.schedule_at(completed, lambda: on_done(result))
-
-    def _sample_links(
-        self, links: List[Link], at: float, outcome: TransportOutcome
-    ) -> None:
-        """Record per-link telemetry for one delivered flow body.
-
-        Retransmitted packets are charged to the lossy links in proportion
-        to their loss rates — the per-link drop attribution 007-style
-        localization votes over. Drops are sampled even when zero so drift
-        rules see the quiet baseline, not only fault windows.
-        """
-        probes = self._link_probes
-        retrans = outcome.retransmissions
-        total_loss = sum(lk.loss_rate for lk in links) if retrans else 0.0
-        nbytes = float(outcome.observed_bytes)
-        for lk in links:
-            # Instrument bundles are cached per Link object (links live as
-            # long as the topology) so the hot path pays no dict-of-tuples
-            # lookup or edge-string join per sample.
-            probe = probes.get(id(lk))
-            if probe is None:
-                edge = "--".join(lk.key())
-                telemetry = self.telemetry
-                probe = probes[id(lk)] = (
-                    telemetry.series("link", edge, "utilization"),
-                    telemetry.series("link", edge, "queue_depth"),
-                    telemetry.series("link", edge, "tx_bytes", counter=True),
-                    telemetry.series("link", edge, "drops", counter=True),
-                )
-            t_util, t_queue, t_tx, t_drops = probe
-            util = lk.utilization(at)
-            t_util.record(at, util)
-            t_queue.record(at, util / (1.0 - util))
-            t_tx.record(at, nbytes)
-            share = 0.0
-            if retrans and total_loss > 0 and lk.loss_rate > 0:
-                share = retrans * (lk.loss_rate / total_loss)
-                lk.record_drops(share)
-            t_drops.record(at, share)
 
     def _schedule_body_accounting(
         self,

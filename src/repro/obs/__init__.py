@@ -22,15 +22,12 @@ costs nothing measurable:
 * :mod:`repro.obs.alerts` — streaming alert rules (threshold, EWMA drift,
   consecutive unhealthy windows, problem class) and the deduping
   :class:`AlertEngine` behind ``repro monitor``.
-* :mod:`repro.obs.telemetry` — the data-plane telemetry plane: bounded
-  per-component time series (link utilization/drops, table occupancy,
-  controller latency, RPC latency) with ring-buffered window rollups;
-  :data:`NOOP_TELEMETRY` is the do-nothing default.
-* :mod:`repro.obs.heatmap` — self-contained HTML topology heatmaps of a
-  telemetry plane (links by utilization/drops, switches by table
-  pressure).
 * :mod:`repro.obs.httpd` — the read-only ops HTTP endpoint
-  (``/healthz``, ``/metrics``, ``/telemetry``, ``/alerts``).
+  (``/healthz``, ``/metrics``, ``/alerts``).
+
+Every surface here reads the controller log or the reproduction's own
+instruments; nothing samples the simulated data plane, which no real
+capture carries.
 
 Typical instrumented run::
 
@@ -44,5 +41,5 @@ Typical instrumented run::
     fd = FlowDiff(config, metrics=metrics, tracer=tracer)
     report = fd.diff(fd.model(l1), fd.model(l2))
     print(render_phase_table(tracer))
-    write_jsonl("telemetry.jsonl", metrics, tracer)
+    write_jsonl("metrics.jsonl", metrics, tracer)
 """

@@ -45,7 +45,6 @@ from typing import (
 )
 
 from repro.obs.metrics import NOOP_REGISTRY, Counter, Gauge, MetricsRegistry
-from repro.obs.telemetry import TelemetryPlane
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (monitor imports obs)
     from repro.core.monitor import WindowReport
@@ -99,7 +98,7 @@ def metric_matches(watched: str, sample_name: str) -> bool:
 
     Exact match, or — when ``watched`` carries no label set of its own —
     any labeled variant ``watched{k=v,...}``. This is what lets one rule
-    watch a whole telemetry family (every link's utilization) while a
+    watch a whole labeled family (every switch's table misses) while a
     labeled rule pins a single component.
     """
     return sample_name == watched or (
@@ -155,9 +154,9 @@ class ThresholdRule(AlertRule):
     Args:
         metric: metric name to watch (as fed to the engine). A bare name
             also matches every labeled variant of itself — the engine
-            feeds registry and telemetry samples as ``name{k=v,...}``, so
-            ``telemetry_link_utilization`` watches *all* links while
-            ``telemetry_link_utilization{component=a--b}`` pins one.
+            feeds registry samples as ``name{k=v,...}``, so
+            ``flowtable_misses_total`` watches *all* switches while
+            ``flowtable_misses_total{dpid=ofs1}`` pins one.
         threshold: the bound.
         op: ``">"``, ``">="``, ``"<"``, or ``"<="``.
     """
@@ -206,8 +205,8 @@ class EwmaDriftRule(AlertRule):
     """Fire when a metric drifts ``k`` sigmas from its EWMA.
 
     Maintains an exponentially weighted mean and variance per metric
-    sample stream — each labeled variant (``name{component=...}``) gets
-    its own independent baseline, so one rule can watch a telemetry
+    sample stream — each labeled variant (``name{dpid=...}``) gets
+    its own independent baseline, so one rule can watch a labeled
     family without cross-contaminating per-component statistics. After
     ``warmup`` samples, a value further than ``k * sqrt(var)`` (and at
     least ``min_delta``) from the stream's mean alerts. The tripping
@@ -359,52 +358,6 @@ def default_rules(
     ]
 
 
-def telemetry_rules(
-    utilization_threshold: float = 0.9,
-    reply_latency_threshold: float = 0.25,
-    cooldown: float = 0.0,
-) -> List[AlertRule]:
-    """The stock data-plane rule set layered over telemetry windows.
-
-    A hot-link threshold (any link whose in-window peak utilization
-    crosses ``utilization_threshold``), per-link drop-rate drift (the
-    Figure 9 ``tc`` loss fault seen from the data plane), RPC-latency
-    drift per application, and a controller reply-latency ceiling.
-    """
-    return [
-        ThresholdRule(
-            "telemetry_link_utilization_max",
-            utilization_threshold,
-            severity=Severity.WARNING,
-            cooldown=cooldown,
-            name="telemetry:hot-link",
-        ),
-        EwmaDriftRule(
-            "telemetry_link_drops",
-            warmup=2,
-            min_delta=0.5,
-            severity=Severity.WARNING,
-            cooldown=cooldown,
-            name="telemetry:drop-drift",
-        ),
-        EwmaDriftRule(
-            "telemetry_app_rpc_latency",
-            warmup=3,
-            min_delta=0.01,
-            severity=Severity.WARNING,
-            cooldown=cooldown,
-            name="telemetry:rpc-latency-drift",
-        ),
-        ThresholdRule(
-            "telemetry_controller_reply_latency_max",
-            reply_latency_threshold,
-            severity=Severity.CRITICAL,
-            cooldown=cooldown,
-            name="telemetry:controller-slow",
-        ),
-    ]
-
-
 class AlertEngine:
     """Evaluate rules over window/metric streams with dedup and export.
 
@@ -427,12 +380,6 @@ class AlertEngine:
         self._m_last = metrics.gauge("alerts_last_fired_timestamp")
         self._m_by_rule: Dict[Tuple[str, str], Union[Counter, Gauge]] = {}
         self._last_fired: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], float] = {}
-        #: Per-telemetry-series cursor: end time of the last window fed,
-        #: so repeated :meth:`observe_telemetry` calls stream only new
-        #: windows (robust to ring eviction — evicted windows are simply
-        #: never seen, which keeps the engine O(new windows) per call).
-        self._telemetry_cursor: Dict[Tuple[str, str, str], float] = {}
-
     def add_rule(self, rule: AlertRule) -> None:
         self.rules.append(rule)
 
@@ -469,58 +416,6 @@ class AlertEngine:
             else:
                 fired.extend(self.observe_metric(f"{key}_count", float(metric.count), at))
                 fired.extend(self.observe_metric(f"{key}_mean", metric.mean, at))
-        return fired
-
-    def observe_telemetry(self, plane: TelemetryPlane) -> List[Alert]:
-        """Feed every newly closed telemetry window through the rules.
-
-        Each window becomes labeled samples at its end time, named like
-        registry streams so the same rule grammar applies:
-
-        * level series — ``name{component=c}`` (window mean) plus
-          ``name_p95{...}`` and ``name_max{...}``;
-        * counter series — ``name{component=c}`` (window sum) plus
-          ``name_rate{...}`` (sum over window length).
-
-        Call it repeatedly on a live plane: a per-series cursor ensures
-        each window is fed exactly once.
-        """
-        fired: List[Alert] = []
-        for series in plane:
-            key = (series.kind, series.component, series.metric)
-            cursor = self._telemetry_cursor.get(key, float("-inf"))
-            stream = f"{series.name}{{component={series.component}}}"
-            for window in series.closed_windows():
-                if window.t_end <= cursor:
-                    continue
-                cursor = window.t_end
-                at = window.t_end
-                if series.counter:
-                    fired.extend(self.observe_metric(stream, window.total, at))
-                    fired.extend(
-                        self.observe_metric(
-                            f"{series.name}_rate{{component={series.component}}}",
-                            window.rate(),
-                            at,
-                        )
-                    )
-                else:
-                    fired.extend(self.observe_metric(stream, window.mean, at))
-                    fired.extend(
-                        self.observe_metric(
-                            f"{series.name}_p95{{component={series.component}}}",
-                            window.p95,
-                            at,
-                        )
-                    )
-                    fired.extend(
-                        self.observe_metric(
-                            f"{series.name}_max{{component={series.component}}}",
-                            window.vmax,
-                            at,
-                        )
-                    )
-            self._telemetry_cursor[key] = cursor
         return fired
 
     # -- dedup / bookkeeping --------------------------------------------

@@ -1,11 +1,10 @@
-"""Telemetry export: JSONL event streams and Prometheus text format.
+"""Metrics export: JSONL event streams and Prometheus text format.
 
 Two render targets, one registry:
 
 * **JSONL** — one self-describing JSON object per line per instrument
   (plus one per trace span), append-friendly and trivially diffable; this
-  is what ``--metrics-out`` writes and what the benchmark trajectory
-  (``BENCH_*.json``) is built from.
+  is what ``--metrics-out`` writes.
 * **Prometheus text exposition format** — so a scrape endpoint (or a
   ``textfile`` collector drop) can serve the same registry unchanged.
   Histograms are rendered cumulatively with the conventional
@@ -15,23 +14,11 @@ Two render targets, one registry:
 from __future__ import annotations
 
 import json
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    TextIO,
-    Union,
-)
+from typing import Any, Dict, Iterator, List, Optional, TextIO, Union
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.names import escape_label_value, validate_metric_name
 from repro.obs.tracing import Tracer
-
-if TYPE_CHECKING:  # pragma: no cover - avoid an import cycle at runtime
-    from repro.obs.telemetry import TelemetryPlane
 
 
 def iter_metric_events(registry: MetricsRegistry) -> Iterator[Dict[str, Any]]:
@@ -89,7 +76,6 @@ def write_jsonl(
     registry: MetricsRegistry,
     tracer: Optional[Tracer] = None,
     extra: Optional[Dict[str, Any]] = None,
-    telemetry: Optional["TelemetryPlane"] = None,
 ) -> int:
     """Write the registry (and optionally a trace) as JSON lines.
 
@@ -98,9 +84,6 @@ def write_jsonl(
         registry: the metrics to dump.
         tracer: when given, span events follow the metric events.
         extra: when given, an initial ``{"type": "meta", ...}`` line.
-        telemetry: when given, one ``telemetry_series`` event per series
-            follows (windows included); recover them with
-            :func:`~repro.obs.telemetry.plane_from_events`.
 
     Returns:
         The number of lines written.
@@ -111,10 +94,6 @@ def write_jsonl(
     events.extend(iter_metric_events(registry))
     if tracer is not None:
         events.extend(iter_span_events(tracer))
-    if telemetry is not None:
-        from repro.obs.telemetry import iter_telemetry_events
-
-        events.extend(iter_telemetry_events(telemetry))
 
     if isinstance(destination, str):
         with open(destination, "w", encoding="utf-8") as fh:
@@ -127,7 +106,7 @@ def write_jsonl(
 
 
 def read_jsonl(source: Union[str, TextIO]) -> List[Dict[str, Any]]:
-    """Parse a JSONL telemetry stream back into event dicts.
+    """Parse a JSONL metrics stream back into event dicts.
 
     The complement of :func:`write_jsonl`, used by tests and by tooling
     that post-processes ``--metrics-out`` files. Blank lines are skipped.
@@ -145,7 +124,7 @@ def read_jsonl(source: Union[str, TextIO]) -> List[Dict[str, Any]]:
         try:
             events.append(json.loads(line))
         except json.JSONDecodeError as exc:
-            raise ValueError(f"bad telemetry JSON on line {lineno}: {exc}") from exc
+            raise ValueError(f"bad metrics JSON on line {lineno}: {exc}") from exc
     return events
 
 

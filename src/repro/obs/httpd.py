@@ -2,12 +2,11 @@
 
 The first concrete step toward the roadmap's always-on streaming service:
 a tiny operational endpoint an operator (or a scrape loop) can point a
-browser at while an experiment runs. Four routes, all read-only:
+browser at while an experiment runs. Three routes, all read-only:
 
-* ``/healthz``    — liveness plus a one-look summary (series, alerts);
-* ``/metrics``    — Prometheus text exposition of the metrics registry
-  and the telemetry plane, through the normal export grammar;
-* ``/telemetry``  — the plane's series with their windows, as JSON;
+* ``/healthz``    — liveness plus a one-look summary (alerts);
+* ``/metrics``    — Prometheus text exposition of the metrics registry,
+  through the normal export grammar;
 * ``/alerts``     — every fired alert, as JSON.
 
 ``GET`` and ``HEAD`` are both served — ``HEAD`` returns the same status
@@ -34,12 +33,6 @@ from urllib.parse import parse_qs, urlsplit
 from repro.obs.alerts import AlertEngine
 from repro.obs.export import render_prometheus
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import (
-    NOOP_TELEMETRY,
-    TelemetryPlane,
-    iter_telemetry_events,
-    telemetry_registry,
-)
 
 logger = logging.getLogger(__name__)
 
@@ -47,22 +40,19 @@ Query = Dict[str, List[str]]
 
 
 class ObsState:
-    """What the endpoint exposes: registry, telemetry plane and alert
-    engine.
+    """What the endpoint exposes: a metrics registry and an alert engine.
 
     A thin aggregate so the server reads one object; every field is
-    optional and read at request time, so a live simulation's plane keeps
-    streaming into the same pages an operator is refreshing.
+    optional and read at request time, so a live run keeps streaming into
+    the same pages an operator is refreshing.
     """
 
     def __init__(
         self,
         registry: Optional[MetricsRegistry] = None,
-        telemetry: TelemetryPlane = NOOP_TELEMETRY,
         engine: Optional[AlertEngine] = None,
     ) -> None:
         self.registry = registry
-        self.telemetry = telemetry
         self.engine = engine
         #: Every JSON page: path → callable taking the parsed query and
         #: returning ``(status, json_payload)``. Subsystems (the
@@ -72,13 +62,10 @@ class ObsState:
         #: graph reads as an HTTP-thread entrypoint.
         self.routes: Dict[str, Callable[[Query], Tuple[int, Any]]] = {}
         self.routes["/healthz"] = self._route_health
-        self.routes["/telemetry"] = self._route_telemetry
         self.routes["/alerts"] = self._route_alerts
 
     def health(self) -> Dict[str, Any]:
         payload: Dict[str, Any] = {"status": "ok"}
-        if self.telemetry is not NOOP_TELEMETRY:
-            payload["telemetry"] = self.telemetry.summary()
         if self.engine is not None:
             payload["alerts"] = len(self.engine.alerts)
             worst = self.engine.worst_severity()
@@ -86,15 +73,8 @@ class ObsState:
         return payload
 
     def prometheus(self) -> str:
-        chunks: List[str] = []
-        if self.registry is not None:
-            chunks.append(render_prometheus(self.registry))
-        if self.telemetry is not NOOP_TELEMETRY:
-            chunks.append(render_prometheus(telemetry_registry(self.telemetry)))
-        return "\n".join(c for c in chunks if c) or "\n"
-
-    def telemetry_json(self) -> List[Dict[str, Any]]:
-        return list(iter_telemetry_events(self.telemetry))
+        text = render_prometheus(self.registry) if self.registry is not None else ""
+        return text or "\n"
 
     def alerts_json(self) -> List[Dict[str, Any]]:
         if self.engine is None:
@@ -105,9 +85,6 @@ class ObsState:
 
     def _route_health(self, query: Query) -> Tuple[int, Any]:
         return 200, self.health()
-
-    def _route_telemetry(self, query: Query) -> Tuple[int, Any]:
-        return 200, self.telemetry_json()
 
     def _route_alerts(self, query: Query) -> Tuple[int, Any]:
         return 200, self.alerts_json()
@@ -186,7 +163,7 @@ class ObsHTTPServer:
 
     Usage::
 
-        server = ObsHTTPServer(ObsState(registry, plane, engine))
+        server = ObsHTTPServer(ObsState(registry, engine))
         host, port = server.start()
         ... # GET http://host:port/healthz
         server.stop()

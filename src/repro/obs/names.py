@@ -25,21 +25,13 @@ from typing import FrozenSet
 METRIC_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
-#: The data-plane telemetry family: ``telemetry_<kind>_<metric>``, where
-#: ``<kind>`` is a component family of :mod:`repro.obs.telemetry`. The
-#: family is open-ended by metric (each sampled quantity mints a name at
-#: runtime from its series key), so membership is grammatical rather than
-#: enumerated — :func:`is_known_metric` accepts the whole family.
-TELEMETRY_METRIC_RE = re.compile(
-    r"^telemetry_(link|switch|controller|app|host)_[a-z][a-z0-9_]*$"
-)
-
 #: The streaming-service family: ``service_*`` — ingest volume and rate,
 #: queue depth, drop accounting, tenant population, window/merge
 #: outcomes, report latency, checkpoint age (:mod:`repro.service`).
-#: Grammatical like the telemetry family: the daemon mints per-tenant
-#: instruments (the tenant rides in a label, never in the name) without
-#: a manifest edit per instrument.
+#: Membership is grammatical rather than enumerated —
+#: :func:`is_known_metric` accepts the whole family: the daemon mints
+#: per-tenant instruments (the tenant rides in a label, never in the
+#: name) without a manifest edit per instrument.
 SERVICE_METRIC_RE = re.compile(r"^service_[a-z][a-z0-9_]*$")
 
 #: Every metric the reproduction emits, by subsystem. The ``metric-names``
@@ -84,9 +76,6 @@ KNOWN_METRICS: FrozenSet[str] = frozenset(
 
 #: Label keys the manifest blesses. Kept small on purpose: a label is a
 #: cardinality commitment, so new keys are added here deliberately.
-#: ``component`` and ``stat`` belong to the telemetry family: the sampled
-#: component's identity (dpid, ``a--b`` edge, app name) and which window
-#: statistic a gauge carries (``last``/``mean``/``p95``/``min``/``max``).
 #: ``tenant`` belongs to the service family: one monitored environment of
 #: the streaming daemon (cardinality = the handful of environments one
 #: process watches, fixed at startup).
@@ -98,8 +87,6 @@ KNOWN_LABELS: FrozenSet[str] = frozenset(
         "reason",
         "rule",
         "severity",
-        "component",
-        "stat",
         "tenant",
     }
 )
@@ -112,12 +99,8 @@ def is_valid_metric_name(name: str) -> bool:
 
 def is_known_metric(name: str) -> bool:
     """Whether ``name`` is declared: listed in the manifest, or a member
-    of a grammatical family (``telemetry_*``, ``service_*``)."""
-    return (
-        name in KNOWN_METRICS
-        or bool(TELEMETRY_METRIC_RE.match(name))
-        or bool(SERVICE_METRIC_RE.match(name))
-    )
+    of the grammatical ``service_*`` family."""
+    return name in KNOWN_METRICS or bool(SERVICE_METRIC_RE.match(name))
 
 
 def is_valid_label_name(name: str) -> bool:

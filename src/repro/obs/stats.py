@@ -4,7 +4,7 @@ Backs the ``repro stats`` subcommand: a fast first look at a capture
 (what's in it, how hot is the control channel, who generates the load)
 without paying for a full model/diff. Also provides
 :func:`record_log_metrics`, which folds a log's message counts into a
-:class:`~repro.obs.metrics.MetricsRegistry` so exported telemetry can be
+:class:`~repro.obs.metrics.MetricsRegistry` so exported metrics can be
 reconciled against the capture it came from.
 """
 
@@ -147,8 +147,8 @@ def record_log_metrics(
     message kind, including zeros, so consumers can rely on presence) and
     a ``log_span_seconds{role=...}`` gauge. The counters reconcile exactly
     with the log: ``log_messages_total{kind="packet_in"}`` equals
-    ``len(log.packet_ins())`` by construction, which the telemetry tests
-    assert end to end.
+    ``len(log.packet_ins())`` by construction, which the ``repro simulate
+    --metrics-out`` tests assert end to end.
     """
     summary = summarize_log(log, top=0)
     for kind, count in summary.by_kind.items():

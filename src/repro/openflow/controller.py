@@ -27,7 +27,6 @@ import random
 
 from repro._compat import DATACLASS_KW
 from repro.obs.metrics import NOOP_REGISTRY, MetricsRegistry
-from repro.obs.telemetry import NOOP_TELEMETRY, TelemetryPlane
 from repro.openflow.log import ControllerLog
 from repro.openflow.match import FlowKey, Match
 from repro.openflow.messages import FlowMod, PacketIn, PacketOut
@@ -96,7 +95,6 @@ class Controller:
         config: Optional[ControllerConfig] = None,
         rng: Optional[random.Random] = None,
         metrics: MetricsRegistry = NOOP_REGISTRY,
-        telemetry: TelemetryPlane = NOOP_TELEMETRY,
         name: str = "c0",
     ) -> None:
         self.route_fn = route_fn
@@ -120,12 +118,6 @@ class Controller:
         self._m_dead = metrics.counter("controller_dead_misses_total")
         self._m_response = metrics.histogram("controller_response_seconds")
         self._m_load = metrics.gauge("controller_load_factor")
-        # Telemetry: PacketIn arrivals as a windowed rate, reply latency as
-        # a level series (null objects under NOOP_TELEMETRY).
-        self._t_packet_in = telemetry.series(
-            "controller", name, "packet_in", counter=True
-        )
-        self._t_reply_latency = telemetry.series("controller", name, "reply_latency")
 
     # ------------------------------------------------------------------
     # Response-time model
@@ -181,8 +173,6 @@ class Controller:
         done = start + self.response_time(arrived_at)
         self._busy_until = done
         self._m_response.observe(done - arrived_at)
-        self._t_packet_in.record(arrived_at, 1.0)
-        self._t_reply_latency.record(done, done - arrived_at)
 
         out_port = self.route_fn(miss.dpid, miss.flow)
         if out_port is None:

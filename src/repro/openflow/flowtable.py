@@ -26,7 +26,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro._compat import DATACLASS_KW
 from repro.obs.metrics import NOOP_REGISTRY, MetricsRegistry
-from repro.obs.telemetry import NOOP_TELEMETRY, TelemetryPlane
 from repro.openflow.match import FlowKey, Match
 from repro.openflow.messages import FlowRemovedReason
 
@@ -138,7 +137,6 @@ class FlowTable:
         self,
         metrics: MetricsRegistry = NOOP_REGISTRY,
         dpid: str = "",
-        telemetry: TelemetryPlane = NOOP_TELEMETRY,
     ) -> None:
         #: install seq -> entry; dict insertion order == install order.
         self._order: Dict[int, FlowEntry] = {}
@@ -152,10 +150,6 @@ class FlowTable:
         self._m_installs = metrics.counter("flowtable_installs_total", **labels)
         self._m_expired = metrics.counter("flowtable_expired_total", **labels)
         self._m_occupancy = metrics.gauge("flowtable_entries", **labels)
-        # Held series (null objects under NOOP_TELEMETRY): per-switch table
-        # occupancy over time, and evictions as a windowed counter.
-        self._t_occupancy = telemetry.series("switch", dpid, "flowtable_occupancy")
-        self._t_evictions = telemetry.series("switch", dpid, "evictions", counter=True)
 
     def __len__(self) -> int:
         return len(self._order)
@@ -196,7 +190,6 @@ class FlowTable:
         heapq.heappush(self._heap, (entry.expiry_time(), seq, entry))
         self._m_installs.inc()
         self._m_occupancy.set(len(self._order))
-        self._t_occupancy.record(entry.created_at, float(len(self._order)))
 
     def delete(self, match: Match) -> List[FlowEntry]:
         """Remove and return all entries whose match equals ``match``."""
@@ -305,8 +298,6 @@ class FlowTable:
             expired.append((entry, reason))
         self._m_expired.inc(len(expired))
         self._m_occupancy.set(len(order))
-        self._t_evictions.record(now, float(len(expired)))
-        self._t_occupancy.record(now, float(len(order)))
         return expired
 
     def next_expiry(self) -> float:

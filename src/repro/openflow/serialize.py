@@ -54,6 +54,7 @@ Decode contract (:class:`CaptureDecoder`, which :func:`message_from_json`,
 from __future__ import annotations
 
 import json
+from operator import attrgetter
 from typing import IO, Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Type
 
 from repro.openflow.log import ControllerLog
@@ -533,7 +534,10 @@ def _decode_lines(lines: Iterable[str]) -> ControllerLog:
             raise ValueError(f"line {line_no}: {exc}") from exc
         if message is not None:
             messages.append(message)
-    return ControllerLog(messages)
+    # Sorted in place, stably: file order among equal timestamps, and no
+    # second list of the whole capture.
+    messages.sort(key=attrgetter("timestamp"))
+    return ControllerLog._from_sorted(messages)
 
 
 def _utf8_lines(fh: IO[bytes]) -> Iterator[str]:

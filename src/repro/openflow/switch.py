@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro._compat import DATACLASS_KW
 from repro.obs.metrics import NOOP_REGISTRY, MetricsRegistry
-from repro.obs.telemetry import NOOP_TELEMETRY, TelemetryPlane
 from repro.openflow.flowtable import FlowEntry, FlowTable
 from repro.openflow.match import FlowKey, Match
 from repro.openflow.messages import FlowRemovedReason
@@ -55,12 +54,10 @@ class OpenFlowSwitch:
         self,
         dpid: str,
         metrics: MetricsRegistry = NOOP_REGISTRY,
-        telemetry: TelemetryPlane = NOOP_TELEMETRY,
     ) -> None:
         self.dpid = dpid
         self.metrics = metrics
-        self.telemetry = telemetry
-        self.table = FlowTable(metrics=metrics, dpid=dpid, telemetry=telemetry)
+        self.table = FlowTable(metrics=metrics, dpid=dpid)
         self.live = True
         #: Per-port cumulative byte counters, used by stats polling.
         self.port_bytes: Dict[int, int] = {}
@@ -135,9 +132,7 @@ class OpenFlowSwitch:
     def fail(self) -> None:
         """Take the switch down; its table contents are lost."""
         self.live = False
-        self.table = FlowTable(
-            metrics=self.metrics, dpid=self.dpid, telemetry=self.telemetry
-        )
+        self.table = FlowTable(metrics=self.metrics, dpid=self.dpid)
 
     def recover(self) -> None:
         """Bring the switch back with an empty table."""

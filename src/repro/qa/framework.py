@@ -11,7 +11,7 @@ code.
 Pragmas come in two forms, both requiring an inline justification after
 ``--`` (an unjustified pragma is itself a finding)::
 
-    x = time.time()  # flowlint: disable=sim-clock -- telemetry, not sim state
+    x = time.time()  # flowlint: disable=sim-clock -- metrics, not sim state
     # flowlint: disable-file=determinism -- fuzz harness, seeded upstream
 
 ``disable`` suppresses the named rules on its own line; ``disable-file``

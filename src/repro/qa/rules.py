@@ -78,7 +78,7 @@ class SimClockRule(Rule):
 
     Simulated components must take time from the engine clock
     (``sim.now``); a ``time.time()`` in packet handling would couple
-    model output to host load and break capture replay. Telemetry that
+    model output to host load and break capture replay. Instrumentation that
     genuinely measures host cost (e.g. callback duration histograms)
     carries a justified pragma instead.
     """
@@ -273,9 +273,8 @@ class MetricNamesRule(Rule):
     Every ``.counter(...)``/``.gauge(...)``/``.histogram(...)`` call site
     must use a string-literal name that passes the shared Prometheus
     validator (:mod:`repro.obs.names`) *and* be declared — listed in
-    :data:`~repro.obs.names.KNOWN_METRICS` or a member of a grammatical
-    family (``telemetry_*``, ``service_*``; see
-    :func:`~repro.obs.names.is_known_metric`);
+    :data:`~repro.obs.names.KNOWN_METRICS` or a member of the grammatical
+    ``service_*`` family (see :func:`~repro.obs.names.is_known_metric`);
     label keyword names must be valid and in
     :data:`~repro.obs.names.KNOWN_LABELS`. Dynamic names are allowed only
     inside ``repro.obs`` itself (the JSONL round-trip rebuilds instruments
@@ -329,8 +328,7 @@ class MetricNamesRule(Rule):
                     message=(
                         f"metric {name!r} is not declared in the manifest "
                         f"(add it to KNOWN_METRICS in repro/obs/names.py, "
-                        f"or follow a declared family grammar: telemetry_*, "
-                        f"service_*)"
+                        f"or follow the declared family grammar: service_*)"
                     ),
                 )
             for kw in call.keywords:

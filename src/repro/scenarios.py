@@ -26,7 +26,6 @@ from repro.faults.base import Fault
 from repro.netsim.network import Network, NetworkConfig
 from repro.netsim.topology import lab_testbed, paper_tree
 from repro.obs.metrics import NOOP_REGISTRY, MetricsRegistry
-from repro.obs.telemetry import NOOP_TELEMETRY, TelemetryPlane
 from repro.openflow.log import ControllerLog
 from repro.workload.arrivals import PoissonProcess
 from repro.workload.traffic import RandomThreeTierWorkload
@@ -191,7 +190,6 @@ def three_tier_lab(
     network_config: Optional[NetworkConfig] = None,
     response_sizes: Tuple[int, int, int] = (16000, 8000, 6000),
     metrics: MetricsRegistry = NOOP_REGISTRY,
-    telemetry: TelemetryPlane = NOOP_TELEMETRY,
 ) -> LabScenario:
     """Build the lab testbed with the given application plans.
 
@@ -207,8 +205,6 @@ def three_tier_lab(
         response_sizes: per-tier response sizes (web, app, db).
         metrics: observability registry threaded into the simulator,
             switches, and controller (defaults to the no-op registry).
-        telemetry: data-plane telemetry plane threaded into the network,
-            switches, controller, and apps (defaults to the no-op plane).
     """
     if not plans:
         plans = (
@@ -223,7 +219,7 @@ def three_tier_lab(
     if with_services:
         services = ServiceDirectory.standard()
         services.register_into(topo, attach_to="ofs1")
-    network = Network(topo, config=network_config, metrics=metrics, telemetry=telemetry)
+    network = Network(topo, config=network_config, metrics=metrics)
     farm = ServerFarm()
     scenario = LabScenario(network=network, farm=farm, services=services)
 
@@ -287,7 +283,6 @@ def scalability_sim(
     racks: int = 16,
     servers_per_rack: int = 20,
     metrics: MetricsRegistry = NOOP_REGISTRY,
-    telemetry: TelemetryPlane = NOOP_TELEMETRY,
 ) -> Tuple[Network, RandomThreeTierWorkload]:
     """The Section V-C setup: the 320-server tree plus N random apps.
 
@@ -299,7 +294,6 @@ def scalability_sim(
         topo,
         config=NetworkConfig(seed=seed, ecmp=True),
         metrics=metrics,
-        telemetry=telemetry,
     )
     workload = RandomThreeTierWorkload(
         network, n_apps=n_apps, seed=seed, reuse_prob=reuse_prob

@@ -12,6 +12,7 @@ from repro.analysis.stats import (
     mean_std,
     partial_correlation,
     pearson,
+    percentile_index,
 )
 
 
@@ -267,3 +268,13 @@ class TestEmpiricalCDF:
         a = EmpiricalCDF.from_values(values)
         b = EmpiricalCDF.from_values([v + 1 for v in values])
         assert a.ks_distance(b) == pytest.approx(b.ks_distance(a))
+
+
+def test_percentile_index_matches_inverted_cdf():
+    import numpy
+
+    rng = numpy.random.default_rng(3)
+    for n in (1, 2, 5, 19, 20, 21, 100):
+        values = sorted(rng.normal(size=n).tolist())
+        expected = float(numpy.percentile(values, 95, method="inverted_cdf"))
+        assert values[percentile_index(n, 0.95)] == pytest.approx(expected)

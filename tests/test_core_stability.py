@@ -103,28 +103,31 @@ class TestAssessStability:
         """``src/`` imports nothing third-party: with numpy, networkx and
         scipy poisoned before ``import repro``, the lab capture still
         models (with stability) and diffs clean against itself, and
-        ``repro telemetry --html`` draws its heatmap."""
-        page = tmp_path / "heatmap.html"
+        ``repro diff --html`` writes its report page."""
+        capture = tmp_path / "capture.jsonl"
+        page = tmp_path / "report.html"
         code = (
             "import sys\n"
             "for name in ('numpy', 'networkx', 'scipy'):\n"
             "    sys.modules[name] = None\n"
             "import repro\n"
+            "from repro.openflow.serialize import save_log\n"
             "from repro.scenarios import three_tier_lab\n"
             "log = three_tier_lab(seed=3).run(0.5, 20.0)\n"
             "fd = repro.FlowDiff()\n"
             "model = fd.model(log)\n"
             "assert model.stability\n"
             "assert not fd.diff(model, fd.model(log)).unknown_changes\n"
+            f"save_log(log, {str(capture)!r})\n"
             "from repro.cli import main\n"
-            f"assert main(['telemetry', '--duration', '5', '--html', {str(page)!r}]) == 0\n"
+            f"assert main(['diff', {str(capture)!r}, {str(capture)!r}, '--html', {str(page)!r}]) == 0\n"
         )
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
         subprocess.run(
             [sys.executable, "-c", code], check=True, env=env, capture_output=True
         )
-        assert "<svg" in page.read_text(encoding="utf-8")
+        assert "Dependency matrix" in page.read_text(encoding="utf-8")
 
 
 def reference_verdicts(monkeypatch, log, window=None):

@@ -24,6 +24,19 @@ def send_and_run(net, key, size=5000, duration=0.02, until=30.0):
     return results[0]
 
 
+def test_a_telemetry_plane_is_accepted_and_unread():
+    """``bench/`` still hands the network a plane; it changes nothing."""
+    from repro.obs.telemetry import NOOP_TELEMETRY, TelemetryPlane
+
+    logs = []
+    for telemetry in (None, NOOP_TELEMETRY, TelemetryPlane()):
+        net = Network(linear_topology(3, 2), telemetry=telemetry)
+        send_and_run(net, FlowKey("h1", "h5", 40000, 80))
+        logs.append([repr(m) for m in net.log])
+        assert not hasattr(net, "telemetry")
+    assert logs[0] and logs[0] == logs[1] == logs[2]
+
+
 class TestForwarding:
     def test_flow_crosses_every_switch(self):
         net = make_network()

@@ -1,9 +1,13 @@
 """Tests for the observability subsystem (``repro.obs``)."""
 
 import io
+import json
+import urllib.error
+import urllib.request
 
 import pytest
 
+from repro.obs.alerts import AlertEngine, ThresholdRule
 from repro.obs.export import (
     iter_metric_events,
     iter_span_events,
@@ -19,6 +23,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NoopRegistry,
 )
+from repro.obs.httpd import ObsHTTPServer, ObsState
 from repro.obs.profile import phase_rows, render_phase_table
 from repro.obs.stats import record_log_metrics, render_summary, summarize_log
 from repro.obs.tracing import NOOP_TRACER, Tracer
@@ -361,3 +366,102 @@ class TestMonitorInstrumentation:
         assert reg.value("monitor_last_window_healthy") in (0.0, 1.0)
         assert reg.value("monitor_healthy_streak") == mon.healthy_streak()
         assert reg.value("flowdiff_diffs_total") == windows
+
+
+def test_http_endpoint_serves_health_and_metrics():
+    registry = MetricsRegistry()
+    registry.counter("log_messages_total", kind="packet_in", role="capture").inc(7)
+    engine = AlertEngine(
+        [ThresholdRule("log_messages_total", 5.0, name="busy")], metrics=registry
+    )
+    engine.observe_registry(registry, at=1.0)
+    assert engine.alerts
+    with ObsHTTPServer(ObsState(registry, engine)) as server:
+        with urllib.request.urlopen(server.url("/healthz")) as resp:
+            assert resp.status == 200
+            health = json.loads(resp.read())
+        assert health == {
+            "status": "ok",
+            "alerts": len(engine.alerts),
+            "worst_severity": "warning",
+        }
+
+        with urllib.request.urlopen(server.url("/metrics")) as resp:
+            assert resp.status == 200
+            assert resp.headers["Content-Type"].startswith("text/plain")
+            body = resp.read().decode("utf-8")
+        assert 'log_messages_total{kind="packet_in",role="capture"} 7' in body
+        assert 'alerts_total{rule="busy",severity="warning"} 1' in body
+        for line in body.splitlines():
+            if line and not line.startswith("#"):
+                name_labels, value = line.rsplit(" ", 1)
+                float(value)  # every sample line ends in a number
+
+        with urllib.request.urlopen(server.url("/alerts")) as resp:
+            assert len(json.loads(resp.read())) == len(engine.alerts)
+
+        request = urllib.request.Request(
+            server.url("/metrics"), data=b"x", method="POST"
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request)
+        assert excinfo.value.code == 405
+        assert excinfo.value.headers["Allow"] == "GET, HEAD"
+
+        for gone in ("/nope", "/telemetry"):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(server.url(gone))
+            assert excinfo.value.code == 404
+
+
+class TestEndpointProtocol:
+    """``HEAD``/``405``/``404``/``500`` behaviour of the ops endpoint that
+    does not depend on any one page."""
+
+    @pytest.fixture(scope="class")
+    def srv(self):
+        with ObsHTTPServer(ObsState(MetricsRegistry(), AlertEngine())) as srv:
+            yield srv
+
+    def test_raising_route_is_a_500_not_a_reset(self, caplog):
+        def boom(query):
+            raise RuntimeError("page broke")
+
+        state = ObsState()
+        state.routes["/boom"] = boom
+        with ObsHTTPServer(state) as srv:
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(srv.url("/boom"))
+            assert err.value.code == 500
+            assert "page broke" in json.loads(err.value.read())["error"]
+            # The endpoint outlives the broken page.
+            health = urllib.request.urlopen(srv.url("/healthz")).read()
+            assert json.loads(health)["status"] == "ok"
+        assert "page broke" in caplog.text  # traceback logged, not lost
+
+    def test_head_matches_get(self, srv):
+        for path in ("/healthz", "/metrics", "/alerts"):
+            body = urllib.request.urlopen(srv.url(path)).read()
+            head = urllib.request.urlopen(
+                urllib.request.Request(srv.url(path), method="HEAD")
+            )
+            assert int(head.headers["Content-Length"]) == len(body)
+            assert head.read() == b""
+
+    def test_head_unknown_is_404_no_body(self, srv):
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(
+                urllib.request.Request(srv.url("/nope"), method="HEAD")
+            )
+        assert err.value.code == 404
+        assert err.value.read() == b""
+
+    def test_post_refused_with_allow_header(self, srv):
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(
+                urllib.request.Request(
+                    srv.url("/alerts"), data=b"{}", method="POST"
+                )
+            )
+        assert err.value.code == 405
+        assert err.value.headers["Allow"] == "GET, HEAD"

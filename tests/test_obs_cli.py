@@ -1,6 +1,6 @@
 """CLI observability surface: ``repro stats``, ``--profile``, ``--metrics-out``.
 
-The reconciliation tests here are the acceptance gate for the telemetry
+The reconciliation tests here are the acceptance gate for the metrics
 export: counters written by ``--metrics-out`` must agree exactly with the
 message counts of the capture they describe.
 """

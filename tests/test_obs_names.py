@@ -76,7 +76,6 @@ class TestManifest:
     @pytest.mark.parametrize(
         "name",
         [
-            "telemetry_link_utilization",
             "service_ingest_messages_total",
             "service_queue_depth",
         ],
@@ -96,6 +95,7 @@ class TestManifest:
             "service_",
             "service_BadCase",
             "services_queue_depth",
+            "telemetry_link_utilization",
         ],
     )
     def test_family_grammar_is_strict(self, name):

@@ -341,9 +341,8 @@ class TestMetricNames:
         assert "KNOWN_LABELS" in finding.message
 
     def test_service_family_is_declared(self):
-        # ``service_*`` membership is grammatical, like the telemetry
-        # family: the streaming service mints tenant-labeled instruments
-        # freely.
+        # ``service_*`` membership is grammatical: the streaming service
+        # mints tenant-labeled instruments freely.
         mod = module(
             """\
             def instrument(metrics):

@@ -504,8 +504,7 @@ class TestCLI:
         code = (
             "import sys\n"
             "unwanted = ('networkx', 'numpy', 'scipy', 'http.server', 'repro.netsim',\n"
-            "            'repro.obs.heatmap', 'repro.obs.httpd', 'repro.obs.telemetry',\n"
-            "            'repro.openflow.controller')\n"
+            "            'repro.obs.httpd', 'repro.obs.telemetry', 'repro.openflow.controller')\n"
             "import repro\n"
             "assert not [m for m in unwanted if m in sys.modules], 'import repro'\n"
             "from repro.cli import main\n"
@@ -517,9 +516,41 @@ class TestCLI:
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         subprocess.run([sys.executable, "-c", code], check=True, env=env, capture_output=True)
 
+    def test_simulating_loads_no_telemetry(self, tmp_path):
+        """The simulator feeds only the controller log: a lab run and
+        ``repro simulate`` never import the telemetry stand-in."""
+        out = str(tmp_path / "l1.jsonl")
+        code = (
+            "import sys\n"
+            "unwanted = ('repro.obs.telemetry', 'repro.obs.heatmap')\n"
+            "from repro.scenarios import three_tier_lab\n"
+            "assert len(three_tier_lab(seed=3).run(0.5, 5.0))\n"
+            "assert not [m for m in unwanted if m in sys.modules], 'lab run'\n"
+            "from repro.cli import main\n"
+            f"assert main(['simulate', '--out', {out!r}, '--duration', '5']) == 0\n"
+            "assert not [m for m in unwanted if m in sys.modules], 'repro simulate'\n"
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        subprocess.run([sys.executable, "-c", code], check=True, env=env, capture_output=True)
+
     def test_unknown_fault_rejected(self, tmp_path):
         out = str(tmp_path / "x.jsonl")
         assert main(["simulate", "--out", out, "--fault", "gremlins"]) == 2
+
+    def test_linkloss_rejects_bad_target(self, tmp_path):
+        out = str(tmp_path / "x.jsonl")
+        with pytest.raises(SystemExit):
+            main(
+                ["simulate", "--out", out, "--duration", "1", "--fault", "linkloss", "--target", "S3"]
+            )
+
+    def test_telemetry_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["telemetry"])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'telemetry'" in capsys.readouterr().err
 
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):

@@ -241,3 +241,21 @@ def test_read_log_holds_no_whole_file_buffer(tmp_path):
         tracemalloc.stop()
     assert len(log) > 30_000
     assert peak - retained < 2 << 20
+
+
+def test_equal_stamps_keep_file_order_around_late_lines(tmp_path):
+    """A read sorts by timestamp and keeps file order among equal stamps,
+    as appending the lines one by one to a ``ControllerLog`` would."""
+    stamps = [2.0, 1.0, 2.0, 0.5, 1.0, 2.0]
+    text = "".join(
+        '{"type": "echo", "ts": %s, "dpid": "sw%d"}\n' % (ts, i)
+        for i, ts in enumerate(stamps)
+    )
+    path = str(tmp_path / "capture.jsonl")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    appended = ControllerLog()
+    appended.extend(CaptureDecoder().line(line) for line in text.splitlines())
+    for log in (read_log(path), load_log(io.StringIO(text)), appended):
+        assert [m.dpid for m in log] == ["sw3", "sw1", "sw4", "sw0", "sw2", "sw5"]
+        assert [m.dpid for m in log.window(1.0, 2.0)] == ["sw1", "sw4"]
