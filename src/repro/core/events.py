@@ -33,7 +33,7 @@ atoms). So each compares equal to a plain tuple of the same fields, and
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.occurrence import splits_occurrence
 from repro.openflow.log import ControllerLog
@@ -196,10 +196,6 @@ def join_flow_records(
 ) -> List[FlowRecord]:
     """Join already-extracted arrivals with time-ordered expiry reports.
 
-    The single joining implementation, shared by
-    :func:`extract_flow_records` and the interval views stability
-    assessment slices out of one extraction
-    (:func:`interval_flow_records_from_arrivals`).
     ``removed`` must be in log (time) order — consumption cursors rely
     on it. A report whose ``match`` is null has no flow identity and
     joins nothing.
@@ -274,102 +270,6 @@ def join_flow_records(
                 best_duration = fr.duration
         records.append(FlowRecord(arrival, best_bytes, best_packets, best_duration))
     return records
-
-
-def partition_log(
-    log: ControllerLog,
-    bounds: Sequence[Tuple[float, float]],
-) -> Tuple[Optional[List[List[FlowRemoved]]], Optional[str]]:
-    """Bucket a log's ``FlowRemoved`` messages by time interval, or decline.
-
-    Returns ``(removed_by_interval, None)`` on success and
-    ``(None, reason)`` when interval views cannot be sliced out of the
-    log's full-window arrivals without changing pairing semantics:
-    ``FlowMod`` replies lacking ``in_reply_to`` (the ordered fallback
-    consumption is stateful across the whole window) or duplicate reply
-    ids (the winning reply would depend on the slice). Messages before
-    the first upper bound land in interval 0 and messages at or after
-    the last lower bound land in the final interval, so ``bounds`` must
-    cover the log's full time span.
-    """
-    n = len(bounds)
-    reply_ids: set = set()
-    removed_by_interval: List[List[FlowRemoved]] = [[] for _ in range(n)]
-    uppers = [b for _, b in bounds]
-    idx = 0
-    for msg in log:
-        kind = type(msg)
-        if kind is FlowRemoved:
-            ts = msg.timestamp
-            while idx < n - 1 and ts >= uppers[idx]:
-                idx += 1
-            removed_by_interval[idx].append(msg)
-        elif kind is FlowMod:
-            reply_id = msg.in_reply_to
-            if reply_id is None:
-                return None, "flowmod_without_reply_id"
-            if reply_id in reply_ids:
-                return None, "duplicate_flowmod_reply_id"
-            reply_ids.add(reply_id)
-    return removed_by_interval, None
-
-
-def interval_flow_records_from_arrivals(
-    arrivals: Sequence[FlowArrival],
-    removed: Sequence[FlowRemoved],
-    a: float,
-    b: float,
-) -> List[FlowRecord]:
-    """The ``[a, b)`` interval view sliced out of full-window arrivals.
-
-    Mirrors what a ``log.window(a, b)`` rebuild would extract: only
-    reports with ``a <= ts < b`` exist, so runs are truncated at the
-    interval bounds and ``FlowMod`` pairings outside ``[a, b)`` are
-    dropped (the hop keeps its ``PacketIn`` but loses the reply, exactly
-    as if the controller had never answered inside the slice);
-    ``removed`` is filtered to the slice the same way. A full-window
-    run's hops are time-ordered, so the hops falling inside ``[a, b)``
-    are a contiguous slice, and the occurrence-gap splits between them
-    are the same ones per-interval grouping would make. Valid only when
-    every ``FlowMod`` pairing came via a unique ``in_reply_to`` (the
-    :func:`partition_log` precondition) — positional fallback pairing is
-    window-dependent and would diverge.
-
-    Arrivals wholly inside the interval are reused as-is, so the common
-    case allocates nothing per arrival.
-    """
-    out: List[FlowArrival] = []
-    for arrival in arrivals:
-        hops = arrival.hops
-        if a <= hops[0].packet_in_at and hops[-1].packet_in_at < b:
-            if all(
-                h.flow_mod_at is None or a <= h.flow_mod_at < b for h in hops
-            ):
-                out.append(arrival)
-                continue
-            ihops = list(hops)
-        else:
-            ihops = [h for h in hops if a <= h.packet_in_at < b]
-            if not ihops:
-                continue
-        out.append(
-            FlowArrival(
-                flow=arrival.flow,
-                time=ihops[0].packet_in_at,
-                hops=tuple(
-                    h
-                    if h.flow_mod_at is None or a <= h.flow_mod_at < b
-                    else HopReport(
-                        dpid=h.dpid,
-                        in_port=h.in_port,
-                        packet_in_at=h.packet_in_at,
-                    )
-                    for h in ihops
-                ),
-            )
-        )
-    out.sort(key=arrival_sort_key)
-    return join_flow_records(out, [r for r in removed if r.timestamp < b])
 
 
 def timed_flows(log: ControllerLog, dedup_window: float = 0.0) -> List[Tuple[float, FlowKey]]:

@@ -106,7 +106,6 @@ class FlowDiff:
         log: ControllerLog,
         window: Optional[Tuple[float, float]] = None,
         assess: bool = True,
-        records: Optional[Sequence] = None,
     ) -> BehaviorModel:
         """Build the behavior model of one log window.
 
@@ -115,21 +114,16 @@ class FlowDiff:
             window: explicit bounds; defaults to the log's span.
             assess: whether to run stability assessment (skippable for
                 short logs or performance benchmarks).
-            records: pre-extracted flow records for this log (as produced
-                by :func:`~repro.core.events.extract_flow_records`);
-                supplying them skips extraction — the sliding monitor
-                uses this to model one window it already decoded.
         """
         if window is None:
             window = log.time_span
         with self.tracer.span(
             "model", messages=len(log), window=list(window)
         ):
-            if records is None:
-                with self.tracer.span("extract"):
-                    records = extract_flow_records(
-                        log, self.config.signature.occurrence_gap
-                    )
+            with self.tracer.span("extract"):
+                records = extract_flow_records(
+                    log, self.config.signature.occurrence_gap
+                )
             arrivals = [r.arrival for r in records]
             with self.tracer.span("app-signature"):
                 app_sigs = build_application_signatures(
@@ -153,11 +147,8 @@ class FlowDiff:
                         parts=self.config.stability_parts,
                         thresholds=self.config.stability,
                         window=window,
-                        # The full-window signatures and arrivals were just
-                        # built above — don't let the assessment re-derive
-                        # either from the log.
+                        # The full-window signatures were just built above.
                         full=app_sigs,
-                        arrivals=arrivals,
                     )
             model = BehaviorModel(
                 app_signatures=app_sigs,

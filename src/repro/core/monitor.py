@@ -7,13 +7,21 @@ behavior with a previously computed, stable, and correct behavior"
 (Section I). Two classes package that loop:
 
 * :class:`DiagnosisStream` is the per-window bookkeeping engine — diff
-  against the baseline, history, health metrics, alert wiring, and
-  automatic re-anchoring. It does not care *how* the window model was
-  produced, which is what lets the batch monitor below and the streaming
-  service (:mod:`repro.service`) share one code path.
-* :class:`SlidingDiagnoser` is the batch driver: each call to
-  :meth:`~SlidingDiagnoser.advance` models the most recent window of a
-  growing log from scratch and feeds it through the stream.
+  against the baseline, history, health metrics, alert wiring,
+  automatic re-anchoring, and where the next window opens after a quiet
+  one. It does not care *how* the window model was produced, which is
+  what lets the batch monitor below and the streaming service
+  (:mod:`repro.service`) share one code path.
+* :class:`SlidingDiagnoser` is the batch loop, a stream with a cursor:
+  each call to :meth:`~SlidingDiagnoser.advance` models every complete
+  window of a growing log with ``FlowDiff.model`` over that window's own
+  messages and feeds it through the stream.
+
+Both loops tile the stream into windows of one length. A run of empty
+windows is diagnosed once: its first window closes as usual, and the
+cursor then jumps to the window that holds the next message
+(:meth:`DiagnosisStream.skip_quiet`), so one far-future timestamp costs
+one diagnosis, not one per empty window.
 
 Consecutive reports expose *onset detection*: the first window where a
 problem class appears tells the operator roughly when the problem
@@ -22,11 +30,11 @@ started, without re-reading old windows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.diff.report import DiagnosisReport
-from repro.core.events import extract_flow_records
 from repro.core.flowdiff import FlowDiff, FlowDiffConfig
 from repro.core.model import BehaviorModel
 from repro.core.tasks.library import TaskLibrary
@@ -92,6 +100,7 @@ class DiagnosisStream:
         self._m_latency = metrics.histogram("monitor_window_seconds")
         self._m_windows = metrics.counter("monitor_windows_total")
         self._m_unhealthy = metrics.counter("monitor_unhealthy_windows_total")
+        self._m_skipped = metrics.counter("monitor_windows_skipped_total")
         self._m_healthy_gauge = metrics.gauge("monitor_last_window_healthy")
         self._m_streak = metrics.gauge("monitor_healthy_streak")
         self.task_library = task_library
@@ -112,7 +121,6 @@ class DiagnosisStream:
         t1: float,
         current: BehaviorModel,
         window_log: Optional[ControllerLog] = None,
-        records=None,
         started: Optional[float] = None,
     ) -> WindowReport:
         """Diff one window model against the baseline and record it.
@@ -123,8 +131,6 @@ class DiagnosisStream:
             window_log: the log slice the model came from — needed for
                 task-library matching and for the re-anchored baseline
                 model (re-baselining silently waits when it is absent).
-            records: the window's decoded flow records, reused by a
-                potential re-anchored baseline model.
             started: a :func:`~repro.obs.tracing.wall_now` reading taken
                 when work on the window began; when given, the window's
                 wall-clock latency lands in ``monitor_window_seconds``.
@@ -161,11 +167,33 @@ class DiagnosisStream:
         ):
             # Re-anchor on the most recent healthy window. A full model
             # (with stability assessment) replaces the baseline.
-            self.baseline = self.flowdiff.model(
-                window_log, window=(t0, t1), records=records
-            )
+            self.baseline = self.flowdiff.model(window_log, window=(t0, t1))
             self.rebaseline_count += 1
         return entry
+
+    def skip_quiet(self, t_end: float, next_ts: float, window: float) -> float:
+        """Where the next window opens after an empty one ending at ``t_end``.
+
+        The next message arrives at ``next_ts``, so every window of the
+        ``window``-long grid between ``t_end`` and the cell holding
+        ``next_ts`` is empty too. Rather than diagnose each of them (one
+        far-future timestamp would mean millions), the cursor jumps to
+        that cell, and the windows jumped over count under
+        ``monitor_windows_skipped_total`` without a diagnosis. When the
+        message falls in the very next window nothing is skipped and the
+        result is ``t_end``.
+        """
+        skipped = max(0, int((next_ts - t_end) // window))
+        start = t_end + skipped * window
+        # Settle float rounding onto the cell that holds ``next_ts``.
+        if skipped and start > next_ts:
+            skipped -= 1
+            start = t_end + skipped * window
+        elif start + window <= next_ts:
+            skipped += 1
+            start = t_end + skipped * window
+        self._m_skipped.inc(skipped)
+        return start
 
     # -- introspection --------------------------------------------------
 
@@ -198,14 +226,18 @@ class DiagnosisStream:
         return streak
 
 
-class SlidingDiagnoser:
+class SlidingDiagnoser(DiagnosisStream):
     """Periodically diff the newest log window against a healthy baseline.
+
+    A :class:`DiagnosisStream` with a cursor: every window it models is
+    ``FlowDiff.model`` over that window's messages.
 
     Args:
         config: FlowDiff tunables (thresholds, special nodes, ...).
         window: seconds of log modeled per step.
         task_library: learned operator-task signatures used to silence
             planned changes in every window.
+        rebaseline_after: see :class:`DiagnosisStream`.
         metrics: observability registry; each diagnosed window records its
             wall-clock latency (``monitor_window_seconds``) and the
             current health gauges, making a long-running diagnoser
@@ -229,10 +261,8 @@ class SlidingDiagnoser:
     ) -> None:
         if window <= 0:
             raise ValueError(f"window must be positive, got {window}")
-        self.flowdiff = FlowDiff(config, tracer=tracer, metrics=metrics)
-        self.metrics = metrics
-        self.stream = DiagnosisStream(
-            self.flowdiff,
+        super().__init__(
+            FlowDiff(config, tracer=tracer, metrics=metrics),
             task_library=task_library,
             rebaseline_after=rebaseline_after,
             metrics=metrics,
@@ -241,38 +271,6 @@ class SlidingDiagnoser:
         self.window = window
         self._cursor = 0.0
 
-    # -- delegated state (one source of truth: the stream) ---------------
-
-    @property
-    def baseline(self) -> Optional[BehaviorModel]:
-        return self.stream.baseline
-
-    @baseline.setter
-    def baseline(self, model: Optional[BehaviorModel]) -> None:
-        self.stream.baseline = model
-
-    @property
-    def history(self) -> List[WindowReport]:
-        return self.stream.history
-
-    @property
-    def task_library(self) -> Optional[TaskLibrary]:
-        return self.stream.task_library
-
-    @property
-    def rebaseline_after(self) -> int:
-        return self.stream.rebaseline_after
-
-    @property
-    def rebaseline_count(self) -> int:
-        return self.stream.rebaseline_count
-
-    @property
-    def alert_engine(self) -> Optional[AlertEngine]:
-        return self.stream.alert_engine
-
-    # ------------------------------------------------------------------
-
     def set_baseline(self, log: ControllerLog, t_start: float, t_end: float) -> None:
         """Model ``[t_start, t_end)`` of ``log`` as the healthy reference.
 
@@ -280,9 +278,7 @@ class SlidingDiagnoser:
         :meth:`advance` examines what follows the baseline.
         """
         sub = log.window(t_start, t_end)
-        self.stream.set_baseline_model(
-            self.flowdiff.model(sub, window=(t_start, t_end))
-        )
+        self.set_baseline_model(self.flowdiff.model(sub, window=(t_start, t_end)))
         self._cursor = t_end
 
     def advance(self, log: ControllerLog) -> List[WindowReport]:
@@ -303,36 +299,14 @@ class SlidingDiagnoser:
             t1 = t0 + self.window
             started = wall_now()
             sub = log.window(t0, t1)
-            # Decode the window once; the same records feed the window
-            # model and (in the stream) a potential re-anchored baseline.
-            records = extract_flow_records(
-                sub, self.flowdiff.config.signature.occurrence_gap
+            current = self.flowdiff.model(sub, window=(t0, t1), assess=False)
+            new_reports.append(
+                self.observe(t0, t1, current, window_log=sub, started=started)
             )
-            current = self.flowdiff.model(
-                sub, window=(t0, t1), assess=False, records=records
-            )
-            entry = self.stream.observe(
-                t0, t1, current, window_log=sub, records=records, started=started
-            )
-            new_reports.append(entry)
-            self._cursor = t1
+            if len(sub):
+                self._cursor = t1
+            else:
+                # ``t1 <= log_end``: some message lies at or after ``t1``.
+                next_ts, _ = log.window(t1, math.inf).time_span
+                self._cursor = self.skip_quiet(t1, next_ts, self.window)
         return new_reports
-
-    # ------------------------------------------------------------------
-
-    def problem_onset(self, problem: str) -> Optional[float]:
-        """The start of the first window where ``problem`` was inferred."""
-        return self.stream.problem_onset(problem)
-
-    def first_unhealthy(self) -> Optional[WindowReport]:
-        """The earliest window with unexplained changes, if any."""
-        return self.stream.first_unhealthy()
-
-    @property
-    def alerts(self) -> List[Alert]:
-        """Alerts fired so far (empty without an attached engine)."""
-        return self.stream.alerts
-
-    def healthy_streak(self) -> int:
-        """Number of consecutive healthy windows at the end of history."""
-        return self.stream.healthy_streak()

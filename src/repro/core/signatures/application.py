@@ -105,7 +105,7 @@ def group_records(
 
 
 def build_application_signatures(
-    log: Optional[ControllerLog],
+    log: ControllerLog,
     config: Optional[SignatureConfig] = None,
     window: Optional[Tuple[float, float]] = None,
     records: Optional[Sequence[FlowRecord]] = None,
@@ -113,32 +113,24 @@ def build_application_signatures(
     """Build every application group's signature bundle from a log.
 
     Args:
-        log: the controller capture (or a window of one). May be None
-            when both ``records`` and ``window`` are supplied — the
-            stability and streaming paths build from pre-extracted
-            records without materializing a sub-log.
+        log: the controller capture (or a window of one).
         config: construction knobs; defaults are the paper's settings.
         window: explicit ``[t_start, t_end)`` bounds; defaults to the log's
             span (needed so rate/epoch series are comparable across logs of
             different lengths).
-        records: pre-extracted flow records for this log, when the caller
-            already decoded it (avoids a second pass over large logs).
+        records: the log's flow records, when the caller already extracted
+            them (``FlowDiff.model`` shares one extraction with the
+            infrastructure signature).
 
     Returns:
         Mapping from group key to its :class:`ApplicationSignature`.
     """
     config = config or SignatureConfig()
     if records is None:
-        if log is None:
-            raise ValueError("either log or records must be provided")
         records = extract_flow_records(log, config.occurrence_gap)
     arrivals = [r.arrival for r in records]
     groups = extract_groups(arrivals, config.special_nodes)
-    if window is None:
-        if log is None:
-            raise ValueError("window is required when log is None")
-        window = log.time_span
-    t_start, t_end = window
+    t_start, t_end = window if window is not None else log.time_span
 
     by_group = group_records(records, groups)
     signatures: Dict[str, ApplicationSignature] = {}

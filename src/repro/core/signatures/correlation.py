@@ -141,7 +141,8 @@ class PartialCorrelation(Signature):
         self,
         other: "PartialCorrelation",
         scope: str,
-        delta_threshold: float = 0.4,
+        *,
+        delta_threshold: float,
     ) -> List[ChangeRecord]:
         """Flag pairs whose dependency strength moved beyond the threshold."""
         changes: List[ChangeRecord] = []

@@ -281,8 +281,9 @@ class DelayDistribution(Signature):
         self,
         other: "DelayDistribution",
         scope: str,
-        shift_threshold: float = 0.03,
-        mean_threshold: float = 0.015,
+        *,
+        shift_threshold: float,
+        mean_threshold: float,
     ) -> List[ChangeRecord]:
         """Flag edge pairs whose delay distribution moved beyond the threshold.
 

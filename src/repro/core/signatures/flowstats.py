@@ -194,7 +194,7 @@ class FlowStats(Signature):
         )
 
     def diff(
-        self, other: "FlowStats", scope: str, threshold: float = 0.3
+        self, other: "FlowStats", scope: str, *, threshold: float
     ) -> List[ChangeRecord]:
         """Scalar comparisons with relative-change thresholds (Section IV-A)."""
         changes: List[ChangeRecord] = []

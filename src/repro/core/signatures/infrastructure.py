@@ -290,7 +290,7 @@ class InterSwitchLatency(Signature):
         return worst
 
     def diff(
-        self, other: "InterSwitchLatency", sigma_threshold: float = 3.0
+        self, other: "InterSwitchLatency", *, sigma_threshold: float
     ) -> List[ChangeRecord]:
         """Flag pairs whose mean latency moved beyond N baseline sigmas."""
         changes: List[ChangeRecord] = []
@@ -352,7 +352,7 @@ class ControllerResponseTime(Signature):
         return abs(other.mean - self.mean) / denom
 
     def diff(
-        self, other: "ControllerResponseTime", sigma_threshold: float = 3.0
+        self, other: "ControllerResponseTime", *, sigma_threshold: float
     ) -> List[ChangeRecord]:
         """Flag a controller response-time regime change."""
         if self.count < 3 or other.count < 3:

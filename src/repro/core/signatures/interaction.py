@@ -143,7 +143,7 @@ class ComponentInteraction(Signature):
         return worst
 
     def diff(
-        self, other: "ComponentInteraction", scope: str, chi2_threshold: float = 10.0
+        self, other: "ComponentInteraction", scope: str, *, chi2_threshold: float
     ) -> List[ChangeRecord]:
         """Per-node chi-squared comparisons against an operator threshold."""
         changes: List[ChangeRecord] = []

@@ -9,13 +9,11 @@ Unstable signatures (e.g. component interaction under non-linear load
 balancing, Section V-B1) are excluded from diffing so they cannot raise
 false debugging flags.
 
-Interval building slices the sub-interval views out of one extraction
-of the log (:func:`repro.core.events.partition_log` validates that this
-is exact) instead of re-decoding the log once per sub-interval; logs
-that cannot be sliced exactly (``FlowMod`` replies without
-``in_reply_to``, duplicate reply ids) fall back to the per-interval
-``log.window`` rebuilds, which are also the reference the tests compare
-the sliced views against.
+Each interval is modelled from its own messages, exactly as the paper
+says: ``log.window(a, b)`` cuts the interval out of the log and
+:func:`~repro.core.signatures.application.build_application_signatures`
+models it, truncating flow runs and ``FlowMod`` pairings at the interval
+bounds. No partial state is carried from one interval to the next.
 """
 
 from __future__ import annotations
@@ -24,12 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.timeseries import split_intervals
-from repro.core.events import (
-    FlowArrival,
-    extract_flow_records,
-    interval_flow_records_from_arrivals,
-    partition_log,
-)
+from repro.core.events import FlowArrival
 from repro.core.signatures.application import (
     ApplicationSignature,
     SignatureConfig,
@@ -116,34 +109,6 @@ def _match_with_index(
     return interval_sigs[best_key]
 
 
-def _fast_interval_signatures(
-    log: ControllerLog,
-    config: SignatureConfig,
-    intervals: List[Tuple[float, float]],
-    arrivals: List[FlowArrival],
-) -> Optional[List[Dict[str, ApplicationSignature]]]:
-    """Per-interval signatures from one log pass, or None to fall back.
-
-    Each interval view is sliced out of the log's full ``arrivals`` and
-    truncates runs and pairings at the bounds exactly like a
-    ``log.window(a, b)`` rebuild would (equivalence is test-asserted).
-    Requires the :func:`partition_log` reply-id precondition and returns
-    None when the log fails it.
-    """
-    removed_by_interval, _reason = partition_log(log, intervals)
-    if removed_by_interval is None:
-        return None
-    return [
-        build_application_signatures(
-            None,
-            config,
-            window=(a, b),
-            records=interval_flow_records_from_arrivals(arrivals, removed, a, b),
-        )
-        for (a, b), removed in zip(intervals, removed_by_interval)
-    ]
-
-
 def assess_stability(
     log: ControllerLog,
     config: Optional[SignatureConfig] = None,
@@ -151,6 +116,8 @@ def assess_stability(
     thresholds: Optional[StabilityThresholds] = None,
     window: Optional[Tuple[float, float]] = None,
     full: Optional[Dict[str, ApplicationSignature]] = None,
+    # Unread: bench/batch_tree.py, frozen with the benchmark definition,
+    # still passes arrivals=; drop both together.
     arrivals: Optional[List[FlowArrival]] = None,
 ) -> Dict[Tuple[str, SignatureKind], bool]:
     """Per (group, kind) stability verdicts over ``parts`` sub-intervals.
@@ -163,8 +130,7 @@ def assess_stability(
         full: precomputed full-window application signatures (what
             ``FlowDiff.model`` already built); when omitted they are
             rebuilt here from the log.
-        arrivals: the log's flow arrivals, when the caller already
-            extracted them; when omitted they are extracted here, once.
+        arrivals: accepted and never read.
 
     Raises:
         ValueError: if ``parts`` < 2.
@@ -178,29 +144,12 @@ def assess_stability(
     t_start, t_end = window
     if t_end <= t_start:
         return {}
-
-    # Slicing buckets every message into some interval, so it is only
-    # exact when the window contains the whole log.
-    first, last = log.time_span
-    sliceable = t_start <= first and last <= t_end
-    if full is None or (sliceable and arrivals is None):
-        records = extract_flow_records(log, config.occurrence_gap)
-        arrivals = [r.arrival for r in records]
-        if full is None:
-            full = build_application_signatures(
-                log, config, window=window, records=records
-            )
-    intervals = split_intervals(t_start, t_end, parts)
-    per_interval = None
-    if sliceable:
-        # None on the unpartitionable log shapes, for which the
-        # per-interval rebuild below stays authoritative.
-        per_interval = _fast_interval_signatures(log, config, intervals, arrivals)
-    if per_interval is None:
-        per_interval = [
-            build_application_signatures(log.window(a, b), config, window=(a, b))
-            for a, b in intervals
-        ]
+    if full is None:
+        full = build_application_signatures(log, config, window=window)
+    per_interval = [
+        build_application_signatures(log.window(a, b), config, window=(a, b))
+        for a, b in split_intervals(t_start, t_end, parts)
+    ]
 
     indexes = [_member_index(sigs) for sigs in per_interval]
     verdicts: Dict[Tuple[str, SignatureKind], bool] = {}

@@ -128,18 +128,6 @@ class TaskLibrary:
         self.signatures[name] = signature
         return signature
 
-    def learn_from_logs(
-        self,
-        name: str,
-        logs: Sequence[ControllerLog],
-        min_sup: float = 0.6,
-        masked: bool = True,
-        dedup_window: float = 0.0,
-    ) -> TaskSignature:
-        """Learn from controller-log captures (one log per task run)."""
-        runs = [timed_flows(log, dedup_window=dedup_window) for log in logs]
-        return self.learn(name, runs, min_sup=min_sup, masked=masked)
-
     # ------------------------------------------------------------------
     # Detection
     # ------------------------------------------------------------------

@@ -67,6 +67,7 @@ KNOWN_METRICS: FrozenSet[str] = frozenset(
         "monitor_window_seconds",
         "monitor_windows_total",
         "monitor_unhealthy_windows_total",
+        "monitor_windows_skipped_total",
         "monitor_last_window_healthy",
         "monitor_healthy_streak",
         "alerts_total",

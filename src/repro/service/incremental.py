@@ -1,18 +1,14 @@
 """The daemon's open diagnosis window: an ordered buffer of control messages.
 
 The batch monitor (:class:`repro.core.monitor.SlidingDiagnoser`) models
-every window from that window's own messages: slice the log, extract the
-flow records, build every signature. The daemon does the same thing, one
-window at a time, as the stream arrives. An :class:`IncrementalWindow`
-buffers the messages of one open ``[t_start, t_end)`` window in arrival
-order; nothing is extracted or built while they arrive. :meth:`close`
-sorts the buffer into a :class:`~repro.openflow.log.ControllerLog`,
-extracts its flow records with
-:func:`~repro.core.events.extract_flow_records`, and builds the model
-with the two builders batch uses,
-:func:`~repro.core.signatures.application.build_application_signatures`
-and
-:func:`~repro.core.signatures.infrastructure.build_infrastructure_signature`.
+every window from that window's own messages with ``FlowDiff.model``.
+The daemon does the same thing, one window at a time, as the stream
+arrives. An :class:`IncrementalWindow` buffers the messages of one open
+``[t_start, t_end)`` window in arrival order; nothing is extracted or
+built while they arrive. :meth:`~IncrementalWindow.close` sorts the
+buffer into a :class:`~repro.openflow.log.ControllerLog` and models it
+with one ``FlowDiff.model(log, window, assess=False)`` call, the same
+call the batch monitor makes.
 
 While buffering, the window notes the first reason it arrived *dirty*:
 a timestamp older than the one before it (``out_of_order``) or ``FlowMod``
@@ -29,16 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple
 
-from repro.core.events import FlowRecord, extract_flow_records
+from repro.core.flowdiff import FlowDiff, FlowDiffConfig
 from repro.core.groups import ApplicationGroup
 from repro.core.model import BehaviorModel
-from repro.core.signatures.application import (
-    SignatureConfig,
-    build_application_signatures,
-)
-from repro.core.signatures.infrastructure import build_infrastructure_signature
+from repro.core.signatures.application import SignatureConfig
 from repro.openflow.log import ControllerLog
-from repro.openflow.messages import ControlMessage, FlowMod, PortStatus
+from repro.openflow.messages import ControlMessage, FlowMod
 
 #: How a closed window arrived: ``merged`` when clean, ``fallback`` when
 #: :attr:`IncrementalWindow.dirty`. Both close through the same code.
@@ -52,7 +44,6 @@ class WindowOutcome:
     """Everything a closed window hands to the diagnosis stream."""
 
     model: BehaviorModel
-    records: List[FlowRecord]
     status: str
     #: The sorted window the model was built from.
     log: ControllerLog
@@ -63,9 +54,8 @@ class IncrementalWindow:
     """One open ``[t_start, t_end)`` window buffering control traffic.
 
     Messages are expected in timestamp order; one that is not (or
-    ``FlowMod`` traffic :func:`~repro.core.events.partition_log` would
-    decline) marks the window :attr:`dirty`, which changes only the
-    status it closes with.
+    ``FlowMod`` traffic without a unique reply id) marks the window
+    :attr:`dirty`, which changes only the status it closes with.
 
     Args:
         t_start/t_end: the window bounds.
@@ -112,27 +102,13 @@ class IncrementalWindow:
             self.dirty = reason
 
     def close(self) -> WindowOutcome:
-        """Extract the buffered window and build its model."""
+        """Model the buffered window."""
         log = self.as_log()
-        records = extract_flow_records(log, self._cfg.occurrence_gap)
-        window = (self.t_start, self.t_end)
-        port_down = [
-            (msg.timestamp, msg.dpid, msg.port)
-            for msg in log.of_type(PortStatus)
-            if not msg.live
-        ]
-        model = BehaviorModel(
-            app_signatures=build_application_signatures(
-                None, self._cfg, window=window, records=records
-            ),
-            infrastructure=build_infrastructure_signature(
-                [r.arrival for r in records], port_down_events=port_down
-            ),
-            window=window,
+        model = FlowDiff(FlowDiffConfig(signature=self._cfg)).model(
+            log, window=(self.t_start, self.t_end), assess=False
         )
         return WindowOutcome(
             model=model,
-            records=records,
             status=STATUS_MERGED if self.dirty is None else STATUS_FALLBACK,
             log=log,
             groups=tuple(model.groups()),

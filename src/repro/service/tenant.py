@@ -3,10 +3,11 @@
 A :class:`TenantPipeline` owns everything one monitored environment
 needs: the baseline-learning phase, the open
 :class:`~repro.service.incremental.IncrementalWindow` (a buffer, modelled
-in one pass when it closes, exactly as the batch monitor models a
-window), the shared
+by ``FlowDiff.model`` when it closes, exactly as the batch monitor models
+a window), the shared
 :class:`~repro.core.monitor.DiagnosisStream` (diffing, history, health
-metrics, alerting), a bounded flight-recorder ring of recent raw
+metrics, alerting, and the jump over a run of empty windows that the
+batch monitor makes too), a bounded flight-recorder ring of recent raw
 messages, and checkpoint/restore through :mod:`repro.core.persist` so a
 restarted daemon resumes at the last closed window instead of cold
 remodeling.
@@ -230,7 +231,7 @@ class TenantPipeline:
                 self._m_late.inc()
                 continue
             while ts >= win.t_end:  # type: ignore[union-attr]
-                entry = self._close_window()
+                entry = self._close_window(ts)
                 if entry is not None:
                     reports.append(entry)
                 win = self._win
@@ -296,8 +297,12 @@ class TenantPipeline:
             self.flowdiff.config.signature,
         )
 
-    def _close_window(self) -> Optional[WindowReport]:
+    def _close_window(self, next_ts: float) -> Optional[WindowReport]:
         """Close the open window, diagnose it, checkpoint, open the next.
+
+        ``next_ts`` is the message that ends the window. The next window
+        opens where the window ends, or, when this one was empty, at the
+        window holding ``next_ts`` (:meth:`DiagnosisStream.skip_quiet`).
 
         A window whose modeling or diagnosis raises is dropped: its
         messages are counted under
@@ -309,7 +314,9 @@ class TenantPipeline:
         assert win is not None
         started = wall_now()
         t0, t1 = win.t_start, win.t_end
-        self._cursor = t1
+        self._cursor = (
+            t1 if win.raw else self.stream.skip_quiet(t1, next_ts, self.window)
+        )
         self._open_window()
         baseline = self.stream.baseline
         try:
@@ -319,7 +326,6 @@ class TenantPipeline:
                 t1,
                 outcome.model,
                 window_log=outcome.log,
-                records=outcome.records,
                 started=started,
             )
         except Exception:

@@ -208,7 +208,7 @@ class TestDelayDistribution:
     def test_diff_detects_peak_shift(self):
         dd1 = DelayDistribution.build(self.chain(0.06))
         dd2 = DelayDistribution.build(self.chain(0.12))
-        changes = dd1.diff(dd2, "g", shift_threshold=0.03)
+        changes = dd1.diff(dd2, "g", shift_threshold=0.03, mean_threshold=0.015)
         assert changes
         assert changes[0].kind == SignatureKind.DD
         assert "n" in changes[0].components
@@ -231,7 +231,7 @@ class TestDelayDistribution:
     def test_no_diff_when_stable(self):
         dd1 = DelayDistribution.build(self.chain(0.06))
         dd2 = DelayDistribution.build(self.chain(0.062))
-        assert dd1.diff(dd2, "g") == []
+        assert dd1.diff(dd2, "g", shift_threshold=0.03, mean_threshold=0.015) == []
 
     def test_ambiguous_peak_reported_unknown(self):
         bimodal = self.chain(0.05, n=30) + [
@@ -457,10 +457,10 @@ class TestInfrastructure:
             [arrival("a", "b", float(i), dpids=("sw1",), response=0.02) for i in range(10)]
         )
         assert fast.mean == pytest.approx(0.001)
-        assert fast.diff(slow)
-        assert fast.diff(fast) == []
+        assert fast.diff(slow, sigma_threshold=3.0)
+        assert fast.diff(fast, sigma_threshold=3.0) == []
 
     def test_crt_needs_samples(self):
         empty = ControllerResponseTime.build([])
         assert empty.count == 0
-        assert empty.diff(empty) == []
+        assert empty.diff(empty, sigma_threshold=3.0) == []

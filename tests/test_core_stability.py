@@ -7,15 +7,12 @@ import sys
 import pytest
 
 from repro.analysis.timeseries import split_intervals
-from repro.core import stability
-from repro.core.events import extract_flow_arrivals, partition_log
 from repro.core.flowdiff import FlowDiff
 from repro.core.groups import ApplicationGroup
 from repro.core.persist import model_to_dict
 from repro.core.signatures import SignatureKind
 from repro.core.signatures.application import (
     ApplicationSignature,
-    SignatureConfig,
     build_application_signatures,
 )
 from repro.core.signatures.connectivity import ConnectivityGraph
@@ -130,55 +127,11 @@ class TestAssessStability:
         assert "Dependency matrix" in page.read_text(encoding="utf-8")
 
 
-def reference_verdicts(monkeypatch, log, window=None):
-    """``assess_stability`` with the slicing path switched off, i.e.
-    through the per-interval ``log.window`` rebuilds."""
-    with monkeypatch.context() as patch:
-        patch.setattr(stability, "_fast_interval_signatures", lambda *args: None)
-        return assess_stability(log, window=window)
-
-
-class TestFastIntervals:
-    """Sliced interval views against per-interval ``log.window`` rebuilds."""
-
-    @pytest.fixture(scope="class")
-    def log(self):
-        return three_tier_lab(seed=3).run(0.5, 20.0)
-
-    def test_fast_intervals_match_window_rebuilds(self, log, monkeypatch):
-        arrivals = extract_flow_arrivals(log)
-        t0, t1 = log.time_span
-        # The span itself, then windows wider than the span on either
-        # side — what the daemon and monitor baselines pass.
-        for window in ((t0, t1), (t0, t0 + 30.0), (t0 - 1.5, t1 + 4.0)):
-            intervals = split_intervals(*window, 3)
-            fast = stability._fast_interval_signatures(
-                log, SignatureConfig(), intervals, arrivals
-            )
-            rebuilt = [
-                build_application_signatures(log.window(a, b), None, window=(a, b))
-                for a, b in intervals
-            ]
-            assert fast == rebuilt
-            verdicts = assess_stability(log, window=window)
-            assert verdicts  # the capture actually yields verdicts
-            assert verdicts == reference_verdicts(monkeypatch, log, window)
-
-    def test_window_inside_span_takes_reference_path(self, log, monkeypatch):
-        t0, t1 = log.time_span
-        monkeypatch.setattr(
-            stability,
-            "_fast_interval_signatures",
-            lambda *args: pytest.fail("sliced a log the window does not contain"),
-        )
-        assert assess_stability(log, window=(t0 + 2.0, t1 - 2.0))
-
-
 def periodic_log(reply_ids):
     """A steady two-tier exchange over ~9 s: a -> b, then b -> c 10 ms on.
 
     ``reply_ids`` picks how ``FlowMod`` replies name their ``PacketIn``:
-    ``"unique"`` (partitionable), ``None`` (positional pairing only) or
+    ``"unique"`` (one reply per id), ``None`` (positional pairing only) or
     ``"duplicate"`` (every reply claims the same buffer id).
     """
     log = ControllerLog()
@@ -210,36 +163,25 @@ def periodic_log(reply_ids):
 
 
 class TestReferenceFallback:
-    """Logs ``partition_log`` declines still model, through the
-    per-interval ``log.window`` rebuilds."""
+    """Logs whose ``FlowMod`` replies pair by position or by an ambiguous
+    reply id model like any other: each interval is its own
+    ``log.window`` rebuild."""
 
-    def assert_declined(self, log, reason):
-        intervals = split_intervals(*log.time_span, 3)
-        assert partition_log(log, intervals) == (None, reason)
-        assert (
-            stability._fast_interval_signatures(
-                log, SignatureConfig(), intervals, extract_flow_arrivals(log)
-            )
-            is None
-        )
-
-    def test_mod_without_reply_id_falls_back(self, monkeypatch):
+    def test_mod_without_reply_id_falls_back(self):
         log = periodic_log(reply_ids=None)
-        self.assert_declined(log, "flowmod_without_reply_id")
         model = FlowDiff().model(log)
-        assert model.stability == reference_verdicts(monkeypatch, log)
+        assert model.stability == assess_stability(log)
         # Positional pairing recovers the same replies here, so the
-        # rebuilt model equals the partitionable twin's sliced one.
+        # model equals its twin whose replies carry unique ids.
         twin = FlowDiff().model(periodic_log(reply_ids="unique"))
         assert twin.stability
         assert model_to_dict(model) == model_to_dict(twin)
 
-    def test_duplicate_reply_ids_fall_back(self, monkeypatch):
+    def test_duplicate_reply_ids_fall_back(self):
         log = periodic_log(reply_ids="duplicate")
-        self.assert_declined(log, "duplicate_flowmod_reply_id")
         model = FlowDiff().model(log)
         assert model.stability
-        assert model.stability == reference_verdicts(monkeypatch, log)
+        assert model.stability == assess_stability(log)
 
     def test_degenerate_single_timestamp_log(self):
         log = ControllerLog()

@@ -112,7 +112,7 @@ class TestStructureCollapse:
         )
         cur = DelayDistribution.build(bimodal)
         assert cur.dominant_peak(PAIR) == -1.0
-        changes = base.diff(cur, "g")
+        changes = base.diff(cur, "g", shift_threshold=0.03, mean_threshold=0.015)
         assert changes
         assert "collapsed" in changes[0].description
         assert "n" in changes[0].components
@@ -123,7 +123,7 @@ class TestStructureCollapse:
             chain([0.05] * 5, start=1000.0) + chain([0.25] * 5, start=2000.0)
         )
         # Too few current samples: ambiguity there is not evidence.
-        assert base.diff(tiny, "g") == []
+        assert base.diff(tiny, "g", shift_threshold=0.03, mean_threshold=0.015) == []
 
     def test_collapse_needs_strong_base_peak(self):
         weak_base = DelayDistribution.build(
@@ -136,5 +136,5 @@ class TestStructureCollapse:
         # The baseline itself is not strongly unimodal at prominence 2.0:
         # no collapse record (peak-shift logic may still fire, but not the
         # collapse detector).
-        changes = weak_base.diff(cur, "g")
+        changes = weak_base.diff(cur, "g", shift_threshold=0.03, mean_threshold=0.015)
         assert not any("collapsed" in c.description for c in changes)

@@ -6,6 +6,9 @@ import pytest
 
 from repro.core.monitor import SlidingDiagnoser
 from repro.faults import LoggingMisconfig
+from repro.obs.metrics import MetricsRegistry
+from repro.openflow.log import ControllerLog
+from repro.openflow.messages import EchoRequest
 from repro.scenarios import three_tier_lab
 
 pytestmark = pytest.mark.slow
@@ -79,6 +82,49 @@ class TestSlidingDiagnoser:
         again = diagnoser.advance(healthy_log)
         assert first
         assert again == []  # no new complete windows
+
+
+class TestQuietRuns:
+    """A run of empty windows is diagnosed once: its first window closes as
+    usual, then the cursor jumps to the window holding the next message."""
+
+    def diagnose(self, log):
+        metrics = MetricsRegistry()
+        diagnoser = SlidingDiagnoser(window=20.0, metrics=metrics)
+        diagnoser.set_baseline(log, 0.0, 30.0)
+        diagnoser.advance(log)
+        spans = [(e.t_start, e.t_end) for e in diagnoser.history]
+        assert spans[0][0] == 30.0
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        return diagnoser, metrics
+
+    def test_far_future_message_is_one_empty_window(self, healthy_log):
+        """One message 1e4 s on used to cost ~500 diagnosed empty windows."""
+        _, last = healthy_log.time_span
+        far = EchoRequest(timestamp=1e4, dpid="s1")
+        log = ControllerLog(list(healthy_log) + [far])
+        diagnoser, metrics = self.diagnose(log)
+        quiet = diagnoser.history[-1]
+        assert quiet.t_start - 20.0 <= last < quiet.t_start
+        skipped = metrics.value("monitor_windows_skipped_total")
+        assert skipped == (far.timestamp - quiet.t_end) // 20.0 > 400
+        assert metrics.value("monitor_windows_total") == len(diagnoser.history)
+        # The cursor sits on the window that holds ``far``.
+        start = quiet.t_end + skipped * 20.0
+        log.append(EchoRequest(timestamp=start + 25.0, dpid="s1"))
+        (held,) = diagnoser.advance(log)
+        assert (held.t_start, held.t_end) == (start, start + 20.0)
+        assert held.t_start <= far.timestamp < held.t_end
+
+    def test_one_empty_window_is_diagnosed_as_before(self, healthy_log):
+        _, last = healthy_log.time_span
+        cell = 30.0 + 20.0 * ((last - 30.0) // 20.0)  # the window holding ``last``
+        log = ControllerLog(
+            list(healthy_log) + [EchoRequest(timestamp=cell + 45.0, dpid="s1")]
+        )
+        diagnoser, metrics = self.diagnose(log)
+        assert diagnoser.history[-1].t_start == cell + 20.0
+        assert metrics.value("monitor_windows_skipped_total") == 0
 
 
 class TestReportJSON:

@@ -21,6 +21,7 @@ import urllib.request
 import pytest
 
 from repro.cli import main
+from repro.core import flowdiff
 from repro.core.events import extract_flow_records
 from repro.core.flowdiff import FlowDiffConfig
 from repro.core.groups import extract_groups
@@ -32,7 +33,7 @@ from repro.obs.alerts import AlertEngine, default_rules
 from repro.obs.metrics import MetricsRegistry
 from repro.openflow.log import ControllerLog
 from repro.openflow.match import FlowKey, Match
-from repro.openflow.messages import FlowMod, FlowRemoved, PacketIn
+from repro.openflow.messages import EchoRequest, FlowMod, FlowRemoved, PacketIn
 from repro.scenarios import three_tier_lab
 from repro.service import (
     STATUS_FALLBACK,
@@ -45,7 +46,6 @@ from repro.service import (
     replay_messages,
 )
 from repro.openflow.serialize import save_log
-from repro.service import incremental
 
 pytestmark = pytest.mark.slow
 
@@ -247,8 +247,34 @@ class TestIncrementalEquivalence:
         assert dirty.dirty == "out_of_order" and clean.dirty is None
         got, want = dirty.close(), clean.close()
         assert (got.status, want.status) == (STATUS_FALLBACK, STATUS_MERGED)
-        assert got.records == want.records
+        assert got.model == want.model
         assert list(got.log) == [early, late]
+
+    def test_far_future_message_is_one_empty_window(self, healthy_log):
+        """One message 1e4 s after the capture used to make ingest close
+        and diagnose ~1,000 empty windows. The first empty window is still
+        diagnosed; the rest are skipped and counted, as in batch."""
+        t_first, last = healthy_log.time_span
+        far = EchoRequest(timestamp=t_first + 1e4, dpid="s1")
+        messages = list(healthy_log) + [far]
+        registry = MetricsRegistry()
+        tenant = TenantPipeline(
+            "t1", window=WINDOW, baseline_span=BASELINE, metrics=registry
+        )
+        worker = threading.Thread(target=tenant.ingest, args=(messages,), daemon=True)
+        worker.start()
+        worker.join(timeout=60.0)
+        assert not worker.is_alive(), "ingest never returned"
+        reference = batch_reference(ControllerLog(messages))
+        assert len(tenant.history) == len(reference)
+        assert_histories_identical(tenant.history, reference)
+        quiet = tenant.history[-1]
+        assert quiet.t_start - WINDOW <= last < quiet.t_start
+        skipped = registry.value("monitor_windows_skipped_total")
+        assert skipped == (far.timestamp - quiet.t_end) // WINDOW > 900
+        cursor = tenant.view.summary["cursor"]
+        assert cursor == quiet.t_end + skipped * WINDOW
+        assert cursor <= far.timestamp < cursor + WINDOW
 
     def test_single_batch_and_tiny_batches_agree(self, healthy_log):
         one, _ = stream_through(healthy_log, batch_size=10 ** 9)
@@ -554,14 +580,14 @@ class TestTenantIsolation:
         assert len(clean.history) >= 3
         dropped = clean.history[1]
         marker = next(m for m in messages if m.timestamp >= dropped.t_start)
-        extract = incremental.extract_flow_records
+        extract = flowdiff.extract_flow_records
 
         def failing_extract(log, occurrence_gap):
             if any(m is marker for m in log):
                 raise RuntimeError("injected close failure")
             return extract(log, occurrence_gap)
 
-        monkeypatch.setattr(incremental, "extract_flow_records", failing_extract)
+        monkeypatch.setattr(flowdiff, "extract_flow_records", failing_extract)
         got = serve()
         tenant = got.tenants["t1"]
         kept = [entry for entry in clean.history if entry is not dropped]
