@@ -78,33 +78,6 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     return max(-1.0, min(1.0, r))
 
 
-def partial_correlation(
-    xs: Sequence[float],
-    ys: Sequence[float],
-    zs: Sequence[float],
-) -> float:
-    """Partial correlation of ``xs`` and ``ys`` controlling for ``zs``.
-
-    The PC signature quantifies the strength of the dependency between
-    adjacent edges of a connectivity graph. When a confounding series is
-    available (e.g., a shared upstream edge), the first-order partial
-    correlation removes its influence:
-
-    ``r_xy.z = (r_xy - r_xz * r_yz) / sqrt((1 - r_xz^2)(1 - r_yz^2))``
-
-    Falls back to the plain Pearson coefficient when the controlling series
-    is perfectly correlated with either input (the denominator vanishes).
-    """
-    r_xy = pearson(xs, ys)
-    r_xz = pearson(xs, zs)
-    r_yz = pearson(ys, zs)
-    denom = math.sqrt((1.0 - r_xz**2) * (1.0 - r_yz**2))
-    if denom <= 1e-12:
-        return r_xy
-    r = (r_xy - r_xz * r_yz) / denom
-    return max(-1.0, min(1.0, r))
-
-
 def chi_squared(observed: Sequence[float], expected: Sequence[float]) -> float:
     """Chi-squared fitness statistic between observed and expected counts.
 

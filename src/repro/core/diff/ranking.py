@@ -38,19 +38,6 @@ def rank_components(
     return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
-def top_suspects(
-    changes: Sequence[ChangeRecord],
-    k: int = 3,
-    hosts_only: bool = False,
-) -> List[str]:
-    """The ``k`` highest-ranked components (optionally hosts/switches only,
-    excluding edge components like ``"a--b"``)."""
-    ranked = rank_components(changes)
-    if hosts_only:
-        ranked = [(c, s) for c, s in ranked if "--" not in c]
-    return [c for c, _ in ranked[:k]]
-
-
 def select_evidence_flows(
     timelines: Sequence[FlowTimeline], limit: int = 3
 ) -> List[FlowTimeline]:

@@ -6,22 +6,22 @@ behavior of a data center ... To detect problems, it compares the current
 behavior with a previously computed, stable, and correct behavior"
 (Section I). Two classes package that loop:
 
-* :class:`DiagnosisStream` is the per-window bookkeeping engine — diff
-  against the baseline, history, health metrics, alert wiring,
-  automatic re-anchoring, and where the next window opens after a quiet
-  one. It does not care *how* the window model was produced, which is
-  what lets the batch monitor below and the streaming service
-  (:mod:`repro.service`) share one code path.
-* :class:`SlidingDiagnoser` is the batch loop, a stream with a cursor:
-  each call to :meth:`~SlidingDiagnoser.advance` models every complete
-  window of a growing log with ``FlowDiff.model`` over that window's own
-  messages and feeds it through the stream.
+* :class:`DiagnosisStream` is the per-window engine shared by the batch
+  monitor below and the streaming service (:mod:`repro.service`): the
+  window grid, the one close (``FlowDiff.model`` over the window's own
+  messages, then the diff against the baseline), history, health
+  metrics, alert wiring and automatic re-anchoring.
+* :class:`SlidingDiagnoser` is the batch loop: each call to
+  :meth:`~SlidingDiagnoser.advance` closes every complete window of a
+  growing log.
 
-Both loops tile the stream into windows of one length. A run of empty
-windows is diagnosed once: its first window closes as usual, and the
-cursor then jumps to the window that holds the next message
-(:meth:`DiagnosisStream.skip_quiet`), so one far-future timestamp costs
-one diagnosis, not one per empty window.
+Windows lie on one grid: window ``k`` is ``[origin + k·W, origin +
+(k+1)·W)``, ``origin`` being the baseline's end, computed only by
+:meth:`DiagnosisStream.edge`. A run of empty windows is diagnosed once:
+its first window closes as usual, then ``k`` jumps to the window holding
+the next message (:meth:`DiagnosisStream.index`). A timestamp too large
+to place on the grid (:meth:`DiagnosisStream.placeable`) is dropped and
+counted, never made a window.
 
 Consecutive reports expose *onset detection*: the first window where a
 problem class appears tells the operator roughly when the problem
@@ -59,19 +59,21 @@ class WindowReport:
 
 
 class DiagnosisStream:
-    """Diff successive window models against a baseline, with bookkeeping.
+    """Close successive windows of one grid and diff them against a baseline.
 
-    One instance owns everything that happens *after* a window model
-    exists: the diff, the report history, the ``monitor_*`` health
-    metrics, alert-engine wiring, and baseline re-anchoring. Callers
-    produce window models however they like — the batch
-    :class:`SlidingDiagnoser` remodels each window from the log, the
-    streaming service builds them from arrivals it extracted
-    incrementally — and feed them through :meth:`observe`.
+    One instance owns where windows lie (``origin``, ``window`` and the
+    open window's index ``k``) and everything that happens when one
+    closes: the model, the diff, the report history, the ``monitor_*``
+    health metrics, alert-engine wiring, and baseline re-anchoring.
+    Callers only gather each window's messages — the batch
+    :class:`SlidingDiagnoser` slices them from the log, the streaming
+    service buffers them as they arrive — and hand them to :meth:`close`.
 
     Args:
-        flowdiff: the configured pipeline used for diffs (and for the
-            re-anchored baseline model when re-baselining triggers).
+        flowdiff: the configured pipeline that models and diffs windows
+            (and models the re-anchored baseline when re-baselining
+            triggers).
+        window: seconds per window, the grid's width ``W``.
         task_library: learned operator-task signatures used to silence
             planned changes in every window.
         rebaseline_after: after this many consecutive healthy windows the
@@ -90,12 +92,18 @@ class DiagnosisStream:
     def __init__(
         self,
         flowdiff: FlowDiff,
+        window: float,
         task_library: Optional[TaskLibrary] = None,
         rebaseline_after: int = 0,
         metrics: MetricsRegistry = NOOP_REGISTRY,
         alert_engine: Optional[AlertEngine] = None,
     ) -> None:
+        if window <= 0:
+            raise ValueError(f"window must be positive, got {window}")
         self.flowdiff = flowdiff
+        self.window = float(window)
+        self.origin = 0.0
+        self.k = 0
         self.metrics = metrics
         self._m_latency = metrics.histogram("monitor_window_seconds")
         self._m_windows = metrics.counter("monitor_windows_total")
@@ -110,36 +118,80 @@ class DiagnosisStream:
         self.rebaseline_count = 0
         self.alert_engine = alert_engine
 
-    def set_baseline_model(self, model: BehaviorModel) -> None:
-        """Install the healthy reference model and reset history."""
+    def set_baseline_model(self, model: BehaviorModel, origin: float) -> None:
+        """Install the healthy reference model, reset history, and start
+        the grid at ``origin`` (the baseline's end) with window 0 open."""
         self.baseline = model
         self.history.clear()
+        self.origin = origin
+        self.k = 0
 
-    def observe(
+    # -- the window grid -------------------------------------------------
+
+    def edge(self, k: int) -> float:
+        """Where window ``k`` starts (and window ``k - 1`` ends)."""
+        return self.origin + k * self.window
+
+    def index(self, ts: float) -> int:
+        """The window holding a placeable ``ts``: the unique ``k`` with
+        ``edge(k) <= ts < edge(k + 1)``, in O(1) at any distance."""
+        k = math.floor((ts - self.origin) / self.window)
+        # The quotient may round across an edge; the edges themselves decide.
+        while self.edge(k) > ts:
+            k -= 1
+        while self.edge(k + 1) <= ts:
+            k += 1
+        return k
+
+    def placeable(self, ts: float) -> bool:
+        """Whether ``ts`` is fine-grained enough to place on the grid:
+        ``math.ulp(ts) * 1024 <= window``.
+
+        Floats near ``t`` lie ``ulp(t)`` apart; as that step nears ``W``,
+        edges near ``t`` collapse (at ``1e18``, ``ulp = 128`` and
+        ``t + 10 == t``). ``W`` spanning a thousand steps keeps them a
+        window apart to a thousandth. This rejects ``1e17`` and ``1e18``
+        at ``W = 10``, accepts epoch stamps (``1.8e9``, ``ulp`` 2.4e-7) at
+        ``W >= 1 ms``, and rejects ``inf`` and ``nan``.
+        """
+        return math.ulp(ts) * 1024 <= self.window
+
+    @property
+    def cursor(self) -> Optional[float]:
+        """Where the open window starts; ``None`` before a baseline."""
+        return None if self.baseline is None else self.edge(self.k)
+
+    # -- the one close ---------------------------------------------------
+
+    def close(
         self,
-        t0: float,
-        t1: float,
-        current: BehaviorModel,
-        window_log: Optional[ControllerLog] = None,
+        window_log: ControllerLog,
+        next_ts: Optional[float] = None,
         started: Optional[float] = None,
     ) -> WindowReport:
-        """Diff one window model against the baseline and record it.
+        """Model and diagnose the open window ``k``, then move on.
 
-        Args:
-            t0/t1: the window bounds.
-            current: the window's behavior model.
-            window_log: the log slice the model came from — needed for
-                task-library matching and for the re-anchored baseline
-                model (re-baselining silently waits when it is absent).
-            started: a :func:`~repro.obs.tracing.wall_now` reading taken
-                when work on the window began; when given, the window's
-                wall-clock latency lands in ``monitor_window_seconds``.
+        ``window_log`` holds the messages of ``[edge(k), edge(k + 1))``;
+        ``next_ts``, the first timestamp past them. The next window is
+        ``k + 1`` or, when ``window_log`` is empty, the window holding
+        ``next_ts``: the empty windows between count under
+        ``monitor_windows_skipped_total`` undiagnosed. ``k`` moves on
+        before anything is modelled, so a close that raises is not
+        retried. ``started``, a :func:`~repro.obs.tracing.wall_now`
+        reading, puts the close's latency in ``monitor_window_seconds``.
 
         Raises:
             RuntimeError: if no baseline has been installed.
         """
         if self.baseline is None:
-            raise RuntimeError("a baseline model must be set before observe()")
+            raise RuntimeError("a baseline model must be set before close()")
+        t0, t1 = self.edge(self.k), self.edge(self.k + 1)
+        k = self.k + 1
+        if next_ts is not None and not len(window_log):
+            k = self.index(next_ts)
+            self._m_skipped.inc(k - self.k - 1)
+        self.k = k
+        current = self.flowdiff.model(window_log, window=(t0, t1), assess=False)
         report = self.flowdiff.diff(
             self.baseline,
             current,
@@ -163,37 +215,12 @@ class DiagnosisStream:
             self.rebaseline_after > 0
             and entry.healthy
             and self.healthy_streak() >= self.rebaseline_after
-            and window_log is not None
         ):
             # Re-anchor on the most recent healthy window. A full model
             # (with stability assessment) replaces the baseline.
             self.baseline = self.flowdiff.model(window_log, window=(t0, t1))
             self.rebaseline_count += 1
         return entry
-
-    def skip_quiet(self, t_end: float, next_ts: float, window: float) -> float:
-        """Where the next window opens after an empty one ending at ``t_end``.
-
-        The next message arrives at ``next_ts``, so every window of the
-        ``window``-long grid between ``t_end`` and the cell holding
-        ``next_ts`` is empty too. Rather than diagnose each of them (one
-        far-future timestamp would mean millions), the cursor jumps to
-        that cell, and the windows jumped over count under
-        ``monitor_windows_skipped_total`` without a diagnosis. When the
-        message falls in the very next window nothing is skipped and the
-        result is ``t_end``.
-        """
-        skipped = max(0, int((next_ts - t_end) // window))
-        start = t_end + skipped * window
-        # Settle float rounding onto the cell that holds ``next_ts``.
-        if skipped and start > next_ts:
-            skipped -= 1
-            start = t_end + skipped * window
-        elif start + window <= next_ts:
-            skipped += 1
-            start = t_end + skipped * window
-        self._m_skipped.inc(skipped)
-        return start
 
     # -- introspection --------------------------------------------------
 
@@ -229,24 +256,16 @@ class DiagnosisStream:
 class SlidingDiagnoser(DiagnosisStream):
     """Periodically diff the newest log window against a healthy baseline.
 
-    A :class:`DiagnosisStream` with a cursor: every window it models is
-    ``FlowDiff.model`` over that window's messages.
+    A :class:`DiagnosisStream` fed from a log: it closes each window over
+    that window's slice of the log.
 
     Args:
         config: FlowDiff tunables (thresholds, special nodes, ...).
         window: seconds of log modeled per step.
-        task_library: learned operator-task signatures used to silence
-            planned changes in every window.
-        rebaseline_after: see :class:`DiagnosisStream`.
-        metrics: observability registry; each diagnosed window records its
-            wall-clock latency (``monitor_window_seconds``) and the
-            current health gauges, making a long-running diagnoser
-            scrape-able mid-flight.
         tracer: span tracer handed to the underlying :class:`FlowDiff`.
-        alert_engine: when given, every produced window report streams
-            through the engine's rules (and the registry is sampled at the
-            window end, stream-time-stamped) so alerts fire the moment a
-            window turns unhealthy — no separate polling loop.
+        task_library/rebaseline_after/metrics/alert_engine: see
+            :class:`DiagnosisStream`. Messages too large to place on the
+            grid count under ``monitor_dropped_total{reason="ts_precision"}``.
     """
 
     def __init__(
@@ -259,30 +278,26 @@ class SlidingDiagnoser(DiagnosisStream):
         tracer: Tracer = NOOP_TRACER,
         alert_engine: Optional[AlertEngine] = None,
     ) -> None:
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window}")
         super().__init__(
             FlowDiff(config, tracer=tracer, metrics=metrics),
+            window,
             task_library=task_library,
             rebaseline_after=rebaseline_after,
             metrics=metrics,
             alert_engine=alert_engine,
         )
-        self.window = window
-        self._cursor = 0.0
+        self._m_dropped = metrics.counter("monitor_dropped_total", reason="ts_precision")
+        #: Messages dropped so far as too large to place on the grid.
+        self.dropped = 0
 
     def set_baseline(self, log: ControllerLog, t_start: float, t_end: float) -> None:
-        """Model ``[t_start, t_end)`` of ``log`` as the healthy reference.
-
-        Also positions the monitoring cursor at ``t_end`` so the first
-        :meth:`advance` examines what follows the baseline.
-        """
+        """Model ``[t_start, t_end)`` of ``log`` as the healthy reference;
+        the first window :meth:`advance` closes starts at ``t_end``."""
         sub = log.window(t_start, t_end)
-        self.set_baseline_model(self.flowdiff.model(sub, window=(t_start, t_end)))
-        self._cursor = t_end
+        self.set_baseline_model(self.flowdiff.model(sub, window=(t_start, t_end)), t_end)
 
     def advance(self, log: ControllerLog) -> List[WindowReport]:
-        """Diagnose every complete window between the cursor and log end.
+        """Diagnose every complete window between the open one and log end.
 
         Returns the newly produced window reports (also appended to
         :attr:`history`). Incomplete trailing windows wait for more log.
@@ -292,21 +307,23 @@ class SlidingDiagnoser(DiagnosisStream):
         """
         if self.baseline is None:
             raise RuntimeError("set_baseline() must run before advance()")
-        _, log_end = log.time_span
+        _, end = log.time_span
+        if not self.placeable(end):
+            # Placeability falls with magnitude, so the unplaceable stamps
+            # are the log's last ones. They stay past the open window, so
+            # counting them against the last count counts each once.
+            stamps = [m.timestamp for m in log.window(self.edge(self.k), math.inf)]
+            placed = [ts for ts in stamps if self.placeable(ts)]
+            dropped = len(stamps) - len(placed)
+            self._m_dropped.inc(max(0, dropped - self.dropped))
+            self.dropped = max(self.dropped, dropped)
+            end = placed[-1] if placed else -math.inf
         new_reports: List[WindowReport] = []
-        while self._cursor + self.window <= log_end:
-            t0 = self._cursor
-            t1 = t0 + self.window
+        while self.edge(self.k + 1) <= end:
             started = wall_now()
-            sub = log.window(t0, t1)
-            current = self.flowdiff.model(sub, window=(t0, t1), assess=False)
-            new_reports.append(
-                self.observe(t0, t1, current, window_log=sub, started=started)
-            )
-            if len(sub):
-                self._cursor = t1
-            else:
-                # ``t1 <= log_end``: some message lies at or after ``t1``.
-                next_ts, _ = log.window(t1, math.inf).time_span
-                self._cursor = self.skip_quiet(t1, next_ts, self.window)
+            t1 = self.edge(self.k + 1)
+            sub = log.window(self.edge(self.k), t1)
+            # ``t1 <= end``: past an empty window lies a placeable message.
+            next_ts = None if len(sub) else log.window(t1, math.inf).time_span[0]
+            new_reports.append(self.close(sub, next_ts, started=started))
         return new_reports

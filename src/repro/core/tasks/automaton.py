@@ -183,24 +183,6 @@ class TaskAutomaton:
             out.update(pattern)
         return out
 
-    def to_dot(self, name: str = "task") -> str:
-        """Render the automaton in Graphviz DOT format (for debugging).
-
-        Start states get a bold border, accept states a double circle;
-        each node is labeled with its flow pattern, one flow per line.
-        """
-        lines = [f'digraph "{name}" {{', "  rankdir=LR;"]
-        for i, pattern in enumerate(self.patterns):
-            label = "\\n".join(str(f) for f in pattern)
-            shape = "doublecircle" if i in self.accept_states else "ellipse"
-            style = ', style=bold' if i in self.start_states else ""
-            lines.append(f'  s{i} [label="{label}", shape={shape}{style}];')
-        for i, succs in enumerate(self.transitions):
-            for j in sorted(succs):
-                lines.append(f"  s{i} -> s{j};")
-        lines.append("}")
-        return "\n".join(lines)
-
     def accepts(self, run: Sequence[Label]) -> bool:
         """Exact acceptance: does ``run`` tokenize into a valid path?
 

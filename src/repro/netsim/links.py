@@ -17,10 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro._compat import DATACLASS_KW
 
-
-@dataclass(**DATACLASS_KW)
+@dataclass(slots=True)
 class LinkState:
     """Mutable utilization bookkeeping for one link direction-pair."""
 
@@ -30,7 +28,7 @@ class LinkState:
     updated_at: float = 0.0
 
 
-@dataclass(**DATACLASS_KW)
+@dataclass(slots=True)
 class Link:
     """A bidirectional link between two nodes.
 

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from functools import reduce
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro._compat import DATACLASS_KW
 from repro.netsim.engine import Simulator
 from repro.netsim.topology import Topology
 from repro.obs.metrics import NOOP_REGISTRY, MetricsRegistry
@@ -45,11 +44,11 @@ from repro.netsim.transport import TransportModel
 from repro.openflow.controller import Controller, ControllerConfig
 from repro.openflow.log import ControllerLog
 from repro.openflow.match import FlowKey, Match
-from repro.openflow.messages import FlowRemoved, FlowStatsReply, PortStatus
+from repro.openflow.messages import FlowRemoved, PortStatus
 from repro.openflow.switch import OpenFlowSwitch
 
 
-@dataclass(frozen=True, **DATACLASS_KW)
+@dataclass(frozen=True, slots=True)
 class FlowRequest:
     """One application-level flow to be carried by the network.
 
@@ -64,7 +63,7 @@ class FlowRequest:
     duration: float = 0.01
 
 
-@dataclass(frozen=True, **DATACLASS_KW)
+@dataclass(frozen=True, slots=True)
 class FlowResult:
     """The outcome of a delivered (or failed) flow.
 
@@ -511,7 +510,7 @@ class Network:
         )
 
     # ------------------------------------------------------------------
-    # FlowRemoved sweeper and stats polling
+    # FlowRemoved sweeper
     # ------------------------------------------------------------------
 
     def _ensure_sweeper(self) -> None:
@@ -543,35 +542,6 @@ class Network:
             self.sim.schedule_in(self.config.expiry_sweep, self._sweep)
         else:
             self._sweeper_running = False
-
-    def enable_stats_polling(self, interval: float, until: float) -> None:
-        """Periodically record per-entry counters as FlowStatsReply messages.
-
-        Models the controller "polling flow counters on switches to learn
-        utilization" (Section I).
-        """
-
-        def poll() -> None:
-            now = self.sim.now
-            for switch in self.switches.values():
-                if not switch.live:
-                    continue
-                for entry in switch.table:
-                    self.controller_for(switch.dpid).log.append(
-                        FlowStatsReply(
-                            timestamp=now + self.config.control_latency,
-                            dpid=switch.dpid,
-                            match=entry.match,
-                            byte_count=entry.byte_count,
-                            packet_count=entry.packet_count,
-                            duration=entry.duration,
-                            corr_id=entry.corr_id,
-                        )
-                    )
-            if now + interval <= until:
-                self.sim.schedule_in(interval, poll)
-
-        self.sim.schedule_in(interval, poll)
 
     # ------------------------------------------------------------------
     # Proactive / wildcard deployment modes (Section VI)

@@ -68,6 +68,8 @@ KNOWN_METRICS: FrozenSet[str] = frozenset(
         "monitor_windows_total",
         "monitor_unhealthy_windows_total",
         "monitor_windows_skipped_total",
+        # the batch loop's drops: messages too large to place on the grid
+        "monitor_dropped_total",
         "monitor_last_window_healthy",
         "monitor_healthy_streak",
         "alerts_total",

@@ -25,7 +25,6 @@ from typing import Callable, Deque, Optional
 
 import random
 
-from repro._compat import DATACLASS_KW
 from repro.obs.metrics import NOOP_REGISTRY, MetricsRegistry
 from repro.openflow.log import ControllerLog
 from repro.openflow.match import FlowKey, Match
@@ -64,7 +63,7 @@ class ControllerConfig:
     load_window: float = 1.0
 
 
-@dataclass(**DATACLASS_KW)
+@dataclass(slots=True)
 class ControllerReply:
     """The controller's reaction to one table miss.
 

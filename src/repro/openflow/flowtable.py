@@ -24,7 +24,6 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro._compat import DATACLASS_KW
 from repro.obs.metrics import NOOP_REGISTRY, MetricsRegistry
 from repro.openflow.match import FlowKey, Match
 from repro.openflow.messages import FlowRemovedReason
@@ -33,7 +32,7 @@ from repro.openflow.messages import FlowRemovedReason
 ExactKey = Tuple[str, str, int, int, str]
 
 
-@dataclass(**DATACLASS_KW)
+@dataclass(slots=True)
 class FlowEntry:
     """A single flow-table entry with counters and timeout bookkeeping.
 

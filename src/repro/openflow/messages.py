@@ -16,7 +16,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro._compat import DATACLASS_KW
 from repro.openflow.match import FlowKey, Match
 
 
@@ -35,7 +34,7 @@ class FlowRemovedReason(enum.Enum):
     DELETE = "delete"
 
 
-@dataclass(frozen=True, **DATACLASS_KW)
+@dataclass(frozen=True, slots=True)
 class ControlMessage:
     """Base class for all control messages.
 
@@ -57,7 +56,7 @@ class ControlMessage:
     corr_id: Optional[int] = None
 
 
-@dataclass(frozen=True, **DATACLASS_KW)
+@dataclass(frozen=True, slots=True)
 class PacketIn(ControlMessage):
     """A table-miss notification from a switch to the controller.
 
@@ -71,7 +70,7 @@ class PacketIn(ControlMessage):
     buffer_id: int = 0
 
 
-@dataclass(frozen=True, **DATACLASS_KW)
+@dataclass(frozen=True, slots=True)
 class PacketOut(ControlMessage):
     """A controller instruction to release a buffered packet out a port."""
 
@@ -80,7 +79,7 @@ class PacketOut(ControlMessage):
     buffer_id: int = 0
 
 
-@dataclass(frozen=True, **DATACLASS_KW)
+@dataclass(frozen=True, slots=True)
 class FlowMod(ControlMessage):
     """A controller instruction installing (or deleting) a flow entry.
 
@@ -100,7 +99,7 @@ class FlowMod(ControlMessage):
     in_reply_to: Optional[int] = None
 
 
-@dataclass(frozen=True, **DATACLASS_KW)
+@dataclass(frozen=True, slots=True)
 class FlowRemoved(ControlMessage):
     """An expiry notification carrying the entry's final counters.
 
@@ -116,7 +115,7 @@ class FlowRemoved(ControlMessage):
     reason: FlowRemovedReason = FlowRemovedReason.IDLE_TIMEOUT
 
 
-@dataclass(frozen=True, **DATACLASS_KW)
+@dataclass(frozen=True, slots=True)
 class PortStatus(ControlMessage):
     """A link up/down notification for a switch port."""
 
@@ -124,7 +123,7 @@ class PortStatus(ControlMessage):
     live: bool = True
 
 
-@dataclass(frozen=True, **DATACLASS_KW)
+@dataclass(frozen=True, slots=True)
 class FlowStatsReply(ControlMessage):
     """A polled per-entry counter snapshot (OFPST_FLOW style).
 
@@ -139,7 +138,7 @@ class FlowStatsReply(ControlMessage):
     duration: float = 0.0
 
 
-@dataclass(frozen=True, **DATACLASS_KW)
+@dataclass(frozen=True, slots=True)
 class EchoRequest(ControlMessage):
     """A liveness probe; its absence of reply signals switch failure."""
 

@@ -12,14 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro._compat import DATACLASS_KW
 from repro.obs.metrics import NOOP_REGISTRY, MetricsRegistry
 from repro.openflow.flowtable import FlowEntry, FlowTable
 from repro.openflow.match import FlowKey, Match
 from repro.openflow.messages import FlowRemovedReason
 
 
-@dataclass(frozen=True, **DATACLASS_KW)
+@dataclass(frozen=True, slots=True)
 class TableMiss:
     """The metadata a switch reports to the controller on a table miss.
 
@@ -59,7 +58,7 @@ class OpenFlowSwitch:
         self.metrics = metrics
         self.table = FlowTable(metrics=metrics, dpid=dpid)
         self.live = True
-        #: Per-port cumulative byte counters, used by stats polling.
+        #: Per-port cumulative byte counters.
         self.port_bytes: Dict[int, int] = {}
         #: Count of PacketIn events raised, for control-load accounting.
         self.miss_count = 0

@@ -1,23 +1,25 @@
 """The daemon's open diagnosis window: an ordered buffer of control messages.
 
-The batch monitor (:class:`repro.core.monitor.SlidingDiagnoser`) models
-every window from that window's own messages with ``FlowDiff.model``.
-The daemon does the same thing, one window at a time, as the stream
-arrives. An :class:`IncrementalWindow` buffers the messages of one open
+An :class:`IncrementalWindow` buffers the messages of one open
 ``[t_start, t_end)`` window in arrival order; nothing is extracted or
-built while they arrive. :meth:`~IncrementalWindow.close` sorts the
-buffer into a :class:`~repro.openflow.log.ControllerLog` and models it
-with one ``FlowDiff.model(log, window, assess=False)`` call, the same
-call the batch monitor makes.
+built while they arrive. The tenant closes it as the batch monitor
+closes a window: :meth:`repro.core.monitor.DiagnosisStream.close` over
+``ControllerLog(window.raw)``, one ``FlowDiff.model(log, window,
+assess=False)`` call and the diff, so ``tests/test_service.py`` can
+assert that every closed window is dict-identical to ``SlidingDiagnoser``
+output.
 
 While buffering, the window notes the first reason it arrived *dirty*:
 a timestamp older than the one before it (``out_of_order``) or ``FlowMod``
 traffic whose pairing depends on more than the reply id
 (``flowmod_without_reply_id``, ``duplicate_flowmod_reply_id``). The
-reason is only a label. A clean window closes with status ``merged``, a
-dirty one with ``fallback``, and both are modelled by the same code, so
-``tests/test_service.py`` can assert that every closed window is
-dict-identical to ``SlidingDiagnoser`` output.
+reason is only a label: a clean window closes with status ``merged``, a
+dirty one with ``fallback``.
+
+:meth:`IncrementalWindow.close`, :class:`WindowOutcome` and
+``STATUS_REBUILT`` are bench-pinned: nothing in the package calls or
+produces them, and they stay only because ``bench/stream.py`` (frozen
+outside benchmark changes) does; drop them together with its use.
 """
 
 from __future__ import annotations
@@ -35,13 +37,13 @@ from repro.openflow.messages import ControlMessage, FlowMod
 #: How a closed window arrived: ``merged`` when clean, ``fallback`` when
 #: :attr:`IncrementalWindow.dirty`. Both close through the same code.
 STATUS_MERGED = "merged"
-STATUS_REBUILT = "rebuilt"  # Never produced; bench/stream.py (frozen) tallies it.
+STATUS_REBUILT = "rebuilt"  # Bench-pinned: never produced; bench/stream.py tallies it.
 STATUS_FALLBACK = "fallback"
 
 
 @dataclass(frozen=True)
 class WindowOutcome:
-    """Everything a closed window hands to the diagnosis stream."""
+    """What :meth:`IncrementalWindow.close` returns (bench-pinned)."""
 
     model: BehaviorModel
     status: str
@@ -102,7 +104,11 @@ class IncrementalWindow:
             self.dirty = reason
 
     def close(self) -> WindowOutcome:
-        """Model the buffered window."""
+        """Model the buffered window with a metric-less ``FlowDiff``.
+
+        Bench-pinned: only ``bench/stream.py`` calls it. The tenant closes
+        through :meth:`repro.core.monitor.DiagnosisStream.close` instead.
+        """
         log = self.as_log()
         model = FlowDiff(FlowDiffConfig(signature=self._cfg)).model(
             log, window=(self.t_start, self.t_end), assess=False

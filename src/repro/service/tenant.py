@@ -2,15 +2,16 @@
 
 A :class:`TenantPipeline` owns everything one monitored environment
 needs: the baseline-learning phase, the open
-:class:`~repro.service.incremental.IncrementalWindow` (a buffer, modelled
-by ``FlowDiff.model`` when it closes, exactly as the batch monitor models
-a window), the shared
-:class:`~repro.core.monitor.DiagnosisStream` (diffing, history, health
-metrics, alerting, and the jump over a run of empty windows that the
-batch monitor makes too), a bounded flight-recorder ring of recent raw
-messages, and checkpoint/restore through :mod:`repro.core.persist` so a
-restarted daemon resumes at the last closed window instead of cold
-remodeling.
+:class:`~repro.service.incremental.IncrementalWindow` (a buffer and its
+dirty label), the shared :class:`~repro.core.monitor.DiagnosisStream`
+(the window grid and the one close the batch monitor makes too: model,
+diff, history, health metrics, alerting, the jump over a run of empty
+windows), a bounded flight-recorder ring of recent raw messages, and
+checkpoint/restore through :mod:`repro.core.persist` so a restarted
+daemon resumes at the last closed window instead of cold remodeling.
+
+Per message, ingest compares the timestamp with the open window's two
+edges; only a message past the window is placed on the grid.
 
 Memory is bounded by construction: raw messages live only for the
 currently open window, the report history and the published ``/diff``
@@ -51,7 +52,11 @@ from repro.obs.metrics import NOOP_REGISTRY, MetricsRegistry
 from repro.obs.tracing import wall_now
 from repro.openflow.log import ControllerLog
 from repro.openflow.messages import ControlMessage
-from repro.service.incremental import IncrementalWindow
+from repro.service.incremental import (
+    STATUS_FALLBACK,
+    STATUS_MERGED,
+    IncrementalWindow,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -94,9 +99,9 @@ class TenantPipeline:
             carry a ``tenant`` label.
         alert_engine: per-tenant alert engine; every closed window streams
             through it.
-        checkpoint_dir: when set, the baseline model and per-window cursor
-            persist here (via :mod:`repro.core.persist`); a new pipeline
-            pointed at the same directory resumes instead of relearning.
+        checkpoint_dir: when set, the baseline model and the open window's
+            start (the cursor) persist here (via :mod:`repro.core.persist`);
+            a pipeline pointed at the same directory resumes, not relearns.
         history_limit: report-history cap; older windows are dropped (the
             checkpointed cursor, not history, is the durable state).
         trace_capacity: raw messages retained for flight-recorder traces.
@@ -126,11 +131,8 @@ class TenantPipeline:
         trace_capacity: int = 4096,
         resume: bool = True,
     ) -> None:
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window}")
         self.name = name
         self.flowdiff = FlowDiff(config, metrics=metrics)
-        self.window = float(window)
         self.baseline_span = float(
             baseline_span if baseline_span is not None else window
         )
@@ -138,6 +140,7 @@ class TenantPipeline:
         self.history_limit = max(1, int(history_limit))
         self.stream = DiagnosisStream(
             self.flowdiff,
+            window,
             task_library=task_library,
             rebaseline_after=rebaseline_after,
             metrics=metrics,
@@ -149,23 +152,16 @@ class TenantPipeline:
         self._alerts_seen = 0
         self._worst: Optional[Severity] = None
 
-        self._m_ingested = metrics.counter(
-            "service_ingest_messages_total", tenant=name
+        self._m_ingested = metrics.counter("service_ingest_messages_total", tenant=name)
+        self._m_late = metrics.counter("service_dropped_total", tenant=name, reason="late")
+        self._m_unplaceable = metrics.counter(
+            "service_dropped_total", tenant=name, reason="ts_precision"
         )
-        self._m_late = metrics.counter(
-            "service_dropped_total", tenant=name, reason="late"
-        )
-        self._m_resumed = metrics.counter(
-            "service_resume_skipped_total", tenant=name
-        )
+        self._m_resumed = metrics.counter("service_resume_skipped_total", tenant=name)
         self._m_windows = metrics.counter("service_windows_total", tenant=name)
         self._m_report = metrics.histogram("service_report_seconds")
-        self._m_checkpoints = metrics.counter(
-            "service_checkpoints_total", tenant=name
-        )
-        self._m_checkpoint_age = metrics.gauge(
-            "service_checkpoint_age_seconds", tenant=name
-        )
+        self._m_checkpoints = metrics.counter("service_checkpoints_total", tenant=name)
+        self._m_checkpoint_age = metrics.gauge("service_checkpoint_age_seconds", tenant=name)
 
         self.phase = PHASE_BASELINE
         self.status_counts: Dict[str, int] = {}
@@ -174,7 +170,6 @@ class TenantPipeline:
         self._buffer: List[ControlMessage] = []
         self._t_first: Optional[float] = None
         self._baseline_end: Optional[float] = None
-        self._cursor: Optional[float] = None
         self._resume_cursor: Optional[float] = None
         self._win: Optional[IncrementalWindow] = None
         self._baseline_digest: Optional[str] = None
@@ -198,8 +193,9 @@ class TenantPipeline:
         Messages older than an already-closed window are dropped (with
         ``service_dropped_total{reason="late"}`` accounting) — the batch
         path would have sorted them in, but a closed window is immutable
-        by design; replays during checkpoint resume are skipped silently
-        under ``service_resume_skipped_total``.
+        by design — as are ones too large to place on the grid
+        (``reason="ts_precision"``). Replays during checkpoint resume are
+        skipped silently under ``service_resume_skipped_total``.
         """
         self._m_ingested.inc(len(messages))
         reports: List[WindowReport] = []
@@ -214,14 +210,14 @@ class TenantPipeline:
                 resume_cursor = None
                 self._resume_cursor = None
             if self.phase == PHASE_BASELINE:
-                if self._t_first is None:
-                    self._t_first = ts
-                    self._baseline_end = ts + self.baseline_span
-                if ts < self._baseline_end:  # type: ignore[operator]
+                if self._t_first is not None and ts < self._baseline_end:  # type: ignore[operator]
                     self._buffer.append(msg)
                     continue
-                if not self._learn_baseline():
-                    # The span was dropped: learn afresh from this message.
+                if not self.stream.placeable(ts):
+                    self._m_unplaceable.inc()
+                    continue
+                if self._t_first is None or not self._learn_baseline():
+                    # The first message, or the span was dropped: learn from here.
                     self._t_first = ts
                     self._baseline_end = ts + self.baseline_span
                     self._buffer.append(msg)
@@ -230,11 +226,15 @@ class TenantPipeline:
             if ts < win.t_start:  # type: ignore[union-attr]
                 self._m_late.inc()
                 continue
-            while ts >= win.t_end:  # type: ignore[union-attr]
-                entry = self._close_window(ts)
-                if entry is not None:
-                    reports.append(entry)
-                win = self._win
+            if ts >= win.t_end:  # type: ignore[union-attr]
+                if not self.stream.placeable(ts):
+                    self._m_unplaceable.inc()
+                    continue
+                while ts >= win.t_end:  # type: ignore[union-attr]
+                    entry = self._close_window(ts)
+                    if entry is not None:
+                        reports.append(entry)
+                    win = self._win
             win.add(msg)  # type: ignore[union-attr]
         self._publish(trace=tuple(self.trace_ring))
         return reports
@@ -254,15 +254,12 @@ class TenantPipeline:
         assert t_first is not None and t_end is not None
         buffered, self._buffer = self._buffer, []
         try:
-            baseline = self.flowdiff.model(
-                ControllerLog(buffered), window=(t_first, t_end)
-            )
-            self.stream.set_baseline_model(baseline)
+            baseline = self.flowdiff.model(ControllerLog(buffered), window=(t_first, t_end))
         except Exception:
             self._drop("baseline span", t_first, t_end, len(buffered))
             return False
+        self.stream.set_baseline_model(baseline, t_end)
         self.phase = PHASE_STREAMING
-        self._cursor = self._baseline_end
         self._store_baseline()
         self._open_window()
         return True
@@ -270,13 +267,7 @@ class TenantPipeline:
     def _drop(self, what: str, t0: float, t1: float, n: int) -> None:
         """Log the exception being handled and count the ``n`` messages of
         ``[t0, t1)`` under ``service_dropped_total{reason="close_error"}``."""
-        logger.exception(
-            "tenant %s: dropped %s [%s, %s): it raised",
-            self.name,
-            what,
-            t0,
-            t1,
-        )
+        logger.exception("tenant %s: dropped %s [%s, %s): it raised", self.name, what, t0, t1)
         self.metrics.counter(
             "service_dropped_total", tenant=self.name, reason="close_error"
         ).inc(n)
@@ -290,48 +281,34 @@ class TenantPipeline:
             )
 
     def _open_window(self) -> None:
-        assert self._cursor is not None
+        """Open a buffer over the stream's window ``k``."""
+        stream = self.stream
         self._win = IncrementalWindow(
-            self._cursor,
-            self._cursor + self.window,
+            stream.edge(stream.k),
+            stream.edge(stream.k + 1),
             self.flowdiff.config.signature,
         )
 
     def _close_window(self, next_ts: float) -> Optional[WindowReport]:
-        """Close the open window, diagnose it, checkpoint, open the next.
+        """Close the open window at ``next_ts``, checkpoint, open the next.
 
-        ``next_ts`` is the message that ends the window. The next window
-        opens where the window ends, or, when this one was empty, at the
-        window holding ``next_ts`` (:meth:`DiagnosisStream.skip_quiet`).
-
-        A window whose modeling or diagnosis raises is dropped: its
-        messages are counted under
-        ``service_dropped_total{reason="close_error"}`` and the tenant
-        moves on to the next window instead of retrying this one with
-        every later batch.
+        A window whose close raises is dropped: its messages are counted
+        under ``service_dropped_total{reason="close_error"}`` and the
+        tenant moves on instead of retrying it with every later batch.
         """
         win = self._win
         assert win is not None
         started = wall_now()
         t0, t1 = win.t_start, win.t_end
-        self._cursor = (
-            t1 if win.raw else self.stream.skip_quiet(t1, next_ts, self.window)
-        )
-        self._open_window()
         baseline = self.stream.baseline
         try:
-            outcome = win.close()
-            entry = self.stream.observe(
-                t0,
-                t1,
-                outcome.model,
-                window_log=outcome.log,
-                started=started,
-            )
+            entry = self.stream.close(ControllerLog(win.raw), next_ts, started=started)
         except Exception:
             self._drop("window", t0, t1, len(win.raw))
             return None
-        status = outcome.status
+        finally:
+            self._open_window()
+        status = STATUS_MERGED if win.dirty is None else STATUS_FALLBACK
         self.metrics.counter(
             "service_window_merge_total", tenant=self.name, status=status
         ).inc()
@@ -403,7 +380,7 @@ class TenantPipeline:
             "resumed": self.resumed,
             "windows": self.windows_total,
             "statuses": dict(self.status_counts),
-            "cursor": self._cursor,
+            "cursor": self.stream.cursor,
             "last_window": [rows[-1]["t_start"], rows[-1]["t_end"]] if rows else None,
             "healthy_streak": self.stream.healthy_streak(),
             "alerts": alerts,
@@ -424,8 +401,8 @@ class TenantPipeline:
         state = {
             "tenant": self.name,
             "config": config_fingerprint(self.flowdiff.config),
-            "cursor": self._cursor,
-            "window": self.window,
+            "cursor": self.stream.cursor,
+            "window": self.stream.window,
             "baseline_span": self.baseline_span,
             "t_first": self._t_first,
             "baseline_digest": self._baseline_digest,
@@ -459,25 +436,26 @@ class TenantPipeline:
                 return
             digest = state["baseline_digest"]
             t_first = float(state["t_first"])
-            cursor = float(state["cursor"])
+            origin = t_first + self.baseline_span
+            k = round((float(state["cursor"]) - origin) / self.stream.window)
             windows_total = int(state["windows_total"])
             status_counts = {
                 str(status): int(count)
                 for status, count in dict(state["status_counts"]).items()
             }
             checkpointed_at = float(state["checkpointed_at"])
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             return
         baseline = load_model_object(self._checkpoint_dir, digest)
         if baseline is None:
             return
-        self.stream.set_baseline_model(baseline)
+        self.stream.set_baseline_model(baseline, origin)
+        self.stream.k = k
         self.phase = PHASE_STREAMING
         self._t_first = t_first
-        self._baseline_end = t_first + self.baseline_span
+        self._baseline_end = origin
         self._baseline_digest = digest
-        self._cursor = cursor
-        self._resume_cursor = cursor
+        self._resume_cursor = self.stream.cursor
         self.windows_total = windows_total
         self.status_counts = status_counts
         self._last_checkpoint_ts = checkpointed_at

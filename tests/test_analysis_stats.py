@@ -10,7 +10,6 @@ from repro.analysis.stats import (
     chi_squared,
     histogram_peaks,
     mean_std,
-    partial_correlation,
     pearson,
     percentile_index,
 )
@@ -80,28 +79,6 @@ class TestPearson:
     def test_symmetric(self, xs):
         ys = [x * 0.5 + 1 for x in xs]
         assert pearson(xs, ys) == pytest.approx(pearson(ys, xs))
-
-
-class TestPartialCorrelation:
-    def test_removes_confounder(self):
-        # x and y are both driven purely by z: the partial correlation
-        # controlling for z should be much smaller than the raw one.
-        import random
-
-        rng = random.Random(2)
-        zs = [rng.random() for _ in range(500)]
-        xs = [z + rng.gauss(0, 0.01) for z in zs]
-        ys = [z + rng.gauss(0, 0.01) for z in zs]
-        raw = pearson(xs, ys)
-        partial = partial_correlation(xs, ys, zs)
-        assert raw > 0.9
-        assert abs(partial) < 0.5
-
-    def test_falls_back_when_degenerate(self):
-        xs = [1.0, 2.0, 3.0]
-        ys = [2.0, 4.0, 6.0]
-        # z perfectly correlated with x -> denominator vanishes.
-        assert partial_correlation(xs, ys, xs) == pytest.approx(pearson(xs, ys))
 
 
 class TestChiSquared:

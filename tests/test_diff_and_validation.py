@@ -8,7 +8,7 @@ from repro.core.diff.dependency import (
     DependencyMatrix,
     classify_problems,
 )
-from repro.core.diff.ranking import rank_components, top_suspects
+from repro.core.diff.ranking import rank_components
 from repro.core.diff.report import DiagnosisReport
 from repro.core.diff.validate import TaskExplanation, validate_changes
 from repro.core.signatures.base import ChangeRecord, SignatureKind
@@ -178,12 +178,6 @@ class TestRanking:
         weighted = rank_components(changes, weight_by_magnitude=True)
         assert plain[0][0] == "b"
         assert weighted[0][0] == "a"
-
-    def test_top_suspects_hosts_only(self):
-        changes = [
-            change(SignatureKind.CG, components={"S3--S8", "S3", "S8"}),
-        ]
-        assert "S3--S8" not in top_suspects(changes, k=3, hosts_only=True)
 
     def test_deterministic_tiebreak(self):
         changes = [change(SignatureKind.CG, components={"b", "a"})]

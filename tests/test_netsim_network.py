@@ -139,15 +139,6 @@ class TestDeploymentModes:
         assert len(net.log.packet_ins()) == 0
         assert len(net.log.flow_removed()) == 0
 
-    def test_stats_polling_emits_replies(self):
-        net = make_network()
-        net.enable_stats_polling(interval=0.5, until=5.0)
-        send_and_run(net, FlowKey("h1", "h5", 40000, 80), until=6.0)
-        from repro.openflow.messages import FlowStatsReply
-
-        assert len(net.log.of_type(FlowStatsReply)) > 0
-
-
 class TestFaultHooks:
     def test_switch_failure_reroutes_or_drops(self):
         topo = lab_testbed()

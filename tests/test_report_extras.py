@@ -4,7 +4,6 @@ import pytest
 
 from repro import FlowDiff
 from repro.core.diff.html import report_to_html, save_html_report
-from repro.core.tasks.automaton import TaskAutomaton
 from repro.faults import LoggingMisconfig
 from repro.scenarios import three_tier_lab
 
@@ -83,17 +82,3 @@ class TestDrillDown:
 
     def test_unknown_component_empty(self, report):
         assert report.changes_for("nonexistent-host") == ()
-
-
-class TestAutomatonDot:
-    def test_dot_structure(self):
-        automaton = TaskAutomaton.build(
-            [["a", "b", "c"], ["a", "b", "c"], ["b", "c", "a"]], min_sup=0.6
-        )
-        dot = automaton.to_dot("startup")
-        assert dot.startswith('digraph "startup"')
-        assert dot.rstrip().endswith("}")
-        assert "doublecircle" in dot  # accept states marked
-        assert "->" in dot
-        # One node per state.
-        assert dot.count("[label=") == automaton.n_states

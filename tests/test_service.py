@@ -104,6 +104,14 @@ def assert_histories_identical(streamed, reference):
         assert svc.report.to_dict() == ref.report.to_dict()
 
 
+def run_for_at_most(seconds, fn, *args):
+    """Run ``fn`` in a daemon thread; fail if it has not returned in time."""
+    worker = threading.Thread(target=fn, args=args, daemon=True)
+    worker.start()
+    worker.join(timeout=seconds)
+    assert not worker.is_alive(), f"{fn.__qualname__} never returned"
+
+
 class TestIncrementalEquivalence:
     def test_healthy_capture_matches_batch(self, healthy_log):
         tenant, registry = stream_through(healthy_log)
@@ -261,10 +269,7 @@ class TestIncrementalEquivalence:
         tenant = TenantPipeline(
             "t1", window=WINDOW, baseline_span=BASELINE, metrics=registry
         )
-        worker = threading.Thread(target=tenant.ingest, args=(messages,), daemon=True)
-        worker.start()
-        worker.join(timeout=60.0)
-        assert not worker.is_alive(), "ingest never returned"
+        run_for_at_most(60.0, tenant.ingest, messages)
         reference = batch_reference(ControllerLog(messages))
         assert len(tenant.history) == len(reference)
         assert_histories_identical(tenant.history, reference)
@@ -276,12 +281,83 @@ class TestIncrementalEquivalence:
         assert cursor == quiet.t_end + skipped * WINDOW
         assert cursor <= far.timestamp < cursor + WINDOW
 
+    def test_both_loops_count_every_model(self, healthy_log):
+        """The daemon's window models went uncounted (a metric-less
+        ``FlowDiff`` built them): batch read 4 here, the tenant 1."""
+        batch = MetricsRegistry()
+        diagnoser = SlidingDiagnoser(window=WINDOW, metrics=batch)
+        t_first, _ = healthy_log.time_span
+        diagnoser.set_baseline(healthy_log, t_first, t_first + BASELINE)
+        diagnoser.advance(healthy_log)
+        tenant, streamed = stream_through(healthy_log)
+        assert len(tenant.history) == len(diagnoser.history) >= 2
+        models = batch.value("flowdiff_models_total")
+        assert models == len(diagnoser.history) + 1
+        assert streamed.value("flowdiff_models_total") == models
+
     def test_single_batch_and_tiny_batches_agree(self, healthy_log):
         one, _ = stream_through(healthy_log, batch_size=10 ** 9)
         tiny, _ = stream_through(healthy_log, batch_size=7)
         assert len(one.history) == len(tiny.history)
         for a, b in zip(one.history, tiny.history):
             assert a.report.to_dict() == b.report.to_dict()
+
+
+class TestUnplaceableTimestamps:
+    """A line at ``ts = 1e18``, where ``t + 10 == t`` in floats, wedged
+    ``repro monitor``. Now it is one counted drop in either loop and the
+    history is that of the capture without it."""
+
+    def test_batch_drops_it_once(self, healthy_log):
+        t_first, _ = healthy_log.time_span
+        clean = batch_reference(healthy_log)
+        metrics = MetricsRegistry()
+        diagnoser = SlidingDiagnoser(window=WINDOW, metrics=metrics)
+        diagnoser.set_baseline(healthy_log, t_first, t_first + BASELINE)
+        log = ControllerLog(list(healthy_log) + [EchoRequest(timestamp=1e18, dpid="s1")])
+        run_for_at_most(60.0, diagnoser.advance, log)
+        assert_histories_identical(diagnoser.history, clean)
+        assert len(diagnoser.history) == len(clean)
+
+        def dropped():
+            return metrics.value("monitor_dropped_total", reason="ts_precision")
+
+        assert dropped() == diagnoser.dropped == 1
+        # Advancing again over a grown log counts only what is new.
+        diagnoser.advance(log)
+        assert dropped() == 1
+        log.append(EchoRequest(timestamp=1e17, dpid="s1"))
+        diagnoser.advance(log)
+        assert dropped() == 2
+
+    def test_tenant_drops_it_once(self, healthy_log):
+        clean, _ = stream_through(healthy_log)
+        registry = MetricsRegistry()
+        tenant = TenantPipeline(
+            "t1", window=WINDOW, baseline_span=BASELINE, metrics=registry
+        )
+        messages = list(healthy_log) + [EchoRequest(timestamp=1e18, dpid="s1")]
+        run_for_at_most(60.0, tenant.ingest, messages)
+        assert tenant.windows_total == clean.windows_total
+        assert tenant.status_counts == clean.status_counts
+        assert_histories_identical(tenant.history, clean.history)
+        assert registry.value(
+            "service_dropped_total", tenant="t1", reason="ts_precision"
+        ) == 1
+        assert tenant.view.summary["cursor"] == clean.view.summary["cursor"]
+
+    def test_tenant_never_learns_a_baseline_from_it(self, healthy_log):
+        registry = MetricsRegistry()
+        tenant = TenantPipeline(
+            "t1", window=WINDOW, baseline_span=BASELINE, metrics=registry
+        )
+        far = EchoRequest(timestamp=1e18, dpid="s1")
+        tenant.ingest([far] + list(healthy_log))
+        clean, _ = stream_through(healthy_log)
+        assert_histories_identical(tenant.history, clean.history)
+        assert registry.value(
+            "service_dropped_total", tenant="t1", reason="ts_precision"
+        ) == 1
 
 
 class TestCheckpointRestore:
@@ -366,9 +442,10 @@ class TestCheckpointRestore:
         "field,value",
         [
             ("cursor", None),
+            ("cursor", float("inf")),
             ("baseline_digest", "0" * 64),
         ],
-        ids=["garbled-cursor", "missing-baseline-object"],
+        ids=["garbled-cursor", "infinite-cursor", "missing-baseline-object"],
     )
     def test_unusable_checkpoint_field_cold_starts(
         self, healthy_log, tmp_path, field, value
