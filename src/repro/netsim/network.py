@@ -44,8 +44,11 @@ from repro.netsim.transport import TransportModel
 from repro.openflow.controller import Controller, ControllerConfig
 from repro.openflow.log import ControllerLog
 from repro.openflow.match import FlowKey, Match
-from repro.openflow.messages import FlowRemoved, PortStatus
+from repro.openflow.messages import FlowMod, FlowRemoved, PortStatus
 from repro.openflow.switch import OpenFlowSwitch
+
+#: A route: node names from source host to destination host.
+Path = Tuple[str, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,6 +123,10 @@ class NetworkConfig:
     seed: int = 1
 
 
+#: The sender's completion callback for :meth:`Network.send_flow`.
+OnComplete = Callable[[FlowResult], None]
+
+
 class Network:
     """A flow-based data center network bound to a simulator clock."""
 
@@ -164,7 +171,7 @@ class Network:
         self._host_of_ip: Dict[str, str] = {
             topology.ip_of(h): h for h in topology.hosts()
         }
-        self._route_cache: Dict[Tuple[str, str], Optional[List[List[str]]]] = {}
+        self._route_cache: Dict[Tuple[str, str], Optional[List[Path]]] = {}
         self._sweeper_running = False
         self.flows_sent = 0
         self.flows_delivered = 0
@@ -217,18 +224,23 @@ class Network:
 
     def _path_between(
         self, src_host: str, dst_host: str, flow: Optional[FlowKey] = None
-    ) -> Optional[List[str]]:
+    ) -> Optional[Path]:
         key = (src_host, dst_host)
         if key not in self._route_cache:
+            # Cached paths are tuples: every flow on the pair shares one,
+            # and nothing downstream mutates it.
             if self.config.ecmp:
-                self._route_cache[key] = self.topology.all_shortest_paths(
-                    src_host, dst_host, dead_nodes=self._dead_nodes()
-                ) or None
+                self._route_cache[key] = [
+                    tuple(p)
+                    for p in self.topology.all_shortest_paths(
+                        src_host, dst_host, dead_nodes=self._dead_nodes()
+                    )
+                ] or None
             else:
                 path = self.topology.path(
                     src_host, dst_host, dead_nodes=self._dead_nodes()
                 )
-                self._route_cache[key] = [path] if path else None
+                self._route_cache[key] = [tuple(path)] if path else None
         paths = self._route_cache[key]
         if not paths:
             return None
@@ -281,26 +293,8 @@ class Network:
         src_host = self.host_for_ip(key.src)
         dst_host = self.host_for_ip(key.dst)
 
-        def finish(result: FlowResult) -> None:
-            if result.delivered:
-                self.flows_delivered += 1
-            if on_complete is not None:
-                on_complete(result)
-
-        def fail_now() -> None:
-            finish(
-                FlowResult(
-                    request=request,
-                    delivered=False,
-                    started_at=started,
-                    head_arrived_at=started,
-                    completed_at=started,
-                    path=(),
-                    observed_bytes=0,
-                )
-            )
-
-        if (
+        path: Optional[Path] = None
+        if not (
             src_host is None
             or dst_host is None
             or src_host in self._dead_hosts
@@ -308,55 +302,62 @@ class Network:
             or (dst_host, key.dst_port) in self._blocked
             or (src_host, key.src_port) in self._blocked
         ):
-            self.sim.schedule_in(0.0, fail_now)
-            return
-
-        path = self._path_between(src_host, dst_host, key)
+            path = self._path_between(src_host, dst_host, key)
         if path is None:
-            self.sim.schedule_in(0.0, fail_now)
+            self.sim.schedule_in(
+                0.0, self._finish, on_complete, self._failed_result(request, started, ())
+            )
             return
 
-        self._forward_head(
-            request, list(path), hop_index=1, at=started, on_done=finish, corr_id=corr_id
-        )
+        self._forward_head(request, path, 1, started, on_complete, corr_id)
+
+    def _finish(self, on_complete: Optional[OnComplete], result: FlowResult) -> None:
+        """Account a finished flow and hand its result to the sender."""
+        if result.delivered:
+            self.flows_delivered += 1
+        if on_complete is not None:
+            on_complete(result)
 
     def _forward_head(
         self,
         request: FlowRequest,
-        path: List[str],
+        path: Path,
         hop_index: int,
         at: float,
-        on_done: Callable[[FlowResult], None],
+        on_done: Optional[OnComplete],
         corr_id: Optional[int] = None,
     ) -> None:
         """Advance the flow's first packet from node ``hop_index - 1``.
 
         Each recursion step crosses one link and processes one node. The
         head packet carries a nominal MSS of bytes; the body is accounted
-        separately once the head has arrived.
+        separately once the head has arrived. ``on_done`` is the sender's
+        ``on_complete``, handed to :meth:`_finish` when the flow ends.
+
+        Hops, installs, body checkpoints and completions are scheduled as
+        bound methods plus arguments, never closures: a closure per hop
+        allocates a function and a cell per captured name, and those were
+        most of what the cyclic GC traversed during a run.
         """
         prev = path[hop_index - 1]
         node = path[hop_index]
         link = self.topology.link(prev, node)
         if not link.up:
             self.sim.schedule_in(
-                0.0,
-                lambda: on_done(self._failed_result(request, at, path)),
+                0.0, self._finish, on_done, self._failed_result(request, at, path)
             )
             return
         arrive = at + link.effective_latency(self.sim.now)
-
-        def process() -> None:
-            self._process_at_node(request, path, hop_index, on_done, corr_id)
-
-        self.sim.schedule_at(arrive, process)
+        self.sim.schedule_at(
+            arrive, self._process_at_node, request, path, hop_index, on_done, corr_id
+        )
 
     def _process_at_node(
         self,
         request: FlowRequest,
-        path: List[str],
+        path: Path,
         hop_index: int,
-        on_done: Callable[[FlowResult], None],
+        on_done: Optional[OnComplete],
         corr_id: Optional[int] = None,
     ) -> None:
         node = path[hop_index]
@@ -376,48 +377,67 @@ class Network:
             )
             if miss is not None:
                 if not switch.live:
-                    on_done(self._failed_result(request, now, path))
+                    self._finish(on_done, self._failed_result(request, now, path))
                     return
                 reply = self.controller_for(node).handle_miss(
                     miss, arrived_at=now + self.config.control_latency
                 )
                 if reply.flow_mod is None:
                     # Route unknown (e.g. destination just died): drop.
-                    on_done(self._failed_result(request, now, path))
+                    self._finish(on_done, self._failed_result(request, now, path))
                     return
-                applied_at = reply.ready_at + self.config.control_latency
-
-                def install_and_continue() -> None:
-                    entry = switch.install(
-                        match=reply.flow_mod.match,
-                        out_port=reply.flow_mod.out_port,
-                        now=self.sim.now,
-                        idle_timeout=reply.flow_mod.idle_timeout,
-                        hard_timeout=reply.flow_mod.hard_timeout,
-                        corr_id=reply.flow_mod.corr_id,
-                    )
-                    entry.record_match(self.sim.now, head_bytes)
-                    self._ensure_sweeper()
-                    self._forward_head(
-                        request, path, hop_index + 1, self.sim.now, on_done, corr_id
-                    )
-
-                self.sim.schedule_at(applied_at, install_and_continue)
+                self.sim.schedule_at(
+                    reply.ready_at + self.config.control_latency,
+                    self._install_and_continue,
+                    switch,
+                    reply.flow_mod,
+                    head_bytes,
+                    request,
+                    path,
+                    hop_index,
+                    on_done,
+                    corr_id,
+                )
                 return
             if out_port is None:
-                on_done(self._failed_result(request, now, path))
+                self._finish(on_done, self._failed_result(request, now, path))
                 return
             self._forward_head(request, path, hop_index + 1, now, on_done, corr_id)
         else:
             # Legacy switch: transparent store-and-forward, no control plane.
             self._forward_head(request, path, hop_index + 1, now, on_done, corr_id)
 
+    def _install_and_continue(
+        self,
+        switch: OpenFlowSwitch,
+        flow_mod: FlowMod,
+        head_bytes: int,
+        request: FlowRequest,
+        path: Path,
+        hop_index: int,
+        on_done: Optional[OnComplete],
+        corr_id: Optional[int],
+    ) -> None:
+        """Apply the controller's reply at ``switch`` and resume the head."""
+        now = self.sim.now
+        entry = switch.install(
+            match=flow_mod.match,
+            out_port=flow_mod.out_port,
+            now=now,
+            idle_timeout=flow_mod.idle_timeout,
+            hard_timeout=flow_mod.hard_timeout,
+            corr_id=flow_mod.corr_id,
+        )
+        entry.record_match(now, head_bytes)
+        self._ensure_sweeper()
+        self._forward_head(request, path, hop_index + 1, now, on_done, corr_id)
+
     def _deliver_body(
         self,
         request: FlowRequest,
-        path: List[str],
+        path: Path,
         head_arrived: float,
-        on_done: Callable[[FlowResult], None],
+        on_done: Optional[OnComplete],
     ) -> None:
         """Stream the flow body, apply transport effects, finish the flow."""
         links = [
@@ -445,15 +465,15 @@ class Network:
             started_at=head_arrived,  # refined below
             head_arrived_at=head_arrived,
             completed_at=completed,
-            path=tuple(path),
+            path=path,
             observed_bytes=outcome.observed_bytes,
         )
-        self.sim.schedule_at(completed, lambda: on_done(result))
+        self.sim.schedule_at(completed, self._finish, on_done, result)
 
     def _schedule_body_accounting(
         self,
         key: FlowKey,
-        path: List[str],
+        path: Path,
         start: float,
         end: float,
         body_bytes: int,
@@ -477,27 +497,36 @@ class Network:
         share_packets = max(1, body_packets // per) if body_packets else 0
         switch_nodes = [self.switches[n] for n in path if n in self.switches]
 
-        # Every checkpoint credits the same share, so one closure serves
-        # them all (it reads the clock at execution time) — the previous
-        # shape allocated two fresh closures per checkpoint, which is
-        # measurable churn at millions of flows.
-        def credit() -> None:
-            now = self.sim.now
-            for switch in switch_nodes:
-                if not switch.live:
-                    continue
-                entry = switch.table.lookup(key, now)
-                if entry is not None:
-                    entry.record_match(now, share_bytes, share_packets)
-
+        # Every checkpoint credits the same share through one method; it
+        # reads the clock at execution time.
         t = start + step
         while t < end:
-            self.sim.schedule_at(t, credit)
+            self.sim.schedule_at(
+                t, self._credit_body, switch_nodes, key, share_bytes, share_packets
+            )
             t += step
-        self.sim.schedule_at(end, credit)
+        self.sim.schedule_at(
+            end, self._credit_body, switch_nodes, key, share_bytes, share_packets
+        )
+
+    def _credit_body(
+        self,
+        switch_nodes: List[OpenFlowSwitch],
+        key: FlowKey,
+        share_bytes: int,
+        share_packets: int,
+    ) -> None:
+        """One body checkpoint: credit a share to each live entry on the path."""
+        now = self.sim.now
+        for switch in switch_nodes:
+            if not switch.live:
+                continue
+            entry = switch.table.lookup(key, now)
+            if entry is not None:
+                entry.record_match(now, share_bytes, share_packets)
 
     def _failed_result(
-        self, request: FlowRequest, at: float, path: List[str]
+        self, request: FlowRequest, at: float, path: Path
     ) -> FlowResult:
         return FlowResult(
             request=request,
@@ -505,7 +534,7 @@ class Network:
             started_at=at,
             head_arrived_at=at,
             completed_at=at,
-            path=tuple(path),
+            path=path,
             observed_bytes=0,
         )
 

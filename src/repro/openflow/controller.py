@@ -28,7 +28,7 @@ import random
 from repro.obs.metrics import NOOP_REGISTRY, MetricsRegistry
 from repro.openflow.log import ControllerLog
 from repro.openflow.match import FlowKey, Match
-from repro.openflow.messages import FlowMod, PacketIn, PacketOut
+from repro.openflow.messages import FlowMod, FlowModCommand, PacketIn, PacketOut
 from repro.openflow.switch import TableMiss
 
 #: A routing function: (dpid, flow) -> output port, or None to drop.
@@ -153,13 +153,11 @@ class Controller:
         nor replies, which surfaces as a vanishing control-message stream —
         the controller-failure problem class of Figure 2(b).
         """
+        # Messages are built positionally, so the arguments follow the
+        # dataclass field order: timestamp, dpid, corr_id, then the
+        # subclass's own fields.
         packet_in = PacketIn(
-            timestamp=arrived_at,
-            dpid=miss.dpid,
-            flow=miss.flow,
-            in_port=miss.in_port,
-            buffer_id=self.log_seq(),
-            corr_id=miss.corr_id,
+            arrived_at, miss.dpid, miss.corr_id, miss.flow, miss.in_port, self.log_seq()
         )
         if not self.live:
             self._m_dead.inc()
@@ -186,22 +184,19 @@ class Controller:
             else Match.destination(miss.flow.dst)
         )
         flow_mod = FlowMod(
-            timestamp=done,
-            dpid=miss.dpid,
-            match=match,
-            out_port=out_port,
-            idle_timeout=self.config.idle_timeout,
-            hard_timeout=self.config.hard_timeout,
-            in_reply_to=packet_in.buffer_id,
-            corr_id=miss.corr_id,
+            done,
+            miss.dpid,
+            miss.corr_id,
+            match,
+            out_port,
+            self.config.idle_timeout,
+            self.config.hard_timeout,
+            0,  # priority
+            FlowModCommand.ADD,
+            packet_in.buffer_id,  # in_reply_to
         )
         packet_out = PacketOut(
-            timestamp=done,
-            dpid=miss.dpid,
-            flow=miss.flow,
-            out_port=out_port,
-            buffer_id=packet_in.buffer_id,
-            corr_id=miss.corr_id,
+            done, miss.dpid, miss.corr_id, miss.flow, out_port, packet_in.buffer_id
         )
         self.log.append(flow_mod)
         self.log.append(packet_out)

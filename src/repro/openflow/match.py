@@ -81,14 +81,12 @@ class Match:
 
     @classmethod
     def exact(cls, key: FlowKey) -> "Match":
-        """Build the microflow match for ``key``."""
-        return cls(
-            src=key.src,
-            dst=key.dst,
-            src_port=key.src_port,
-            dst_port=key.dst_port,
-            proto=key.proto,
-        )
+        """Build the microflow match for ``key``.
+
+        :class:`FlowKey` declares the same fields in the same order, so the
+        key unpacks straight into the match.
+        """
+        return cls(*key)
 
     @classmethod
     def destination(cls, dst: str) -> "Match":

@@ -10,7 +10,7 @@ with their reasons.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.obs.metrics import NOOP_REGISTRY, MetricsRegistry
 from repro.openflow.flowtable import FlowEntry, FlowTable
@@ -58,8 +58,6 @@ class OpenFlowSwitch:
         self.metrics = metrics
         self.table = FlowTable(metrics=metrics, dpid=dpid)
         self.live = True
-        #: Per-port cumulative byte counters.
-        self.port_bytes: Dict[int, int] = {}
         #: Count of PacketIn events raised, for control-load accounting.
         self.miss_count = 0
 
@@ -88,9 +86,6 @@ class OpenFlowSwitch:
                 dpid=self.dpid, flow=key, in_port=in_port, corr_id=corr_id
             )
         entry.record_match(now, nbytes, npackets)
-        self.port_bytes[entry.out_port] = (
-            self.port_bytes.get(entry.out_port, 0) + nbytes
-        )
         return entry.out_port, None
 
     def install(
