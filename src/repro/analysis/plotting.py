@@ -97,23 +97,3 @@ def ascii_series(
     if y_label:
         lines.append(f"{'':11} y: {y_label}")
     return "\n".join(lines)
-
-
-def ascii_bars(
-    values: Dict[str, float],
-    width: int = 40,
-    fmt: str = "{:.2f}",
-) -> str:
-    """Render labeled values as horizontal bars (for Figure 12-style data)."""
-    if not values:
-        return "(no data)"
-    peak = max(abs(v) for v in values.values()) or 1.0
-    label_width = max(len(k) for k in values)
-    lines = []
-    for label, value in values.items():
-        bar = "#" * max(0, int(abs(value) / peak * width))
-        lines.append(
-            f"{label.ljust(label_width)} |{bar.ljust(width)}| "
-            + fmt.format(value)
-        )
-    return "\n".join(lines)

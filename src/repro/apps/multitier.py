@@ -335,13 +335,6 @@ class MultiTierApp:
     # Introspection helpers used by experiments
     # ------------------------------------------------------------------
 
-    def all_servers(self) -> List[str]:
-        """Every server across the app's tiers, front to back."""
-        servers: List[str] = []
-        for tier in self.tiers:
-            servers.extend(tier.servers)
-        return servers
-
     def expected_edges(self) -> List[Tuple[str, str]]:
         """Server-to-server edges the connectivity graph should contain."""
         edges = []

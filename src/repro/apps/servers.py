@@ -62,12 +62,6 @@ class ServerBehavior:
         """Sample the effective service time with all faults applied."""
         return self.delay.sample(rng) * self.cpu_factor + self.logging_overhead
 
-    def reset_faults(self) -> None:
-        """Clear every fault modifier, restoring healthy behaviour."""
-        self.logging_overhead = 0.0
-        self.cpu_factor = 1.0
-        self.crashed = False
-
 
 class ServerFarm:
     """A registry of per-host server behaviours.
@@ -109,10 +103,3 @@ class ServerFarm:
     def crash(self, host: str) -> None:
         """Crash the application process on ``host`` (problem 4)."""
         self.behavior(host).crashed = True
-
-    def clear_faults(self, host: Optional[str] = None) -> None:
-        """Clear faults on one host, or everywhere when ``host`` is None."""
-        targets = [host] if host else list(self._behaviors)
-        for h in targets:
-            if h in self._behaviors:
-                self._behaviors[h].reset_faults()

@@ -12,7 +12,7 @@ hosts become ``#k`` placeholders).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional
+from typing import Dict, FrozenSet
 
 #: Conventional well-known ports for the modeled services.
 SERVICE_PORTS = {
@@ -61,13 +61,6 @@ class ServiceDirectory:
     def service_names(self) -> Dict[str, str]:
         """Host-to-label mapping for task-signature IP masking."""
         return {host: label for label, host in self.hosts.items()}
-
-    def label_of(self, host: str) -> Optional[str]:
-        """The service label of ``host``, or None for ordinary hosts."""
-        for label, h in self.hosts.items():
-            if h == host:
-                return label
-        return None
 
     def register_into(self, topology, attach_to: str, latency: float = 0.0001) -> None:
         """Add every service host to ``topology``, attached to one switch.

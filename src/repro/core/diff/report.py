@@ -86,23 +86,6 @@ class DiagnosisReport:
         """The distinct signature kinds among unknown changes, sorted."""
         return tuple(sorted({c.kind for c in self.unknown_changes}, key=lambda k: k.value))
 
-    def changes_for(self, component: str) -> Tuple[ChangeRecord, ...]:
-        """Drill down: every unexplained change implicating ``component``.
-
-        The component may be a host, a switch, or an edge (``"a--b"``);
-        edges also match when either endpoint is queried.
-        """
-        out = []
-        for change in self.unknown_changes:
-            if component in change.components:
-                out.append(change)
-                continue
-            for c in change.components:
-                if "--" in c and component in c.split("--"):
-                    out.append(change)
-                    break
-        return tuple(out)
-
     def render(self, max_items: int = 12) -> str:
         """A human-readable multi-section report."""
         lines: List[str] = ["FlowDiff diagnosis", "=" * 18]

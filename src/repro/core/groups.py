@@ -109,14 +109,6 @@ def extract_groups(
     return groups
 
 
-def group_of(groups: Sequence[ApplicationGroup], host: str) -> Optional[ApplicationGroup]:
-    """The group containing ``host`` as a member, if any."""
-    for group in groups:
-        if host in group:
-            return group
-    return None
-
-
 def match_groups(
     baseline: Sequence[ApplicationGroup],
     current: Sequence[ApplicationGroup],

@@ -10,7 +10,8 @@ behavior with a previously computed, stable, and correct behavior"
   monitor below and the streaming service (:mod:`repro.service`): the
   window grid, the one close (``FlowDiff.model`` over the window's own
   messages, then the diff against the baseline), history, health
-  metrics, alert wiring and automatic re-anchoring.
+  metrics, alerting and automatic re-anchoring. The closed window's
+  report is the alert engine's only input.
 * :class:`SlidingDiagnoser` is the batch loop: each call to
   :meth:`~SlidingDiagnoser.advance` closes every complete window of a
   growing log.
@@ -83,10 +84,10 @@ class DiagnosisStream:
         metrics: observability registry; each diagnosed window records
             its wall-clock latency (``monitor_window_seconds``) and the
             current health gauges.
-        alert_engine: when given, every produced window report streams
-            through the engine's rules (and the registry is sampled at
-            the window end, stream-time-stamped) so alerts fire the
-            moment a window turns unhealthy.
+        alert_engine: when given, every closed window's report streams
+            through the engine's rules, so alerts fire the moment a
+            window turns unhealthy; the report is the engine's only
+            input.
     """
 
     def __init__(
@@ -104,7 +105,6 @@ class DiagnosisStream:
         self.window = float(window)
         self.origin = 0.0
         self.k = 0
-        self.metrics = metrics
         self._m_latency = metrics.histogram("monitor_window_seconds")
         self._m_windows = metrics.counter("monitor_windows_total")
         self._m_unhealthy = metrics.counter("monitor_unhealthy_windows_total")
@@ -209,8 +209,6 @@ class DiagnosisStream:
         self._m_streak.set(self.healthy_streak())
         if self.alert_engine is not None:
             self.alert_engine.observe_window(entry)
-            if self.metrics is not NOOP_REGISTRY:
-                self.alert_engine.observe_registry(self.metrics, at=t1)
         if (
             self.rebaseline_after > 0
             and entry.healthy

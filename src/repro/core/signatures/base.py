@@ -47,22 +47,6 @@ class SignatureKind(str, enum.Enum):
     ISL = "ISL"  # inter-switch latency
     CRT = "CRT"  # controller response time
 
-    @property
-    def is_application(self) -> bool:
-        """Whether this kind belongs to the application signature bundle."""
-        return self in (
-            SignatureKind.CG,
-            SignatureKind.FS,
-            SignatureKind.CI,
-            SignatureKind.DD,
-            SignatureKind.PC,
-        )
-
-    @property
-    def is_infrastructure(self) -> bool:
-        """Whether this kind belongs to the infrastructure bundle."""
-        return not self.is_application
-
 
 @dataclass(frozen=True)
 class ChangeRecord:

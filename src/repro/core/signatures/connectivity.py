@@ -85,10 +85,6 @@ class ConnectivityGraph(Signature):
             out.add(b)
         return out
 
-    def undirected_edges(self) -> Set[Edge]:
-        """Edges with direction collapsed (for structure-only comparison)."""
-        return {tuple(sorted(e)) for e in self.edges}  # type: ignore[misc]
-
     def distance(self, other: "ConnectivityGraph") -> float:
         """Normalized symmetric-difference distance in [0, 1]."""
         union = self.edges | other.edges

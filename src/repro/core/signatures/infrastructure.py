@@ -16,7 +16,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from repro.analysis.stats import mean_std
 from repro.core.events import FlowArrival
@@ -114,13 +114,6 @@ class PhysicalTopology(Signature):
         for _, sw in self.host_attachment:
             out.add(sw)
         return frozenset(out)
-
-    def attachment_of(self, host: str) -> Optional[str]:
-        """The switch ``host`` was observed entering/leaving at."""
-        for h, sw in self.host_attachment:
-            if h == host:
-                return sw
-        return None
 
     def distance(self, other: "PhysicalTopology") -> float:
         """Normalized symmetric difference of inferred switch links."""
@@ -269,13 +262,6 @@ class InterSwitchLatency(Signature):
     def pairs(self) -> List[SwitchEdge]:
         """All measured adjacent switch pairs."""
         return [p for p, _ in self.stats]
-
-    def mean_of(self, pair: SwitchEdge) -> Optional[float]:
-        """Mean latency for one pair, if measured."""
-        for p, (mean, _, _) in self.stats:
-            if p == pair:
-                return mean
-        return None
 
     def distance(self, other: "InterSwitchLatency") -> float:
         """Largest mean shift expressed in baseline standard deviations."""

@@ -170,19 +170,6 @@ class TaskAutomaton:
         """Number of automaton states."""
         return len(self.patterns)
 
-    def start_labels(self) -> Set[Label]:
-        """The labels that can begin a match (first flow of start states)."""
-        return {
-            self.patterns[s][0] for s in self.start_states if self.patterns[s]
-        }
-
-    def flat_labels(self) -> Set[Label]:
-        """Every label appearing in any state pattern."""
-        out: Set[Label] = set()
-        for pattern in self.patterns:
-            out.update(pattern)
-        return out
-
     def accepts(self, run: Sequence[Label]) -> bool:
         """Exact acceptance: does ``run`` tokenize into a valid path?
 

@@ -123,10 +123,6 @@ class Simulator:
             self._now = until
         return executed
 
-    def peek(self) -> Optional[float]:
-        """The time of the next pending event, or None when idle."""
-        return self._queue[0][0] if self._queue else None
-
     def pending(self) -> int:
         """Number of events still queued."""
         return len(self._queue)

@@ -97,10 +97,6 @@ class Topology:
         """The address flows to ``node`` carry (the name itself by default)."""
         return self._nodes[node].get("ip", node)
 
-    def is_host(self, node: str) -> bool:
-        """True for server/VM nodes."""
-        return self.kind(node) == HOST
-
     def is_openflow(self, node: str) -> bool:
         """True for programmable switches."""
         return self.kind(node) == SWITCH
@@ -115,10 +111,6 @@ class Topology:
     def switches(self) -> List[str]:
         """All OpenFlow switch names, sorted."""
         return self._of_kind(SWITCH)
-
-    def legacy_switches(self) -> List[str]:
-        """All legacy (non-programmable) switch names, sorted."""
-        return self._of_kind(LEGACY)
 
     def link(self, a: str, b: str) -> Link:
         """The link between adjacent nodes ``a`` and ``b``.
@@ -141,17 +133,10 @@ class Topology:
         """The port number on ``node`` that faces ``neighbor``."""
         return self._ports[node][neighbor]
 
-    def neighbor_at(self, node: str, port: int) -> Optional[str]:
-        """The neighbor attached to ``node``'s ``port``, if any."""
-        for peer, p in self._ports.get(node, {}).items():
-            if p == port:
-                return peer
-        return None
-
     def attachment_switch(self, host: str) -> Optional[str]:
         """The first switch (OpenFlow or legacy) adjacent to ``host``."""
         for peer in sorted(self._adj[host]):
-            if not self.is_host(peer):
+            if self.kind(peer) != HOST:
                 return peer
         return None
 

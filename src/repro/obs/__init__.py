@@ -11,7 +11,7 @@ costs nothing measurable:
 * :mod:`repro.obs.tracing` — nestable wall-clock/sim-clock spans;
   :data:`NOOP_TRACER` likewise.
 * :mod:`repro.obs.export` — JSONL event streams and Prometheus text
-  exposition of a registry (plus round-trip readers).
+  exposition of a registry.
 * :mod:`repro.obs.stats` — one-pass controller-log summaries (message
   mix, rates, top talkers) behind ``repro stats``.
 * :mod:`repro.obs.profile` — span trees rendered as the ``--profile``
@@ -19,9 +19,9 @@ costs nothing measurable:
 * :mod:`repro.obs.flightrec` — the per-flow causal flight recorder:
   reconstructs PacketIn -> FlowMod -> ... -> FlowRemoved timelines from a
   capture via correlation ids (heuristic 5-tuple grouping as fallback).
-* :mod:`repro.obs.alerts` — streaming alert rules (threshold, EWMA drift,
-  consecutive unhealthy windows, problem class) and the deduping
-  :class:`AlertEngine` behind ``repro monitor``.
+* :mod:`repro.obs.alerts` — alert rules over closed diagnosis windows
+  (consecutive unhealthy windows, problem class) and the deduping
+  :class:`AlertEngine` behind ``repro monitor`` and ``repro serve``.
 * :mod:`repro.obs.httpd` — the read-only ops HTTP endpoint
   (``/healthz``, ``/metrics``, ``/alerts``).
 

@@ -4,7 +4,9 @@ Two render targets, one registry:
 
 * **JSONL** — one self-describing JSON object per line per instrument
   (plus one per trace span), append-friendly and trivially diffable; this
-  is what ``--metrics-out`` writes.
+  is what ``--metrics-out`` writes, through the same :func:`write_rows`
+  that writes ``--alerts-out``. A reader needs nothing but
+  ``json.loads`` per line.
 * **Prometheus text exposition format** — so a scrape endpoint (or a
   ``textfile`` collector drop) can serve the same registry unchanged.
   Histograms are rendered cumulatively with the conventional
@@ -14,7 +16,7 @@ Two render targets, one registry:
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterator, List, Optional, TextIO, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, TextIO, Union
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.names import escape_label_value, validate_metric_name
@@ -94,59 +96,20 @@ def write_jsonl(
     events.extend(iter_metric_events(registry))
     if tracer is not None:
         events.extend(iter_span_events(tracer))
+    return write_rows(destination, events)
 
+
+def write_rows(destination: Union[str, TextIO], rows: Iterable[Dict[str, Any]]) -> int:
+    """Write ``rows`` as one JSON object per line to a path or an open
+    text file; returns the number of lines written."""
     if isinstance(destination, str):
         with open(destination, "w", encoding="utf-8") as fh:
-            for event in events:
-                fh.write(json.dumps(event) + "\n")
-    else:
-        for event in events:
-            destination.write(json.dumps(event) + "\n")
-    return len(events)
-
-
-def read_jsonl(source: Union[str, TextIO]) -> List[Dict[str, Any]]:
-    """Parse a JSONL metrics stream back into event dicts.
-
-    The complement of :func:`write_jsonl`, used by tests and by tooling
-    that post-processes ``--metrics-out`` files. Blank lines are skipped.
-    """
-    if isinstance(source, str):
-        with open(source, encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = source.read()
-    events = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            events.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"bad metrics JSON on line {lineno}: {exc}") from exc
-    return events
-
-
-def metrics_from_events(events: List[Dict[str, Any]]) -> MetricsRegistry:
-    """Rebuild a registry from parsed JSONL events (round-trip helper)."""
-    registry = MetricsRegistry()
-    for event in events:
-        labels = event.get("labels", {})
-        kind = event.get("type")
-        if kind == "counter":
-            registry.counter(event["name"], **labels).value = event["value"]
-        elif kind == "gauge":
-            registry.gauge(event["name"], **labels).value = event["value"]
-        elif kind == "histogram":
-            bounds = [b["le"] for b in event["buckets"] if b["le"] != "+Inf"]
-            hist = registry.histogram(event["name"], buckets=bounds, **labels)
-            hist.counts = [b["n"] for b in event["buckets"]]
-            hist.count = event["count"]
-            hist.total = event["sum"]
-            hist.min = event.get("min", float("inf"))
-            hist.max = event.get("max", float("-inf"))
-    return registry
+            return write_rows(fh, rows)
+    count = 0
+    for row in rows:
+        destination.write(json.dumps(row) + "\n")
+        count += 1
+    return count
 
 
 # ----------------------------------------------------------------------

@@ -24,6 +24,7 @@ Design constraints, in order:
 
 from __future__ import annotations
 
+import copy
 from bisect import bisect_left
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -198,6 +199,21 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._instruments: Dict[MetricKey, Instrument] = {}
+        #: Labels stamped on every instrument this registry creates.
+        self._labels: Dict[str, str] = {}
+
+    def labelled(self, **labels: str) -> "MetricsRegistry":
+        """A view that stamps ``labels`` on every instrument it creates
+        and looks up.
+
+        The view shares this registry's storage, so what it records is
+        iterated, rendered and exported with everything else; two views
+        with different labels (one per tenant, say) keep separate series
+        under the same metric names.
+        """
+        view = copy.copy(self)
+        view._labels = {**self._labels, **labels}
+        return view
 
     # -- instrument factories ------------------------------------------
 
@@ -220,18 +236,7 @@ class MetricsRegistry:
         ``buckets`` applies only on first creation; later calls reuse the
         existing instrument unchanged.
         """
-        key = (name, _label_key(labels))
-        found = self._instruments.get(key)
-        if found is not None:
-            if not isinstance(found, Histogram):
-                raise TypeError(
-                    f"metric {name!r} already registered as {found.kind}"
-                )
-            return found
-        self._validate(name, labels)
-        made = Histogram(name, key[1], buckets=buckets or DEFAULT_BUCKETS)
-        self._instruments[key] = made
-        return made
+        return self._get_or_create(Histogram, name, labels, buckets or DEFAULT_BUCKETS)
 
     @staticmethod
     def _validate(name: str, labels: Dict[str, str]) -> None:
@@ -241,7 +246,9 @@ class MetricsRegistry:
         for label in labels:
             validate_label_name(label)
 
-    def _get_or_create(self, cls, name: str, labels: Dict[str, str]):
+    def _get_or_create(self, cls, name: str, labels: Dict[str, str], *args):
+        if self._labels:
+            labels = {**self._labels, **labels}
         key = (name, _label_key(labels))
         found = self._instruments.get(key)
         if found is not None:
@@ -251,7 +258,7 @@ class MetricsRegistry:
                 )
             return found
         self._validate(name, labels)
-        made = cls(name, key[1])
+        made = cls(name, key[1], *args)
         self._instruments[key] = made
         return made
 
@@ -266,7 +273,7 @@ class MetricsRegistry:
 
     def get(self, name: str, **labels: str) -> Optional[Instrument]:
         """The instrument at ``(name, labels)``, or None."""
-        return self._instruments.get((name, _label_key(labels)))
+        return self._instruments.get((name, _label_key({**self._labels, **labels})))
 
     def value(self, name: str, **labels: str) -> float:
         """Shortcut: the scalar value of a counter/gauge (0.0 if absent)."""
@@ -284,19 +291,6 @@ class MetricsRegistry:
             if metric.name != name:
                 continue
             out += float(metric.count) if isinstance(metric, Histogram) else metric.value
-        return out
-
-    def snapshot(self) -> Dict[str, float]:
-        """A flat ``{"name{a=b}": value}`` dict — convenient in tests."""
-        out: Dict[str, float] = {}
-        for metric in self:
-            label_text = ",".join(f"{k}={v}" for k, v in metric.labels)
-            key = f"{metric.name}{{{label_text}}}" if label_text else metric.name
-            if isinstance(metric, Histogram):
-                out[key + "_count"] = float(metric.count)
-                out[key + "_sum"] = metric.total
-            else:
-                out[key] = metric.value
         return out
 
 
@@ -349,6 +343,9 @@ class NoopRegistry(MetricsRegistry):
 
     def histogram(self, name: str, buckets=None, **labels: str):  # type: ignore[override]
         return _NOOP_INSTRUMENT
+
+    def labelled(self, **labels: str) -> "NoopRegistry":
+        return self
 
 
 #: The shared do-nothing registry; identity-comparable (`is NOOP_REGISTRY`).

@@ -8,36 +8,31 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from repro.obs.tracing import Span, Tracer
+from repro.obs.export import iter_span_events
+from repro.obs.tracing import Tracer
 
 
 def phase_rows(tracer: Tracer) -> List[Dict[str, Any]]:
-    """Flatten the span forest into table rows (depth-first order).
+    """One table row per span of :func:`~repro.obs.export.iter_span_events`
+    (depth-first order).
 
     Each row carries the span's depth (for indentation), wall-clock
     duration, self time (minus children), and share of its root span.
     """
     rows: List[Dict[str, Any]] = []
-
-    def visit(span: Span, depth: int, root_duration: float) -> None:
-        share = span.duration / root_duration if root_duration > 0 else 0.0
-        row: Dict[str, Any] = {
-            "phase": span.name,
-            "depth": depth,
-            "wall_s": span.duration,
-            "self_s": span.self_duration,
-            "share": share,
-        }
-        if span.sim_duration is not None:
-            row["sim_s"] = span.sim_duration
-        if span.meta:
-            row["meta"] = dict(span.meta)
-        rows.append(row)
-        for child in span.children:
-            visit(child, depth + 1, root_duration)
-
-    for root in tracer.roots:
-        visit(root, 0, root.duration)
+    root_duration = 0.0
+    for event in iter_span_events(tracer):
+        if event["depth"] == 0:
+            root_duration = event["duration_s"]
+        rows.append(
+            {
+                "phase": event["name"],
+                "depth": event["depth"],
+                "wall_s": event["duration_s"],
+                "self_s": event["self_duration_s"],
+                "share": event["duration_s"] / root_duration if root_duration > 0 else 0.0,
+            }
+        )
     return rows
 
 
@@ -58,4 +53,3 @@ def render_phase_table(tracer: Tracer, title: str = "phase timings") -> str:
             f"{row['self_s'] * 1000:>10.2f} {row['share'] * 100:>6.1f}%"
         )
     return "\n".join(lines)
-

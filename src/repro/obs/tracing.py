@@ -77,20 +77,6 @@ class Span:
         """Wall-clock time not attributed to any child span."""
         return max(0.0, self.duration - sum(c.duration for c in self.children))
 
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-ready representation of this span and its subtree."""
-        out: Dict[str, Any] = {
-            "name": self.name,
-            "duration_s": self.duration,
-        }
-        if self.sim_duration is not None:
-            out["sim_duration_s"] = self.sim_duration
-        if self.meta:
-            out["meta"] = dict(self.meta)
-        if self.children:
-            out["children"] = [c.to_dict() for c in self.children]
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Span({self.name}, {self.duration * 1000:.3f}ms, {len(self.children)} children)"
 
@@ -172,10 +158,6 @@ class Tracer:
     def total(self, name: str) -> float:
         """Total wall-clock seconds across all spans named ``name``."""
         return sum(s.duration for s in self.find(name))
-
-    def to_dict(self) -> Dict[str, Any]:
-        """The whole forest, JSON-ready."""
-        return {"spans": [s.to_dict() for s in self.roots]}
 
 
 class _NoopSpanContext:

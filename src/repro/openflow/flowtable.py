@@ -299,21 +299,6 @@ class FlowTable:
         self._m_occupancy.set(len(order))
         return expired
 
-    def next_expiry(self) -> float:
-        """The earliest expiry time across live entries (``inf`` if none)."""
-        heap = self._heap
-        while heap:
-            pushed, seq, entry = heap[0]
-            if seq not in self._order:
-                heapq.heappop(heap)
-                continue
-            actual = entry.expiry_time()
-            if actual > pushed:
-                heapq.heapreplace(heap, (actual, seq, entry))
-                continue
-            return pushed
-        return float("inf")
-
     def stats(self) -> Dict[str, int]:
         """Aggregate table counters, handy for scalability experiments."""
         entries = self._order.values()

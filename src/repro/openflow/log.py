@@ -31,7 +31,6 @@ from repro.openflow.messages import (
     FlowMod,
     FlowRemoved,
     PacketIn,
-    PacketOut,
 )
 
 M = TypeVar("M", bound=ControlMessage)
@@ -137,10 +136,6 @@ class ControllerLog:
     def flow_removed(self) -> List[FlowRemoved]:
         """All ``FlowRemoved`` messages."""
         return self.of_type(FlowRemoved)
-
-    def packet_outs(self) -> List[PacketOut]:
-        """All ``PacketOut`` messages."""
-        return self.of_type(PacketOut)
 
     def correlation_ids(self) -> List[int]:
         """Distinct flight-recorder correlation ids, in first-seen order.

@@ -27,7 +27,7 @@ import os
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 #: Pragma grammar: a comment of ``flowlint: disable=rule-a,rule-b`` with
 #: an optional ``-- justification`` tail (its absence is itself a finding).
@@ -399,8 +399,3 @@ def literal_str(node: ast.expr) -> Optional[str]:
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         return node.value
     return None
-
-
-def findings_sorted(findings: Iterable[Finding]) -> List[Finding]:
-    """Stable sort order used by rules that accumulate out of order."""
-    return sorted(findings, key=Finding.sort_key)

@@ -95,8 +95,10 @@ class TenantPipeline:
         task_library: learned operator-task signatures used to silence
             planned changes.
         rebaseline_after: see :class:`~repro.core.monitor.DiagnosisStream`.
-        metrics: shared service registry; all ``service_*`` instruments
-            carry a ``tenant`` label.
+        metrics: shared service registry; the tenant records through
+            its ``labelled(tenant=name)`` view, so every instrument it
+            creates (``service_*``, ``monitor_*``, ``flowdiff_*``)
+            carries a ``tenant`` label.
         alert_engine: per-tenant alert engine; every closed window streams
             through it.
         checkpoint_dir: when set, the baseline model and the open window's
@@ -132,6 +134,7 @@ class TenantPipeline:
         resume: bool = True,
     ) -> None:
         self.name = name
+        metrics = metrics.labelled(tenant=name)
         self.flowdiff = FlowDiff(config, metrics=metrics)
         self.baseline_span = float(
             baseline_span if baseline_span is not None else window
@@ -152,16 +155,14 @@ class TenantPipeline:
         self._alerts_seen = 0
         self._worst: Optional[Severity] = None
 
-        self._m_ingested = metrics.counter("service_ingest_messages_total", tenant=name)
-        self._m_late = metrics.counter("service_dropped_total", tenant=name, reason="late")
-        self._m_unplaceable = metrics.counter(
-            "service_dropped_total", tenant=name, reason="ts_precision"
-        )
-        self._m_resumed = metrics.counter("service_resume_skipped_total", tenant=name)
-        self._m_windows = metrics.counter("service_windows_total", tenant=name)
+        self._m_ingested = metrics.counter("service_ingest_messages_total")
+        self._m_late = metrics.counter("service_dropped_total", reason="late")
+        self._m_unplaceable = metrics.counter("service_dropped_total", reason="ts_precision")
+        self._m_resumed = metrics.counter("service_resume_skipped_total")
+        self._m_windows = metrics.counter("service_windows_total")
         self._m_report = metrics.histogram("service_report_seconds")
-        self._m_checkpoints = metrics.counter("service_checkpoints_total", tenant=name)
-        self._m_checkpoint_age = metrics.gauge("service_checkpoint_age_seconds", tenant=name)
+        self._m_checkpoints = metrics.counter("service_checkpoints_total")
+        self._m_checkpoint_age = metrics.gauge("service_checkpoint_age_seconds")
 
         self.phase = PHASE_BASELINE
         self.status_counts: Dict[str, int] = {}
@@ -268,9 +269,7 @@ class TenantPipeline:
         """Log the exception being handled and count the ``n`` messages of
         ``[t0, t1)`` under ``service_dropped_total{reason="close_error"}``."""
         logger.exception("tenant %s: dropped %s [%s, %s): it raised", self.name, what, t0, t1)
-        self.metrics.counter(
-            "service_dropped_total", tenant=self.name, reason="close_error"
-        ).inc(n)
+        self.metrics.counter("service_dropped_total", reason="close_error").inc(n)
 
     def _store_baseline(self) -> None:
         """Put the stream's baseline where the next checkpoint names it."""
@@ -309,9 +308,7 @@ class TenantPipeline:
         finally:
             self._open_window()
         status = STATUS_MERGED if win.dirty is None else STATUS_FALLBACK
-        self.metrics.counter(
-            "service_window_merge_total", tenant=self.name, status=status
-        ).inc()
+        self.metrics.counter("service_window_merge_total", status=status).inc()
         self.status_counts[status] = self.status_counts.get(status, 0) + 1
         superseded: Optional[str] = None
         if self.stream.baseline is not baseline:

@@ -1,6 +1,7 @@
 """Tests for the streaming alert engine (``repro.obs.alerts``)."""
 
 import io
+import json
 from types import SimpleNamespace
 
 import pytest
@@ -10,87 +11,21 @@ from repro.faults.network import LinkFailure
 from repro.faults.unauthorized import UnauthorizedAccess
 from repro.obs.alerts import (
     AlertEngine,
-    EwmaDriftRule,
     ProblemClassRule,
     Severity,
-    ThresholdRule,
     UnhealthyWindowsRule,
     default_rules,
-    read_alerts_jsonl,
-    write_alerts_jsonl,
 )
 from repro.obs.export import render_prometheus
 from repro.obs.metrics import MetricsRegistry
 from repro.scenarios import three_tier_lab
 
 
-class TestThresholdRule:
-    def test_crossing_fires_with_context(self):
-        engine = AlertEngine([ThresholdRule("queue_depth", 10, op=">")])
-        assert engine.observe_metric("queue_depth", 5, at=1.0) == []
-        fired = engine.observe_metric("queue_depth", 12, at=2.0)
-        assert len(fired) == 1
-        alert = fired[0]
-        assert alert.timestamp == 2.0  # stream time, not wall clock
-        assert alert.value == 12
-        assert dict(alert.labels)["metric"] == "queue_depth"
-
-    def test_other_metrics_ignored(self):
-        engine = AlertEngine([ThresholdRule("queue_depth", 10)])
-        assert engine.observe_metric("other", 99, at=1.0) == []
-
-    def test_all_operators(self):
-        for op, good, bad in [
-            (">", 1, 3), (">=", 1, 2), ("<", 3, 1), ("<=", 3, 2),
-        ]:
-            rule = ThresholdRule("m", 2, op=op)
-            assert rule.observe_metric("m", good, at=0.0) == []
-            assert len(rule.observe_metric("m", bad, at=0.0)) == 1
-
-    def test_bad_operator_rejected(self):
-        with pytest.raises(ValueError, match="unknown op"):
-            ThresholdRule("m", 1, op="!=")
-
-
-class TestEwmaDriftRule:
-    def test_steady_stream_stays_silent(self):
-        rule = EwmaDriftRule("lat", alpha=0.3, k=3.0, warmup=3)
-        for i in range(50):
-            assert rule.observe_metric("lat", 10.0 + (i % 2) * 0.01, at=i) == []
-
-    def test_step_change_fires_after_warmup(self):
-        rule = EwmaDriftRule("lat", alpha=0.3, k=3.0, warmup=3, min_delta=0.5)
-        for i in range(10):
-            rule.observe_metric("lat", 10.0 + (i % 2) * 0.01, at=float(i))
-        fired = rule.observe_metric("lat", 25.0, at=10.0)
-        assert len(fired) == 1
-        assert dict(fired[0].labels)["direction"] == "up"
-
-    def test_no_fire_during_warmup(self):
-        rule = EwmaDriftRule("lat", warmup=5, min_delta=0.5)
-        assert rule.observe_metric("lat", 10.0, at=0.0) == []
-        assert rule.observe_metric("lat", 99.0, at=1.0) == []  # n=1 < warmup
-
-    def test_adapts_to_new_steady_state(self):
-        rule = EwmaDriftRule("lat", alpha=0.5, k=3.0, warmup=2, min_delta=0.5)
-        for i in range(6):
-            rule.observe_metric("lat", 10.0, at=float(i))
-        assert rule.observe_metric("lat", 30.0, at=6.0)  # the step alerts
-        fired_later = []
-        for i in range(7, 30):
-            fired_later.extend(rule.observe_metric("lat", 30.0, at=float(i)))
-        assert len(fired_later) < 23  # eventually converges and stops
-
-    def test_bad_alpha_rejected(self):
-        with pytest.raises(ValueError, match="alpha"):
-            EwmaDriftRule("m", alpha=0.0)
-
-
-def _window(t0, t1, healthy):
+def _window(t0, t1, healthy, problems=()):
     """A minimal WindowReport stand-in (duck-typed by the rules)."""
     report = SimpleNamespace(
         unknown_changes=() if healthy else ("change",),
-        problems=(),
+        problems=tuple(SimpleNamespace(problem=p, score=1.0) for p in problems),
         component_ranking=(),
     )
     return SimpleNamespace(t_start=t0, t_end=t1, report=report, healthy=healthy)
@@ -113,63 +48,51 @@ class TestUnhealthyWindowsRule:
 
 class TestEngineDedupAndExport:
     def test_cooldown_suppresses_repeats(self):
-        engine = AlertEngine([ThresholdRule("m", 1, cooldown=10.0)])
-        assert engine.observe_metric("m", 5, at=0.0)
-        assert engine.observe_metric("m", 5, at=5.0) == []  # within cooldown
+        engine = AlertEngine([ProblemClassRule(cooldown=10.0)])
+        assert engine.observe_window(_window(0, 10, False, ["p"]))
+        assert engine.observe_window(_window(10, 15, False, ["p"])) == []  # within cooldown
         assert engine.suppressed == 1
-        assert engine.observe_metric("m", 5, at=15.0)  # cooldown elapsed
+        assert engine.observe_window(_window(15, 20, False, ["p"]))  # cooldown elapsed
         assert len(engine.alerts) == 2
 
     def test_distinct_labels_not_deduped(self):
-        engine = AlertEngine(
-            [
-                ThresholdRule("a", 1, cooldown=100.0),
-                ThresholdRule("b", 1, cooldown=100.0),
-            ]
-        )
-        assert engine.observe_metric("a", 5, at=0.0)
-        assert engine.observe_metric("b", 5, at=1.0)
+        engine = AlertEngine([ProblemClassRule(cooldown=100.0)])
+        assert len(engine.observe_window(_window(0, 10, False, ["a", "b"]))) == 2
         assert len(engine.alerts) == 2 and engine.suppressed == 0
 
     def test_alert_counters_reach_prometheus(self):
         metrics = MetricsRegistry()
-        engine = AlertEngine([ThresholdRule("m", 1)], metrics=metrics)
-        engine.observe_metric("m", 5, at=3.0)
-        engine.observe_metric("m", 6, at=4.0)
+        engine = AlertEngine([ProblemClassRule()], metrics=metrics)
+        engine.observe_window(_window(0, 3, False, ["p"]))
+        engine.observe_window(_window(3, 4, False, ["p"]))
         text = render_prometheus(metrics)
-        assert 'alerts_total{rule="threshold:m>1",severity="warning"} 2' in text
-        assert "alerts_last_fired_timestamp" in text
+        assert 'alerts_total{rule="problem-class",severity="critical"} 2' in text
+        assert "alerts_last_fired_timestamp 4" in text
 
     def test_severity_queries(self):
         engine = AlertEngine(
             [
-                ThresholdRule("m", 1, severity=Severity.WARNING),
-                ThresholdRule("m", 2, severity=Severity.CRITICAL),
+                UnhealthyWindowsRule(1, severity=Severity.WARNING),
+                UnhealthyWindowsRule(2, severity=Severity.CRITICAL),
             ]
         )
-        engine.observe_metric("m", 5, at=7.0)
+        assert engine.worst_severity() is None and engine.first_alert_at() is None
+        engine.observe_window(_window(0, 7, False))
+        engine.observe_window(_window(7, 14, False))
+        assert [a.severity for a in engine.alerts] == [
+            Severity.WARNING, Severity.WARNING, Severity.CRITICAL,
+        ]
         assert engine.worst_severity() == Severity.CRITICAL
-        assert len(engine.by_severity(Severity.WARNING)) == 1
         assert engine.first_alert_at() == 7.0
 
     def test_jsonl_round_trip(self):
-        engine = AlertEngine([ThresholdRule("m", 1)])
-        engine.observe_metric("m", 5, at=1.5)
+        engine = AlertEngine([ProblemClassRule()])
+        engine.observe_window(_window(0, 1.5, False, ["p"]))
         buf = io.StringIO()
-        assert write_alerts_jsonl(engine.alerts, buf) == 1
-        back = read_alerts_jsonl(io.StringIO(buf.getvalue()))
-        assert back == engine.alerts
-
-    def test_jsonl_rejects_garbage(self):
-        with pytest.raises(ValueError, match="line 1"):
-            read_alerts_jsonl(io.StringIO("not json\n"))
-
-    def test_observe_registry_expands_histograms(self):
-        registry = MetricsRegistry()
-        registry.histogram("lat_seconds").observe(5.0)
-        engine = AlertEngine([ThresholdRule("lat_seconds_mean", 1.0)])
-        fired = engine.observe_registry(registry, at=9.0)
-        assert len(fired) == 1 and fired[0].value == 5.0
+        assert engine.write_jsonl(buf) == 1
+        back = [json.loads(line) for line in buf.getvalue().splitlines()]
+        assert back == [a.to_dict() for a in engine.alerts]
+        assert back[0]["timestamp"] == 1.5 and back[0]["labels"] == {"problem": "p"}
 
 
 @pytest.fixture(scope="module")

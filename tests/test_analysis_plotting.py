@@ -1,6 +1,6 @@
 """Tests for the ASCII plotting helpers."""
 
-from repro.analysis.plotting import ascii_bars, ascii_cdf, ascii_series
+from repro.analysis.plotting import ascii_cdf, ascii_series
 from repro.analysis.stats import EmpiricalCDF
 
 
@@ -40,19 +40,3 @@ class TestAsciiSeries:
 
     def test_flat_series_no_crash(self):
         assert "*" in ascii_series([(0.0, 1.0), (1.0, 1.0)])
-
-
-class TestAsciiBars:
-    def test_empty(self):
-        assert ascii_bars({}) == "(no data)"
-
-    def test_bar_lengths_proportional(self):
-        out = ascii_bars({"small": 1.0, "big": 4.0}, width=40)
-        lines = out.splitlines()
-        small_bar = lines[0].count("#")
-        big_bar = lines[1].count("#")
-        assert big_bar == 40
-        assert small_bar == 10
-
-    def test_zero_values_no_crash(self):
-        assert "0.00" in ascii_bars({"z": 0.0})

@@ -47,14 +47,6 @@ class TestServerBehavior:
         behavior.logging_overhead = 0.05
         assert behavior.service_time(random.Random(1)) == pytest.approx(0.25)
 
-    def test_reset_faults(self):
-        behavior = ServerBehavior()
-        behavior.cpu_factor = 5.0
-        behavior.crashed = True
-        behavior.reset_faults()
-        assert behavior.cpu_factor == 1.0
-        assert not behavior.crashed
-
     def test_farm_lazy_creation_and_fault_api(self):
         farm = ServerFarm()
         farm.enable_logging_fault("s1", 0.03)
@@ -63,8 +55,6 @@ class TestServerBehavior:
         assert farm.behavior("s1").logging_overhead == 0.03
         assert farm.behavior("s2").cpu_factor == 4.0
         assert farm.behavior("s3").crashed
-        farm.clear_faults()
-        assert not farm.behavior("s3").crashed
 
 
 class TestServiceDirectory:
@@ -74,8 +64,8 @@ class TestServiceDirectory:
         assert services.port("NFS") == 2049
         assert "svc-nfs" in services.special_nodes()
         assert services.service_names()["svc-dns"] == "DNS"
-        assert services.label_of("svc-ntp") == "NTP"
-        assert services.label_of("random-host") is None
+        assert services.service_names()["svc-ntp"] == "NTP"
+        assert "random-host" not in services.service_names()
 
     def test_register_into_topology(self):
         topo = linear_topology(2, 1)

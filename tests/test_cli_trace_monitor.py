@@ -6,12 +6,17 @@ import pytest
 
 from repro.cli import main
 from repro.faults.network import LinkFailure
-from repro.obs.alerts import read_alerts_jsonl
 from repro.openflow.serialize import save_log
 from repro.scenarios import three_tier_lab
 
 FAULT_AT = 70.0
 WINDOW = 30.0
+
+
+def read_alerts(path):
+    """An ``--alerts-out`` file, one ``json.loads`` per line."""
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +120,7 @@ class TestMonitorCommand:
             ]
         )
         assert code == 0
-        assert read_alerts_jsonl(out_path) == []
+        assert read_alerts(out_path) == []
 
     def test_fault_alerts_within_one_window(self, faulted_capture, tmp_path, capsys):
         """Acceptance: a correctly-timestamped alert follows the fault."""
@@ -131,9 +136,9 @@ class TestMonitorCommand:
             ]
         )
         assert code == 1  # alerts fired
-        alerts = read_alerts_jsonl(out_path)
+        alerts = read_alerts(out_path)
         assert alerts
-        first = min(a.timestamp for a in alerts)
+        first = min(a["timestamp"] for a in alerts)
         assert FAULT_AT <= first <= FAULT_AT + WINDOW
         out = capsys.readouterr().out
         assert "alert(s)" in out

@@ -4,7 +4,6 @@ from repro.core.events import FlowArrival
 from repro.core.groups import (
     ApplicationGroup,
     extract_groups,
-    group_of,
     match_groups,
 )
 from repro.openflow.match import FlowKey
@@ -69,11 +68,6 @@ class TestExtractGroups:
         assert group.owns_edge("dns", "b")
         assert not group.owns_edge("dns", "dns")
         assert not group.owns_edge("x", "y")
-
-    def test_group_of(self):
-        groups = extract_groups([arrival("a", "b")])
-        assert group_of(groups, "a") is groups[0]
-        assert group_of(groups, "nope") is None
 
 
 class TestMatchGroups:

@@ -60,7 +60,7 @@ class TestConnectivityGraph:
     def test_nodes_and_undirected(self):
         cg = ConnectivityGraph.build([arrival("a", "b", 1.0), arrival("b", "a", 2.0)])
         assert cg.nodes() == {"a", "b"}
-        assert cg.undirected_edges() == {("a", "b")}
+        assert cg.edges == {("a", "b"), ("b", "a")}
 
     def test_distance(self):
         cg1 = ConnectivityGraph.build([arrival("a", "b", 1.0)])
@@ -394,8 +394,7 @@ class TestInfrastructure:
         ]
         pt = PhysicalTopology.build(arrivals)
         assert pt.switch_links == {("sw1", "sw2"), ("sw2", "sw3")}
-        assert pt.attachment_of("a") == "sw1"
-        assert pt.attachment_of("b") == "sw3"
+        assert dict(pt.host_attachment) == {"a": "sw1", "b": "sw3"}
 
     def test_pt_diff_reports_moves_and_links(self):
         pt1 = PhysicalTopology.build([arrival("a", "b", 1.0, dpids=("sw1", "sw2"))])
@@ -428,7 +427,7 @@ class TestInfrastructure:
         # One window-truncated observation pointing the wrong way.
         arrivals.append(arrival("a", "b", 9.0, dpids=("sw2",)))
         pt = PhysicalTopology.build(arrivals)
-        assert pt.attachment_of("a") == "sw1"
+        assert dict(pt.host_attachment)["a"] == "sw1"
 
     def test_isl_measures_hop_gap(self):
         arrivals = [
@@ -437,7 +436,8 @@ class TestInfrastructure:
         ]
         isl = InterSwitchLatency.build(arrivals)
         # gap between flow_mod(sw1)=t+0.001 and packet_in(sw2)=t+0.003.
-        assert isl.mean_of(("sw1", "sw2")) == pytest.approx(0.002, abs=1e-6)
+        mean, _, _ = dict(isl.stats)[("sw1", "sw2")]
+        assert mean == pytest.approx(0.002, abs=1e-6)
 
     def test_isl_diff_sigma_threshold(self):
         base = InterSwitchLatency.build(

@@ -105,11 +105,6 @@ class FlowTableMachine(RuleBasedStateMachine):
         )
         assert len(self.table) >= live
 
-    @invariant()
-    def next_expiry_not_in_past_of_live(self):
-        nxt = self.table.next_expiry()
-        assert nxt == float("inf") or nxt >= 0.0
-
 
 TestFlowTableStateful = FlowTableMachine.TestCase
 TestFlowTableStateful.settings = settings(

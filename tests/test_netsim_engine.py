@@ -85,12 +85,10 @@ class TestSimulator:
         executed = sim.run(max_events=50)
         assert executed == 50
 
-    def test_peek_and_pending(self):
+    def test_pending(self):
         sim = Simulator()
-        assert sim.peek() is None
         assert sim.pending() == 0
         sim.schedule_at(3.0, lambda: None)
-        assert sim.peek() == 3.0
         assert sim.pending() == 1
 
     def test_events_processed_counter(self):

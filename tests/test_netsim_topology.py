@@ -19,10 +19,10 @@ class TestTopologyBasics:
         topo.add_host("h1")
         topo.add_switch("sw1")
         topo.add_switch("legacy1", programmable=False)
-        assert topo.is_host("h1")
+        assert topo.hosts() == ["h1"]
         assert topo.is_openflow("sw1")
         assert not topo.is_openflow("legacy1")
-        assert topo.legacy_switches() == ["legacy1"]
+        assert topo.switches() == ["sw1"]
 
     def test_link_requires_known_nodes(self):
         topo = Topology()
@@ -38,8 +38,7 @@ class TestTopologyBasics:
             topo.add_link(h, "sw1")
         assert topo.port_to("sw1", "h1") == 1
         assert topo.port_to("sw1", "h2") == 2
-        assert topo.neighbor_at("sw1", 3) == "h3"
-        assert topo.neighbor_at("sw1", 9) is None
+        assert topo.port_to("sw1", "h3") == 3
 
     def test_attachment_switch(self):
         topo = linear_topology(2, 1)
@@ -195,7 +194,8 @@ class TestBuilders:
         topo = lab_testbed()
         assert len(topo.hosts()) == 30  # 25 servers + 5 VMs
         assert len(topo.switches()) == 7
-        assert len(topo.legacy_switches()) == 2
+        ends = {n for link in topo.links() for n in (link.a, link.b)}
+        assert {n for n in ends if topo.kind(n) == "legacy"} == {"dlink1", "dlink2"}
 
     def test_lab_testbed_openflow_on_every_path(self):
         """Every server pair path crosses at least one OpenFlow switch."""

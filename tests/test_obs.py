@@ -4,15 +4,14 @@ import io
 import json
 import urllib.error
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
 
-from repro.obs.alerts import AlertEngine, ThresholdRule
+from repro.obs.alerts import AlertEngine, UnhealthyWindowsRule
 from repro.obs.export import (
     iter_metric_events,
     iter_span_events,
-    metrics_from_events,
-    read_jsonl,
     render_prometheus,
     write_jsonl,
 )
@@ -135,6 +134,22 @@ class TestNoopRegistry:
     def test_real_registry_is_enabled(self):
         assert MetricsRegistry().enabled
 
+    def test_labelled_view_shares_storage_under_its_labels(self):
+        reg = MetricsRegistry()
+        a, b = reg.labelled(tenant="a"), reg.labelled(tenant="b")
+        a.counter("windows_total").inc(2)
+        b.counter("windows_total").inc()
+        a.histogram("close_seconds", kind="batch").observe(0.5)
+        assert a.value("windows_total") == 2 and b.value("windows_total") == 1
+        assert reg.value("windows_total", tenant="a") == 2
+        assert reg.value("windows_total") == 0  # no unlabelled series
+        assert reg.get("close_seconds", tenant="a", kind="batch").count == 1
+        assert [dict(m.labels) for m in reg if m.name == "windows_total"] == [
+            {"tenant": "a"},
+            {"tenant": "b"},
+        ]
+        assert NOOP_REGISTRY.labelled(tenant="a") is NOOP_REGISTRY
+
 
 class TestTracing:
     def test_span_nesting(self):
@@ -195,7 +210,7 @@ class TestTracing:
         with t.span("model", messages=42):
             pass
         assert t.roots[0].meta == {"messages": 42}
-        assert t.roots[0].to_dict()["meta"] == {"messages": 42}
+        assert next(iter_span_events(t))["meta"] == {"messages": 42}
 
     def test_noop_tracer_records_nothing(self):
         with NOOP_TRACER.span("anything", extra=1):
@@ -219,24 +234,23 @@ class TestExportRoundTrip:
         buf = io.StringIO()
         lines = write_jsonl(buf, reg, extra={"run": "t"})
         assert lines == 4  # meta + 3 instruments
-        events = read_jsonl(io.StringIO(buf.getvalue()))
+        events = [json.loads(line) for line in buf.getvalue().splitlines()]
         assert events[0] == {"type": "meta", "run": "t"}
-        restored = metrics_from_events(events)
-        assert restored.value("messages_total", kind="packet_in") == 7
-        assert restored.value("queue_depth") == 3
-        hist = restored.get("latency_seconds")
-        assert hist.count == 3
-        assert hist.counts == [1, 1, 1]
-        assert hist.total == pytest.approx(0.555)
+        by_name = {e["name"]: e for e in events[1:]}
+        assert by_name["messages_total"]["labels"] == {"kind": "packet_in"}
+        assert by_name["messages_total"]["value"] == 7
+        assert by_name["queue_depth"]["value"] == 3
+        hist = by_name["latency_seconds"]
+        assert hist["count"] == 3
+        assert [b["n"] for b in hist["buckets"]] == [1, 1, 1]
+        assert hist["sum"] == pytest.approx(0.555)
 
     def test_jsonl_file_round_trip(self, tmp_path):
         path = str(tmp_path / "metrics.jsonl")
         write_jsonl(path, self.build_registry())
-        assert len(read_jsonl(path)) == 3
-
-    def test_bad_jsonl_reports_line(self):
-        with pytest.raises(ValueError, match="line 1"):
-            read_jsonl(io.StringIO("{nope\n"))
+        with open(path, encoding="utf-8") as fh:
+            events = [json.loads(line) for line in fh]
+        assert events == list(iter_metric_events(self.build_registry()))
 
     def test_span_events_flattened_with_paths(self):
         t = Tracer()
@@ -371,10 +385,14 @@ class TestMonitorInstrumentation:
 def test_http_endpoint_serves_health_and_metrics():
     registry = MetricsRegistry()
     registry.counter("log_messages_total", kind="packet_in", role="capture").inc(7)
-    engine = AlertEngine(
-        [ThresholdRule("log_messages_total", 5.0, name="busy")], metrics=registry
+    engine = AlertEngine([UnhealthyWindowsRule(name="busy")], metrics=registry)
+    unhealthy = SimpleNamespace(
+        t_start=0.0,
+        t_end=1.0,
+        healthy=False,
+        report=SimpleNamespace(unknown_changes=("change",)),
     )
-    engine.observe_registry(registry, at=1.0)
+    engine.observe_window(unhealthy)
     assert engine.alerts
     with ObsHTTPServer(ObsState(registry, engine)) as server:
         with urllib.request.urlopen(server.url("/healthz")) as resp:

@@ -112,12 +112,6 @@ class TestFlowTable:
         assert expired[0][1] == FlowRemovedReason.IDLE_TIMEOUT
         assert len(table) == 1
 
-    def test_next_expiry(self):
-        table = FlowTable()
-        assert table.next_expiry() == float("inf")
-        table.install(entry(created_at=0.0, idle_timeout=3.0))
-        assert table.next_expiry() == 3.0
-
     def test_stats(self):
         table = FlowTable()
         e = entry(created_at=0.0)

@@ -59,7 +59,7 @@ class TestControllerLog:
         log.append(FlowRemoved(timestamp=6.0, dpid="sw1"))
         assert len(log.packet_ins()) == 1
         assert len(log.flow_mods()) == 1
-        assert len(log.packet_outs()) == 1
+        assert len(log.of_type(PacketOut)) == 1
         assert len(log.flow_removed()) == 1
 
     def test_filter_predicate(self):

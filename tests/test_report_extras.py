@@ -1,4 +1,4 @@
-"""Tests for HTML export, report drill-down, and automaton DOT export."""
+"""Tests for the HTML report export."""
 
 import pytest
 
@@ -67,18 +67,3 @@ class TestHtmlExport:
         doc = report_to_html(fd.diff(model, model))
         assert "No unexplained" in doc
 
-
-class TestDrillDown:
-    def test_changes_for_host(self, report):
-        changes = report.changes_for("S3")
-        assert changes
-        assert all("S3" in c.components or any(
-            "S3" in comp.split("--") for comp in c.components if "--" in comp
-        ) for c in changes)
-
-    def test_changes_for_edge_endpoint(self, report):
-        # Querying an endpoint also surfaces edge components.
-        assert report.changes_for("S1")
-
-    def test_unknown_component_empty(self, report):
-        assert report.changes_for("nonexistent-host") == ()

@@ -275,7 +275,7 @@ class TestIncrementalEquivalence:
         assert_histories_identical(tenant.history, reference)
         quiet = tenant.history[-1]
         assert quiet.t_start - WINDOW <= last < quiet.t_start
-        skipped = registry.value("monitor_windows_skipped_total")
+        skipped = registry.value("monitor_windows_skipped_total", tenant="t1")
         assert skipped == (far.timestamp - quiet.t_end) // WINDOW > 900
         cursor = tenant.view.summary["cursor"]
         assert cursor == quiet.t_end + skipped * WINDOW
@@ -293,7 +293,7 @@ class TestIncrementalEquivalence:
         assert len(tenant.history) == len(diagnoser.history) >= 2
         models = batch.value("flowdiff_models_total")
         assert models == len(diagnoser.history) + 1
-        assert streamed.value("flowdiff_models_total") == models
+        assert streamed.value("flowdiff_models_total", tenant="t1") == models
 
     def test_single_batch_and_tiny_batches_agree(self, healthy_log):
         one, _ = stream_through(healthy_log, batch_size=10 ** 9)
@@ -594,6 +594,30 @@ class TestTenantIsolation:
         assert service.metrics.value(
             "service_windows_total", tenant="broken"
         ) == broken.windows_total
+
+    def test_every_tenant_series_carries_its_tenant(self, healthy_log, faulty_log):
+        """Two tenants on one registry used to add into one unlabelled
+        ``flowdiff_models_total`` and one set of ``monitor_*`` series."""
+        registry = MetricsRegistry()
+        tenants = {
+            name: TenantPipeline(
+                name, window=WINDOW, baseline_span=BASELINE, metrics=registry
+            )
+            for name in ("steady", "broken")
+        }
+        tenants["steady"].ingest(list(healthy_log))
+        tenants["broken"].ingest(list(faulty_log))
+        models = [registry.value("flowdiff_models_total", tenant=name) for name in tenants]
+        assert all(models) and sum(models) == registry.total("flowdiff_models_total")
+        for name, tenant in tenants.items():
+            assert tenant.windows_total >= 1
+            assert (
+                registry.value("monitor_windows_total", tenant=name)
+                == registry.value("service_windows_total", tenant=name)
+                == tenant.windows_total
+            )
+        unlabelled = [m.name for m in registry if "tenant" not in dict(m.labels)]
+        assert unlabelled == []
 
     def test_duplicate_tenant_is_rejected(self):
         service = StreamService()

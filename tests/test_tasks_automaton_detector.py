@@ -44,11 +44,6 @@ class TestTaskAutomaton:
         strict = TaskAutomaton.build(runs, min_sup=0.6, edge_min_sup=0.3)
         assert len(strict.start_states) <= len(loose.start_states)
 
-    def test_start_labels_and_flat_labels(self):
-        automaton = TaskAutomaton.build(self.RUNS, min_sup=0.6)
-        assert automaton.flat_labels() == {"f1", "f2", "f3", "f4", "f5"}
-        assert automaton.start_labels() <= automaton.flat_labels()
-
 
 class TestUnifyLabel:
     def test_flowkey_label_requires_equality(self):
