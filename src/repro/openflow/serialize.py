@@ -20,22 +20,35 @@ Decode contract (:class:`CaptureDecoder`, which :func:`message_from_json`,
   not a finite JSON number (``Infinity``, ``NaN``, a string, ``null``, a
   boolean: one would wedge the daemon's window clock or break the log's
   sort order), a ``dpid`` that is not a string, a ``buffer_id`` /
-  ``in_reply_to`` that is an array or object, a ``flow_removed``
+  ``in_reply_to`` / ``corr`` that is an array or object, a ``flow``
+  ``src``/``dst``/``proto`` that is not a string or ``sport``/``dport``
+  that is not an exact integer, a ``flow_removed``
   ``duration``/``bytes``/``packets`` that is not a number (modeling sorts
-  dpids, hashes reply ids and compares counters, so each would raise
-  ``TypeError`` there), an unknown
+  dpids and flows, hashes reply and chain ids and compares counters, so
+  each would raise ``TypeError`` there; ``match`` fields are not checked,
+  ``null`` being a wildcard there), an unknown
   ``type``, an unknown ``command``/``reason`` — and, where bytes are read
   (:func:`read_log`, the file tail), bytes that are not UTF-8.
   :func:`load_log` prefixes the 1-based line number. Every other key is
   optional and defaults as the message classes do, which is what keeps
   old captures readable.
+* **Canonical lines:** a ``packet_in``, ``packet_out``, ``flow_mod`` or
+  ``flow_removed`` line exactly as :func:`line` writes it with ordinary
+  values (floats written with a ``.``, exact integers, strings with no
+  escape or control character, concrete 5-tuples, ``corr`` an integer or
+  absent, ``in_reply_to`` an integer or ``null``, an LF or CRLF end) is
+  matched by one compiled pattern per type and built from its groups,
+  without the JSON tokenizer. Every other line takes the JSON path, which
+  is the contract: it alone says what is accepted, what each error reads
+  and which line it names, and the tests hold the pattern path to it.
 * **Shared:** messages that carry equal 5-tuples get the *same*
   :class:`FlowKey` / :class:`Match` object (both are immutable), and
   messages from one switch the same ``dpid`` string, because a capture is
-  many messages over few endpoint pairs and fewer switches. The tables
-  that do this live as long as their decoder: one :func:`load_log` or
-  :func:`read_log` call, one batch of the file tail, one
-  :func:`message_from_json` call.
+  many messages over few endpoint pairs and fewer switches; a canonical
+  line's 5-tuple is looked up by its text first, parsed on its first
+  sight only, into the same by-value tables. The tables that do this live
+  as long as their decoder: one :func:`load_log` or :func:`read_log`
+  call, one batch of the file tail, one :func:`message_from_json` call.
 * **Memory:** :func:`read_log` and :func:`load_log` read the file one
   line at a time, so a read holds one line besides the messages it
   returns, never the whole file, its text or a list of its lines.
@@ -54,6 +67,7 @@ Decode contract (:class:`CaptureDecoder`, which :func:`message_from_json`,
 from __future__ import annotations
 
 import json
+import re
 from operator import attrgetter
 from typing import IO, Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Type
 
@@ -289,10 +303,46 @@ _REASONS = {member.value: member for member in FlowRemovedReason}
 #: The exact types a ``ts`` may have (``bool`` is an ``int``, not a time).
 _TS_TYPES = (float, int)
 #: JSON types a field must not have, by what modeling does with it: a
-#: ``buffer_id`` / ``in_reply_to`` is hashed to pair a reply, a
-#: ``flow_removed`` counter compared with the others of its flow.
+#: ``buffer_id`` / ``in_reply_to`` is hashed to pair a reply, a ``corr``
+#: to group a flow's chain, a ``flow_removed`` counter compared with the
+#: others of its flow.
 _UNHASHABLE = (list, dict)
 _NOT_A_NUMBER = (str, type(None), list, dict)
+#: The type each ``flow`` field must have exactly: modeling sorts flows,
+#: which raises ``TypeError`` between a string and a number (or ``None``).
+_FLOW_FIELDS = (("src", str), ("dst", str), ("sport", int), ("dport", int), ("proto", str))
+
+# Canonical lines: what :func:`line` writes for the four flow-bearing
+# types with ordinary values. Each piece accepts a subset of what the JSON
+# path accepts, and its text converts to the value, of the type, that the
+# JSON path yields for it.
+#: The text of a string with no escape or control character.
+_CHARS = r'[^"\\\x00-\x1f]*'
+#: An exact integer of at most 18 digits.
+_INT = r"-?(?:0|[1-9][0-9]{0,17})"
+#: A float written with a ``.``, at most 16 digits before it and at most
+#: a two-digit exponent after it, so always finite: how ``float.__repr__``
+#: writes every float in [1e-4, 1e16) and most others in [1e-99, 1e100).
+_FLOAT = r"-?(?:0|[1-9][0-9]{0,15})\.[0-9]+(?:e[-+][0-9]{2})?"
+#: A ``flow`` / ``match`` of five concrete fields.
+_KEY = r'\{"src": "%s", "dst": "%s", "sport": %s, "dport": %s, "proto": "%s"\}' % (
+    (_CHARS, _CHARS, _INT, _INT, _CHARS)
+)
+_Fullmatch = Callable[[str], Optional["re.Match[str]"]]
+
+
+def _canonical(name: str, body: str) -> _Fullmatch:
+    """The ``fullmatch`` of one type's canonical line: the head
+    :func:`line` writes (``corr`` present or not), ``body``, an LF or CRLF."""
+    head = r'\{"type": "%s", "ts": (%s), "dpid": "(%s)"(?:, "corr": (%s))?' % (
+        (name, _FLOAT, _CHARS, _INT)
+    )
+    return re.compile(head + body + r"\}\r?\n?").fullmatch
+
+
+def _one_of(values: Iterable[str]) -> str:
+    return '"(%s)"' % "|".join(values)
+
 
 _FiveTuple = Tuple[Any, Any, Any, Any, Any]
 
@@ -301,20 +351,25 @@ class CaptureDecoder:
     """Turn capture lines into messages, sharing equal 5-tuples and dpids.
 
     See the module docstring for the contract. ``len()`` is the number of
-    5-tuples currently shared; :meth:`forget` drops them and the shared
-    dpids, which a reader of an unbounded stream must do now and then (the
-    file tail does at every batch it hands off).
+    distinct 5-tuples currently shared, as flows or matches; :meth:`forget`
+    drops them and the shared dpids, which a reader of an unbounded stream
+    must do now and then (the file tail does at every batch it hands off).
     """
 
-    __slots__ = ("_flows", "_matches", "_dpids")
+    __slots__ = ("_flows", "_matches", "_dpids", "_texts")
 
     def __init__(self) -> None:
+        #: Keyed by value: a ``FlowKey`` is its own key (it equals the plain
+        #: 5-tuple), a ``Match`` is keyed by its fields.
         self._flows: Dict[_FiveTuple, FlowKey] = {}
         self._matches: Dict[_FiveTuple, Match] = {}
         self._dpids: Dict[str, str] = {}
+        #: The text of a canonical ``flow`` or ``match`` -> its ``FlowKey``.
+        self._texts: Dict[str, FlowKey] = {}
 
     def __len__(self) -> int:
-        return len(self._flows) + len(self._matches)
+        # A canonical match's 5-tuple is in both tables: count it once.
+        return len(self._flows.keys() | self._matches.keys())
 
     def forget(self) -> None:
         """Drop the shared 5-tuples and dpids (messages already built keep
@@ -322,13 +377,22 @@ class CaptureDecoder:
         self._flows.clear()
         self._matches.clear()
         self._dpids.clear()
+        self._texts.clear()
 
     def line(self, line: str) -> Optional[ControlMessage]:
         """Decode one capture line; ``None`` for a blank one.
 
+        A canonical line is matched by its type's pattern and built from
+        the groups; every other line takes the JSON path, the contract.
+
         Raises:
             ValueError: the line is not one control message.
         """
+        canonical = _CANONICAL.get(line[10:18])
+        if canonical is not None:
+            found = canonical[0](line)
+            if found is not None:
+                return canonical[1](self, *found.groups())
         try:
             data, end = _raw_decode(line)
         except json.JSONDecodeError as exc:
@@ -365,7 +429,7 @@ class CaptureDecoder:
             if type(dpid) is not str:
                 raise ValueError(f"{name} message with a bad 'dpid' ({dpid!r})")
             dpid = self._dpids.setdefault(dpid, dpid)
-            corr = data.get("corr")
+            corr = _field(name, data, "corr", None, _UNHASHABLE)
             if name == "packet_in":
                 return PacketIn(
                     ts,
@@ -427,7 +491,8 @@ class CaptureDecoder:
         except KeyError as exc:
             raise ValueError(f"{name} message without {exc.args[0]!r}") from None
         except TypeError as exc:
-            # An unhashable value where a 5-tuple field or enum name belongs.
+            # A flow field of the wrong type, or an unhashable value where a
+            # 5-tuple field or enum name belongs.
             raise ValueError(f"{name} message with a bad field ({exc})") from None
         raise ValueError(f"unknown control message type {name!r}")
 
@@ -437,9 +502,14 @@ class CaptureDecoder:
         if not isinstance(data, dict):
             raise ValueError(f"flow is neither an object nor null: {data!r}")
         key = (data["src"], data["dst"], data["sport"], data["dport"], data.get("proto", "tcp"))
+        for (field, kind), value in zip(_FLOW_FIELDS, key):
+            if type(value) is not kind:
+                # Named with its message type by :meth:`message`.
+                raise TypeError(f"flow {field!r} is not {kind.__name__}: {value!r}")
         flow = self._flows.get(key)
         if flow is None:
-            flow = self._flows[key] = FlowKey(*key)
+            flow = FlowKey(*key)
+            self._flows[flow] = flow
         return flow
 
     def _match(self, data: Any) -> Optional[Match]:
@@ -458,10 +528,129 @@ class CaptureDecoder:
                 data.get("dport"),
                 data.get("proto"),
             )
-        match = self._matches.get(key)
-        if match is None:
-            match = self._matches[key] = Match(*key)
+        return self._matches.get(key) or self._new_match(key)
+
+    def _new_match(self, key: _FiveTuple) -> Match:
+        match = self._matches[key] = Match(*key)
         return match
+
+    # -- canonical lines: one builder per pattern, groups in field order --
+
+    def _text(self, text: str) -> FlowKey:
+        """The key of a 5-tuple's text, parsed on its first sight."""
+        flow = self._texts[text] = self._flow(_raw_decode(text)[0])
+        return flow  # type: ignore[return-value]
+
+    def _packet_in(
+        self, ts: str, dpid: str, corr: Optional[str], flow: str, in_port: str, buffer_id: str
+    ) -> PacketIn:
+        return PacketIn(
+            float(ts),
+            self._dpids.setdefault(dpid, dpid),
+            corr and int(corr),
+            self._texts.get(flow) or self._text(flow),
+            int(in_port),
+            int(buffer_id),
+        )
+
+    def _packet_out(
+        self, ts: str, dpid: str, corr: Optional[str], flow: str, out_port: str, buffer_id: str
+    ) -> PacketOut:
+        return PacketOut(
+            float(ts),
+            self._dpids.setdefault(dpid, dpid),
+            corr and int(corr),
+            self._texts.get(flow) or self._text(flow),
+            int(out_port),
+            int(buffer_id),
+        )
+
+    def _flow_mod(
+        self,
+        ts: str,
+        dpid: str,
+        corr: Optional[str],
+        match: str,
+        out_port: str,
+        idle: str,
+        hard: str,
+        priority: str,
+        command: str,
+        in_reply_to: Optional[str],
+    ) -> FlowMod:
+        key = self._texts.get(match) or self._text(match)
+        return FlowMod(
+            float(ts),
+            self._dpids.setdefault(dpid, dpid),
+            corr and int(corr),
+            self._matches.get(key) or self._new_match(key),
+            int(out_port),
+            float(idle),
+            float(hard),
+            int(priority),
+            _COMMANDS[command],
+            in_reply_to and int(in_reply_to),
+        )
+
+    def _flow_removed(
+        self,
+        ts: str,
+        dpid: str,
+        corr: Optional[str],
+        match: str,
+        duration: str,
+        byte_count: str,
+        packet_count: str,
+        reason: str,
+    ) -> FlowRemoved:
+        key = self._texts.get(match) or self._text(match)
+        return FlowRemoved(
+            float(ts),
+            self._dpids.setdefault(dpid, dpid),
+            corr and int(corr),
+            self._matches.get(key) or self._new_match(key),
+            float(duration),
+            int(byte_count),
+            int(packet_count),
+            _REASONS[reason],
+        )
+
+
+#: The first eight letters of a type name (at offset 10 of a canonical
+#: line) -> that type's pattern and builder.
+_CANONICAL: Dict[str, Tuple[_Fullmatch, Callable[..., ControlMessage]]] = {
+    "packet_i": (
+        _canonical(
+            "packet_in",
+            r', "flow": (%s), "in_port": (%s), "buffer_id": (%s)' % (_KEY, _INT, _INT),
+        ),
+        CaptureDecoder._packet_in,
+    ),
+    "packet_o": (
+        _canonical(
+            "packet_out",
+            r', "flow": (%s), "out_port": (%s), "buffer_id": (%s)' % (_KEY, _INT, _INT),
+        ),
+        CaptureDecoder._packet_out,
+    ),
+    "flow_mod": (
+        _canonical(
+            "flow_mod",
+            r', "match": (%s), "out_port": (%s), "idle": (%s), "hard": (%s), "priority": (%s),'
+            r' "command": %s, "in_reply_to": (?:(%s)|null)'
+            % (_KEY, _INT, _FLOAT, _FLOAT, _INT, _one_of(_COMMANDS), _INT),
+        ),
+        CaptureDecoder._flow_mod,
+    ),
+    "flow_rem": (
+        _canonical(
+            "flow_removed",
+            r', "match": (%s), "duration": (%s), "bytes": (%s), "packets": (%s), "reason": %s'
+            % (_KEY, _FLOAT, _INT, _INT, _one_of(_REASONS)),
+        ),
+        CaptureDecoder._flow_removed,
+    ),
+}
 
 
 def _field(name: Any, data: Dict[str, Any], key: str, default: Any, rejected: Any) -> Any:

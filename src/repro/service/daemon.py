@@ -107,7 +107,8 @@ class StreamService:
     # -- tenants ---------------------------------------------------------
 
     def add_tenant(self, name: str, **overrides: object) -> TenantPipeline:
-        """Register a tenant pipeline (with its own alert engine).
+        """Register a tenant pipeline (with its own alert engine, whose
+        ``alerts_*`` series carry ``tenant=name`` in :attr:`metrics`).
 
         Keyword overrides are forwarded to :class:`TenantPipeline` on top
         of the service defaults.
@@ -118,13 +119,17 @@ class StreamService:
             "window": self.window,
             "baseline_span": self.baseline_span,
             "metrics": self.metrics,
-            "alert_engine": AlertEngine(default_rules()),
             "checkpoint_dir": self.checkpoint_dir,
             "rebaseline_after": self.rebaseline_after,
             "history_limit": self.history_limit,
             "trace_capacity": self.trace_capacity,
         }
         kwargs.update(overrides)
+        if "alert_engine" not in kwargs:
+            # Built only when not overridden: it registers its series.
+            kwargs["alert_engine"] = AlertEngine(
+                default_rules(), self.metrics.labelled(tenant=name)
+            )
         # Construction is heavy (checkpoint restore does file I/O), so it
         # happens outside the lock; the insert re-checks for a racing
         # registration of the same name.

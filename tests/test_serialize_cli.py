@@ -318,6 +318,31 @@ class TestDecodeContract:
                 ]
                 for name, value in [("list", "[7]"), ("object", '{"id": 7}')]
             ),
+            # So did a flow field modeling sorts or compares, and a corr
+            # the flight recorder hashes, of the wrong type.
+            *(
+                pytest.param(
+                    HEAD % "packet_in" + ', "flow": %s}' % json.dumps(flow),
+                    "packet_in message with a bad field (flow '%s'" % field,
+                    id=f"flow-{field}-{name}",
+                )
+                for field, name, flow in [
+                    ("src", "number", {"src": 5, "dst": "b", "sport": 1, "dport": 2}),
+                    ("dst", "null", {"src": "a", "dst": None, "sport": 1, "dport": 2}),
+                    ("sport", "string", {"src": "a", "dst": "b", "sport": "1", "dport": 2}),
+                    ("dport", "float", {"src": "a", "dst": "b", "sport": 1, "dport": 2.0}),
+                    ("dport", "bool", {"src": "a", "dst": "b", "sport": 1, "dport": True}),
+                    ("proto", "number", dict(src="a", dst="b", sport=1, dport=2, proto=6)),
+                ]
+            ),
+            *(
+                pytest.param(
+                    HEAD % "packet_in" + ', "corr": %s, "flow": null}' % value,
+                    "packet_in message with a bad 'corr'",
+                    id=f"corr-{name}",
+                )
+                for name, value in [("list", "[1]"), ("object", "{}")]
+            ),
             # So did a flow_removed counter that is not a number.
             *(
                 pytest.param(
@@ -634,6 +659,38 @@ class TestCLIErrorPaths:
             fh.writelines(lines)
         with pytest.raises(ValueError, match="^line 41: packet_in message with a bad 'dpid'"):
             main(["diff", good, bad])
+
+    @pytest.mark.parametrize(
+        "field, value, why",
+        [
+            ("src", 5, "with a bad field (flow 'src' is not str: 5)"),
+            ("dst", None, "with a bad field (flow 'dst' is not str: None)"),
+            ("proto", 6, "with a bad field (flow 'proto' is not str: 6)"),
+            ("corr", [1], "with a bad 'corr' ([1])"),
+            ("corr", {}, "with a bad 'corr' ({})"),
+        ],
+        ids=["src-number", "dst-null", "proto-number", "corr-list", "corr-object"],
+    )
+    def test_diff_of_a_capture_with_a_bad_flow_field_names_the_line(
+        self, tmp_path, field, value, why
+    ):
+        """Such a ``packet_in`` used to decode, and ``repro diff --evidence``
+        then died with a ``TypeError`` sorting flows or hashing ``corr``."""
+        good = str(tmp_path / "good.jsonl")
+        bad = str(tmp_path / "bad.jsonl")
+        assert main(["simulate", "--out", good, "--duration", "5"]) == 0
+        with open(good, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        record = json.loads(next(text for text in lines[40:] if '"packet_in"' in text))
+        if field == "corr":
+            record["corr"] = value
+        else:
+            record["flow"][field] = value
+        lines.insert(40, json.dumps(record) + "\n")
+        with open(bad, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+        with pytest.raises(ValueError, match="^line 41: packet_in message " + re.escape(why)):
+            main(["diff", good, bad, "--evidence"])
 
 
 class TestCLIHtmlReport:

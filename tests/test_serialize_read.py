@@ -1,11 +1,14 @@
 """The line-at-a-time reader behind ``read_log`` / ``load_log`` against
-the whole-text decoder it replaced.
+the whole-text decoder it replaced, and the pattern path of
+:meth:`CaptureDecoder.line` against the JSON path.
 
-The oracle below is that decoder, kept verbatim: read the whole file,
-decode it, split it into lines and hand every line to
-:meth:`CaptureDecoder.line`.
+The oracle of the reader is that decoder, kept verbatim: read the whole
+file, decode it, split it into lines and hand every line to
+:meth:`CaptureDecoder.line`. The oracle of the pattern path is
+``CaptureDecoder().message(json.loads(text))``.
 """
 
+import dataclasses
 import gc
 import io
 import json
@@ -21,18 +24,23 @@ from repro.openflow.match import FlowKey, Match
 from repro.openflow.messages import (
     EchoRequest,
     FlowMod,
+    FlowModCommand,
     FlowRemoved,
+    FlowRemovedReason,
     PacketIn,
     PacketOut,
 )
 from repro.openflow.serialize import (
+    _CANONICAL,
     CaptureDecoder,
+    line,
     load_log,
     message_to_json,
     read_log,
     save_log,
 )
-from repro.scenarios import three_tier_lab
+from repro.scenarios import scalability_sim, three_tier_lab
+from tests import test_serialize_cli as cli
 
 
 def oracle_load_text(text):
@@ -259,3 +267,115 @@ def test_equal_stamps_keep_file_order_around_late_lines(tmp_path):
     for log in (read_log(path), load_log(io.StringIO(text)), appended):
         assert [m.dpid for m in log] == ["sw3", "sw1", "sw4", "sw0", "sw2", "sw5"]
         assert [m.dpid for m in log.window(1.0, 2.0)] == ["sw1", "sw4"]
+
+
+def typed(value):
+    """``value`` with the type of every field, 5-tuples field by field."""
+    if isinstance(value, FlowKey):
+        return tuple(typed(part) for part in value)
+    if dataclasses.is_dataclass(value):
+        return tuple(typed(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return value, type(value)
+
+
+def decode_both(texts):
+    """Each text through one decoder's ``line`` and through another's JSON
+    path: per text, the message or the text of the error."""
+    fast, slow = CaptureDecoder(), CaptureDecoder()
+    return (
+        [attempt(fast.line, text) for text in texts],
+        [attempt(lambda t: slow.message(json.loads(t)), text) for text in texts],
+    )
+
+
+def canonical(text):
+    """Whether ``text`` takes the pattern path."""
+    pattern = _CANONICAL.get(text[10:18])
+    return pattern is not None and pattern[0](text) is not None
+
+
+#: ``line()``'s own end, a CRLF one, or none (the last line of a file).
+ENDS = st.sampled_from(["\n", "\r\n", ""])
+#: Where a string belongs, now and then one ``line()`` escapes; where a
+#: float belongs, now and then an int. The JSON path keeps each as it is.
+TEXTS = cli.HOSTS | cli.ODD_TEXT
+TIMES = cli.SECONDS | st.integers(0, 10**6)
+KEYS = st.builds(FlowKey, TEXTS, TEXTS, cli.PORTS, cli.PORTS, cli.PROTOS | cli.ODD_TEXT)
+FLOW_HEADER = dict(
+    cli.HEADER,
+    timestamp=cli.HEADER["timestamp"] | st.integers(0, 10**6),
+    dpid=cli.HEADER["dpid"] | cli.ODD_TEXT,
+)
+#: The four flow-bearing types with concrete 5-tuples: mostly canonical.
+FLOW_MESSAGES = st.one_of(
+    st.builds(PacketIn, **FLOW_HEADER, flow=KEYS, in_port=cli.PORTS, buffer_id=cli.COUNTS),
+    st.builds(PacketOut, **FLOW_HEADER, flow=KEYS, out_port=cli.PORTS, buffer_id=cli.COUNTS),
+    st.builds(
+        FlowMod,
+        **FLOW_HEADER,
+        match=KEYS.map(Match.exact),
+        out_port=cli.PORTS,
+        idle_timeout=TIMES,
+        hard_timeout=TIMES,
+        priority=cli.PORTS,
+        command=st.sampled_from(FlowModCommand),
+        in_reply_to=st.none() | cli.COUNTS,
+    ),
+    st.builds(
+        FlowRemoved,
+        **FLOW_HEADER,
+        match=KEYS.map(Match.exact),
+        duration=TIMES,
+        byte_count=cli.COUNTS,
+        packet_count=cli.COUNTS,
+        reason=st.sampled_from(FlowRemovedReason),
+    ),
+)
+#: Every message type and every odd value ``line()`` can write (``ts``
+#: finite), at every end and in every padding a line may have.
+CANDIDATES = st.tuples(FLOW_MESSAGES | cli.MESSAGES | cli.ODD_MESSAGES, ENDS, LAYOUTS).map(
+    lambda p: p[2] % (line(p[0])[:-1] + p[1])
+)
+
+
+class TestCanonicalLines:
+    @given(CANDIDATES)
+    @settings(max_examples=500, deadline=None)
+    def test_line_decodes_as_the_json_path_does(self, text):
+        [got], [want] = decode_both([text])
+        assert got == want
+        assert repr(got) == repr(want)
+        if not isinstance(want, str):
+            assert typed(got) == typed(want)
+
+    @given(st.lists(CANDIDATES, max_size=30))
+    @settings(max_examples=150, deadline=None)
+    def test_one_object_per_five_tuple_and_dpid(self, texts):
+        got, want = decode_both(texts)
+        assert [repr(m) for m in got] == [repr(m) for m in want]
+        got = [m for m in got if not isinstance(m, str)]
+        want = [m for m in want if not isinstance(m, str)]
+        assert got == want
+        assert sharing(got) == sharing(want)
+        for name in ("flow", "match", "dpid"):
+            values = [getattr(m, name) for m in got if getattr(m, name, None) is not None]
+            assert len({id(value) for value in values}) == len(set(values))
+
+    def test_simulated_captures_take_the_pattern_on_every_line(self, tmp_path):
+        """The drift pin: an encoder change the patterns do not follow
+        would silently send every line down the slower JSON path."""
+        network, workload = scalability_sim(n_apps=4, seed=11)
+        workload.start(0.5, 3.0)
+        network.sim.run(until=6.0)
+        captures = {
+            "lab": three_tier_lab(seed=3).run(0.5, 20.0, drain=5.0),
+            "tree": network.log,
+        }
+        for name, log in captures.items():
+            path = str(tmp_path / f"{name}.jsonl")
+            save_log(log, path)
+            with open(path, encoding="utf-8") as fh:
+                texts = fh.readlines()
+            assert len(texts) > 2000
+            assert [text for text in texts if not canonical(text)] == [], name
+            assert list(read_log(path)) == list(log)

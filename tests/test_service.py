@@ -30,6 +30,7 @@ from repro.core.persist import model_digest
 from repro.core.signatures.application import SignatureConfig
 from repro.faults import LinkLoss
 from repro.obs.alerts import AlertEngine, default_rules
+from repro.obs.export import render_prometheus
 from repro.obs.metrics import MetricsRegistry
 from repro.openflow.log import ControllerLog
 from repro.openflow.match import FlowKey, Match
@@ -619,6 +620,23 @@ class TestTenantIsolation:
         unlabelled = [m.name for m in registry if "tenant" not in dict(m.labels)]
         assert unlabelled == []
 
+    def test_tenant_alerts_reach_prometheus(self, faulty_log):
+        """``add_tenant`` used to build each alert engine without a
+        registry, so no ``alerts_*`` series reached ``/metrics``."""
+        service = StreamService(window=WINDOW, baseline_span=BASELINE)
+        service.add_tenant("X")
+        with service:
+            replay_messages(service, "X", list(faulty_log))
+            service.drain()
+        fired = len(service.tenants["X"].alert_engine.alerts)
+        assert fired >= 1
+        counts = [
+            float(line.split()[-1])
+            for line in render_prometheus(service.metrics).splitlines()
+            if line.startswith("alerts_total{") and 'tenant="X"' in line
+        ]
+        assert counts and sum(counts) == fired
+
     def test_duplicate_tenant_is_rejected(self):
         service = StreamService()
         service.add_tenant("a")
@@ -977,6 +995,47 @@ class TestDaemonSources:
             "service_dropped_total", tenant="t1", reason="decode"
         ) == len(bad)
         assert sum(len(batch) for batch in recorder.batches) == len(lines)
+
+    def test_flow_fields_modeling_cannot_take_lose_no_window(self, healthy_log, tmp_path):
+        """A ``packet_in`` whose ``flow.src`` is a number used to decode, and
+        the close of its window raised ``TypeError`` sorting the flows: the
+        whole window was a ``close_error``. So could a ``"corr": [1]``."""
+        clean = str(tmp_path / "capture.jsonl")
+        save_log(healthy_log, clean)
+        with open(clean, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        t_first, _ = healthy_log.time_span
+        cut = next(
+            i for i, msg in enumerate(healthy_log) if msg.timestamp > t_first + BASELINE + 2.0
+        )
+        record = json.loads(next(text for text in lines[cut:] if '"packet_in"' in text))
+        numbered = json.loads(json.dumps(record))
+        numbered["flow"]["src"] = 5
+        listed = dict(record, corr=[1])
+        spliced = str(tmp_path / "spliced.jsonl")
+        with open(spliced, "w", encoding="utf-8") as fh:
+            fh.writelines(
+                lines[:cut] + [json.dumps(numbered) + "\n", json.dumps(listed) + "\n"] + lines[cut:]
+            )
+
+        def serve(path):
+            service = StreamService(window=WINDOW, baseline_span=BASELINE)
+            service.add_tenant("t1")
+            with service:
+                source = FileTailSource(service, "t1", path)
+                source.start()
+                source.join(timeout=60.0)
+                assert not source._thread.is_alive()
+                service.drain()
+            return service
+
+        want, got = serve(clean), serve(spliced)
+        assert got.metrics.value("service_dropped_total", tenant="t1", reason="decode") == 2
+        assert not got.metrics.value("service_dropped_total", tenant="t1", reason="close_error")
+        tenant, reference = got.tenants["t1"], want.tenants["t1"]
+        assert tenant.windows_total == reference.windows_total >= 2
+        assert tenant.status_counts == reference.status_counts
+        assert_histories_identical(tenant.history, reference.history)
 
     def test_tail_shares_five_tuples_per_batch_and_keeps_none(self, healthy_log, tmp_path):
         """The follow-mode leak guard, by count: the decoder's table never
