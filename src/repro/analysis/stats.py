@@ -18,7 +18,10 @@ streams decoded from controller logs without intermediate copies.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
+from operator import floordiv
 from typing import Iterable, List, Sequence, Tuple
 
 
@@ -41,7 +44,7 @@ def mean_std(values: Sequence[float]) -> Tuple[float, float]:
     if n == 0:
         return 0.0, 0.0
     mean = sum(values) / n
-    var = sum((v - mean) ** 2 for v in values) / n
+    var = sum([(v - mean) ** 2 for v in values]) / n
     return mean, math.sqrt(var)
 
 
@@ -139,10 +142,7 @@ def histogram_peaks(
         raise ValueError(f"bin_width must be positive, got {bin_width}")
     if not values:
         return []
-    counts: dict[int, int] = {}
-    for v in values:
-        b = int(v // bin_width)
-        counts[b] = counts.get(b, 0) + 1
+    counts = Counter(map(int, map(floordiv, values, repeat(bin_width))))
     peaks: List[Tuple[float, int]] = []
     get = counts.get
     for idx in sorted(counts):

@@ -16,9 +16,13 @@ observations instead:
 
 A 5-tuple can recur (connection reuse after entry expiry, periodic jobs);
 occurrences of the same key separated by more than ``occurrence_gap`` are
-distinct arrivals. Extraction reads the sorted log once: one loop buckets
-the ``PacketIn`` and ``FlowMod`` messages, and one loop over the
-``PacketIn`` messages pairs replies and groups occurrences.
+distinct arrivals. :func:`extract_flow_records` reads the sorted log
+twice: one loop buckets the ``PacketIn`` and ``FlowMod`` messages, after
+which one loop over the ``PacketIn`` messages pairs replies and groups
+occurrences; then ``log.flow_removed()`` scans it again for the expiry
+reports, which :func:`join_flow_records` indexes and joins to the
+arrivals in one loop over them. (``FlowDiff.model`` makes one more scan,
+for ``PortStatus``.)
 
 :class:`HopReport`, :class:`FlowArrival`, :class:`FlowRecord` and the
 :class:`~repro.openflow.match.FlowKey` they carry are named tuples — one
@@ -32,8 +36,8 @@ atoms). So each compares equal to a plain tuple of the same fields, and
 
 from __future__ import annotations
 
-from operator import attrgetter
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from operator import attrgetter, itemgetter
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.occurrence import splits_occurrence
 from repro.openflow.log import ControllerLog
@@ -73,7 +77,8 @@ class FlowArrival(NamedTuple):
     time: float
     hops: Tuple[HopReport, ...]
 
-    # C-level getters: six signature builders read these once per arrival.
+    # Conveniences for readers; the signature builders' loops unpack the
+    # tuple and slice ``flow[:2]`` instead of calling a getter per arrival.
     src = property(attrgetter("flow.src"), doc="Source endpoint.")
     dst = property(attrgetter("flow.dst"), doc="Destination endpoint.")
 
@@ -100,14 +105,17 @@ class FlowRecord(NamedTuple):
     duration: float
 
 
-def arrival_sort_key(arrival: FlowArrival) -> Tuple[float, FlowKey]:
-    """Deterministic ordering for arrival lists: (time, flow key).
+#: Deterministic ordering for arrival lists: ``(time, flow key)``.
+#: The flow-key tiebreak makes the order independent of the order flows
+#: were closed in, so every extraction emits byte-identical arrival
+#: sequences even when two flows start at the same timestamp.
+arrival_sort_key: Callable[[FlowArrival], Tuple[float, FlowKey]] = itemgetter(1, 0)
 
-    The flow-key tiebreak makes the order independent of the order
-    flows were closed in, so every extraction emits byte-identical
-    arrival sequences even when two flows start at the same timestamp.
-    """
-    return (arrival.time, arrival.flow)
+_dpid = itemgetter(0)  # of a HopReport
+
+#: Builds a named tuple from a tuple of its fields without the generated
+#: ``__new__`` (a Python call per object); the result is the same object.
+_new_tuple = tuple.__new__
 
 
 def extract_flow_arrivals(
@@ -158,20 +166,20 @@ def extract_flow_arrivals(
                     mod = candidates.pop(i)
                     break
         if mod is None:
-            hop = HopReport(pin.dpid, pin.in_port, ts)
+            hop = _new_tuple(HopReport, (pin.dpid, pin.in_port, ts, None, None))
         else:
-            hop = HopReport(pin.dpid, pin.in_port, ts, mod.timestamp, mod.out_port)
+            hop = _new_tuple(HopReport, (pin.dpid, pin.in_port, ts, mod.timestamp, mod.out_port))
         run = open_runs.get(flow)
         if run is None:
             open_runs[flow] = [hop]
         elif splits_occurrence(run[-1].packet_in_at, ts, occurrence_gap):
-            arrivals.append(FlowArrival(flow, run[0].packet_in_at, tuple(run)))
+            arrivals.append(_new_tuple(FlowArrival, (flow, run[0].packet_in_at, tuple(run))))
             open_runs[flow] = [hop]
         else:
             run.append(hop)
 
     for flow, run in open_runs.items():
-        arrivals.append(FlowArrival(flow, run[0].packet_in_at, tuple(run)))
+        arrivals.append(_new_tuple(FlowArrival, (flow, run[0].packet_in_at, tuple(run))))
     arrivals.sort(key=arrival_sort_key)
     return arrivals
 
@@ -215,20 +223,32 @@ def join_flow_records(
         if m is None:
             continue
         key = (m.src, m.dst, m.src_port, m.dst_port, m.proto)
-        if None in key:
-            wildcards.append([fr, False])
+        by_dpid = exact.get(key)
+        if by_dpid is None:
+            # Only a key not indexed yet can be a wildcard.
+            if None in key:
+                wildcards.append([fr, False])
+            else:
+                exact[key] = {fr.dpid: [1, fr]}
+            continue
+        bucket = by_dpid.get(fr.dpid)
+        if bucket is None:
+            by_dpid[fr.dpid] = [1, fr]
         else:
-            exact.setdefault(key, {}).setdefault(fr.dpid, [1]).append(fr)
+            bucket.append(fr)
 
     records: List[FlowRecord] = []
     for arrival in arrivals:
+        flow, t, hops = arrival
+        by_dpid = exact.get(flow)
+        if not by_dpid and not wildcards:
+            records.append(_new_tuple(FlowRecord, (arrival, 0, 0, 0.0)))
+            continue
         best_bytes = 0
         best_packets = 0
         best_duration = 0.0
-        t = arrival.time
-        on_path = {h.dpid for h in arrival.hops}
+        on_path = set(map(_dpid, hops))
         taken_dpids: set = set()
-        by_dpid = exact.get(arrival.flow)
         if by_dpid:
             for dpid in on_path:
                 bucket = by_dpid.get(dpid)
@@ -256,7 +276,7 @@ def join_flow_records(
                 continue
             if fr.dpid not in on_path or fr.dpid in taken_dpids:
                 continue
-            if not fr.match.matches(arrival.flow):
+            if not fr.match.matches(flow):
                 continue
             # At most one expiry report per switch belongs to one arrival;
             # later reports for the same 5-tuple describe re-occurrences.
@@ -268,7 +288,7 @@ def join_flow_records(
                 best_packets = fr.packet_count
             if fr.duration > best_duration:
                 best_duration = fr.duration
-        records.append(FlowRecord(arrival, best_bytes, best_packets, best_duration))
+        records.append(_new_tuple(FlowRecord, (arrival, best_bytes, best_packets, best_duration)))
     return records
 
 
@@ -277,11 +297,15 @@ def timed_flows(log: ControllerLog, dedup_window: float = 0.0) -> List[Tuple[flo
 
     The representation task mining consumes. ``dedup_window`` > 0 collapses
     repeat reports of the same 5-tuple within the window (the per-switch
-    PacketIn fan-out), keeping the first.
+    PacketIn fan-out), keeping the first. A ``PacketIn`` whose ``flow`` is
+    null has no flow identity and is skipped, as in
+    :func:`extract_flow_arrivals`.
     """
     out: List[Tuple[float, FlowKey]] = []
     last: Dict[FlowKey, float] = {}
     for pin in log.packet_ins():
+        if pin.flow is None:
+            continue
         prev = last.get(pin.flow)
         if prev is not None and dedup_window > 0 and pin.timestamp - prev <= dedup_window:
             continue

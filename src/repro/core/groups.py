@@ -79,8 +79,9 @@ def extract_groups(
             parent[max(ra, rb)] = min(ra, rb)
 
     service_peers: Dict[str, Set[str]] = {}
-    for arrival in arrivals:
-        src, dst = arrival.src, arrival.dst
+    # Flows repeat few edges: visit each once, in first-seen order (the
+    # order nodes enter ``parent``).
+    for src, dst in dict.fromkeys([arrival.flow[:2] for arrival in arrivals]):
         for node in (src, dst):
             if node not in special:
                 parent.setdefault(node, node)

@@ -16,6 +16,10 @@ from repro.core.signatures.interaction import ComponentInteraction
 from repro.openflow.log import ControllerLog
 
 
+#: ``group_records``: no decision yet about an edge's owning group.
+_UNDECIDED = object()
+
+
 @dataclass(frozen=True)
 class SignatureConfig:
     """Knobs of application-signature construction.
@@ -96,11 +100,20 @@ def group_records(
     for group in groups:
         for host in group.members:
             member_of[host] = group
+    # Per (src, dst) edge, the list of the group owning it, or None; flows
+    # repeat few edges, so ownership is decided once per edge.
+    owner: Dict[Tuple[str, str], Optional[List[FlowRecord]]] = {}
     for record in records:
-        src, dst = record.arrival.src, record.arrival.dst
-        group = member_of.get(src) or member_of.get(dst)
-        if group is not None and group.owns_edge(src, dst):
-            out[group.key].append(record)
+        edge = record.arrival.flow[:2]
+        bucket = owner.get(edge, _UNDECIDED)
+        if bucket is _UNDECIDED:
+            src, dst = edge
+            group = member_of.get(src) or member_of.get(dst)
+            bucket = owner[edge] = (
+                out[group.key] if group is not None and group.owns_edge(src, dst) else None
+            )
+        if bucket is not None:
+            bucket.append(record)
     return out
 
 

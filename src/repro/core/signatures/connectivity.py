@@ -44,10 +44,11 @@ class ConnectivityGraph(Signature):
     def build(cls, arrivals: Sequence[FlowArrival]) -> "ConnectivityGraph":
         """Build the CG from a group's flow arrivals."""
         first: Dict[Edge, float] = {}
-        for arrival in arrivals:
-            edge = (arrival.src, arrival.dst)
-            if edge not in first or arrival.time < first[edge]:
-                first[edge] = arrival.time
+        for flow, time, _ in arrivals:
+            edge = flow[:2]
+            seen = first.get(edge)
+            if seen is None or time < seen:
+                first[edge] = time
         return cls(
             edges=frozenset(first),
             first_seen=tuple(sorted(first.items())),

@@ -60,10 +60,15 @@ class PartialCorrelation(Signature):
         noise).
         """
         times_by_edge: Dict[Edge, List[float]] = {}
-        for arrival in arrivals:
-            times_by_edge.setdefault((arrival.src, arrival.dst), []).append(arrival.time)
+        for flow, time, _ in arrivals:
+            edge = flow[:2]
+            times = times_by_edge.get(edge)
+            if times is None:
+                times_by_edge[edge] = [time]
+            else:
+                times.append(time)
         series = {
-            edge: epoch_counts(times, t_start, t_end, epoch)
+            edge: [float(c) for c in epoch_counts(times, t_start, t_end, epoch)]
             for edge, times in times_by_edge.items()
             if len(times) >= min_count
         }
@@ -84,10 +89,7 @@ class PartialCorrelation(Signature):
             for out_edge in by_src.get(node, []):
                 if out_edge == in_edge or out_edge[1] == in_edge[0]:
                     continue  # skip self and pure reverses
-                out[(in_edge, out_edge)] = pearson(
-                    [float(c) for c in series[in_edge]],
-                    [float(c) for c in series[out_edge]],
-                )
+                out[(in_edge, out_edge)] = pearson(series[in_edge], series[out_edge])
         return cls(correlations=tuple(sorted(out.items())), epoch=epoch)
 
     def to_dict(self) -> JsonDict:

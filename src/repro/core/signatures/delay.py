@@ -86,13 +86,22 @@ def pair_delays(
             incoming flow (bounds quadratic blowup under bursts; true
             dependency peaks survive because they recur).
     """
+    # Arrival times per directed edge, then each node's incoming and
+    # outgoing flows as ``(time, edge)`` items.
+    times_by_edge: Dict[Edge, List[float]] = {}
+    for flow, time, _ in arrivals:
+        edge = flow[:2]
+        times = times_by_edge.get(edge)
+        if times is None:
+            times_by_edge[edge] = [time]
+        else:
+            times.append(time)
     incoming: Dict[str, List[Tuple[float, Edge]]] = {}
     outgoing: Dict[str, List[Tuple[float, Edge]]] = {}
-    for arrival in arrivals:
-        src, dst = arrival.src, arrival.dst
-        item = (arrival.time, (src, dst))
-        outgoing.setdefault(src, []).append(item)
-        incoming.setdefault(dst, []).append(item)
+    for edge, times in times_by_edge.items():
+        items = [(t, edge) for t in times]
+        incoming.setdefault(edge[1], []).extend(items)
+        outgoing.setdefault(edge[0], []).extend(items)
 
     cap = max(max_pairs_per_in, 0)
     delays: Dict[EdgePair, List[float]] = {}
@@ -103,19 +112,35 @@ def pair_delays(
             continue
         out_list.sort()
         out_times = [t for t, _ in out_list]
+        # Each outgoing flow carries the index of the previous one on its
+        # edge: it is the first of its edge after an incoming flow exactly
+        # when that index falls before the flow's first candidate.
+        candidates: List[Tuple[float, Edge, int]] = []
+        last: Dict[Edge, int] = {}
+        for j, (t_out, out_edge) in enumerate(out_list):
+            candidates.append((t_out, out_edge, last.get(out_edge, -1)))
+            last[out_edge] = j
         in_list.sort()
+        # Per incoming edge, its row: out edge -> (all, first) delay lists,
+        # which are the lists the two result dicts hold.
+        rows: Dict[Edge, Dict[Edge, Tuple[List[float], List[float]]]] = {}
         for t_in, in_edge in in_list:
+            row = rows.get(in_edge)
+            if row is None:
+                row = rows[in_edge] = {}
             lo = bisect_right(out_times, t_in)
-            seen_pairs = set()
-            for t_out, out_edge in out_list[lo : lo + cap]:
+            for t_out, out_edge, previous in candidates[lo : lo + cap]:
                 delay = t_out - t_in
                 if delay > window:
                     break
-                pair = (in_edge, out_edge)
-                delays.setdefault(pair, []).append(delay)
-                if pair not in seen_pairs:
-                    seen_pairs.add(pair)
-                    first_delays.setdefault(pair, []).append(delay)
+                cell = row.get(out_edge)
+                if cell is None:
+                    pair = (in_edge, out_edge)
+                    cell = row[out_edge] = ([], [])
+                    delays[pair], first_delays[pair] = cell
+                cell[0].append(delay)
+                if previous < lo:
+                    cell[1].append(delay)
     return delays, first_delays
 
 
@@ -170,7 +195,7 @@ class DelayDistribution(Signature):
             mean = sum(first) / len(first) if first else -1.0
             stderr = float("inf")
             if len(first) >= 2:
-                var = sum((v - mean) ** 2 for v in first) / (len(first) - 1)
+                var = sum([(v - mean) ** 2 for v in first]) / (len(first) - 1)
                 stderr = (var / len(first)) ** 0.5
             peaks = tuple(histogram_peaks(vals, bin_width, min_count=min_peak_count))
             stats.append((pair, PairDelays(peaks, mean, stderr, len(vals), len(first))))

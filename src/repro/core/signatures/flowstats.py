@@ -97,9 +97,9 @@ class FlowStats(Signature):
         volume_series: List[float] = []
         if with_counters and span > epoch:
             buckets: Dict[int, float] = {}
-            for r in with_counters:
-                idx = int((r.arrival.time - t_start) // epoch)
-                buckets[idx] = buckets.get(idx, 0.0) + r.byte_count
+            for arrival, byte_count, _, _ in with_counters:
+                idx = int((arrival.time - t_start) // epoch)
+                buckets[idx] = buckets.get(idx, 0.0) + byte_count
             n_buckets = int(span // epoch) or 1
             volume_series = [buckets.get(i, 0.0) / epoch for i in range(n_buckets)]
         bytes_rate = RateSummary.of(volume_series)
@@ -116,9 +116,9 @@ class FlowStats(Signature):
             )
 
         per_edge: Dict[Edge, int] = {}
-        for r in with_counters:
-            edge = (r.arrival.src, r.arrival.dst)
-            per_edge[edge] = per_edge.get(edge, 0) + r.byte_count
+        for arrival, byte_count, _, _ in with_counters:
+            edge = arrival.flow[:2]
+            per_edge[edge] = per_edge.get(edge, 0) + byte_count
 
         return cls(
             flow_count=len(records),

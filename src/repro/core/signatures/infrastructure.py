@@ -16,6 +16,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from repro.analysis.stats import mean_std
@@ -31,6 +32,8 @@ from repro.core.signatures.base import (
 )
 
 SwitchEdge = Tuple[str, str]
+
+_dpid = itemgetter(0)  # of a HopReport
 
 
 @dataclass(frozen=True)
@@ -58,20 +61,26 @@ class PhysicalTopology(Signature):
         switch if the first/last observation were trusted blindly — hence
         the per-host majority vote over all of its flows.
         """
+        # Flows repeat a handful of routes: count each (src, dst, path)
+        # once, then weigh it by how often it was taken.
+        routes: Dict[Tuple[str, str, Tuple[str, ...]], int] = {}
+        for flow, _, hops in arrivals:
+            route = (flow[0], flow[1], tuple(map(_dpid, hops)))
+            routes[route] = routes.get(route, 0) + 1
         links = set()
         attach_votes: Dict[str, Dict[str, int]] = {}
         obs: Dict[str, int] = {}
-        for arrival in arrivals:
-            dpids = arrival.path_dpids
+        for (src, dst, dpids), n in routes.items():
+            if not dpids:
+                continue
             for dpid in dpids:
-                obs[dpid] = obs.get(dpid, 0) + 1
+                obs[dpid] = obs.get(dpid, 0) + n
             for a, b in zip(dpids, dpids[1:]):
                 links.add((a, b) if a <= b else (b, a))
-            if dpids:
-                src_votes = attach_votes.setdefault(arrival.src, {})
-                src_votes[dpids[0]] = src_votes.get(dpids[0], 0) + 1
-                dst_votes = attach_votes.setdefault(arrival.dst, {})
-                dst_votes[dpids[-1]] = dst_votes.get(dpids[-1], 0) + 1
+            src_votes = attach_votes.setdefault(src, {})
+            src_votes[dpids[0]] = src_votes.get(dpids[0], 0) + n
+            dst_votes = attach_votes.setdefault(dst, {})
+            dst_votes[dpids[-1]] = dst_votes.get(dpids[-1], 0) + n
         attach = {
             host: max(sorted(votes), key=lambda sw: votes[sw])
             for host, votes in attach_votes.items()
@@ -223,17 +232,23 @@ class InterSwitchLatency(Signature):
     def build(cls, arrivals: Sequence[FlowArrival]) -> "InterSwitchLatency":
         """Collect per-adjacent-pair latency samples from hop reports."""
         samples: Dict[SwitchEdge, List[float]] = {}
-        for arrival in arrivals:
-            hops = arrival.hops
-            for up, down in zip(hops, hops[1:]):
-                if up.flow_mod_at is None:
-                    continue
-                latency = down.packet_in_at - up.flow_mod_at
-                if latency < 0:
-                    continue
-                a, b = up.dpid, down.dpid
-                pair = (a, b) if a <= b else (b, a)
-                samples.setdefault(pair, []).append(latency)
+        for _, _, hops in arrivals:
+            up = None
+            released = None
+            for dpid, _, packet_in_at, flow_mod_at, _ in hops:
+                # The gap from the upstream switch's FlowMod to this
+                # switch's PacketIn; none after a dropped request.
+                if released is not None:
+                    latency = packet_in_at - released
+                    if latency >= 0:
+                        pair = (up, dpid) if up <= dpid else (dpid, up)
+                        vals = samples.get(pair)
+                        if vals is None:
+                            samples[pair] = [latency]
+                        else:
+                            vals.append(latency)
+                up = dpid
+                released = flow_mod_at
         stats = {}
         for pair, vals in samples.items():
             mean, std = mean_std(vals)
@@ -315,10 +330,10 @@ class ControllerResponseTime(Signature):
     def build(cls, arrivals: Sequence[FlowArrival]) -> "ControllerResponseTime":
         """Summarize PacketIn-to-FlowMod response times across all hops."""
         samples = [
-            hop.flow_mod_at - hop.packet_in_at
-            for arrival in arrivals
-            for hop in arrival.hops
-            if hop.flow_mod_at is not None and hop.flow_mod_at >= hop.packet_in_at
+            flow_mod_at - packet_in_at
+            for _, _, hops in arrivals
+            for _, _, packet_in_at, flow_mod_at, _ in hops
+            if flow_mod_at is not None and flow_mod_at >= packet_in_at
         ]
         mean, std = mean_std(samples)
         return cls(mean=mean, std=std, count=len(samples))

@@ -11,6 +11,7 @@ logs do not masquerade as structural changes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -40,14 +41,12 @@ class ComponentInteraction(Signature):
     def build(cls, arrivals: Sequence[FlowArrival]) -> "ComponentInteraction":
         """Count in/out flows per node from a group's arrivals."""
         per_node: Dict[str, NodeCounts] = {}
-        for arrival in arrivals:
-            src, dst = arrival.src, arrival.dst
-            per_node.setdefault(src, {})
-            per_node.setdefault(dst, {})
-            out_key = ("out", dst)
-            in_key = ("in", src)
-            per_node[src][out_key] = per_node[src].get(out_key, 0) + 1
-            per_node[dst][in_key] = per_node[dst].get(in_key, 0) + 1
+        flows_per_edge = Counter([arrival.flow[:2] for arrival in arrivals])
+        for (src, dst), n in flows_per_edge.items():
+            out_counts = per_node.setdefault(src, {})
+            out_counts[("out", dst)] = out_counts.get(("out", dst), 0) + n
+            in_counts = per_node.setdefault(dst, {})
+            in_counts[("in", src)] = in_counts.get(("in", src), 0) + n
         return cls(
             counts=tuple(
                 (node, tuple(sorted(counts.items())))

@@ -22,11 +22,13 @@ Decode contract (:class:`CaptureDecoder`, which :func:`message_from_json`,
   sort order), a ``dpid`` that is not a string, a ``buffer_id`` /
   ``in_reply_to`` / ``corr`` that is an array or object, a ``flow``
   ``src``/``dst``/``proto`` that is not a string or ``sport``/``dport``
-  that is not an exact integer, a ``flow_removed``
+  that is not an exact integer, a ``match`` field of any other type than
+  its ``flow`` counterpart's or ``null`` (a wildcard; and since matches
+  are shared by value, a ``true`` port would otherwise decode as an
+  earlier line's ``1``), a ``flow_removed``
   ``duration``/``bytes``/``packets`` that is not a number (modeling sorts
   dpids and flows, hashes reply and chain ids and compares counters, so
-  each would raise ``TypeError`` there; ``match`` fields are not checked,
-  ``null`` being a wildcard there), an unknown
+  each would raise ``TypeError`` there), an unknown
   ``type``, an unknown ``command``/``reason`` — and, where bytes are read
   (:func:`read_log`, the file tail), bytes that are not UTF-8.
   :func:`load_log` prefixes the 1-based line number. Every other key is
@@ -308,8 +310,9 @@ _TS_TYPES = (float, int)
 #: others of its flow.
 _UNHASHABLE = (list, dict)
 _NOT_A_NUMBER = (str, type(None), list, dict)
-#: The type each ``flow`` field must have exactly: modeling sorts flows,
-#: which raises ``TypeError`` between a string and a number (or ``None``).
+#: The type each ``flow`` field, and each ``match`` field that is not null,
+#: must have exactly: modeling sorts flows, which raises ``TypeError``
+#: between a string and a number (or ``None``).
 _FLOW_FIELDS = (("src", str), ("dst", str), ("sport", int), ("dport", int), ("proto", str))
 
 # Canonical lines: what :func:`line` writes for the four flow-bearing
@@ -528,6 +531,12 @@ class CaptureDecoder:
                 data.get("dport"),
                 data.get("proto"),
             )
+        # Typed like a flow's fields, so that sharing by value never hands
+        # one line's ``1`` to another's ``true``; null stays a wildcard.
+        for (field, kind), value in zip(_FLOW_FIELDS, key):
+            if value is not None and type(value) is not kind:
+                # Named with its message type by :meth:`message`.
+                raise TypeError(f"match {field!r} is neither {kind.__name__} nor null: {value!r}")
         return self._matches.get(key) or self._new_match(key)
 
     def _new_match(self, key: _FiveTuple) -> Match:

@@ -1,5 +1,6 @@
 """Unit tests for controller-log decoding into flow-level observations."""
 
+import random
 from typing import Dict, List, Optional
 
 import pytest
@@ -19,10 +20,12 @@ from repro.core.events import (
 from repro.core.flowdiff import FlowDiff
 from repro.core.occurrence import splits_occurrence
 from repro.core.persist import model_digest
+from repro.core.tasks.library import TaskLibrary
 from repro.openflow.log import ControllerLog
 from repro.openflow.match import FlowKey, Match
 from repro.openflow.messages import FlowMod, FlowRemoved, PacketIn
 from repro.openflow.serialize import read_log, save_log
+from repro.ops import VMStopTask
 
 KEY = FlowKey("a", "b", 1000, 80)
 
@@ -539,6 +542,27 @@ class TestFlowlessMessages:
         log.append(PacketIn(timestamp=1.2, dpid="sw1", flow=None, in_port=1, buffer_id=99))
         assert [a.flow for a in extract_flow_arrivals(log)] == [KEY]
 
+    def test_null_flow_packet_in_is_no_task_input(self):
+        log = ControllerLog()
+        traversal(log, KEY, 1.0, ["sw1"])
+        clean = ControllerLog(list(log))
+        log.append(PacketIn(timestamp=1.2, dpid="sw1", flow=None, in_port=1, buffer_id=99))
+        library = vm_stop_library()
+        assert library.detect_in_log(log) == library.detect_in_log(clean)
+        assert timed_flows(log) == timed_flows(clean) == [(1.0, KEY)]
+
+    def test_null_flow_packet_in_does_not_stop_a_task_validated_diff(self):
+        log = ControllerLog()
+        for k, start in enumerate([1.0, 3.0, 5.0]):
+            traversal(log, FlowKey("a", "b", 1000 + k, 80), start, ["sw1", "sw2"])
+        clean = ControllerLog(list(log))
+        log.append(PacketIn(timestamp=2.0, dpid="sw1", flow=None, in_port=1, buffer_id=99))
+        fd = FlowDiff()
+        library = vm_stop_library()
+        want = fd.diff(fd.model(clean), fd.model(clean), task_library=library, current_log=clean)
+        got = fd.diff(fd.model(clean), fd.model(log), task_library=library, current_log=log)
+        assert got.render() == want.render()
+
     def test_null_match_expiry_joins_nothing(self):
         log = ControllerLog()
         traversal(log, KEY, 1.0, ["sw1"])
@@ -547,6 +571,15 @@ class TestFlowlessMessages:
         )
         (record,) = extract_flow_records(log)
         assert (record.byte_count, record.packet_count, record.duration) == (0, 0, 0.0)
+
+
+def vm_stop_library() -> TaskLibrary:
+    library = TaskLibrary()
+    library.learn(
+        "vm_stop",
+        [VMStopTask("VM1", "S20").flow_sequence(random.Random(i)) for i in range(5)],
+    )
+    return library
 
 
 @pytest.fixture(scope="module")

@@ -343,6 +343,23 @@ class TestDecodeContract:
                 )
                 for name, value in [("list", "[1]"), ("object", "{}")]
             ),
+            # A match field of another type than its flow counterpart's
+            # decoded too; matches are shared by value, where ``True == 1``.
+            *(
+                pytest.param(
+                    HEAD % kind + ', "match": %s}' % json.dumps(match),
+                    "%s message with a bad field (match '%s'" % (kind, field),
+                    id=f"{kind}-match-{field}-{name}",
+                )
+                for kind in ("flow_mod", "flow_removed")
+                for field, name, match in [
+                    ("src", "number", {"src": 5}),
+                    ("sport", "string", {"sport": "1"}),
+                    ("sport", "bool", {"src": "a", "sport": True}),
+                    ("dport", "float", {"dport": 80.0}),
+                    ("proto", "number", dict(src="a", dst="b", sport=1, dport=2, proto=6)),
+                ]
+            ),
             # So did a flow_removed counter that is not a number.
             *(
                 pytest.param(
@@ -385,6 +402,19 @@ class TestDecodeContract:
         text = "\n  \n" + ECHO + "\n\n" + bad + "\n" + ECHO + "\n"
         with pytest.raises(ValueError, match="^line 5: .*" + re.escape(why)):
             load_log(io.StringIO(text))
+
+    @pytest.mark.parametrize("first, second", [("1", "true"), ("true", "1")])
+    def test_a_bool_match_port_is_refused_in_either_line_order(self, first, second):
+        """A ``"sport": true`` match used to decode as an earlier line's
+        ``"sport": 1`` one (shared by value), or hand its ``True`` on."""
+        lines = [
+            HEAD % "flow_mod" + ', "match": {"src": "a", "sport": %s}}' % v for v in (first, second)
+        ]
+        bad = 1 if first == "true" else 2
+        with pytest.raises(ValueError, match="^line %d: flow_mod message with a bad field" % bad):
+            load_log(io.StringIO("\n".join(lines) + "\n"))
+        (good,) = load_log(io.StringIO(lines[2 - bad] + "\n"))
+        assert type(good.match.src_port) is int and good.match == Match(src="a", src_port=1)
 
     def test_read_log_names_the_line_of_a_non_utf8_byte(self, tmp_path):
         """It used to be a bare ``UnicodeDecodeError`` with a byte offset."""
