@@ -23,10 +23,8 @@ Usage (also via ``python -m repro``):
   against the learned baseline, and serve reports/alerts/traces/health
   over HTTP.
 * ``repro lint`` — flowlint, the domain-invariant static analysis pass
-  (sim-clock discipline, determinism, schema drift, signature contract,
-  metric hygiene, and the per-class concurrency rules over the service);
-  ``--update-schemas`` regenerates the
-  serialized-schema manifest after a ``FORMAT_VERSION`` bump.
+  (sim-clock discipline, determinism, signature contract, metric hygiene,
+  and the per-class concurrency rules over the service).
 
 ``simulate``, ``model``, and ``diff`` accept ``--profile`` (print a
 per-phase timing table) and ``--metrics-out FILE.jsonl`` (export the full
@@ -405,13 +403,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
     paths = args.paths or [os.path.dirname(repro.__file__)]
     project = qa.Project.load(paths)
-    if args.update_schemas:
-        schemas = qa.update_manifest(project)
-        print(
-            f"wrote {len(schemas)} schema(s) to the manifest; "
-            f"review and commit the change"
-        )
-        return 0
     engine = qa.LintEngine(qa.default_rules())
     result = engine.run(project)
     if args.format == "json":
@@ -732,12 +723,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("text", "json"),
         default="text",
         help="report format: human-readable text or the CI JSON artifact",
-    )
-    lint.add_argument(
-        "--update-schemas",
-        action="store_true",
-        help="regenerate the serialized-schema manifest instead of linting "
-        "(run AFTER bumping the owning FORMAT_VERSION)",
     )
     lint.set_defaults(fn=_cmd_lint)
     return parser

@@ -6,6 +6,14 @@ round-trip through storage. The format is one JSON object per line with a
 ``type`` tag, append-friendly and greppable, in the spirit of the text
 logs the paper's Figure 3 sketches.
 
+The format is spelled out once, in the field table (:data:`_HEAD`,
+:data:`_FLOW_FIELDS` and :data:`_MESSAGES`): one row per field per message
+type, giving its JSON key, its attribute, its kind, its default when the
+key is absent and whether it may be null. :func:`message_to_json`, the
+JSON-path decode, the canonical patterns and the key text of :func:`line`
+are built from it. The rows are in the order :func:`line` writes the
+fields, which is also the message class's field order.
+
 Decode contract (:class:`CaptureDecoder`, which :func:`message_from_json`,
 :func:`load_log`, :func:`read_log` and the daemon's file tail all run):
 
@@ -14,43 +22,45 @@ Decode contract (:class:`CaptureDecoder`, which :func:`message_from_json`,
   ends, indentation) is ignored; keys the decoder does not know are too.
 * **Raises** :class:`ValueError`, and nothing else, for a line that is
   not one control message: malformed JSON, text after the record, a JSON
-  value that is not an object, a ``flow``/``match`` that is neither an
-  object nor ``null``, a missing ``ts``/``dpid``/``flow``/``match`` (or
-  ``src``/``dst``/``sport``/``dport`` inside ``flow``), a ``ts`` that is
-  not a finite JSON number (``Infinity``, ``NaN``, a string, ``null``, a
-  boolean: one would wedge the daemon's window clock or break the log's
-  sort order), a ``dpid`` that is not a string, a ``buffer_id`` /
-  ``in_reply_to`` / ``corr`` that is an array or object, a ``flow``
-  ``src``/``dst``/``proto`` that is not a string or ``sport``/``dport``
-  that is not an exact integer, a ``match`` field of any other type than
-  its ``flow`` counterpart's or ``null`` (a wildcard; and since matches
-  are shared by value, a ``true`` port would otherwise decode as an
-  earlier line's ``1``), a ``flow_removed``
-  ``duration``/``bytes``/``packets`` that is not a number (modeling sorts
-  dpids and flows, hashes reply and chain ids and compares counters, so
-  each would raise ``TypeError`` there), an unknown
-  ``type``, an unknown ``command``/``reason`` — and, where bytes are read
+  value that is not an object, an unknown ``type``, an absent key the
+  table gives no default, a ``null`` where the table allows none, a
+  value that is not of its field's kind — and, where bytes are read
   (:func:`read_log`, the file tail), bytes that are not UTF-8.
-  :func:`load_log` prefixes the 1-based line number. Every other key is
-  optional and defaults as the message classes do, which is what keeps
-  old captures readable.
+  :func:`load_log` prefixes the 1-based line number. The kinds:
+
+  - ``float``: a finite JSON number, integer or not but never a boolean,
+    read as a ``float`` (a ``ts`` of ``Infinity`` would wedge the
+    daemon's window clock, a ``NaN`` break the log's sort order);
+  - ``int``: an exact integer, never a float or a boolean;
+  - ``str``: a string; ``bool``: ``true`` or ``false``;
+  - an enum: one of its values;
+  - a 5-tuple (``flow``, ``match``): an object whose fields are of their
+    kinds; a ``match`` field may also be null or absent (a wildcard).
+
+  Modeling sorts dpids and flows, hashes reply and chain ids, compares
+  counters and shares matches by value, where ``True == 1`` and
+  ``2 == 2.0``: a value of another type would raise ``TypeError`` there,
+  or make a result depend on which of two equal values came first. Every
+  other key is optional and defaults as the message classes do, which is
+  what keeps old captures readable.
 * **Canonical lines:** a ``packet_in``, ``packet_out``, ``flow_mod`` or
   ``flow_removed`` line exactly as :func:`line` writes it with ordinary
   values (floats written with a ``.``, exact integers, strings with no
-  escape or control character, concrete 5-tuples, ``corr`` an integer or
-  absent, ``in_reply_to`` an integer or ``null``, an LF or CRLF end) is
-  matched by one compiled pattern per type and built from its groups,
-  without the JSON tokenizer. Every other line takes the JSON path, which
-  is the contract: it alone says what is accepted, what each error reads
-  and which line it names, and the tests hold the pattern path to it.
+  escape or control character, concrete 5-tuples, ``corr`` absent rather
+  than null, an LF or CRLF end) is matched by one compiled pattern per
+  type and built from its groups, without the JSON tokenizer. Every other
+  line takes the JSON path, which is the contract: it alone says what is
+  accepted, what each error reads and which line it names, and the tests
+  hold the pattern path to it.
 * **Shared:** messages that carry equal 5-tuples get the *same*
   :class:`FlowKey` / :class:`Match` object (both are immutable), and
-  messages from one switch the same ``dpid`` string, because a capture is
-  many messages over few endpoint pairs and fewer switches; a canonical
-  line's 5-tuple is looked up by its text first, parsed on its first
-  sight only, into the same by-value tables. The tables that do this live
-  as long as their decoder: one :func:`load_log` or :func:`read_log`
-  call, one batch of the file tail, one :func:`message_from_json` call.
+  equal strings (a switch's ``dpid``) the same ``str``, because a capture
+  is many messages over few endpoint pairs and fewer switches; a
+  canonical line's 5-tuple is looked up by its text first, parsed on its
+  first sight only, into the same by-value tables. The tables that do
+  this live as long as their decoder: one :func:`load_log` or
+  :func:`read_log` call, one batch of the file tail, one
+  :func:`message_from_json` call.
 * **Memory:** :func:`read_log` and :func:`load_log` read the file one
   line at a time, so a read holds one line besides the messages it
   returns, never the whole file, its text or a list of its lines.
@@ -68,10 +78,23 @@ Decode contract (:class:`CaptureDecoder`, which :func:`message_from_json`,
 
 from __future__ import annotations
 
+import enum
 import json
 import re
 from operator import attrgetter
-from typing import IO, Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Type
+from typing import (
+    IO,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+    Type,
+)
 
 from repro.openflow.log import ControllerLog
 from repro.openflow.match import FlowKey, Match
@@ -90,46 +113,231 @@ from repro.openflow.messages import (
 
 #: Capture-format version. The format itself is versionless on the wire
 #: (each line is a self-describing message object — old captures must stay
-#: loadable), but the schema manifest checked by the ``schema-drift`` lint
-#: rule of :mod:`repro.qa` is keyed by this constant: changing any
-#: serialized field of :func:`message_to_json` without bumping it fails
-#: ``repro lint``.
+#: loadable), but the tests pin the table's key set under this constant:
+#: changing a serialized key without bumping it fails them.
 FORMAT_VERSION = 1
 
-_TYPES: Dict[str, Type[ControlMessage]] = {
-    "packet_in": PacketIn,
-    "packet_out": PacketOut,
-    "flow_mod": FlowMod,
-    "flow_removed": FlowRemoved,
-    "port_status": PortStatus,
-    "flow_stats": FlowStatsReply,
-    "echo": EchoRequest,
+# -- the field table --------------------------------------------------------
+
+_str_json = json.encoder.encode_basestring_ascii
+
+#: What a kind's ``read`` returns for a value that is not of the kind.
+_BAD: Any = object()
+#: The ``default`` of a field whose key must be present.
+_REQUIRED: Any = object()
+
+
+class _Kind(NamedTuple):
+    """How the values of one kind are read, written and matched.
+
+    Attributes:
+        name: the kind's name in error texts.
+        read: ``(decoder, JSON value)`` -> the attribute's value, or
+            :data:`_BAD` when the value is not of the kind.
+        write: the attribute's value -> its JSON value.
+        text: the regex of a value as :func:`line` writes it with ordinary
+            values, without a capture group; inside double quotes when
+            ``quoted``.
+        code: the expression :func:`line` writes a value with, ``{0}``
+            standing for the value.
+        members: an enum's values -> its members (empty for other kinds).
+    """
+
+    name: str
+    read: Callable[[Any, Any], Any]
+    write: Callable[[Any], Any]
+    text: str
+    quoted: bool = False
+    code: str = "_scalar({0})"
+    members: Dict[Any, Any] = {}
+
+
+def _same(value: Any) -> Any:
+    return value
+
+
+def _read_float(decoder: Any, value: Any) -> Any:
+    if type(value) is float or type(value) is int:
+        try:
+            value = float(value)
+        except OverflowError:  # an int past the float range
+            return _BAD
+        if value - value == 0.0:  # finite: inf - inf and nan - nan are nan
+            return value
+    return _BAD
+
+
+def _read_str(decoder: Any, value: Any) -> Any:
+    if type(value) is str:
+        return decoder._strings.setdefault(value, value)
+    return _BAD
+
+
+def _exactly(kind: type) -> Callable[[Any, Any], Any]:
+    return lambda decoder, value: value if type(value) is kind else _BAD
+
+
+#: A float written with a ``.``, at most 16 digits before it and at most
+#: a two-digit exponent after it, so always finite: how ``float.__repr__``
+#: writes every float in [1e-4, 1e16) and most others in [1e-99, 1e100).
+_FLOAT = _Kind("float", _read_float, _same, r"-?(?:0|[1-9][0-9]{0,15})\.[0-9]+(?:e[-+][0-9]{2})?")
+#: Matched: an exact integer of at most 18 digits.
+_INT = _Kind("int", _exactly(int), _same, r"-?(?:0|[1-9][0-9]{0,17})")
+#: Matched: a string with no escape or control character.
+_STR = _Kind("str", _read_str, _same, r'[^"\\\x00-\x1f]*', quoted=True)
+_BOOL = _Kind("bool", _exactly(bool), _same, "true|false")
+
+
+def _enum(cls: Type[enum.Enum]) -> _Kind:
+    """The kind of an enum, written as its members' values. An unknown
+    value raises the enum's own ``ValueError``, an unhashable one
+    ``TypeError``."""
+    members = {member.value: member for member in cls}
+    return _Kind(
+        cls.__name__,
+        lambda decoder, value: members.get(value) or cls(value),
+        attrgetter("value"),
+        "|".join(map(re.escape, members)),
+        quoted=True,
+        code="_scalar({0}.value)",
+        members=members,
+    )
+
+
+_COMMAND = _enum(FlowModCommand)
+_REASON = _enum(FlowRemovedReason)
+
+
+class _Field(NamedTuple):
+    """One row of the table: a field of a message type or a 5-tuple."""
+
+    key: str
+    attr: str
+    kind: _Kind
+    #: The attribute's value when the key is absent.
+    default: Any = _REQUIRED
+    #: Whether ``null`` is read, as ``None``.
+    nullable: bool = False
+    #: Written only when not ``None`` (and matched only when present).
+    sparse: bool = False
+
+
+#: The key that names a line's message type.
+_TYPE = "type"
+#: The fields every message type starts with.
+_HEAD = (
+    _Field("ts", "timestamp", _FLOAT),
+    _Field("dpid", "dpid", _STR),
+    _Field("corr", "corr_id", _INT, None, nullable=True, sparse=True),
+)
+#: The fields of a ``flow``; a ``match`` has the same, each nullable and
+#: null when absent (a wildcard).
+_FLOW_FIELDS = (
+    _Field("src", "src", _STR),
+    _Field("dst", "dst", _STR),
+    _Field("sport", "src_port", _INT),
+    _Field("dport", "dst_port", _INT),
+    _Field("proto", "proto", _STR, "tcp"),
+)
+_MATCH_FIELDS = tuple(field._replace(default=None, nullable=True) for field in _FLOW_FIELDS)
+
+
+def _pattern(kind: _Kind, group: bool = True) -> str:
+    """The regex of a canonical value of ``kind``, its text in a capture
+    group when ``group``."""
+    text = ("(%s)" if group else "(?:%s)") % kind.text
+    return '"%s"' % text if kind.quoted else text
+
+
+def _write_five_tuple(key: Any) -> Optional[Dict[str, Any]]:
+    if key is None:
+        return None
+    return {field.key: getattr(key, field.attr) for field in _FLOW_FIELDS}
+
+
+#: Matched: a 5-tuple of five concrete fields.
+_KEY = r"\{%s\}" % ", ".join(
+    "%s: %s" % (re.escape(_str_json(field.key)), _pattern(field.kind, group=False))
+    for field in _FLOW_FIELDS
+)
+_FIVE_TUPLE_CODE = "('null' if {0} is None else _five_tuple({0}))"
+_FLOW = _Kind(
+    "flow",
+    lambda decoder, value: decoder._flow(value),
+    _write_five_tuple,
+    _KEY,
+    code=_FIVE_TUPLE_CODE,
+)
+_MATCH = _Kind(
+    "match",
+    lambda decoder, value: decoder._match(value),
+    _write_five_tuple,
+    _KEY,
+    code=_FIVE_TUPLE_CODE,
+)
+
+#: Per message type: its class and the fields after :data:`_HEAD`.
+_MESSAGES: Dict[str, Tuple[Type[ControlMessage], Tuple[_Field, ...]]] = {
+    "packet_in": (
+        PacketIn,
+        (
+            _Field("flow", "flow", _FLOW, nullable=True),
+            _Field("in_port", "in_port", _INT, 0),
+            _Field("buffer_id", "buffer_id", _INT, 0),
+        ),
+    ),
+    "packet_out": (
+        PacketOut,
+        (
+            _Field("flow", "flow", _FLOW, nullable=True),
+            _Field("out_port", "out_port", _INT, 0),
+            _Field("buffer_id", "buffer_id", _INT, 0),
+        ),
+    ),
+    "flow_mod": (
+        FlowMod,
+        (
+            _Field("match", "match", _MATCH, nullable=True),
+            _Field("out_port", "out_port", _INT, 0),
+            _Field("idle", "idle_timeout", _FLOAT, 5.0),
+            _Field("hard", "hard_timeout", _FLOAT, 0.0),
+            _Field("priority", "priority", _INT, 0),
+            _Field("command", "command", _COMMAND, FlowModCommand.ADD),
+            _Field("in_reply_to", "in_reply_to", _INT, None, nullable=True),
+        ),
+    ),
+    "flow_removed": (
+        FlowRemoved,
+        (
+            _Field("match", "match", _MATCH, nullable=True),
+            _Field("duration", "duration", _FLOAT, 0.0),
+            _Field("bytes", "byte_count", _INT, 0),
+            _Field("packets", "packet_count", _INT, 0),
+            _Field("reason", "reason", _REASON, FlowRemovedReason.IDLE_TIMEOUT),
+        ),
+    ),
+    "port_status": (
+        PortStatus,
+        (
+            _Field("port", "port", _INT, 0),
+            _Field("live", "live", _BOOL, True),
+        ),
+    ),
+    "flow_stats": (
+        FlowStatsReply,
+        (
+            _Field("match", "match", _MATCH, nullable=True),
+            _Field("bytes", "byte_count", _INT, 0),
+            _Field("packets", "packet_count", _INT, 0),
+            _Field("duration", "duration", _FLOAT, 0.0),
+        ),
+    ),
+    "echo": (EchoRequest, (_Field("replied", "replied", _BOOL, True),)),
 }
-_NAMES = {cls: name for name, cls in _TYPES.items()}
+#: Per message class: its type name and every field, head first.
+_NAMES = {cls: (name, _HEAD + body) for name, (cls, body) in _MESSAGES.items()}
 
-
-def _flow_to_json(flow: Optional[FlowKey]) -> Optional[Dict[str, Any]]:
-    if flow is None:
-        return None
-    return {
-        "src": flow.src,
-        "dst": flow.dst,
-        "sport": flow.src_port,
-        "dport": flow.dst_port,
-        "proto": flow.proto,
-    }
-
-
-def _match_to_json(match: Optional[Match]) -> Optional[Dict[str, Any]]:
-    if match is None:
-        return None
-    return {
-        "src": match.src,
-        "dst": match.dst,
-        "sport": match.src_port,
-        "dport": match.dst_port,
-        "proto": match.proto,
-    }
+# -- encode ------------------------------------------------------------------
 
 
 def message_to_json(message: ControlMessage) -> Dict[str, Any]:
@@ -138,64 +346,21 @@ def message_to_json(message: ControlMessage) -> Dict[str, Any]:
     Raises:
         TypeError: for unknown message classes.
     """
-    name = _NAMES.get(type(message))
-    if name is None:
+    spec = _NAMES.get(type(message))
+    if spec is None:
         raise TypeError(f"cannot serialize {type(message).__name__}")
-    out: Dict[str, Any] = {
-        "type": name,
-        "ts": message.timestamp,
-        "dpid": message.dpid,
-    }
-    if message.corr_id is not None:
-        out["corr"] = message.corr_id
-    if isinstance(message, PacketIn):
-        out.update(
-            flow=_flow_to_json(message.flow),
-            in_port=message.in_port,
-            buffer_id=message.buffer_id,
-        )
-    elif isinstance(message, PacketOut):
-        out.update(
-            flow=_flow_to_json(message.flow),
-            out_port=message.out_port,
-            buffer_id=message.buffer_id,
-        )
-    elif isinstance(message, FlowMod):
-        out.update(
-            match=_match_to_json(message.match),
-            out_port=message.out_port,
-            idle=message.idle_timeout,
-            hard=message.hard_timeout,
-            priority=message.priority,
-            command=message.command.value,
-            in_reply_to=message.in_reply_to,
-        )
-    elif isinstance(message, FlowRemoved):
-        out.update(
-            match=_match_to_json(message.match),
-            duration=message.duration,
-            bytes=message.byte_count,
-            packets=message.packet_count,
-            reason=message.reason.value,
-        )
-    elif isinstance(message, PortStatus):
-        out.update(port=message.port, live=message.live)
-    elif isinstance(message, FlowStatsReply):
-        out.update(
-            match=_match_to_json(message.match),
-            bytes=message.byte_count,
-            packets=message.packet_count,
-            duration=message.duration,
-        )
-    elif isinstance(message, EchoRequest):
-        out.update(replied=message.replied)
+    name, fields = spec
+    out: Dict[str, Any] = {_TYPE: name}
+    for field in fields:
+        value = getattr(message, field.attr)
+        if value is not None or not field.sparse:
+            out[field.key] = field.kind.write(value)
     return out
 
 
 _dumps = json.dumps
 _float_repr = float.__repr__
 _int_repr = int.__repr__
-_str_json = json.encoder.encode_basestring_ascii
 
 
 def _scalar(value: Any) -> str:
@@ -211,69 +376,58 @@ def _scalar(value: Any) -> str:
     return _dumps(value)
 
 
-def _five_tuple(key: Any) -> str:
-    """A ``FlowKey`` or ``Match`` as :func:`_flow_to_json` /
-    :func:`_match_to_json` encode it."""
-    if key is None:
-        return "null"
-    return '{"src": %s, "dst": %s, "sport": %s, "dport": %s, "proto": %s}' % (
-        _scalar(key.src),
-        _scalar(key.dst),
-        _scalar(key.src_port),
-        _scalar(key.dst_port),
-        _scalar(key.proto),
-    )
+def _lambda_source(arg: str, template: str, values: Iterable[str]) -> str:
+    """The source of ``lambda arg: template % (values)``.
+
+    CPython builds a ``%`` on a literal template of ``%s`` codes the way
+    it builds an f-string, but parses a template held in a variable on
+    every call: that made :func:`line` 20 % slower on a lab capture. So
+    the writers are compiled from source, with the template that the table
+    gives written into it as a literal.
+    """
+    return "lambda %s: %r %% (%s,)" % (arg, template, ", ".join(values))
 
 
-#: Per message type: the fields after ``type``/``ts``/``dpid``/``corr``,
-#: in :func:`message_to_json`'s order.
-_BODIES: Dict[Type[ControlMessage], Callable[[Any], str]] = {
-    PacketIn: lambda m: (
-        ', "flow": %s, "in_port": %s, "buffer_id": %s}\n'
-        % (_five_tuple(m.flow), _scalar(m.in_port), _scalar(m.buffer_id))
-    ),
-    PacketOut: lambda m: (
-        ', "flow": %s, "out_port": %s, "buffer_id": %s}\n'
-        % (_five_tuple(m.flow), _scalar(m.out_port), _scalar(m.buffer_id))
-    ),
-    FlowMod: lambda m: (
-        ', "match": %s, "out_port": %s, "idle": %s, "hard": %s, "priority": %s,'
-        ' "command": %s, "in_reply_to": %s}\n'
-        % (
-            _five_tuple(m.match),
-            _scalar(m.out_port),
-            _scalar(m.idle_timeout),
-            _scalar(m.hard_timeout),
-            _scalar(m.priority),
-            _scalar(m.command.value),
-            _scalar(m.in_reply_to),
-        )
-    ),
-    FlowRemoved: lambda m: (
-        ', "match": %s, "duration": %s, "bytes": %s, "packets": %s, "reason": %s}\n'
-        % (
-            _five_tuple(m.match),
-            _scalar(m.duration),
-            _scalar(m.byte_count),
-            _scalar(m.packet_count),
-            _scalar(m.reason.value),
-        )
-    ),
-    PortStatus: lambda m: (
-        ', "port": %s, "live": %s}\n' % (_scalar(m.port), _scalar(m.live))
-    ),
-    FlowStatsReply: lambda m: (
-        ', "match": %s, "bytes": %s, "packets": %s, "duration": %s}\n'
-        % (
-            _five_tuple(m.match),
-            _scalar(m.byte_count),
-            _scalar(m.packet_count),
-            _scalar(m.duration),
-        )
-    ),
-    EchoRequest: lambda m: ', "replied": %s}\n' % _scalar(m.replied),
-}
-_HEADS = {cls: '{"type": %s, "ts": ' % _str_json(name) for cls, name in _NAMES.items()}
+def _key_text(field: _Field) -> str:
+    return "%s: " % _str_json(field.key)
+
+
+def _line_source(name: str, fields: Tuple[_Field, ...]) -> str:
+    """The source of :func:`line` for one message type: each field as its
+    kind's ``code`` writes it, a sparse field only when it is not ``None``."""
+    template = "{%s: %s" % (_str_json(_TYPE), _str_json(name))
+    values = []
+    for field in fields:
+        text = ", " + _key_text(field)
+        value = field.kind.code.format("m." + field.attr)
+        if field.sparse:
+            template += "%s"
+            value = "('' if m.%s is None else %r + %s)" % (field.attr, text, value)
+        else:
+            template += text + "%s"
+        values.append(value)
+    return _lambda_source("m", template + "}\n", values)
+
+
+#: A ``FlowKey`` or ``Match`` (never ``None``) as ``message_to_json``
+#: encodes it.
+_KEY_SOURCE = _lambda_source(
+    "key",
+    "{%s}" % ", ".join(_key_text(field) + "%s" for field in _FLOW_FIELDS),
+    (field.kind.code.format("key." + field.attr) for field in _FLOW_FIELDS),
+)
+#: What the writers' value expressions (each kind's ``code``) call.
+_WRITING: Dict[str, Any] = {"_scalar": _scalar}
+# Compiled together: seven writers compiled one by one at import raised the
+# benchmark's stream workloads' peak RSS by 0.9 MiB; compiled at once, not.
+_five_tuple, *_writers = eval(
+    "(%s,)"
+    % ", ".join([_KEY_SOURCE, *(_line_source(name, body) for name, body in _NAMES.values())]),
+    _WRITING,
+)
+_WRITING["_five_tuple"] = _five_tuple
+#: Per message class: its :func:`line`.
+_LINES: Dict[Type[ControlMessage], Callable[[Any], str]] = dict(zip(_NAMES, _writers))
 
 
 def line(message: ControlMessage) -> str:
@@ -282,91 +436,44 @@ def line(message: ControlMessage) -> str:
     Raises:
         TypeError: for unknown message classes.
     """
-    cls = type(message)
-    body = _BODIES.get(cls)
-    if body is None:
-        raise TypeError(f"cannot serialize {cls.__name__}")
-    corr = message.corr_id
-    return '%s%s, "dpid": %s%s%s' % (
-        _HEADS[cls],
-        _scalar(message.timestamp),
-        _scalar(message.dpid),
-        "" if corr is None else ', "corr": ' + _scalar(corr),
-        body(message),
-    )
+    try:
+        write = _LINES[type(message)]
+    except KeyError:
+        raise TypeError(f"cannot serialize {type(message).__name__}") from None
+    return write(message)
 
+
+# -- decode ------------------------------------------------------------------
 
 #: One JSON value from the start of a string -> ``(value, end)``, without
 #: the two whitespace matches the module-level ``loads`` makes per call.
 _raw_decode = json.JSONDecoder().raw_decode
 
-_COMMANDS = {member.value: member for member in FlowModCommand}
-_REASONS = {member.value: member for member in FlowRemovedReason}
-#: The exact types a ``ts`` may have (``bool`` is an ``int``, not a time).
-_TS_TYPES = (float, int)
-#: JSON types a field must not have, by what modeling does with it: a
-#: ``buffer_id`` / ``in_reply_to`` is hashed to pair a reply, a ``corr``
-#: to group a flow's chain, a ``flow_removed`` counter compared with the
-#: others of its flow.
-_UNHASHABLE = (list, dict)
-_NOT_A_NUMBER = (str, type(None), list, dict)
-#: The type each ``flow`` field, and each ``match`` field that is not null,
-#: must have exactly: modeling sorts flows, which raises ``TypeError``
-#: between a string and a number (or ``None``).
-_FLOW_FIELDS = (("src", str), ("dst", str), ("sport", int), ("dport", int), ("proto", str))
 
-# Canonical lines: what :func:`line` writes for the four flow-bearing
-# types with ordinary values. Each piece accepts a subset of what the JSON
-# path accepts, and its text converts to the value, of the type, that the
-# JSON path yields for it.
-#: The text of a string with no escape or control character.
-_CHARS = r'[^"\\\x00-\x1f]*'
-#: An exact integer of at most 18 digits.
-_INT = r"-?(?:0|[1-9][0-9]{0,17})"
-#: A float written with a ``.``, at most 16 digits before it and at most
-#: a two-digit exponent after it, so always finite: how ``float.__repr__``
-#: writes every float in [1e-4, 1e16) and most others in [1e-99, 1e100).
-_FLOAT = r"-?(?:0|[1-9][0-9]{0,15})\.[0-9]+(?:e[-+][0-9]{2})?"
-#: A ``flow`` / ``match`` of five concrete fields.
-_KEY = r'\{"src": "%s", "dst": "%s", "sport": %s, "dport": %s, "proto": "%s"\}' % (
-    (_CHARS, _CHARS, _INT, _INT, _CHARS)
-)
-_Fullmatch = Callable[[str], Optional["re.Match[str]"]]
+class _Refused(Exception):
+    """``args``: the field whose value is not of its kind, and the value."""
 
 
-def _canonical(name: str, body: str) -> _Fullmatch:
-    """The ``fullmatch`` of one type's canonical line: the head
-    :func:`line` writes (``corr`` present or not), ``body``, an LF or CRLF."""
-    head = r'\{"type": "%s", "ts": (%s), "dpid": "(%s)"(?:, "corr": (%s))?' % (
-        (name, _FLOAT, _CHARS, _INT)
-    )
-    return re.compile(head + body + r"\}\r?\n?").fullmatch
-
-
-def _one_of(values: Iterable[str]) -> str:
-    return '"(%s)"' % "|".join(values)
-
-
-_FiveTuple = Tuple[Any, Any, Any, Any, Any]
+_FiveTuple = Tuple[Any, ...]
 
 
 class CaptureDecoder:
-    """Turn capture lines into messages, sharing equal 5-tuples and dpids.
+    """Turn capture lines into messages, sharing equal 5-tuples and strings.
 
     See the module docstring for the contract. ``len()`` is the number of
     distinct 5-tuples currently shared, as flows or matches; :meth:`forget`
-    drops them and the shared dpids, which a reader of an unbounded stream
+    drops them and the shared strings, which a reader of an unbounded stream
     must do now and then (the file tail does at every batch it hands off).
     """
 
-    __slots__ = ("_flows", "_matches", "_dpids", "_texts")
+    __slots__ = ("_flows", "_matches", "_strings", "_texts")
 
     def __init__(self) -> None:
         #: Keyed by value: a ``FlowKey`` is its own key (it equals the plain
         #: 5-tuple), a ``Match`` is keyed by its fields.
         self._flows: Dict[_FiveTuple, FlowKey] = {}
         self._matches: Dict[_FiveTuple, Match] = {}
-        self._dpids: Dict[str, str] = {}
+        self._strings: Dict[str, str] = {}
         #: The text of a canonical ``flow`` or ``match`` -> its ``FlowKey``.
         self._texts: Dict[str, FlowKey] = {}
 
@@ -375,11 +482,11 @@ class CaptureDecoder:
         return len(self._flows.keys() | self._matches.keys())
 
     def forget(self) -> None:
-        """Drop the shared 5-tuples and dpids (messages already built keep
-        theirs)."""
+        """Drop the shared 5-tuples and strings (messages already built
+        keep theirs)."""
         self._flows.clear()
         self._matches.clear()
-        self._dpids.clear()
+        self._strings.clear()
         self._texts.clear()
 
     def line(self, line: str) -> Optional[ControlMessage]:
@@ -414,161 +521,125 @@ class CaptureDecoder:
         return self.message(data)
 
     def message(self, data: Any) -> ControlMessage:
-        """Build the message one decoded JSON object describes.
-
-        Construction is positional, in dataclass field order.
+        """Build the message one decoded JSON object describes: each
+        field of its type read by its kind, and the class built
+        positionally, in table order.
 
         Raises:
             ValueError: ``data`` does not describe a control message.
         """
         if not isinstance(data, dict):
             raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+        name = data.get(_TYPE)
+        spec = _MESSAGES.get(name) if isinstance(name, str) else None
+        if spec is None:
+            raise ValueError(f"unknown control message type {name!r}")
+        cls, body = spec
         try:
-            name = data.get("type")
-            ts = data["ts"]
-            if type(ts) not in _TS_TYPES or ts - ts != 0:  # inf - inf is nan
-                raise ValueError(f"{name} message with a bad 'ts' ({ts!r})")
-            dpid = data["dpid"]
-            if type(dpid) is not str:
-                raise ValueError(f"{name} message with a bad 'dpid' ({dpid!r})")
-            dpid = self._dpids.setdefault(dpid, dpid)
-            corr = _field(name, data, "corr", None, _UNHASHABLE)
-            if name == "packet_in":
-                return PacketIn(
-                    ts,
-                    dpid,
-                    corr,
-                    self._flow(data["flow"]),
-                    data.get("in_port", 0),
-                    _field(name, data, "buffer_id", 0, _UNHASHABLE),
-                )
-            if name == "packet_out":
-                return PacketOut(
-                    ts,
-                    dpid,
-                    corr,
-                    self._flow(data["flow"]),
-                    data.get("out_port", 0),
-                    _field(name, data, "buffer_id", 0, _UNHASHABLE),
-                )
-            if name == "flow_mod":
-                command = data.get("command", "add")
-                return FlowMod(
-                    ts,
-                    dpid,
-                    corr,
-                    self._match(data["match"]),
-                    data.get("out_port", 0),
-                    data.get("idle", 5.0),
-                    data.get("hard", 0.0),
-                    data.get("priority", 0),
-                    _COMMANDS.get(command) or FlowModCommand(command),
-                    _field(name, data, "in_reply_to", None, _UNHASHABLE),
-                )
-            if name == "flow_removed":
-                reason = data.get("reason", "idle_timeout")
-                return FlowRemoved(
-                    ts,
-                    dpid,
-                    corr,
-                    self._match(data["match"]),
-                    _field(name, data, "duration", 0.0, _NOT_A_NUMBER),
-                    _field(name, data, "bytes", 0, _NOT_A_NUMBER),
-                    _field(name, data, "packets", 0, _NOT_A_NUMBER),
-                    _REASONS.get(reason) or FlowRemovedReason(reason),
-                )
-            if name == "port_status":
-                return PortStatus(ts, dpid, corr, data.get("port", 0), data.get("live", True))
-            if name == "flow_stats":
-                return FlowStatsReply(
-                    ts,
-                    dpid,
-                    corr,
-                    self._match(data["match"]),
-                    data.get("bytes", 0),
-                    data.get("packets", 0),
-                    data.get("duration", 0.0),
-                )
-            if name == "echo":
-                return EchoRequest(ts, dpid, corr, data.get("replied", True))
+            return cls(*self._read(_HEAD + body, data))
         except KeyError as exc:
             raise ValueError(f"{name} message without {exc.args[0]!r}") from None
+        except _Refused as exc:
+            field, value = exc.args
+            raise ValueError(f"{name} message with a bad {field.key!r} ({value!r})") from None
         except TypeError as exc:
-            # A flow field of the wrong type, or an unhashable value where a
-            # 5-tuple field or enum name belongs.
+            # A 5-tuple field of the wrong kind, or an unhashable enum value.
             raise ValueError(f"{name} message with a bad field ({exc})") from None
-        raise ValueError(f"unknown control message type {name!r}")
 
-    def _flow(self, data: Any) -> Optional[FlowKey]:
-        if data is None:
-            return None
+    def _read(self, fields: Tuple[_Field, ...], data: Dict[str, Any]) -> List[Any]:
+        """The value of each field in ``data``, read by its kind.
+
+        Raises:
+            KeyError: a field without a default is absent.
+            _Refused: a value is not of its field's kind.
+        """
+        values: List[Any] = []
+        for field in fields:
+            if field.key not in data:
+                if field.default is _REQUIRED:
+                    raise KeyError(field.key)
+                values.append(field.default)
+                continue
+            value = data[field.key]
+            if value is None and field.nullable:
+                values.append(None)
+                continue
+            read = field.kind.read(self, value)
+            if read is _BAD:
+                raise _Refused(field, value)
+            values.append(read)
+        return values
+
+    def _read_five_tuple(self, kind: _Kind, fields: Tuple[_Field, ...], data: Any) -> _FiveTuple:
         if not isinstance(data, dict):
-            raise ValueError(f"flow is neither an object nor null: {data!r}")
-        key = (data["src"], data["dst"], data["sport"], data["dport"], data.get("proto", "tcp"))
-        for (field, kind), value in zip(_FLOW_FIELDS, key):
-            if type(value) is not kind:
-                # Named with its message type by :meth:`message`.
-                raise TypeError(f"flow {field!r} is not {kind.__name__}: {value!r}")
-        flow = self._flows.get(key)
-        if flow is None:
-            flow = FlowKey(*key)
-            self._flows[flow] = flow
+            raise ValueError(f"{kind.name} is neither an object nor null: {data!r}")
+        try:
+            return tuple(self._read(fields, data))
+        except _Refused as exc:
+            field, value = exc.args
+            name = field.kind.name
+            what = f"neither {name} nor null" if field.nullable else f"not {name}"
+            # Named with its message type by :meth:`message`.
+            raise TypeError(f"{kind.name} {field.key!r} is {what}: {value!r}") from None
+
+    def _flow(self, data: Any) -> FlowKey:
+        key = self._read_five_tuple(_FLOW, _FLOW_FIELDS, data)
+        return self._flows.get(key) or self._new_flow(key)
+
+    def _new_flow(self, key: _FiveTuple) -> FlowKey:
+        flow = FlowKey(*key)
+        self._flows[flow] = flow
         return flow
 
-    def _match(self, data: Any) -> Optional[Match]:
-        if data is None:
-            return None
-        if not isinstance(data, dict):
-            raise ValueError(f"match is neither an object nor null: {data!r}")
-        try:
-            key = (data["src"], data["dst"], data["sport"], data["dport"], data["proto"])
-        except KeyError:
-            # Not written by this encoder: an absent field is a wildcard.
-            key = (
-                data.get("src"),
-                data.get("dst"),
-                data.get("sport"),
-                data.get("dport"),
-                data.get("proto"),
-            )
-        # Typed like a flow's fields, so that sharing by value never hands
-        # one line's ``1`` to another's ``true``; null stays a wildcard.
-        for (field, kind), value in zip(_FLOW_FIELDS, key):
-            if value is not None and type(value) is not kind:
-                # Named with its message type by :meth:`message`.
-                raise TypeError(f"match {field!r} is neither {kind.__name__} nor null: {value!r}")
+    def _match(self, data: Any) -> Match:
+        key = self._read_five_tuple(_MATCH, _MATCH_FIELDS, data)
         return self._matches.get(key) or self._new_match(key)
 
     def _new_match(self, key: _FiveTuple) -> Match:
         match = self._matches[key] = Match(*key)
         return match
 
-    # -- canonical lines: one builder per pattern, groups in field order --
+    # -- canonical lines: one builder per pattern, one parameter per field,
+    # -- named by its attribute, in table order
 
     def _text(self, text: str) -> FlowKey:
-        """The key of a 5-tuple's text, parsed on its first sight."""
-        flow = self._texts[text] = self._flow(_raw_decode(text)[0])
-        return flow  # type: ignore[return-value]
+        """The key of a canonical 5-tuple's text, parsed on its first
+        sight. Its pattern has typed every field, in table order."""
+        key = tuple(_raw_decode(text)[0].values())
+        flow = self._texts[text] = self._flows.get(key) or self._new_flow(key)
+        return flow
 
     def _packet_in(
-        self, ts: str, dpid: str, corr: Optional[str], flow: str, in_port: str, buffer_id: str
+        self,
+        timestamp: str,
+        dpid: str,
+        corr_id: Optional[str],
+        flow: str,
+        in_port: str,
+        buffer_id: str,
     ) -> PacketIn:
         return PacketIn(
-            float(ts),
-            self._dpids.setdefault(dpid, dpid),
-            corr and int(corr),
+            float(timestamp),
+            self._strings.setdefault(dpid, dpid),
+            corr_id and int(corr_id),
             self._texts.get(flow) or self._text(flow),
             int(in_port),
             int(buffer_id),
         )
 
     def _packet_out(
-        self, ts: str, dpid: str, corr: Optional[str], flow: str, out_port: str, buffer_id: str
+        self,
+        timestamp: str,
+        dpid: str,
+        corr_id: Optional[str],
+        flow: str,
+        out_port: str,
+        buffer_id: str,
     ) -> PacketOut:
         return PacketOut(
-            float(ts),
-            self._dpids.setdefault(dpid, dpid),
-            corr and int(corr),
+            float(timestamp),
+            self._strings.setdefault(dpid, dpid),
+            corr_id and int(corr_id),
             self._texts.get(flow) or self._text(flow),
             int(out_port),
             int(buffer_id),
@@ -576,26 +647,26 @@ class CaptureDecoder:
 
     def _flow_mod(
         self,
-        ts: str,
+        timestamp: str,
         dpid: str,
-        corr: Optional[str],
+        corr_id: Optional[str],
         match: str,
         out_port: str,
-        idle: str,
-        hard: str,
+        idle_timeout: str,
+        hard_timeout: str,
         priority: str,
         command: str,
         in_reply_to: Optional[str],
     ) -> FlowMod:
         key = self._texts.get(match) or self._text(match)
         return FlowMod(
-            float(ts),
-            self._dpids.setdefault(dpid, dpid),
-            corr and int(corr),
+            float(timestamp),
+            self._strings.setdefault(dpid, dpid),
+            corr_id and int(corr_id),
             self._matches.get(key) or self._new_match(key),
             int(out_port),
-            float(idle),
-            float(hard),
+            float(idle_timeout),
+            float(hard_timeout),
             int(priority),
             _COMMANDS[command],
             in_reply_to and int(in_reply_to),
@@ -603,9 +674,9 @@ class CaptureDecoder:
 
     def _flow_removed(
         self,
-        ts: str,
+        timestamp: str,
         dpid: str,
-        corr: Optional[str],
+        corr_id: Optional[str],
         match: str,
         duration: str,
         byte_count: str,
@@ -614,9 +685,9 @@ class CaptureDecoder:
     ) -> FlowRemoved:
         key = self._texts.get(match) or self._text(match)
         return FlowRemoved(
-            float(ts),
-            self._dpids.setdefault(dpid, dpid),
-            corr and int(corr),
+            float(timestamp),
+            self._strings.setdefault(dpid, dpid),
+            corr_id and int(corr_id),
             self._matches.get(key) or self._new_match(key),
             float(duration),
             int(byte_count),
@@ -625,49 +696,37 @@ class CaptureDecoder:
         )
 
 
+_COMMANDS = _COMMAND.members
+_REASONS = _REASON.members
+_Fullmatch = Callable[[str], Optional["re.Match[str]"]]
+
+
+def _canonical(name: str) -> _Fullmatch:
+    """The ``fullmatch`` of a canonical line of type ``name``: one group
+    per field, in table order, a sparse field's only when present. A null
+    5-tuple is not canonical: its builder looks the 5-tuple's text up."""
+    parts = [r"\{%s: %s" % (re.escape(_str_json(_TYPE)), re.escape(_str_json(name)))]
+    for field in _HEAD + _MESSAGES[name][1]:
+        value = _pattern(field.kind)
+        if field.nullable and not field.sparse and field.kind not in (_FLOW, _MATCH):
+            value = "(?:%s|null)" % value
+        text = ", %s: %s" % (re.escape(_str_json(field.key)), value)
+        parts.append("(?:%s)?" % text if field.sparse else text)
+    parts.append(r"\}\r?\n?")
+    return re.compile("".join(parts)).fullmatch
+
+
 #: The first eight letters of a type name (at offset 10 of a canonical
-#: line) -> that type's pattern and builder.
+#: line, after ``{"type": "``) -> that type's pattern and builder.
 _CANONICAL: Dict[str, Tuple[_Fullmatch, Callable[..., ControlMessage]]] = {
-    "packet_i": (
-        _canonical(
-            "packet_in",
-            r', "flow": (%s), "in_port": (%s), "buffer_id": (%s)' % (_KEY, _INT, _INT),
-        ),
-        CaptureDecoder._packet_in,
-    ),
-    "packet_o": (
-        _canonical(
-            "packet_out",
-            r', "flow": (%s), "out_port": (%s), "buffer_id": (%s)' % (_KEY, _INT, _INT),
-        ),
-        CaptureDecoder._packet_out,
-    ),
-    "flow_mod": (
-        _canonical(
-            "flow_mod",
-            r', "match": (%s), "out_port": (%s), "idle": (%s), "hard": (%s), "priority": (%s),'
-            r' "command": %s, "in_reply_to": (?:(%s)|null)'
-            % (_KEY, _INT, _FLOAT, _FLOAT, _INT, _one_of(_COMMANDS), _INT),
-        ),
-        CaptureDecoder._flow_mod,
-    ),
-    "flow_rem": (
-        _canonical(
-            "flow_removed",
-            r', "match": (%s), "duration": (%s), "bytes": (%s), "packets": (%s), "reason": %s'
-            % (_KEY, _FLOAT, _INT, _INT, _one_of(_REASONS)),
-        ),
-        CaptureDecoder._flow_removed,
-    ),
+    name[:8]: (_canonical(name), builder)
+    for name, builder in (
+        ("packet_in", CaptureDecoder._packet_in),
+        ("packet_out", CaptureDecoder._packet_out),
+        ("flow_mod", CaptureDecoder._flow_mod),
+        ("flow_removed", CaptureDecoder._flow_removed),
+    )
 }
-
-
-def _field(name: Any, data: Dict[str, Any], key: str, default: Any, rejected: Any) -> Any:
-    """``data[key]`` (``default`` when absent), unless of a ``rejected`` type."""
-    value = data.get(key, default)
-    if type(value) in rejected:
-        raise ValueError(f"{name} message with a bad {key!r} ({value!r})")
-    return value
 
 
 def message_from_json(data: Dict[str, Any]) -> ControlMessage:

@@ -2,12 +2,14 @@
 
 FlowDiff's correctness rests on invariants the interpreter never checks:
 simulation determinism (captures must replay identically or L1/L2 diffs
-reflect the run, not the network), one signature contract (the differ
-compares them, the model file round-trips them), and stable serialization schemas
-(models and captures silently corrupt downstream diffs when fields drift
-without a ``FORMAT_VERSION`` bump). This package enforces those
-invariants statically, as an AST pass over the source tree, exposed as
-``repro lint`` and run as a hard CI gate.
+reflect the run, not the network) and one signature contract (the differ
+compares them, the model file round-trips them). This package enforces
+those invariants statically, as an AST pass over the source tree, exposed
+as ``repro lint`` and run as a hard CI gate. Stable serialization schemas
+are not a lint rule: the tests pin each family's field set under its
+``FORMAT_VERSION`` (captures from the field table of
+:mod:`repro.openflow.serialize`, models and task libraries from what
+their encoders write).
 
 Layout:
 
@@ -16,8 +18,6 @@ Layout:
   text/JSON reporters.
 * :mod:`repro.qa.rules` — the domain rules (sim-clock discipline,
   determinism, open() encoding, signature contract, metric hygiene).
-* :mod:`repro.qa.schemas` — serialized-schema extraction and the
-  ``schemas.json`` manifest keyed by ``FORMAT_VERSION``.
 * :mod:`repro.qa.concurrency` — the per-class concurrency rules
   (lock-discipline, blocking-under-lock, lock-order, unmanaged-thread,
   lock-confinement) over the service and its HTTP surface; part of
@@ -47,7 +47,6 @@ from repro.qa.sanitizer import (
     instrument_class,
     wrap_locks,
 )
-from repro.qa.schemas import SchemaDriftRule, extract_schemas, update_manifest
 
 __all__ = [
     "CONCURRENCY_PACKAGES",
@@ -59,14 +58,11 @@ __all__ = [
     "Project",
     "RaceReport",
     "Rule",
-    "SchemaDriftRule",
     "TrackedLock",
     "concurrency_rules",
     "default_rules",
-    "extract_schemas",
     "instrument_class",
     "render_json",
     "render_text",
-    "update_manifest",
     "wrap_locks",
 ]

@@ -178,7 +178,6 @@ class Project:
 
     def __init__(self, modules: Sequence[ModuleFile]) -> None:
         self.modules = list(modules)
-        self._by_name = {m.module: m for m in self.modules if m.module}
 
     @classmethod
     def load(cls, roots: Sequence[str]) -> "Project":
@@ -196,10 +195,6 @@ class Project:
                         modules.append(ModuleFile.read(os.path.join(dirpath, name)))
         return cls(modules)
 
-    def module(self, name: str) -> Optional[ModuleFile]:
-        """The module with dotted name ``name``, if loaded."""
-        return self._by_name.get(name)
-
 
 class Rule:
     """Base class of every lint rule.
@@ -207,8 +202,7 @@ class Rule:
     Subclasses set :attr:`name`/:attr:`description` and override one (or
     both) of the hooks: :meth:`check_module` runs once per file and is
     where most rules live; :meth:`check_project` runs once per lint pass
-    with the whole project, for cross-file invariants (schema manifests,
-    class contracts).
+    with the whole project, for cross-file invariants (class contracts).
     """
 
     name: str = ""

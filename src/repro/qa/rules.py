@@ -30,7 +30,6 @@ from repro.qa.framework import (
     iter_calls,
     literal_str,
 )
-from repro.qa.schemas import SchemaDriftRule
 
 #: Packages whose code must not read the wall clock directly. The first
 #: four run *inside* the simulation and take time from the engine clock;
@@ -450,21 +449,12 @@ class HotLoopAllocRule(Rule):
         return None
 
 
-def default_rules(
-    manifest_path: Optional[str] = None,
-) -> List[Rule]:
-    """The standard rule set ``repro lint`` runs, concurrency rules included.
-
-    Args:
-        manifest_path: override the schema manifest location (tests point
-            this at fixtures); default is the checked-in
-            ``repro/qa/schemas.json``.
-    """
+def default_rules() -> List[Rule]:
+    """The standard rule set ``repro lint`` runs, concurrency rules included."""
     return [
         SimClockRule(),
         DeterminismRule(),
         OpenEncodingRule(),
-        SchemaDriftRule(manifest_path=manifest_path),
         SignatureContractRule(),
         MetricNamesRule(),
         HotLoopAllocRule(),

@@ -120,6 +120,48 @@ def test_tree_window_model_matches_its_golden_digest(tmp_path):
     assert model_digest(model) == TREE_WINDOW_MODEL_SHA256
 
 
+#: A four-switch flow whose expiry reports give its duration as ``2`` and
+#: ``2.0`` by turns, loaded; prints the duration of its one flow record.
+FOUR_SWITCH_FLOW = """
+import io, json
+from repro.core.events import extract_flow_records
+from repro.openflow.serialize import load_log
+
+flow = {"src": "a", "dst": "b", "sport": 1000, "dport": 80, "proto": "tcp"}
+lines = [
+    {"type": "packet_in", "ts": 1.0 + i / 1000, "dpid": "s%d" % i, "flow": flow,
+     "in_port": 1, "buffer_id": i}
+    for i in range(4)
+] + [
+    {"type": "flow_removed", "ts": 5.0, "dpid": "s%d" % i, "match": flow,
+     "duration": 2 if i % 2 else 2.0, "bytes": 10, "packets": 1}
+    for i in range(4)
+]
+log = load_log(io.StringIO("".join(json.dumps(line) + "\\n" for line in lines)))
+print(repr(extract_flow_records(log)[0].duration))
+"""
+
+
+def test_flow_record_counters_do_not_depend_on_the_hash_seed():
+    """The join keeps the first maximum it meets while it walks a set of
+    dpids, so the record's duration was ``2`` under some hash seeds and
+    ``2.0`` under others. A ``float`` field now always decodes as one."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    durations = set()
+    for hashseed in range(1, 7):
+        env["PYTHONHASHSEED"] = str(hashseed)
+        done = subprocess.run(
+            [sys.executable, "-c", FOUR_SWITCH_FLOW],
+            check=True,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        durations.add(done.stdout.strip())
+    assert durations == {"2.0"}
+
+
 @pytest.mark.slow
 def test_same_seed_runs_are_byte_identical(tmp_path):
     first = simulate(tmp_path / "a.jsonl", seed=5, hashseed=1)

@@ -68,15 +68,3 @@ class TestLintCommand:
         )
         assert main(["lint", bad]) == 1
         assert f"{bad}:3: [lock-confinement]" in capsys.readouterr().out
-
-    def test_update_schemas_writes_manifest(self, tmp_path, capsys, monkeypatch):
-        import repro.qa.schemas as schemas_mod
-
-        target = tmp_path / "schemas.json"
-        monkeypatch.setattr(
-            schemas_mod, "DEFAULT_MANIFEST_PATH", str(target)
-        )
-        assert main(["lint", "--update-schemas", REPO_SRC]) == 0
-        assert target.exists()
-        written = json.loads(target.read_text(encoding="utf-8"))
-        assert set(written["schemas"]) == {"capture", "model", "tasks"}
