@@ -23,6 +23,14 @@ Legacy switches forward transparently (latency only, no control traffic),
 matching the paper's hybrid-deployment observation that problem
 localization granularity degrades across non-OpenFlow segments.
 
+Routes are computed per host pair (``_route_cache``) and chosen per flow
+(``_flow_paths``): a flow's first sight resolves its hosts, looks up or
+computes the pair's shortest paths and, under ECMP, picks one by a
+``crc32`` of its 5-tuple; every later miss of that flow, at any switch
+on the path, reads the choice back. Every fault hook that changes
+topology or liveness calls :meth:`Network.invalidate_routes`, which
+clears both.
+
 Fault hooks (:meth:`fail_switch`, :meth:`fail_link`, :meth:`shutdown_host`,
 :meth:`block_port`, :meth:`migrate_host`, plus controller overload via
 :attr:`controller`) are the primitives the :mod:`repro.faults` injectors
@@ -35,7 +43,7 @@ import random
 import zlib
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.netsim.engine import Simulator
 from repro.netsim.topology import Topology
@@ -49,6 +57,10 @@ from repro.openflow.switch import OpenFlowSwitch
 
 #: A route: node names from source host to destination host.
 Path = Tuple[str, ...]
+
+#: What :attr:`Network._flow_paths` gives for a flow not seen since the
+#: routes were last invalidated (``None`` is a flow with no path).
+_UNCHOSEN: Any = object()
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,6 +184,9 @@ class Network:
             topology.ip_of(h): h for h in topology.hosts()
         }
         self._route_cache: Dict[Tuple[str, str], Optional[List[Path]]] = {}
+        #: Each flow's pick from its host pair's routes: a flow misses at
+        #: every switch on its path, and each miss asks for its next hop.
+        self._flow_paths: Dict[FlowKey, Optional[Path]] = {}
         self._sweeper_running = False
         self.flows_sent = 0
         self.flows_delivered = 0
@@ -222,9 +237,19 @@ class Network:
         dead.update(name for name, sw in self.switches.items() if not sw.live)
         return dead
 
-    def _path_between(
-        self, src_host: str, dst_host: str, flow: Optional[FlowKey] = None
-    ) -> Optional[Path]:
+    def _path_of(self, flow: FlowKey) -> Optional[Path]:
+        """The flow's path (``None`` when it has none), chosen on its first
+        sight and kept in :attr:`_flow_paths` until :meth:`invalidate_routes`."""
+        path = self._flow_paths.get(flow, _UNCHOSEN)
+        if path is _UNCHOSEN:
+            path = self._flow_paths[flow] = self._choose_path(flow)
+        return path
+
+    def _choose_path(self, flow: FlowKey) -> Optional[Path]:
+        src_host = self.host_for_ip(flow.src)
+        dst_host = self.host_for_ip(flow.dst)
+        if src_host is None or dst_host is None:
+            return None
         key = (src_host, dst_host)
         if key not in self._route_cache:
             # Cached paths are tuples: every flow on the pair shares one,
@@ -244,7 +269,7 @@ class Network:
         paths = self._route_cache[key]
         if not paths:
             return None
-        if len(paths) == 1 or flow is None:
+        if len(paths) == 1:
             return paths[0]
         # ECMP: a stable per-flow hash keeps every switch on the chosen
         # path agreeing on the route (zlib.crc32 rather than hash(), which
@@ -254,11 +279,7 @@ class Network:
 
     def _route(self, dpid: str, flow: FlowKey) -> Optional[int]:
         """The controller's routing function: next-hop port for a miss."""
-        src_host = self.host_for_ip(flow.src)
-        dst_host = self.host_for_ip(flow.dst)
-        if src_host is None or dst_host is None:
-            return None
-        path = self._path_between(src_host, dst_host, flow)
+        path = self._path_of(flow)
         if path is None or dpid not in path:
             return None
         idx = path.index(dpid)
@@ -269,6 +290,7 @@ class Network:
     def invalidate_routes(self) -> None:
         """Drop cached paths after any topology or liveness change."""
         self._route_cache.clear()
+        self._flow_paths.clear()
 
     # ------------------------------------------------------------------
     # Flow forwarding
@@ -302,7 +324,7 @@ class Network:
             or (dst_host, key.dst_port) in self._blocked
             or (src_host, key.src_port) in self._blocked
         ):
-            path = self._path_between(src_host, dst_host, key)
+            path = self._path_of(key)
         if path is None:
             self.sim.schedule_in(
                 0.0, self._finish, on_complete, self._failed_result(request, started, ())
@@ -553,16 +575,17 @@ class Network:
         pending = 0
         for switch in self.switches.values():
             for entry, reason in switch.expire(now):
+                # Positional, in field order (see repro.openflow.messages).
                 self.controller_for(switch.dpid).log.append(
                     FlowRemoved(
-                        timestamp=now + self.config.control_latency,
-                        dpid=switch.dpid,
-                        match=entry.match,
-                        duration=entry.duration,
-                        byte_count=entry.byte_count,
-                        packet_count=entry.packet_count,
-                        reason=reason,
-                        corr_id=entry.corr_id,
+                        now + self.config.control_latency,
+                        switch.dpid,
+                        entry.corr_id,
+                        entry.match,
+                        entry.duration,
+                        entry.byte_count,
+                        entry.packet_count,
+                        reason,
                     )
                 )
                 self._m_flow_removed.inc()

@@ -15,13 +15,25 @@ jitter term, and an M/M/1-style load factor that grows with the recent
 PacketIn arrival rate. The controller-overload fault simply scales the
 service time, which shifts CRT without touching any application signature —
 exactly the separation Figure 2(b) relies on.
+
+Matches
+-------
+
+In microflow mode every hop of a flow gets an exact-match entry for the
+same 5-tuple, so the controller builds that flow's :class:`Match` once and
+keeps it in a dict keyed by the flow's :class:`FlowKey`: every ``FlowMod``
+for the flow, on any switch and at any later time, carries that one object
+(and so does each entry's ``FlowRemoved``). A ``Match`` is immutable, so
+sharing it changes no message; the dict grows with the distinct flows,
+each of which the log already holds a ``FlowMod`` for. Wildcard mode
+builds a destination match per miss.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Optional
+from typing import Callable, Deque, Dict, Optional
 
 import random
 
@@ -107,6 +119,9 @@ class Controller:
         self.overload_factor = 1.0
         self._recent_arrivals: Deque[float] = deque()
         self._busy_until = 0.0
+        #: The microflow match of each flow seen, shared by the FlowMods
+        #: of every hop on its path and of every later instance.
+        self._matches: Dict[FlowKey, Match] = {}
         # Message-mix counters plus the two live-health signals the paper's
         # CRT signature models: service latency and load inflation.
         self.metrics = metrics
@@ -178,11 +193,10 @@ class Controller:
             self._m_dropped.inc()
             return ControllerReply(flow_mod=None, packet_out=None, ready_at=done)
 
-        match = (
-            Match.exact(miss.flow)
-            if self.config.use_microflow_rules
-            else Match.destination(miss.flow.dst)
-        )
+        if self.config.use_microflow_rules:
+            match = self._matches.get(miss.flow) or self._microflow(miss.flow)
+        else:
+            match = Match.destination(miss.flow.dst)
         flow_mod = FlowMod(
             done,
             miss.dpid,
@@ -203,6 +217,10 @@ class Controller:
         self._m_flow_mod.inc()
         self._m_packet_out.inc()
         return ControllerReply(flow_mod=flow_mod, packet_out=packet_out, ready_at=done)
+
+    def _microflow(self, flow: FlowKey) -> Match:
+        match = self._matches[flow] = Match.exact(flow)
+        return match
 
     def log_seq(self) -> int:
         """A monotonically increasing id used to pair requests and replies."""

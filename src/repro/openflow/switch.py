@@ -14,10 +14,12 @@ from typing import List, Optional, Tuple
 
 from repro.obs.metrics import NOOP_REGISTRY, MetricsRegistry
 from repro.openflow.flowtable import FlowEntry, FlowTable
+from repro.openflow.frozen import slot_init
 from repro.openflow.match import FlowKey, Match
 from repro.openflow.messages import FlowRemovedReason
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class TableMiss:
     """The metadata a switch reports to the controller on a table miss.
@@ -82,9 +84,7 @@ class OpenFlowSwitch:
         entry = self.table.lookup(key, now)
         if entry is None:
             self.miss_count += 1
-            return None, TableMiss(
-                dpid=self.dpid, flow=key, in_port=in_port, corr_id=corr_id
-            )
+            return None, TableMiss(self.dpid, key, in_port, corr_id)
         entry.record_match(now, nbytes, npackets)
         return entry.out_port, None
 

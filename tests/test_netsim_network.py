@@ -307,3 +307,62 @@ class TestECMP:
 
     def test_ecmp_off_by_default(self):
         assert NetworkConfig().ecmp is False
+
+
+class TestPerFlowCaches:
+    """A flow's path is chosen once and its microflow match built once;
+    both must follow every change that invalidates the routes."""
+
+    KEY = FlowKey("ft_h1", "ft_h16", 40000, 80)
+
+    def ecmp_tree(self):
+        from repro.netsim.topology import fat_tree
+
+        return Network(fat_tree(4), config=NetworkConfig(ecmp=True))
+
+    def again(self, net):
+        """Send ``KEY`` once more, after the last instance's entries idled
+        out, so every switch on the path misses and asks for a route."""
+        return send_and_run(net, self.KEY, until=net.now + 10.0)
+
+    def test_failed_switch_reroutes_the_same_five_tuple(self):
+        net = self.ecmp_tree()
+        first = self.again(net)
+        core = first.path[3]
+        assert first.delivered and core.startswith("core")
+        net.fail_switch(core)
+        second = self.again(net)
+        assert second.delivered
+        assert core not in second.path
+        assert second.path in [tuple(p) for p in net.topology.all_shortest_paths(
+            "ft_h1", "ft_h16", dead_nodes={core}
+        )]
+
+    def test_migrated_host_is_reached_on_its_new_switch(self):
+        net = self.ecmp_tree()
+        assert self.again(net).path[-2] == "p3_edge1"
+        net.migrate_host("ft_h16", "p2_edge0")
+        second = self.again(net)
+        assert second.delivered
+        assert second.path[-2:] == ("p2_edge0", "ft_h16")
+
+    def test_shutdown_host_leaves_no_route_until_it_boots(self):
+        net = self.ecmp_tree()
+        first = self.again(net)
+        switches = [n for n in first.path if n in net.switches]
+        assert {net.controller.route_fn(s, self.KEY) for s in switches} != {None}
+        net.shutdown_host("ft_h16")
+        assert {net.controller.route_fn(s, self.KEY) for s in switches} == {None}
+        assert not self.again(net).delivered
+        net.boot_host("ft_h16")
+        assert self.again(net).delivered
+
+    def test_one_match_object_per_flow_across_switches_and_instances(self):
+        net = self.ecmp_tree()
+        self.again(net)
+        self.again(net)
+        mods = net.log.flow_mods()
+        assert len({m.dpid for m in mods}) == 5
+        assert len({m.corr_id for m in mods}) == 2
+        assert len({id(m.match) for m in mods}) == 1
+        assert {id(m.match) for m in net.log.flow_removed()} == {id(mods[0].match)}

@@ -202,6 +202,30 @@ class TestLineEncoder:
     def test_line_is_json_dumps_of_message_to_json(self, message):
         assert line(message) == json.dumps(message_to_json(message)) + "\n"
 
+    def test_dump_log_writes_each_message_as_line_does(self, monkeypatch):
+        """Across memo restarts and chunk ends, and for 5-tuples that are
+        equal but written differently (``True == 1 == 1.0``), the memo of
+        5-tuple texts hands each object its own text."""
+        from repro.openflow import serialize
+
+        monkeypatch.setattr(serialize, "_MEMO_LIMIT", 3)
+        monkeypatch.setattr(serialize, "_CHUNK", 4)
+        keys = [FlowKey("h1", "h2", port, 80) for port in (1, True, 1.0, 2, 3)]
+        matches = [Match.exact(key) for key in keys]
+        messages = [
+            message
+            for i in range(23)
+            for message in (
+                PacketIn(float(i), "sw1", i, keys[i % 5], 1, i),
+                FlowMod(float(i), "sw1", i, matches[(i * 3) % 5], 2),
+            )
+        ]
+        log = ControllerLog(messages)
+        buf = io.StringIO()
+        assert dump_log(log, buf) == len(messages)
+        assert buf.getvalue() == "".join(map(line, log))
+        assert buf.getvalue().count('"sport": true') == 10
+
 
 class TestDecodeContract:
     @given(st.lists(MESSAGES, max_size=20))
