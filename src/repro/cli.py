@@ -24,7 +24,7 @@ Usage (also via ``python -m repro``):
   over HTTP.
 * ``repro lint`` — flowlint, the domain-invariant static analysis pass
   (sim-clock discipline, determinism, signature contract, metric hygiene,
-  and the per-class concurrency rules over the service).
+  and the shared-state concurrency rules over the service).
 
 ``simulate``, ``model``, and ``diff`` accept ``--profile`` (print a
 per-phase timing table) and ``--metrics-out FILE.jsonl`` (export the full
@@ -376,11 +376,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     finally:
         for source in sources:
             source.stop()
+        # A tail hands off its last partial batch as it exits; joined
+        # first, that batch lands before the drain thread takes its stop.
+        for source in sources:
+            source.join(timeout=30.0)
         service.stop()
-        for tenant in service.tenants.values():
-            row = tenant.view.summary
+        for name, view in service.views().items():
+            row = view.summary
             print(
-                f"tenant {tenant.name}: {row['windows']} windows "
+                f"tenant {name}: {row['windows']} windows "
                 f"{row['statuses']}, {row['alerts']} alert(s), "
                 f"worst={row['worst_severity']}"
             )

@@ -18,14 +18,12 @@ Layout:
   text/JSON reporters.
 * :mod:`repro.qa.rules` — the domain rules (sim-clock discipline,
   determinism, open() encoding, signature contract, metric hygiene).
-* :mod:`repro.qa.concurrency` — the per-class concurrency rules
-  (lock-discipline, blocking-under-lock, lock-order, unmanaged-thread,
-  lock-confinement) over the service and its HTTP surface; part of
-  :func:`~repro.qa.rules.default_rules`.
-* :mod:`repro.qa.sanitizer` — the opt-in runtime Eraser-style lockset
-  tracker. The static rules see one class at a time; the service stress
-  test runs this tracker to check what one object reaches in another
-  (the drain thread into a tenant, an HTTP handler into its view).
+* :mod:`repro.qa.concurrency` — the concurrency rules over the service
+  and its HTTP surface (shared-state, unmanaged-thread,
+  lock-confinement); part of :func:`~repro.qa.rules.default_rules`.
+  ``shared-state`` checks that every lock body is a leaf and that every
+  attribute a lock-building class writes after ``__init__`` is locked,
+  private to its worker thread, or published whole in ``_GUARDED_BY``.
 """
 
 from repro.qa.concurrency import CONCURRENCY_PACKAGES, concurrency_rules
@@ -40,29 +38,17 @@ from repro.qa.framework import (
     render_text,
 )
 from repro.qa.rules import default_rules
-from repro.qa.sanitizer import (
-    LocksetChecker,
-    RaceReport,
-    TrackedLock,
-    instrument_class,
-    wrap_locks,
-)
 
 __all__ = [
     "CONCURRENCY_PACKAGES",
     "Finding",
     "LintEngine",
     "LintResult",
-    "LocksetChecker",
     "ModuleFile",
     "Project",
-    "RaceReport",
     "Rule",
-    "TrackedLock",
     "concurrency_rules",
     "default_rules",
-    "instrument_class",
     "render_json",
     "render_text",
-    "wrap_locks",
 ]

@@ -19,12 +19,15 @@ equivalent of ``tail -f`` on a controller capture.
 
 Thread model: producers (main thread, tail threads) call :meth:`feed`,
 the drain thread is the only code that touches a tenant pipeline after
-construction, and the HTTP thread reads each tenant's published
-:attr:`~repro.service.tenant.TenantPipeline.view`. ``StreamService._lock``
-covers only tenant insertion and the queue-depth counter. ``tenants`` is
-a dict replaced whole under that lock and never mutated, and ``errors``
-a list only the drain thread replaces, so any thread reads either by
-taking one reference.
+construction, and other threads read tenants only through
+:meth:`StreamService.views` (each tenant's published
+:attr:`~repro.service.tenant.TenantPipeline.view`). Every attribute the
+service writes after construction is one of three kinds, which the
+``shared-state`` lint rule checks: *locked* (``_depth_msgs``: every
+access holds ``_lock``, and a lock body calls nothing but ``len``),
+*worker-private* (touched only by the drain loop), or *published*
+(``tenants``, ``errors``: listed in ``_GUARDED_BY``, replaced whole and
+never mutated, so any thread reads one by taking one reference).
 """
 
 from __future__ import annotations
@@ -39,9 +42,9 @@ from repro.obs.alerts import AlertEngine, default_rules
 from repro.obs.metrics import MetricsRegistry
 from repro.openflow.messages import ControlMessage
 from repro.openflow.serialize import CaptureDecoder
-from repro.service.tenant import TenantPipeline
+from repro.service.tenant import TenantPipeline, TenantView
 
-#: Sentinel telling the drain thread to exit.
+#: Sentinel telling the drain thread it is queued with to exit.
 _STOP = object()
 
 
@@ -150,6 +153,11 @@ class StreamService:
         """A copy of the recent ingest-error tail."""
         return list(self.errors)
 
+    def views(self) -> Dict[str, TenantView]:
+        """Each tenant's published view by name, from one reference to
+        the tenant map: what any thread but the drain thread may read."""
+        return {name: tenant.view for name, tenant in self.tenants.items()}
+
     # -- ingest ----------------------------------------------------------
 
     def feed(
@@ -204,13 +212,21 @@ class StreamService:
         self._thread.start()
 
     def stop(self, drain: bool = True) -> None:
-        """Stop the drain thread; with ``drain``, finish queued work first."""
+        """Stop the drain thread; with ``drain``, finish queued work first.
+
+        Raises ``RuntimeError`` when the thread is still running 30 s
+        after the stop request. The service then keeps it, so a later
+        :meth:`start` cannot add a second thread beside it.
+        """
         if self._thread is None:
             return
-        if drain:
-            self._queue.join()
-        self._queue.put(_STOP)
-        self._thread.join(timeout=30.0)
+        if self._thread.is_alive():  # a dead thread drains nothing
+            if drain:
+                self._queue.join()
+            self._queue.put((_STOP, self._thread))
+            self._thread.join(timeout=30.0)
+            if self._thread.is_alive():
+                raise RuntimeError("drain thread still running 30 s after stop")
         self._thread = None
 
     def drain(self) -> None:
@@ -218,12 +234,14 @@ class StreamService:
         self._queue.join()
 
     def _drain_loop(self) -> None:
+        me = threading.current_thread()
         while True:
-            item = self._queue.get()
-            if item is _STOP:
+            name, batch = self._queue.get()  # type: ignore[misc]
+            if name is _STOP:
                 self._queue.task_done()
-                return
-            name, batch = item  # type: ignore[misc]
+                if batch is me:
+                    return
+                continue  # a second stop for an earlier thread that outlived the first
             try:
                 self.tenants[name].ingest(batch)
             except Exception as exc:  # pragma: no cover - defensive

@@ -14,21 +14,22 @@ service pages ride the endpoint's route table:
 * ``/traces?tenant=X[&corr=N][&flow=S][&limit=K]`` — flight-recorder
   chains reconstructed from the tenant's recent-message ring.
 
-Thread model: the drain worker owns every tenant's state; handlers run
-on the HTTP thread and read only each tenant's published
-:attr:`~repro.service.tenant.TenantPipeline.view`, taken once per
-request, so one page never mixes two moments. ``service.tenants`` and
-``service.errors`` are replaced whole, never mutated, so a handler reads
-them without a lock.
+Thread model: the drain worker owns every tenant's state, and handlers
+run on HTTP threads. A handler reads four things of the service and no
+more: :meth:`~repro.service.daemon.StreamService.views` (each tenant's
+published view, taken once per request, so one page never mixes two
+moments), ``metrics``, ``errors`` (replaced whole, never mutated) and
+``config``. It never reaches a tenant pipeline.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.flowdiff import FlowDiffConfig
 from repro.obs.httpd import ObsHTTPServer, ObsState, Query
 from repro.service.daemon import StreamService
-from repro.service.tenant import TenantPipeline
+from repro.service.tenant import TenantView
 
 
 class ServiceState(ObsState):
@@ -48,8 +49,7 @@ class ServiceState(ObsState):
         while the daemon serves (per-tenant health is in the rows)."""
         payload = super().health()
         payload["tenants"] = {
-            name: tenant.view.summary
-            for name, tenant in self.service.tenants.items()
+            name: view.summary for name, view in self.service.views().items()
         }
         errors = self.service.errors
         if errors:
@@ -59,61 +59,63 @@ class ServiceState(ObsState):
     def alerts_json(self) -> List[Dict[str, Any]]:
         """Each tenant's newest fired alerts, tenant-labeled, by time."""
         out: List[Dict[str, Any]] = [
-            row for t in self.service.tenants.values() for row in t.view.alerts
+            row for view in self.service.views().values() for row in view.alerts
         ]
         out.sort(key=lambda row: row.get("timestamp") or 0.0)
         return out
 
     # -- service routes --------------------------------------------------
 
-    def _tenant_for(self, query: Query) -> Tuple[Optional[TenantPipeline], Any]:
+    def _view_for(self, query: Query) -> Tuple[Optional[TenantView], Any]:
         """Resolve ``?tenant=``; a single-tenant service needs no query."""
-        tenants = self.service.tenants
+        views = self.service.views()
         names = query.get("tenant")
         if names:
-            tenant = tenants.get(names[0])
-            if tenant is None:
+            view = views.get(names[0])
+            if view is None:
                 return None, (404, {"error": f"unknown tenant {names[0]!r}"})
-            return tenant, None
-        if len(tenants) == 1:
-            return next(iter(tenants.values())), None
+            return view, None
+        if len(views) == 1:
+            return next(iter(views.values())), None
         return None, (
             400,
-            {"error": "tenant query required", "tenants": sorted(tenants)},
+            {"error": "tenant query required", "tenants": sorted(views)},
         )
 
     def _route_tenants(self, query: Query) -> Tuple[int, Any]:
         return 200, {
-            "tenants": [t.view.summary for t in self.service.tenants.values()]
+            "tenants": [view.summary for view in self.service.views().values()]
         }
 
     def _route_diff(self, query: Query) -> Tuple[int, Any]:
-        tenant, error = self._tenant_for(query)
-        if tenant is None:
+        view, error = self._view_for(query)
+        if view is None:
             return error
         try:
             n = max(1, int(query.get("n", ["1"])[0]))
         except ValueError:
             return 400, {"error": "n must be an integer"}
-        view = tenant.view
         return 200, {
-            "tenant": tenant.name,
+            "tenant": view.summary["tenant"],
             "phase": view.summary["phase"],
             "windows": list(view.history[-n:]),
         }
 
     def _route_traces(self, query: Query) -> Tuple[int, Any]:
-        tenant, error = self._tenant_for(query)
-        if tenant is None:
+        view, error = self._view_for(query)
+        if view is None:
             return error
         # Imported lazily: flight reconstruction is a heavyweight
         # analysis path the ingest loop never touches.
         from repro.obs.flightrec import FlightRecorder
         from repro.openflow.log import ControllerLog
 
+        # Tenants model with the service config (FlowDiff's default when
+        # it is None), so the pairing gap is the tenant's.
+        config = self.service.config or FlowDiffConfig()
         recorder = FlightRecorder.from_log(
-            ControllerLog(tenant.view.trace),
-            occurrence_gap=tenant.flowdiff.config.signature.occurrence_gap,
+            ControllerLog(view.trace),
+            occurrence_gap=config.signature.occurrence_gap,
         )
         # Chains are built as they are read: one for ``corr``, and for a
         # listing the first ``limit`` of however many there are.
@@ -138,7 +140,7 @@ class ServiceState(ObsState):
         except ValueError:
             return 400, {"error": "limit must be an integer"}
         return 200, {
-            "tenant": tenant.name,
+            "tenant": view.summary["tenant"],
             "chains": len(timelines),
             "timelines": [t.to_dict() for t in timelines[:limit]],
         }

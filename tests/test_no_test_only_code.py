@@ -25,7 +25,6 @@ ALLOWED = {
     "to_log": "VMTraceSynthesizer output the task-mining tests learn from",
     "expected_edges": "MultiTierApp ground truth the connectivity tests compare to",
     "linear_topology": "the minimal chain topology most network tests run on",
-    "assert_clean": "the lockset sanitizer's verdict, read by the stress tests",
     "_match_interval_signature": "the plain oracle the indexed interval matcher is tested against",
     # Library surface that waits for a caller.
     "OnOffProcess": "bursty arrivals; waits on the scenario work of ROADMAP item 1(e)",

@@ -1,17 +1,16 @@
-"""Good/bad fixture pairs for the five concurrency rules.
+"""Good/bad fixture pairs for the three concurrency rules.
 
 Fixture modules live under a fake ``repro.confix`` package; the rules
 are built with ``packages=("repro.confix",)`` so the fixtures are in
-reporting scope. The final checks run over the shipped source tree: its
-thread roots are the ones the service really has, and it lints clean
-under ``repro lint``.
+reporting scope. The final check runs over the shipped source tree: it
+lints clean under ``repro lint``. The bugs the rules exist for are
+injected into the real service in ``tests/test_concurrency_gates.py``.
 """
 
 import os
 import textwrap
 
-from repro.qa import CONCURRENCY_PACKAGES, LintEngine, concurrency_rules, default_rules
-from repro.qa.concurrency import HTTP, MAIN, WORKER, class_models
+from repro.qa import LintEngine, concurrency_rules, default_rules
 from repro.qa.framework import ModuleFile, Project
 
 REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
@@ -32,11 +31,14 @@ def rules_fired(result):
 
 
 class TestLockDiscipline:
+    """The three kinds of shared state of a lock-building class."""
+
     BAD = """\
         import threading
 
         class Box:
             def __init__(self):
+                self._lock = threading.Lock()
                 self.value = 0
                 self._thread = None
 
@@ -47,83 +49,53 @@ class TestLockDiscipline:
             def stop(self):
                 self._thread.join()
 
+            def poke(self) -> int:
+                return self.value
+
             def _run(self):
                 self.value += 1
-
-
-        def poke(box: Box) -> int:
-            return box.value
         """
 
     def test_unguarded_cross_thread_attribute_is_flagged(self):
         result = run(module(self.BAD))
-        assert rules_fired(result) == ["lock-discipline"]
+        assert rules_fired(result) == ["shared-state"]
         assert "Box.value" in result.findings[0].message
 
     def test_common_lock_at_every_access_is_clean(self):
-        result = run(
-            module(
-                """\
-                import threading
-
-                class Box:
-                    def __init__(self):
-                        self._lock = threading.Lock()
-                        self.value = 0
-                        self._thread = None
-
-                    def start(self):
-                        self._thread = threading.Thread(target=self._run)
-                        self._thread.start()
-
-                    def stop(self):
-                        self._thread.join()
-
-                    def _run(self):
-                        with self._lock:
-                            self.value += 1
-
-
-                def poke(box: Box) -> int:
-                    with box._lock:
-                        return box.value
-                """
-            )
+        locked = self.BAD.replace(
+            "                return self.value",
+            "                with self._lock:\n                    return self.value",
+        ).replace(
+            "                self.value += 1",
+            "                with self._lock:\n                    self.value += 1",
         )
+        result = run(module(locked))
+        assert result.ok, "\n".join(f.render() for f in result.findings)
+
+    def test_worker_private_attribute_is_clean(self):
+        private = self.BAD.replace("return self.value", "return 0")
+        result = run(module(private))
         assert result.ok, "\n".join(f.render() for f in result.findings)
 
     def test_guarded_by_table_sanctions_the_attribute(self):
-        result = run(
-            module(
-                """\
-                import threading
-
-                class Box:
-                    _GUARDED_BY = {
-                        "value": "single writer; torn reads are acceptable",
-                    }
-
-                    def __init__(self):
-                        self.value = 0
-                        self._thread = None
-
-                    def start(self):
-                        self._thread = threading.Thread(target=self._run)
-                        self._thread.start()
-
-                    def stop(self):
-                        self._thread.join()
-
-                    def _run(self):
-                        self.value += 1
-
-
-                def poke(box: Box) -> int:
-                    return box.value
-                """
-            )
+        published = self.BAD.replace(
+            "        class Box:\n",
+            "        class Box:\n"
+            '            _GUARDED_BY = {"value": "one writer, replaced whole"}\n\n',
         )
+        result = run(module(published))
         assert result.ok, "\n".join(f.render() for f in result.findings)
+
+    def test_published_attribute_mutated_in_place_is_flagged(self):
+        for mutation in ("self.value.append(1)", "self.value[0] = 1"):
+            source = self.BAD.replace(
+                "        class Box:\n",
+                "        class Box:\n"
+                '            _GUARDED_BY = {"value": "one writer, replaced whole"}\n\n',
+            ).replace("self.value += 1", mutation)
+            result = run(module(source))
+            assert rules_fired(result) == ["shared-state"], mutation
+            assert "mutated" in result.findings[0].message
 
     def test_empty_guarded_by_justification_is_a_finding(self):
         result = run(
@@ -137,78 +109,8 @@ class TestLockDiscipline:
                 """
             )
         )
-        assert rules_fired(result) == ["lock-discipline"]
+        assert rules_fired(result) == ["shared-state"]
         assert "empty" in result.findings[0].message
-
-    def test_helper_locked_at_every_call_site_is_clean(self):
-        # The inherited-lock fixpoint: _publish never takes the lock
-        # itself, but every caller holds it.
-        result = run(
-            module(
-                """\
-                import threading
-
-                class Box:
-                    def __init__(self):
-                        self._lock = threading.Lock()
-                        self.snapshot = {}
-                        self._thread = None
-
-                    def start(self):
-                        self._thread = threading.Thread(target=self._run)
-                        self._thread.start()
-
-                    def stop(self):
-                        self._thread.join()
-
-                    def _run(self):
-                        with self._lock:
-                            self._publish()
-
-                    def _publish(self):
-                        self.snapshot = {"n": 1}
-
-
-                def peek(box: Box) -> dict:
-                    with box._lock:
-                        return box.snapshot
-                """
-            )
-        )
-        assert result.ok, "\n".join(f.render() for f in result.findings)
-
-
-    def test_thread_target_color_does_not_leak_into_the_spawner(self):
-        # start() spawns _run but runs on the caller's thread: `started`
-        # is main-only, so it needs no lock until the worker touches it.
-        source = """\
-            import threading
-
-            class Box:
-                def __init__(self):
-                    self.started = False
-                    self._thread = None
-
-                def start(self):
-                    self._thread = threading.Thread(target=self._run)
-                    self._thread.start()
-                    self.started = True
-
-                def stop(self):
-                    self._thread.join()
-
-                def running(self) -> bool:
-                    return self.started
-
-                def _run(self):
-                    pass
-            """
-        result = run(module(source))
-        assert result.ok, "\n".join(f.render() for f in result.findings)
-        shared = source.replace("pass", "self.started = False")
-        result = run(module(shared))
-        assert rules_fired(result) == ["lock-discipline"]
-        assert "Box.started" in result.findings[0].message
 
     def test_constructor_writes_are_exempt(self):
         source = """\
@@ -216,6 +118,7 @@ class TestLockDiscipline:
 
             class Box:
                 def __init__(self):
+                    self._lock = threading.Lock()
                     self.limit = 10
                     self._thread = None
 
@@ -239,7 +142,7 @@ class TestLockDiscipline:
             "                def limit_now(self) -> int:",
         )
         result = run(module(rewritten))
-        assert rules_fired(result) == ["lock-discipline"]
+        assert rules_fired(result) == ["shared-state"]
         assert "Box.limit" in result.findings[0].message
 
     def test_mutator_call_on_a_worker_counts_as_a_write(self):
@@ -262,19 +165,51 @@ class TestLockDiscipline:
 
                 def _run(self):
                     with self._lock:
-                        self.items.append(1)
+                        self.items = self.items + [1]
             """
         assert run(module(source)).ok
         bare = source.replace(
-            "with self._lock:\n                        self.items.append(1)",
+            "with self._lock:\n                        self.items = self.items + [1]",
             "self.items.append(1)",
         )
         result = run(module(bare))
-        assert rules_fired(result) == ["lock-discipline"]
+        assert rules_fired(result) == ["shared-state"]
         assert "Ring.items" in result.findings[0].message
+
+    def test_another_objects_unpublished_state_is_flagged(self):
+        source = """\
+            import threading
+
+            class Pipe:
+                _GUARDED_BY = {"view": "an immutable value, replaced whole"}
+
+                def __init__(self):
+                    self.view = ()
+                    self.count = 0
+
+                def ingest(self, batch):
+                    self.count += len(batch)
+                    self.view = tuple(batch)
+
+
+            class Hub:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self.pipe = Pipe()
+
+                def peek(self):
+                    pipe = self.pipe
+                    return pipe.view
+            """
+        assert run(module(source)).ok
+        result = run(module(source.replace("return pipe.view", "return pipe.count")))
+        assert rules_fired(result) == ["shared-state"]
+        assert ".count" in result.findings[0].message
 
 
 class TestBlockingUnderLock:
+    """A lock body is a leaf: no call but ``len``, so nothing blocks."""
+
     def test_sleep_under_lock_is_flagged(self):
         result = run(
             module(
@@ -292,7 +227,8 @@ class TestBlockingUnderLock:
                 """
             )
         )
-        assert rules_fired(result) == ["blocking-under-lock"]
+        assert rules_fired(result) == ["shared-state"]
+        assert "time.sleep()" in result.findings[0].message
 
     def test_transitive_blocking_through_a_call_is_flagged(self):
         result = run(
@@ -314,7 +250,8 @@ class TestBlockingUnderLock:
                 """
             )
         )
-        assert "blocking-under-lock" in rules_fired(result)
+        assert rules_fired(result) == ["shared-state"]
+        assert "self._slow()" in result.findings[0].message
 
     def test_blocking_outside_the_lock_is_clean(self):
         result = run(
@@ -328,34 +265,33 @@ class TestBlockingUnderLock:
                         self._lock = threading.Lock()
                         self.n = 0
 
-                    def nap(self):
+                    def nap(self, batch):
                         with self._lock:
-                            self.n += 1
+                            if self.n < 0:
+                                raise ValueError(f"negative {self.n}")
+                            self.n += len(batch)
                         time.sleep(0.1)
                 """
             )
         )
         assert result.ok, "\n".join(f.render() for f in result.findings)
 
-    def test_nonblocking_queue_put_is_clean(self):
+    def test_acquire_outside_a_with_is_flagged(self):
         result = run(
             module(
                 """\
-                import queue
                 import threading
 
-                class Pusher:
+                class Manual:
                     def __init__(self):
                         self._lock = threading.Lock()
-                        self._q = queue.Queue()
 
-                    def push(self, item):
-                        with self._lock:
-                            self._q.put(item, block=False)
+                    def hold(self):
+                        self._lock.acquire()
                 """
             )
         )
-        assert result.ok, "\n".join(f.render() for f in result.findings)
+        assert rules_fired(result) == ["shared-state"]
 
 
 class TestLockOrder:
@@ -376,39 +312,13 @@ class TestLockOrder:
                                 pass
 
                     def ba(self):
-                        with self._b:
-                            with self._a:
-                                pass
+                        with self._b, self._a:
+                            pass
                 """
             )
         )
-        assert rules_fired(result) == ["lock-order"]
-        assert len(result.findings) == 1  # one finding per pair, not two
-
-    def test_consistent_order_is_clean(self):
-        result = run(
-            module(
-                """\
-                import threading
-
-                class Pair:
-                    def __init__(self):
-                        self._a = threading.Lock()
-                        self._b = threading.Lock()
-
-                    def one(self):
-                        with self._a:
-                            with self._b:
-                                pass
-
-                    def two(self):
-                        with self._a:
-                            with self._b:
-                                pass
-                """
-            )
-        )
-        assert result.ok, "\n".join(f.render() for f in result.findings)
+        assert rules_fired(result) == ["shared-state"]
+        assert {f.line for f in result.findings} == {10, 14}  # nested, then paired
 
 
 class TestUnmanagedThread:
@@ -502,7 +412,7 @@ class TestPragmas:
 
                     def nap(self):
                         with self._lock:
-                            time.sleep(0.1)  # flowlint: disable=blocking-under-lock -- test-only fixture, single-threaded
+                            time.sleep(0.1)  # flowlint: disable=shared-state -- test-only fixture, single-threaded
                 """
             )
         )
@@ -530,25 +440,8 @@ class TestLockConfinement:
         result = run(module(self.SOURCE))
         assert result.ok, "\n".join(f.render() for f in result.findings)
 
-    def test_the_sanitizer_package_may_build_locks(self):
-        result = run(module(self.SOURCE, name="repro.qa.mod"))
-        assert result.ok, "\n".join(f.render() for f in result.findings)
-
 
 class TestSelfCheck:
-    def test_real_service_thread_roots(self):
-        roots = {}
-        for mod in Project.load([REPO_SRC]).modules:
-            if mod.in_package(CONCURRENCY_PACKAGES):
-                for model in class_models(mod):
-                    roots.update(model.roots)
-        assert roots["repro.service.daemon.StreamService._drain_loop"] == WORKER
-        assert roots["repro.service.daemon.FileTailSource.run"] == WORKER
-        assert roots["repro.obs.httpd._Handler.do_GET"] == HTTP
-        assert roots["repro.service.http.ServiceState._route_diff"] == HTTP
-        assert roots["repro.service.daemon.StreamService.feed"] == MAIN
-        assert roots["repro.service.daemon.replay_messages"] == MAIN
-
     def test_repository_lints_clean_with_concurrency_rules(self):
         """`repro lint` over the shipped tree — the CI gate."""
         project = Project.load([REPO_SRC])

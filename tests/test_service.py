@@ -15,8 +15,10 @@ import os
 import shutil
 import threading
 import time
+import types
 import urllib.error
 import urllib.request
+from urllib.parse import parse_qs
 
 import pytest
 
@@ -41,6 +43,7 @@ from repro.service import (
     STATUS_MERGED,
     FileTailSource,
     IncrementalWindow,
+    ServiceState,
     StreamService,
     TenantPipeline,
     create_server,
@@ -854,6 +857,51 @@ class TestBackpressure:
         assert service.metrics.total("service_dropped_total") == 0
 
 
+class TestLifecycle:
+    def test_stop_that_times_out_keeps_the_drain_thread(self, healthy_log):
+        """``stop()`` used to forget a drain thread its join timed out on,
+        so the next ``start()`` ran a second one beside it: two threads
+        owning the same tenants. A stop asked twice of a stuck thread must
+        not stop the thread started after it either."""
+        service = StreamService(window=WINDOW)
+        tenant = service.add_tenant("t1")
+        entered, release = threading.Event(), threading.Event()
+
+        def stuck_ingest(batch):
+            entered.set()
+            release.wait(30.0)
+            return []
+
+        real_ingest, tenant.ingest = tenant.ingest, stuck_ingest
+        service.start()
+        drain = service._thread
+        real_join = drain.join
+        drain.join = lambda timeout=None: real_join(0.05)
+        try:
+            service.feed("t1", list(healthy_log)[:10])
+            assert entered.wait(5.0)
+            for _ in range(2):
+                with pytest.raises(RuntimeError, match="still running"):
+                    service.stop(drain=False)
+            running = [t for t in threading.enumerate() if t.name == drain.name]
+            service.start()
+            assert service._thread is drain
+            assert [t for t in threading.enumerate() if t.name == drain.name] == running
+        finally:
+            release.set()
+            real_join(5.0)
+        assert not drain.is_alive()
+        service.stop()
+        assert service._thread is None
+        tenant.ingest = real_ingest
+        service.start()
+        service.feed("t1", list(healthy_log)[:10])
+        run_for_at_most(5.0, service.drain)
+        assert service._thread.is_alive()
+        assert service.metrics.value("service_queue_depth") == 0
+        service.stop()
+
+
 class TestDaemonSources:
     def test_file_tail_drives_diagnosis(self, faulty_log, tmp_path):
         path = str(tmp_path / "capture.jsonl")
@@ -1141,6 +1189,45 @@ class TestServeCommand:
         assert "'prod'" in line and missing in line and "No such file" in line
 
 
+    def test_tails_are_joined_before_the_service_stops(
+        self, healthy_log, tmp_path, monkeypatch
+    ):
+        """A tail hands off its last partial batch as it exits. ``repro
+        serve`` used to stop the service without joining its tails, so
+        that batch could land after the drain thread had stopped: lost,
+        uncounted, with ``service_queue_depth`` stuck above 0."""
+        import repro.service
+
+        capture = str(tmp_path / "capture.jsonl")
+        save_log(healthy_log, capture)
+        last = list(healthy_log)[:25]
+        services, tails = [], []
+
+        class Recorded(StreamService):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                services.append(self)
+
+        class LateTail(FileTailSource):
+            def run(self):
+                tails.append(self)
+                self._stop.wait(30.0)
+                time.sleep(0.3)  # still handing off when stop() returns
+                self._hand_off(list(last))
+
+        monkeypatch.setattr(repro.service, "StreamService", Recorded)
+        monkeypatch.setattr(repro.service, "FileTailSource", LateTail)
+        argv = ["serve", "--tenants", f"prod={capture}", "--follow"]
+        assert main(argv + ["--serve-for", "0", "--listen", "127.0.0.1:0"]) == 0
+        for tail in tails:
+            tail.join(5.0)
+            assert not tail._thread.is_alive()
+        (service,) = services
+        assert service.metrics.value("service_queue_depth") == 0
+        assert service.metrics.value(
+            "service_ingest_messages_total", tenant="prod"
+        ) == len(last)
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -1227,6 +1314,31 @@ class TestHTTPSurface:
         _, server = served
         code, _ = _get_error(server.url("/diff?tenant=nope"))
         assert code == 404
+
+    def test_routes_read_views_only(self, served):
+        """Every page is built from ``views()``, ``metrics``, ``errors``
+        and ``config`` alone: over a stand-in with nothing else, a route
+        that reached a tenant pipeline would raise."""
+        service, _ = served
+        views = service.views()
+        stand_in = types.SimpleNamespace(
+            views=lambda: views,
+            metrics=service.metrics,
+            errors=service.errors,
+            config=service.config,
+        )
+        real, narrow = ServiceState(service), ServiceState(stand_in)
+        for page in (
+            "/tenants",
+            "/healthz",
+            "/alerts",
+            "/diff?tenant=prod&n=2",
+            "/traces?tenant=prod&limit=3",
+        ):
+            path, _, query = page.partition("?")
+            want = real.routes[path](parse_qs(query))
+            assert narrow.routes[path](parse_qs(query)) == want
+            assert want[0] == 200 and want[1]
 
     def test_alerts_are_tenant_labeled_and_ordered(self, served):
         _, server = served
