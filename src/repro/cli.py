@@ -378,9 +378,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             source.stop()
         # A tail hands off its last partial batch as it exits; joined
         # first, that batch lands before the drain thread takes its stop.
-        for source in sources:
-            source.join(timeout=30.0)
-        service.stop()
+        # A tail still running is reported instead: stopping the service
+        # under it could lose that batch.
+        stuck = [source.tenant for source in sources if not source.join(timeout=30.0)]
+        if stuck:
+            print(
+                f"repro serve: tail(s) {', '.join(stuck)} still running 30 s after "
+                "stop; the service was not stopped under them",
+                file=sys.stderr,
+            )
+        else:
+            service.stop()
         for name, view in service.views().items():
             row = view.summary
             print(
@@ -398,7 +406,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 fh.write("\n")
             print(f"wrote service report to {args.report_out}")
         server.stop()
-    return 0
+    return 1 if stuck else 0
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:

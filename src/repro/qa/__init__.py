@@ -21,9 +21,10 @@ Layout:
 * :mod:`repro.qa.concurrency` — the concurrency rules over the service
   and its HTTP surface (shared-state, unmanaged-thread,
   lock-confinement); part of :func:`~repro.qa.rules.default_rules`.
-  ``shared-state`` checks that every lock body is a leaf and that every
-  attribute a lock-building class writes after ``__init__`` is locked,
-  private to its worker thread, or published whole in ``_GUARDED_BY``.
+  ``shared-state`` checks that every lock body is a leaf and that, in a
+  class that builds a lock or starts a worker thread, every attribute
+  written after ``__init__`` is under one lock, private to the worker
+  thread, or published whole in ``_GUARDED_BY``.
 """
 
 from repro.qa.concurrency import CONCURRENCY_PACKAGES, concurrency_rules

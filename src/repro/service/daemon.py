@@ -214,16 +214,21 @@ class StreamService:
     def stop(self, drain: bool = True) -> None:
         """Stop the drain thread; with ``drain``, finish queued work first.
 
-        Raises ``RuntimeError`` when the thread is still running 30 s
-        after the stop request. The service then keeps it, so a later
-        :meth:`start` cannot add a second thread beside it.
+        Raises ``RuntimeError`` when the stop request cannot be queued
+        within 30 s (a full queue under a stuck thread), or the thread
+        is still running 30 s after it was queued. The service then
+        keeps the thread, so a later :meth:`start` cannot add a second
+        one beside it.
         """
         if self._thread is None:
             return
         if self._thread.is_alive():  # a dead thread drains nothing
             if drain:
                 self._queue.join()
-            self._queue.put((_STOP, self._thread))
+            try:
+                self._queue.put((_STOP, self._thread), timeout=30.0)
+            except queue.Full:
+                raise RuntimeError("drain thread stuck: stop not queued in 30 s") from None
             self._thread.join(timeout=30.0)
             if self._thread.is_alive():
                 raise RuntimeError("drain thread still running 30 s after stop")
@@ -309,9 +314,12 @@ class FileTailSource:
     def stop(self) -> None:
         self._stop.set()
 
-    def join(self, timeout: Optional[float] = None) -> None:
-        if self._thread is not None:
-            self._thread.join(timeout)
+    def join(self, timeout: Optional[float] = None) -> bool:
+        """Wait for the tail thread; ``True`` once it is not running."""
+        thread = self._thread
+        if thread is not None:
+            thread.join(timeout)
+        return thread is None or not thread.is_alive()
 
     def run(self) -> None:
         """Tail the file until EOF (or :meth:`stop` when following)."""

@@ -77,6 +77,13 @@ MUTANTS = {
             (DAEMON, DRAIN_LOCK, DRAIN_LOCK.replace("self._lock:", "self._stats, self._lock:")),
         ],
     ),
+    "M3b-two-locks-never-nested": (
+        "shared-state",
+        [
+            (DAEMON, INIT_DEPTH, INIT_DEPTH + "        self._stats = threading.Lock()\n"),
+            (DAEMON, DRAIN_LOCK, DRAIN_LOCK.replace("self._lock:", "self._stats:")),
+        ],
+    ),
     "M4-fire-and-forget-thread": (
         "unmanaged-thread",
         [(
@@ -85,6 +92,19 @@ MUTANTS = {
             'name="repro-service-drain", daemon=True\n        )\n        self._thread.start()\n'
             "        threading.Thread(target=self.drain, daemon=True).start()\n",
         )],
+    ),
+    # tenant.py calls os.path.join: a join whose receiver is no name.
+    "M4b-fire-and-forget-thread-in-tenant": (
+        "unmanaged-thread",
+        [
+            (TENANT, "import os\n", "import os\nimport threading\n"),
+            (
+                TENANT,
+                "        self._publish(trace=())\n",
+                "        self._publish(trace=())\n"
+                "        threading.Thread(target=self._publish, daemon=True).start()\n",
+            ),
+        ],
     ),
     "M5-lock-outside-the-service": (
         "lock-confinement",
@@ -159,6 +179,11 @@ MUTANTS = {
             (DAEMON, INIT_DEPTH, INIT_DEPTH + "        self.fed = 0\n"),
             (DAEMON, ITEM, ITEM + "        self.fed += len(batch)\n"),
         ],
+    ),
+    # The service keeps its worker but builds no lock.
+    "M13-service-lock-deleted": (
+        "shared-state",
+        [(DAEMON, "        self._lock = threading.Lock()\n", "")],
     ),
     "PR34-tenants-not-published": (
         "shared-state",

@@ -31,14 +31,13 @@ def rules_fired(result):
 
 
 class TestLockDiscipline:
-    """The three kinds of shared state of a lock-building class."""
+    """The three kinds of shared state of a class with a lock or a worker."""
 
     BAD = """\
         import threading
 
         class Box:
             def __init__(self):
-                self._lock = threading.Lock()
                 self.value = 0
                 self._thread = None
 
@@ -49,46 +48,72 @@ class TestLockDiscipline:
             def stop(self):
                 self._thread.join()
 
-            def poke(self) -> int:
-                return self.value
-
             def _run(self):
                 self.value += 1
+
+
+        def poke(box: Box) -> int:
+            return box.value
         """
+
+    #: ``BAD`` with the reader as a method: still no lock anywhere.
+    SHARED = BAD.replace(
+        "            def _run(self):",
+        "            def poke(self) -> int:\n                return self.value\n\n"
+        "            def _run(self):",
+    ).split("\n\n\n")[0] + "\n"
+
+    #: ``SHARED`` with two locks: ``poke`` reads under ``_a``, the worker writes under ``_b``.
+    TWO_LOCKS = SHARED.replace(
+        "                self.value = 0\n",
+        "                self._a = threading.Lock()\n                self._b = threading.Lock()\n"
+        "                self.value = 0\n",
+    ).replace(
+        "                return self.value",
+        "                with self._a:\n                    return self.value",
+    ).replace(
+        "                self.value += 1",
+        "                with self._b:\n                    self.value += 1",
+    )
 
     def test_unguarded_cross_thread_attribute_is_flagged(self):
         result = run(module(self.BAD))
         assert rules_fired(result) == ["shared-state"]
         assert "Box.value" in result.findings[0].message
 
+    def test_public_method_sharing_worker_state_with_no_lock_is_flagged(self):
+        result = run(module(self.SHARED))
+        assert rules_fired(result) == ["shared-state"]
+        assert "Box.value" in result.findings[0].message
+
     def test_common_lock_at_every_access_is_clean(self):
-        locked = self.BAD.replace(
-            "                return self.value",
-            "                with self._lock:\n                    return self.value",
-        ).replace(
-            "                self.value += 1",
-            "                with self._lock:\n                    self.value += 1",
-        )
+        locked = self.TWO_LOCKS.replace("with self._b:", "with self._a:")
         result = run(module(locked))
         assert result.ok, "\n".join(f.render() for f in result.findings)
 
+    def test_two_locks_that_never_meet_are_flagged(self):
+        result = run(module(self.TWO_LOCKS))
+        assert rules_fired(result) == ["shared-state"]
+        assert "Box.value" in result.findings[0].message
+
     def test_worker_private_attribute_is_clean(self):
-        private = self.BAD.replace("return self.value", "return 0")
+        private = self.SHARED.replace("return self.value", "return 0")
         result = run(module(private))
         assert result.ok, "\n".join(f.render() for f in result.findings)
 
     def test_guarded_by_table_sanctions_the_attribute(self):
-        published = self.BAD.replace(
-            "        class Box:\n",
-            "        class Box:\n"
-            '            _GUARDED_BY = {"value": "one writer, replaced whole"}\n\n',
-        )
-        result = run(module(published))
-        assert result.ok, "\n".join(f.render() for f in result.findings)
+        for source in (self.BAD, self.SHARED):
+            published = source.replace(
+                "        class Box:\n",
+                "        class Box:\n"
+                '            _GUARDED_BY = {"value": "one writer, replaced whole"}\n\n',
+            )
+            result = run(module(published))
+            assert result.ok, "\n".join(f.render() for f in result.findings)
 
     def test_published_attribute_mutated_in_place_is_flagged(self):
         for mutation in ("self.value.append(1)", "self.value[0] = 1"):
-            source = self.BAD.replace(
+            source = self.SHARED.replace(
                 "        class Box:\n",
                 "        class Box:\n"
                 '            _GUARDED_BY = {"value": "one writer, replaced whole"}\n\n',
@@ -334,6 +359,24 @@ class TestUnmanagedThread:
             )
         )
         assert rules_fired(result) == ["unmanaged-thread"]
+
+    def test_discarded_thread_beside_a_str_join_is_flagged(self):
+        """A ``join`` on a receiver that is no name (``", ".join``)
+        used to count as joining every discarded thread."""
+        result = run(
+            module(
+                """\
+                import os
+                import threading
+
+                def fire(work, parts):
+                    threading.Thread(target=work).start()
+                    return os.path.join(*parts) + ", ".join(parts)
+                """
+            )
+        )
+        assert rules_fired(result) == ["unmanaged-thread"]
+        assert "discarded" in result.findings[0].message
 
     def test_joined_attr_thread_is_clean(self):
         result = run(

@@ -902,6 +902,55 @@ class TestLifecycle:
         service.stop()
 
 
+    def test_stop_with_a_full_queue_under_a_stuck_thread_raises(self, healthy_log):
+        """``stop(drain=False)`` used to put its stop request with no
+        timeout: with the queue full and the drain thread stuck, it
+        blocked forever before its bounded join."""
+        service = StreamService(window=WINDOW, max_pending=1)
+        tenant = service.add_tenant("t1")
+        entered, release = threading.Event(), threading.Event()
+
+        def stuck_ingest(batch):
+            entered.set()
+            release.wait(30.0)
+            return []
+
+        real_ingest, tenant.ingest = tenant.ingest, stuck_ingest
+        service.start()
+        drain = service._thread
+        real_put, timeouts = service._queue.put, []
+
+        def short_put(item, block=True, timeout=None):
+            timeouts.append(timeout)
+            return real_put(item, block, None if timeout is None else 0.05)
+
+        batch = list(healthy_log)[:10]
+        raised = []
+
+        def stop():
+            try:
+                service.stop(drain=False)
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        try:
+            service.feed("t1", batch)
+            assert entered.wait(5.0)
+            service.feed("t1", batch)  # the queue is full now
+            service._queue.put = short_put
+            run_for_at_most(5.0, stop)
+            assert timeouts == [30.0]
+            assert len(raised) == 1 and "not queued" in str(raised[0])
+            assert service._thread is drain
+        finally:
+            service._queue.put = real_put
+            release.set()
+        tenant.ingest = real_ingest
+        run_for_at_most(5.0, service.stop)
+        assert not drain.is_alive() and service._thread is None
+        assert service.metrics.value("service_queue_depth") == 0
+
+
 class TestDaemonSources:
     def test_file_tail_drives_diagnosis(self, faulty_log, tmp_path):
         path = str(tmp_path / "capture.jsonl")
@@ -1223,6 +1272,54 @@ class TestServeCommand:
             tail.join(5.0)
             assert not tail._thread.is_alive()
         (service,) = services
+        assert service.metrics.value("service_queue_depth") == 0
+        assert service.metrics.value(
+            "service_ingest_messages_total", tenant="prod"
+        ) == len(last)
+
+    def test_tail_still_running_after_its_join_is_reported(
+        self, healthy_log, tmp_path, monkeypatch, capsys
+    ):
+        """A tail that outlived its bounded join used to have the service
+        stopped under it, so its last batch could still be lost. Now
+        ``repro serve`` names the tail, leaves the service running and
+        exits 1."""
+        import repro.service
+
+        capture = str(tmp_path / "capture.jsonl")
+        save_log(healthy_log, capture)
+        last = list(healthy_log)[:25]
+        services, tails = [], []
+        release = threading.Event()
+
+        class Recorded(StreamService):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                services.append(self)
+
+        class StuckTail(FileTailSource):
+            def run(self):
+                tails.append(self)
+                release.wait(30.0)
+                self._hand_off(list(last))
+
+            def join(self, timeout=None):
+                return super().join(None if timeout is None else 0.05)
+
+        monkeypatch.setattr(repro.service, "StreamService", Recorded)
+        monkeypatch.setattr(repro.service, "FileTailSource", StuckTail)
+        argv = ["serve", "--tenants", f"prod={capture}", "--follow"]
+        try:
+            assert main(argv + ["--serve-for", "0", "--listen", "127.0.0.1:0"]) == 1
+            assert "tail(s) prod still running" in capsys.readouterr().err
+            (service,) = services
+            assert service._thread is not None and service._thread.is_alive()
+        finally:
+            release.set()
+        (tail,) = tails
+        assert tail.join(5.0)
+        run_for_at_most(5.0, service.drain)
+        service.stop()
         assert service.metrics.value("service_queue_depth") == 0
         assert service.metrics.value(
             "service_ingest_messages_total", tenant="prod"
